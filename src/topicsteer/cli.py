@@ -16,11 +16,14 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 from . import fixtures
-from .decoding import GenerationConfig, generate
+from .decoding import STRATEGIES, GenerationConfig, generate
 from .experiment import (
+    STEERED_POLICIES,
     Condition,
     CorpusFormatError,
     ExperimentConfig,
@@ -34,6 +37,7 @@ from .reweight import ReweightConfig, build_chain
 from .scoring import report_row, score_summary
 from .topics import TopicModelFormatError, load_topic_model, topic_token_set
 
+# CLI and config-file method names -> ReweightConfig method names.
 METHOD_NAMES = {
     "none": "none",
     "shift": "constant_shift",
@@ -41,23 +45,56 @@ METHOD_NAMES = {
     "threshold": "threshold_selection",
 }
 
-DEFAULTS = {
-    "method": "none",
-    "c": 0.0,
-    "alpha": 1.0,
-    "theta": 0.005,
-    "beta": 0.0,
-    "strategy": "greedy",
-    "beams": 4,
-    "top_k": 50,
-    "top_p": 0.95,
-    "min_tokens": 80,
-    "max_tokens": 90,
-    "seed": 0,
-    "top_n": 25,
-    "steered": "both",
-    "limit": None,
+
+@dataclass(frozen=True)
+class Setting:
+    """A flag and config key: the dataclass field it sets, whose default it shares.
+
+    Input paths have no field default; ``factory`` gives theirs.
+    """
+
+    owner: type
+    field: str
+    type: type
+    help: str
+    choices: tuple[str, ...] | None = None
+    factory: Callable[[], Path] | None = None
+
+    @property
+    def default(self):
+        if self.factory is not None:
+            return self.factory()
+        return next(f.default for f in fields(self.owner) if f.name == self.field)
+
+
+SETTINGS = {
+    "corpus": Setting(ExperimentConfig, "corpus_path", Path, "corpus JSONL", factory=fixtures.corpus_path),
+    "topics_file": Setting(ExperimentConfig, "topics_path", Path, "topic model JSON",
+                           factory=fixtures.topic_model_path),
+    "model": Setting(ExperimentConfig, "model_path", Path, "toy model JSON", factory=fixtures.toy_model_path),
+    "out_dir": Setting(ExperimentConfig, "out_dir", Path, "output directory", factory=lambda: Path("sweep-out")),
+    "method": Setting(ReweightConfig, "method", str, "reweighting method", tuple(METHOD_NAMES)),
+    "c": Setting(ReweightConfig, "c", float, "shift constant"),
+    "alpha": Setting(ReweightConfig, "alpha", float, "scaling factor"),
+    "theta": Setting(ReweightConfig, "theta", float, "probability threshold"),
+    "beta": Setting(ReweightConfig, "beta", float, "encouragement factor"),
+    "strategy": Setting(GenerationConfig, "strategy", str, "decoding strategy", STRATEGIES),
+    "beams": Setting(GenerationConfig, "num_beams", int, "beam width"),
+    "top_k": Setting(GenerationConfig, "top_k", int, "top-k truncation"),
+    "top_p": Setting(GenerationConfig, "top_p", float, "nucleus (top-p) truncation"),
+    "min_tokens": Setting(GenerationConfig, "min_new_tokens", int, "minimum new tokens"),
+    "max_tokens": Setting(GenerationConfig, "max_new_tokens", int, "maximum new tokens"),
+    "seed": Setting(GenerationConfig, "seed", int, "sampling seed; a sweep's master seed"),
+    "top_n": Setting(ExperimentConfig, "top_n", int, "topic words to expand"),
+    "limit": Setting(ExperimentConfig, "limit", int, "articles limit"),
+    "steered": Setting(ExperimentConfig, "steered_policy", str, "steered topics", STEERED_POLICIES),
 }
+CONDITION_SETTINGS = tuple(k for k, s in SETTINGS.items() if s.owner is not ExperimentConfig)
+INPUTS = ("corpus", "topics_file", "model")
+
+# JSON types a config value may have, per setting type; ints also take integral floats.
+_JSON_TYPES = {int: ((int, float), "an integer"), float: ((int, float), "a number"),
+               str: ((str,), "a string"), Path: ((str,), "a path string")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,27 +105,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_io_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--corpus", type=Path, default=None, help="corpus JSONL (default: shipped fixture)")
-    parser.add_argument("--topics-file", type=Path, default=None, help="topic model JSON (default: shipped fixture)")
-    parser.add_argument("--model", type=Path, default=None, help="toy model JSON (default: shipped fixture)")
-
-
-def _add_condition_flags(parser: argparse.ArgumentParser, use_none_default: bool) -> None:
-    d = (lambda _k: None) if use_none_default else DEFAULTS.get
-    parser.add_argument("--method", choices=sorted(METHOD_NAMES), default=d("method"))
-    parser.add_argument("--c", type=float, default=d("c"), help="shift constant")
-    parser.add_argument("--alpha", type=float, default=d("alpha"), help="scaling factor")
-    parser.add_argument("--theta", type=float, default=d("theta"), help="probability threshold")
-    parser.add_argument("--beta", type=float, default=d("beta"), help="encouragement factor")
-    parser.add_argument("--strategy", choices=("greedy", "sample", "beam"), default=d("strategy"))
-    parser.add_argument("--beams", type=int, default=d("beams"))
-    parser.add_argument("--top-k", type=int, default=d("top_k"))
-    parser.add_argument("--top-p", type=float, default=d("top_p"))
-    parser.add_argument("--min-tokens", type=int, default=d("min_tokens"))
-    parser.add_argument("--max-tokens", type=int, default=d("max_tokens"))
-    parser.add_argument("--seed", type=int, default=d("seed"))
-    parser.add_argument("--top-n", type=int, default=d("top_n"), help="topic words to expand")
+def _add_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """Register --<key> flags; a flag not given is absent from the namespace."""
+    for key in keys:
+        s = SETTINGS[key]
+        parser.add_argument("--" + key.replace("_", "-"), type=s.type, choices=s.choices,
+                            default=argparse.SUPPRESS, help=f"{s.help} (default: {s.default})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,18 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("generate", help="decode one article and print summary + scores")
-    _add_io_flags(p_gen)
-    _add_condition_flags(p_gen, use_none_default=False)
+    _add_flags(p_gen, *INPUTS, *CONDITION_SETTINGS, "top_n")
     p_gen.add_argument("--article-id", default=None, help="article to use (default: first in corpus)")
     p_gen.add_argument("--topic", type=int, default=None, help="steered topic id (default: the article's tid1)")
 
     p_sweep = sub.add_parser("sweep", help="run a full experiment")
-    _add_io_flags(p_sweep)
-    _add_condition_flags(p_sweep, use_none_default=True)
+    _add_flags(p_sweep, *SETTINGS)
     p_sweep.add_argument("--config", type=Path, default=None, help="experiment config JSON")
-    p_sweep.add_argument("--out-dir", type=Path, default=None, help="output directory (default: ./sweep-out)")
-    p_sweep.add_argument("--limit", type=int, default=None, help="articles limit")
-    p_sweep.add_argument("--steered", choices=("tid1", "tid2", "both"), default=None)
     p_sweep.add_argument("--label", default=None, help="label for the flag-defined condition")
 
     p_merge = sub.add_parser("merge", help="join external scores into a report CSV")
@@ -117,43 +134,61 @@ def build_parser() -> argparse.ArgumentParser:
     p_merge.add_argument("--rejects", type=Path, default=None, help="default: <report>.rejects.csv")
 
     p_expand = sub.add_parser("expand-topic", help="print a topic's token set")
-    _add_io_flags(p_expand)
+    _add_flags(p_expand, *INPUTS, "top_n")
     p_expand.add_argument("--topic", type=int, required=True)
-    p_expand.add_argument("--top-n", type=int, default=DEFAULTS["top_n"])
 
     return parser
 
 
-def _fixture_default(value: Path | None, fallback: Path) -> Path:
-    return value if value is not None else fallback
+def _file_value(key: str, value, where: str):
+    """A config-file value as its setting's type; a mistyped value names its key."""
+    setting = SETTINGS.get(key)
+    kind = setting.type if setting else str  # a label
+    choices = setting.choices if setting else None
+    if value is None and setting is not None and setting.default is None:
+        return None  # "limit": null means no limit, as the default does
+    types, expected = _JSON_TYPES[kind]
+    # type() rather than isinstance(): JSON true/false load as bool, a subclass of int
+    if not (type(value) in types and (kind is not int or value % 1 == 0) and (not choices or value in choices)):
+        raise ValueError(f"{where} key {key!r}: expected {f'one of {list(choices)}' if choices else expected}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
-def _reweight_from(values: dict) -> ReweightConfig:
-    return ReweightConfig(
-        method=METHOD_NAMES[values["method"]],
-        c=float(values["c"]),
-        alpha=float(values["alpha"]),
-        theta=float(values["theta"]),
-        beta=float(values["beta"]),
-    )
+def _file_values(entry: dict, allowed: set[str], where: str) -> dict:
+    unknown = sorted(set(entry) - allowed)
+    if unknown:
+        raise ValueError(f"{where}: unknown key {unknown[0]!r}")
+    return {key: _file_value(key, value, where) for key, value in entry.items()}
 
 
-def _generation_from(values: dict, seed: int | None = None) -> GenerationConfig:
-    return GenerationConfig(
-        strategy=values["strategy"],
-        top_k=int(values["top_k"]),
-        top_p=float(values["top_p"]),
-        num_beams=int(values["beams"]),
-        max_new_tokens=int(values["max_tokens"]),
-        min_new_tokens=int(values["min_tokens"]),
-        seed=int(values["seed"] if seed is None else seed),
+def _settings(args: argparse.Namespace, file_config: dict) -> dict:
+    """Every setting and path: the flag if given, else the config-file key, else the default."""
+    values = {key: s.default for key, s in SETTINGS.items()}
+    values.update(_file_values(file_config, {"label", *SETTINGS}, "config"))
+    values.update((key, value) for key, value in vars(args).items() if key in SETTINGS)
+    return values
+
+
+def _owned(owner: type, values: dict) -> dict:
+    return {s.field: values[key] for key, s in SETTINGS.items() if s.owner is owner}
+
+
+def _condition(values: dict, label: str | None) -> Condition:
+    """A condition from resolved settings; unlabelled, it is named after its method."""
+    method = values["method"]
+    return Condition(
+        label=label or (method if method != "none" else "baseline"),
+        reweight=ReweightConfig(**{**_owned(ReweightConfig, values), "method": METHOD_NAMES[method]}),
+        generation=GenerationConfig(**_owned(GenerationConfig, values)),
     )
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    corpus = load_corpus(_fixture_default(args.corpus, fixtures.corpus_path()))
-    topic_model = load_topic_model(_fixture_default(args.topics_file, fixtures.topic_model_path()))
-    model = load_toy_model(_fixture_default(args.model, fixtures.toy_model_path()))
+    values = _settings(args, {})
+    corpus = load_corpus(values["corpus"])
+    topic_model = load_topic_model(values["topics_file"])
+    model = load_toy_model(values["model"])
     if args.article_id is None:
         sample = corpus[0]
     else:
@@ -167,61 +202,33 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"--topic {steered_tid} is not one of article {sample.article_id!r}'s topics "
             f"({sample.tid1}, {sample.tid2})"
         )
-    values = vars(args)
-    reweight = _reweight_from(values)
-    gen_config = _generation_from(values)
-    token_set = topic_token_set(steered_tid, topic_model, model.vocabulary, args.top_n)
-    chain = build_chain(reweight, token_set)
+    condition = _condition(values, None)
+    token_set = topic_token_set(steered_tid, topic_model, model.vocabulary, values["top_n"])
+    chain = build_chain(condition.reweight, token_set)
     prefix = [model.vocabulary.bos_id, *model.vocabulary.encode_words(sample.article)]
-    result = generate(model, prefix, chain, gen_config)
-    condition = args.method if args.method != "none" else "baseline"
+    result = generate(model, prefix, chain, condition.generation)
     report = score_summary(
         result,
         article_id=sample.article_id,
-        condition=condition,
+        condition=condition.label,
         steered_tid=steered_tid,
         topics=(sample.tid1, sample.tid2),
         references=(sample.ref1, sample.ref2),
         model=topic_model,
         vocab=model.vocabulary,
-        top_n=args.top_n,
+        top_n=values["top_n"],
         token_sets={steered_tid: token_set},
     )
-    record = result.to_record(model.vocabulary, gen_config)
-    record["article_id"] = sample.article_id
-    record["condition"] = condition
-    record["steered_tid"] = steered_tid
-    record["reweight"] = {"method": reweight.method, "c": reweight.c, "alpha": reweight.alpha,
-                          "theta": reweight.theta, "beta": reweight.beta}
-    record["scores"] = {k: v for k, v in report_row(report).items()
-                        if k not in ("article_id", "condition", "steered_tid")}
+    record = result.to_record(model.vocabulary, condition.generation)
+    record.update(
+        article_id=sample.article_id,
+        condition=condition.label,
+        steered_tid=steered_tid,
+        reweight=asdict(condition.reweight),
+        scores={k: v for k, v in report_row(report).items() if k not in ("article_id", "condition", "steered_tid")},
+    )
     print(json.dumps(record, indent=2))
     return 0
-
-
-def _resolve(flag_value, file_config: dict, key: str):
-    if flag_value is not None:
-        return flag_value
-    if key in file_config:
-        return file_config[key]
-    return DEFAULTS.get(key)
-
-
-def _conditions_from_config(entries: list, base: dict) -> list[Condition]:
-    conditions = []
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"conditions[{i}] must be an object")
-        values = dict(base)
-        values.update(entry)
-        method = values["method"]
-        if method not in METHOD_NAMES:
-            raise ValueError(f"conditions[{i}]: unknown method {method!r}")
-        label = str(values.get("label") or (method if method != "none" else "baseline"))
-        conditions.append(
-            Condition(label=label, reweight=_reweight_from(values), generation=_generation_from(values))
-        )
-    return conditions
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -230,41 +237,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
         if not isinstance(file_config, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-
-    def resolve(key: str, flag=None):
-        return _resolve(flag if flag is not None else getattr(args, key, None), file_config, key)
-
-    base = {key: resolve(key) for key in
-            ("method", "c", "alpha", "theta", "beta", "strategy", "beams",
-             "top_k", "top_p", "min_tokens", "max_tokens", "seed", "top_n")}
-    if base["method"] not in METHOD_NAMES:
-        raise ValueError(f"unknown method {base['method']!r}")
-
-    if "conditions" in file_config:
-        conditions = _conditions_from_config(file_config["conditions"], base)
+    entries = file_config.pop("conditions", None)
+    values = _settings(args, file_config)
+    label = args.label or values.get("label")
+    if entries is None:
+        conditions = [_condition(values, label)]
+    elif args.label is not None or "label" in values:
+        raise ValueError("label names the flag-defined condition; label each conditions[] entry instead")
+    elif not isinstance(entries, list):
+        raise ValueError("config key 'conditions': expected a list of objects")
     else:
-        label = args.label or file_config.get("label") or \
-            (base["method"] if base["method"] != "none" else "baseline")
-        conditions = [Condition(label=str(label), reweight=_reweight_from(base),
-                                generation=_generation_from(base))]
-
-    def path_of(key: str, flag_value, fallback: Path) -> Path:
-        if flag_value is not None:
-            return Path(flag_value)
-        if key in file_config:
-            return Path(file_config[key])
-        return fallback
+        conditions = []
+        for i, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise ValueError(f"conditions[{i}] must be an object")
+            own = _file_values(entry, {"label", *CONDITION_SETTINGS}, f"conditions[{i}]")
+            conditions.append(_condition({**values, **own}, own.get("label")))
 
     config = ExperimentConfig(
-        corpus_path=path_of("corpus", args.corpus, fixtures.corpus_path()),
-        topics_path=path_of("topics_file", args.topics_file, fixtures.topic_model_path()),
-        model_path=path_of("model", args.model, fixtures.toy_model_path()),
-        out_dir=path_of("out_dir", args.out_dir, Path("sweep-out")),
         conditions=tuple(conditions),
-        limit=_resolve(args.limit, file_config, "limit"),
-        steered_policy=_resolve(args.steered, file_config, "steered"),
-        master_seed=int(base["seed"]),
-        top_n=int(base["top_n"]),
+        master_seed=values["seed"],
+        **_owned(ExperimentConfig, values),
     )
     result = run_sweep(config)
     print(f"report:     {result.report_path}")
@@ -288,10 +281,11 @@ def cmd_merge(args: argparse.Namespace) -> int:
 
 
 def cmd_expand_topic(args: argparse.Namespace) -> int:
-    topic_model = load_topic_model(_fixture_default(args.topics_file, fixtures.topic_model_path()))
-    model = load_toy_model(_fixture_default(args.model, fixtures.toy_model_path()))
-    token_set = topic_token_set(args.topic, topic_model, model.vocabulary, args.top_n)
-    print(f"topic {args.topic}: {len(token_set)} tokens from top {args.top_n} words")
+    values = _settings(args, {})
+    topic_model = load_topic_model(values["topics_file"])
+    model = load_toy_model(values["model"])
+    token_set = topic_token_set(args.topic, topic_model, model.vocabulary, values["top_n"])
+    print(f"topic {args.topic}: {len(token_set)} tokens from top {values['top_n']} words")
     for tid in token_set.sorted_ids():
         print(f"{tid}\t{model.vocabulary.tokens[tid]!r}\t{token_set.provenance[tid]}")
     return 0

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -276,11 +277,14 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     rows_error = sum(1 for r in rows if r["error"])
     expected = len(corpus) * len(config.conditions) * (2 if config.steered_policy == "both" else 1)
+    # Inputs enter the hash by content, so where a checkout lives does not change it.
+    inputs = {key: hashlib.sha256(Path(getattr(config, key)).read_bytes()).hexdigest()
+              for key in ("corpus_path", "topics_path", "model_path")}
+    identity = json.dumps({**config.to_dict(), **inputs}, sort_keys=True, separators=(",", ":"))
     manifest = {
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "config_hash": hashlib.sha256(
-            json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
-        ).hexdigest(),
+        "config_hash": hashlib.sha256(identity.encode("utf-8")).hexdigest(),
+        "inputs": inputs,
         "master_seed": config.master_seed,
         "config": config.to_dict(),
         "samples": len(corpus),
@@ -351,6 +355,7 @@ def merge_external_scores(
     metric becomes a column joined on (article_id, condition). External rows
     whose key matches no report row land in the rejects file. Two external
     rows for the same key and metric with different values are a conflict.
+    A value that is not a finite number is rejected with its line.
     """
     with open(report_path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -371,7 +376,13 @@ def merge_external_scores(
             key = (row["article_id"], row["condition"], row["metric"])
             if not row["metric"]:
                 raise CorpusFormatError(f"{external_path}: empty metric name for {key}")
-            float(row["value"])  # must parse
+            try:
+                value = float(row["value"])
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise CorpusFormatError(f"{external_path}:{reader.line_num}: {key}: value {row['value']!r} "
+                                        "is not a finite number")
             if key[:2] not in report_keys:
                 rejected.append({c: row[c] for c in EXTERNAL_COLUMNS})
                 continue

@@ -70,8 +70,8 @@ class ReweightConfig:
             raise ValueError("scaling factor alpha must be finite")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("selection threshold theta must lie in [0, 1]")
-        if not self.beta >= 0.0:
-            raise ValueError("encouragement factor beta must be >= 0")
+        if not (math.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError("encouragement factor beta must be finite and >= 0")
 
 
 def _token_id_array(topic: object, size: int) -> np.ndarray:
@@ -94,12 +94,19 @@ def _validated(scores: LogitVector) -> np.ndarray:
     return x
 
 
+def _finite(values: np.ndarray, method: str) -> np.ndarray:
+    """Rewritten topic logits, checked: an overflow must not mask tokens silently."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"{method}: a rewritten topic logit is not finite")
+    return values
+
+
 def constant_shift(scores: LogitVector, topic: Iterable[int], c: float) -> np.ndarray:
     """Add c to every topic token's logit; all other entries are unchanged."""
     x = _validated(scores)
     ids = _token_id_array(topic, x.size)
     out = x.copy()
-    out[ids] += c
+    out[ids] = _finite(x[ids] + c, "constant_shift")
     return out
 
 
@@ -108,7 +115,7 @@ def factor_scaling(scores: LogitVector, topic: Iterable[int], alpha: float) -> n
     x = _validated(scores)
     ids = _token_id_array(topic, x.size)
     out = x.copy()
-    out[ids] *= alpha
+    out[ids] = _finite(x[ids] * alpha, "factor_scaling")
     return out
 
 
@@ -124,8 +131,8 @@ def threshold_selection(
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if not beta >= 0.0:
-        raise ValueError("beta must be >= 0")
+    if not (math.isfinite(beta) and beta >= 0.0):
+        raise ValueError("beta must be finite and >= 0")
     x = _validated(scores)
     ids = _token_id_array(topic, x.size)
     out = x.copy()

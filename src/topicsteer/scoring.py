@@ -3,8 +3,9 @@
 Three topical scores measure how much of a topic's vocabulary a summary
 uses (stem overlap, token-id overlap, and per-word topic posterior), and
 ROUGE-L F1 measures overlap with a reference summary. Embedding-based
-quality metrics are out of native scope; externally computed values ride
-along in the report's ``external`` map and the CSV merge step.
+quality metrics are out of native scope; ``topicsteer merge``
+(:func:`topicsteer.experiment.merge_external_scores`) joins externally
+computed values into a report CSV.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -59,7 +59,6 @@ class TopicalScores:
 @dataclass(frozen=True)
 class QualityScores:
     rouge_l_f1: float
-    external: Mapping[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ class ScoreReport:
     topical_tid1: TopicalScores
     topical_tid2: TopicalScores
     quality: QualityScores
-    text: str
 
     def __post_init__(self) -> None:
         if not self.condition:
@@ -90,29 +88,19 @@ def lemma_topic_score(
     topic_id: int,
     model: TopicModel,
     top_n: int = 25,
-    count_weighted: bool = False,
 ) -> float:
     """Weight mass of top-n topic words whose stem occurs in the summary.
 
     Each (word, weight) pair counts its full weight once when the stemmed
     word appears among the summary's stems, normalized by the total weight of
-    the top-n words. With count_weighted=True a word instead contributes
-    weight times the stem's occurrence frequency in the summary, which keeps
-    the score in [0, 1] but rewards repetition.
+    the top-n words.
     """
     pairs = model.top_words(topic_id, top_n)
     total = sum(weight for _word, weight in pairs)
     if total <= 0.0:
         return 0.0
-    stems = [stem(w) for w in tokenize_words(summary)]
-    if not stems:
-        return 0.0
-    if count_weighted:
-        counts = Counter(stems)
-        covered = sum(weight * counts[stem(word)] / len(stems) for word, weight in pairs)
-    else:
-        present = set(stems)
-        covered = sum(weight for word, weight in pairs if stem(word) in present)
+    present = {stem(w) for w in tokenize_words(summary)}
+    covered = sum(weight for word, weight in pairs if stem(word) in present)
     return covered / total
 
 
@@ -228,7 +216,6 @@ def score_summary(
         topical_tid1=topical(tid1),
         topical_tid2=topical(tid2),
         quality=QualityScores(rouge_l_f1=rouge_l_f1(text, reference)),
-        text=text,
     )
 
 
@@ -251,8 +238,8 @@ def format_score(value: float) -> str:
 
 
 def report_row(report: ScoreReport) -> dict[str, str]:
-    """One CSV row per report, in REPORT_COLUMNS order plus external columns."""
-    row = {
+    """One CSV row per report, in REPORT_COLUMNS order."""
+    return {
         "article_id": report.article_id,
         "condition": report.condition,
         "steered_tid": str(report.steered_tid),
@@ -264,9 +251,6 @@ def report_row(report: ScoreReport) -> dict[str, str]:
         "dict_t2": format_score(report.topical_tid2.dict_score),
         "rouge_l_f1": format_score(report.quality.rouge_l_f1),
     }
-    for name in sorted(report.quality.external):
-        row[name] = format_score(report.quality.external[name])
-    return row
 
 
 def write_report_csv(rows: Iterable[Mapping[str, str]], path: str | Path, columns: Sequence[str]) -> None:

@@ -1,9 +1,18 @@
 import csv
+import io
 import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from topicsteer import cli
 from topicsteer.cli import main
+from topicsteer.experiment import SweepResult
 
 
 def run(capsys, *argv):
@@ -193,3 +202,189 @@ class TestExpandTopic:
     def test_unknown_topic_exits_1(self, capsys):
         code, _out, err = run(capsys, "expand-topic", "--topic", "77")
         assert code == 1
+
+
+README_CONFIG = {
+    "limit": 25,
+    "steered": "both",
+    "conditions": [
+        {"label": "baseline", "method": "none"},
+        {"label": "shift5", "method": "shift", "c": 5},
+        {"label": "thresh", "method": "threshold", "theta": 0.005, "beta": 1, "strategy": "beam"},
+    ],
+}
+
+
+def captured_config(*argv):
+    """The ExperimentConfig a sweep invocation builds, without running it."""
+    seen = []
+
+    def fake_run_sweep(config):
+        seen.append(config)
+        return SweepResult(Path("report.csv"), Path("aggregates.csv"), Path("manifest.json"), 0, 0, 0)
+
+    with mock.patch.object(cli, "run_sweep", fake_run_sweep), redirect_stdout(io.StringIO()):
+        code = main(["sweep", *argv])
+    assert code == 0
+    return seen[0]
+
+
+def identity(config):
+    """ExperimentConfig.to_dict() without the input paths."""
+    record = config.to_dict()
+    for key in ("corpus_path", "topics_path", "model_path"):
+        del record[key]
+    return record
+
+
+def generation_with(**overrides):
+    generation = {"strategy": "greedy", "top_k": 50, "top_p": 0.95, "num_beams": 4,
+                  "max_new_tokens": 90, "min_new_tokens": 80, "seed": 0}
+    generation.update(overrides)
+    return generation
+
+
+def reweight_with(method="none", **overrides):
+    values = {"method": method, "c": 0.0, "alpha": 1.0, "theta": 0.005, "beta": 0.0}
+    values.update(overrides)
+    return values
+
+
+class TestSweepConfigIdentity:
+    """Literal ExperimentConfig.to_dict() values, as the resolution produced them before
+    flags and config keys shared one settings table."""
+
+    def test_flags_only(self):
+        config = captured_config(
+            "--method", "threshold", "--theta", "0.01", "--beta", "2", "--strategy", "beam",
+            "--beams", "3", "--top-k", "40", "--top-p", "0.9", "--min-tokens", "5",
+            "--max-tokens", "9", "--seed", "7", "--top-n", "20", "--limit", "3", "--steered", "tid2",
+        )
+        assert identity(config) == {
+            "conditions": [{
+                "label": "threshold",
+                "reweight": reweight_with("threshold_selection", theta=0.01, beta=2.0),
+                "generation": {"strategy": "beam", "top_k": 40, "top_p": 0.9, "num_beams": 3,
+                               "max_new_tokens": 9, "min_new_tokens": 5, "seed": 7},
+            }],
+            "limit": 3, "steered_policy": "tid2", "master_seed": 7, "top_n": 20,
+        }
+
+    def test_no_flags(self):
+        assert identity(captured_config()) == {
+            "conditions": [{"label": "baseline", "reweight": reweight_with(), "generation": generation_with()}],
+            "limit": None, "steered_policy": "both", "master_seed": 0, "top_n": 25,
+        }
+
+    def test_readme_config(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(README_CONFIG))
+        assert identity(captured_config("--config", str(path))) == {
+            "conditions": [
+                {"label": "baseline", "reweight": reweight_with(), "generation": generation_with()},
+                {"label": "shift5", "reweight": reweight_with("constant_shift", c=5.0),
+                 "generation": generation_with()},
+                {"label": "thresh", "reweight": reweight_with("threshold_selection", beta=1.0),
+                 "generation": generation_with(strategy="beam")},
+            ],
+            "limit": 25, "steered_policy": "both", "master_seed": 0, "top_n": 25,
+        }
+
+    def test_readme_config_with_flag_overrides(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(README_CONFIG))
+        config = captured_config("--config", str(path), "--min-tokens", "85", "--seed", "3",
+                                 "--steered", "tid1")
+        assert identity(config) == {
+            "conditions": [
+                {"label": "baseline", "reweight": reweight_with(),
+                 "generation": generation_with(min_new_tokens=85, seed=3)},
+                {"label": "shift5", "reweight": reweight_with("constant_shift", c=5.0),
+                 "generation": generation_with(min_new_tokens=85, seed=3)},
+                {"label": "thresh", "reweight": reweight_with("threshold_selection", beta=1.0),
+                 "generation": generation_with(strategy="beam", min_new_tokens=85, seed=3)},
+            ],
+            "limit": 25, "steered_policy": "tid1", "master_seed": 3, "top_n": 25,
+        }
+
+
+finite = {"allow_nan": False, "allow_infinity": False}
+SETTING_VALUES = st.fixed_dictionaries({}, optional={
+    "method": st.sampled_from(["none", "shift", "scale", "threshold"]),
+    "c": st.floats(-50, 50, **finite),
+    "alpha": st.floats(-5, 5, **finite),
+    "theta": st.floats(0, 1, **finite),
+    "beta": st.floats(0, 20, **finite),
+    "strategy": st.sampled_from(["greedy", "sample", "beam"]),
+    "beams": st.integers(1, 8),
+    "top_k": st.integers(1, 300),
+    "top_p": st.floats(0, 1, exclude_min=True, **finite),
+    "min_tokens": st.integers(0, 80),
+    "max_tokens": st.integers(90, 200),
+    "seed": st.integers(0, 2 ** 40),
+    "top_n": st.integers(1, 40),
+    "limit": st.integers(1, 25),
+    "steered": st.sampled_from(["tid1", "tid2", "both"]),
+})
+
+
+@settings(max_examples=60, deadline=None)
+@given(SETTING_VALUES)
+def test_flags_and_config_keys_build_equal_conditions(values):
+    # "--c=-1e-300": argparse reads a separate "-1e-300" as a flag
+    flags = ["--{}={}".format(key.replace("_", "-"), value) for key, value in values.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.json"
+        path.write_text(json.dumps(values))
+        from_file = captured_config("--config", str(path))
+    from_flags = captured_config(*flags)
+    assert from_flags.conditions == from_file.conditions
+    assert from_flags.to_dict() == from_file.to_dict()
+
+
+class TestConfigRejections:
+    """Config input that used to be ignored or coerced exits 1 naming the key."""
+
+    def sweep_with(self, tmp_path, capsys, config, *flags):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(config))
+        return run(capsys, "sweep", "--config", str(path), "--out-dir", str(tmp_path / "out"), *flags)
+
+    @pytest.mark.parametrize("config, key", [
+        ({"min_token": 5}, "min_token"),
+        ({"conditions": [{"lable": "x", "method": "shift"}]}, "lable"),
+        ({"conditions": [{"method": "shift", "limit": 3}]}, "limit"),
+        ({"top_k": 2.7}, "top_k"),
+        ({"top_k": True}, "top_k"),
+        ({"conditions": [{"method": "none", "beams": False}]}, "beams"),
+        ({"top_p": "0.9"}, "top_p"),
+        ({"limit": "1"}, "limit"),
+        ({"method": "sorcery"}, "method"),
+        ({"conditions": {"method": "none"}}, "conditions"),
+    ])
+    def test_bad_key_or_value_exits_1(self, tmp_path, capsys, config, key):
+        code, _out, err = self.sweep_with(tmp_path, capsys, config)
+        assert code == 1
+        assert repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    def test_label_flag_with_conditions_list_exits_1(self, tmp_path, capsys):
+        config = {"conditions": [{"method": "none"}]}
+        code, _out, err = self.sweep_with(tmp_path, capsys, config, "--label", "mine")
+        assert code == 1
+        assert "label" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_beta_exits_1(self, tmp_path, capsys):
+        code, _out, err = run(capsys, "sweep", "--method", "threshold", "--beta", "inf",
+                              "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert "beta" in err
+
+
+def test_help_prints_every_derived_default(capsys):
+    code, out, _err = run(capsys, "sweep", "--help")
+    assert code == 0
+    for default in ("(default: 0.95)", "(default: 50)", "(default: 4)", "(default: 80)",
+                    "(default: 90)", "(default: 25)", "(default: greedy)", "(default: both)"):
+        assert default in out

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -245,6 +247,16 @@ class TestMerge:
         with pytest.raises(MergeConflictError, match="conflicting values"):
             merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_names_row(self, tmp_path, value):
+        report = self.run_small_sweep(tmp_path)
+        external = self.write_external(
+            tmp_path / "ext.csv",
+            [["a000", "baseline", "mauve", "0.4"], ["a001", "shift2", "mauve", value]],
+        )
+        with pytest.raises(CorpusFormatError, match=r"ext\.csv:3: .*a001.*not a finite number"):
+            merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
+
     def test_duplicate_identical_values_tolerated(self, tmp_path):
         report = self.run_small_sweep(tmp_path)
         external = self.write_external(
@@ -253,6 +265,36 @@ class TestMerge:
         )
         result = merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
         assert result.matched_values == 1
+
+
+class TestConfigHash:
+    def sweep_in(self, root: Path, edit=lambda corpus: corpus) -> dict:
+        root.mkdir()
+        for source in (fixtures.topic_model_path(), fixtures.toy_model_path()):
+            shutil.copyfile(source, root / source.name)
+        (root / "corpus.jsonl").write_bytes(edit(fixtures.corpus_path().read_bytes()))
+        config = ExperimentConfig(
+            corpus_path=root / "corpus.jsonl", topics_path=root / "topics.json",
+            model_path=root / "toy_model.json", out_dir=root / "out",
+            conditions=(Condition("baseline", ReweightConfig(), fast_generation()),), limit=1,
+        )
+        return json.loads(run_sweep(config).manifest_path.read_text())
+
+    def test_hash_follows_input_contents_not_location(self, tmp_path):
+        one = self.sweep_in(tmp_path / "one")
+        two = self.sweep_in(tmp_path / "two")
+        assert one["config_hash"] == two["config_hash"]
+        assert one["inputs"] == two["inputs"] == {
+            "corpus_path": hashlib.sha256(fixtures.corpus_path().read_bytes()).hexdigest(),
+            "topics_path": hashlib.sha256(fixtures.topic_model_path().read_bytes()).hexdigest(),
+            "model_path": hashlib.sha256(fixtures.toy_model_path().read_bytes()).hexdigest(),
+        }
+
+    def test_one_changed_byte_changes_hash(self, tmp_path):
+        one = self.sweep_in(tmp_path / "one")
+        two = self.sweep_in(tmp_path / "two", lambda corpus: corpus.replace(b"jury", b"fury", 1))
+        assert one["config_hash"] != two["config_hash"]
+        assert one["inputs"]["corpus_path"] != two["inputs"]["corpus_path"]
 
 
 class TestConfigValidation:

@@ -136,6 +136,23 @@ class TestThresholdSelection:
             threshold_selection(np.zeros(3), {0}, theta=1.5, beta=0.0)
         with pytest.raises(ValueError):
             threshold_selection(np.zeros(3), {0}, theta=0.5, beta=-1.0)
+        with pytest.raises(ValueError, match="beta"):
+            threshold_selection(np.zeros(3), {0}, theta=0.5, beta=np.inf)
+
+
+class TestNonFiniteOutput:
+    @pytest.mark.parametrize("method, apply", [
+        ("constant_shift", lambda x, ids: constant_shift(x, ids, 1e308)),
+        ("factor_scaling", lambda x, ids: factor_scaling(x, ids, 1e308)),
+        ("factor_scaling", lambda x, ids: factor_scaling(x, ids, -1e308)),
+    ])
+    def test_overflowing_topic_logit_names_method(self, method, apply):
+        with pytest.raises(ValueError, match=method):
+            apply(np.array([0.0, 1e308, 5.0]), {1, 2})
+
+    def test_large_finite_result_passes(self):
+        out = factor_scaling(np.array([0.0, 2.0]), {1}, 1e307)
+        assert out.tolist() == [0.0, 2e307]
 
 
 class TestNonTopicPreservation:
@@ -169,6 +186,9 @@ class TestReweightConfig:
     def test_invalid_beta(self):
         with pytest.raises(ValueError, match="beta"):
             ReweightConfig(method="threshold_selection", beta=-0.5)
+        for beta in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="beta"):
+                ReweightConfig(method="threshold_selection", beta=beta)
 
     def test_none_is_identity(self):
         rng = np.random.default_rng(8)

@@ -47,22 +47,13 @@ class TestLemmaScore:
         thrice = lemma_topic_score("court court court", 0, self.make_model())
         assert once == thrice == pytest.approx(0.6)
 
-    def test_count_weighted_variant(self):
-        model = self.make_model()
-        # all three words are the covered stem: frequency 1.0 -> full weight share
-        assert lemma_topic_score("court court court", 0, model, count_weighted=True) == pytest.approx(0.6)
-        # one of two words covered: frequency 0.5
-        assert lemma_topic_score("court rocket", 0, model, count_weighted=True) == pytest.approx(0.3)
-
     def test_scores_stay_in_range(self):
         model = self.make_model()
         rng = np.random.default_rng(0)
         pool = ["court", "courts", "judge", "rocket", "the", "running"]
         for _ in range(100):
             text = " ".join(rng.choice(pool, size=rng.integers(0, 12)))
-            for flag in (False, True):
-                score = lemma_topic_score(text, 0, model, count_weighted=flag)
-                assert 0.0 <= score <= 1.0
+            assert 0.0 <= lemma_topic_score(text, 0, model) <= 1.0
 
     def test_unknown_topic(self):
         with pytest.raises(KeyError):
@@ -281,10 +272,10 @@ class TestScoreSummary:
     def test_report_validation(self):
         with pytest.raises(ValueError, match="distinct"):
             ScoreReport("a", "c", 0, 0, 0, TopicalScores(0, 0, 0), TopicalScores(0, 0, 0),
-                        QualityScores(0.0), "")
+                        QualityScores(0.0))
         with pytest.raises(ValueError, match="non-empty"):
             ScoreReport("a", "", 0, 0, 1, TopicalScores(0, 0, 0), TopicalScores(0, 0, 0),
-                        QualityScores(0.0), "")
+                        QualityScores(0.0))
 
     def test_report_row_columns(self):
         vocab, model = self.make_parts()
