@@ -8,7 +8,6 @@ harness measure the resulting topical focus and summary quality.
 """
 
 from .decoding import (
-    Beam,
     GenerationConfig,
     GenerationResult,
     StepRecord,

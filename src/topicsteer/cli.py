@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import re
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -98,7 +99,12 @@ _JSON_TYPES = {int: ((int, float), "an integer"), float: ((int, float), "a numbe
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that exits with code 1 on usage errors."""
+    """ArgumentParser that exits with code 1 on usage errors and reads "-1e-3" as a number."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        # argparse's own pattern misses exponent forms and takes them for flags
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message: str) -> None:  # type: ignore[override]
         self.print_usage(sys.stderr)

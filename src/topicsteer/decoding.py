@@ -1,10 +1,15 @@
 """Token generation from any logits provider: greedy, sampling, beam search.
 
-Per-step pipeline, in fixed order: provider logits -> reweighting chain ->
-EOS masking while below the minimum length -> top-k/top-p truncation ->
-token selection. Reweighting runs before truncation on purpose: a boosted
-token must be able to re-enter the candidate set even if the raw logits
-placed it outside the top-k.
+All strategies share one loop. Per live hypothesis and step it makes one
+provider call, one reweighting-chain call and one token selection: provider
+logits -> reweighting chain -> EOS masking while below the minimum length ->
+selection. Only the selection differs: greedy takes the steered argmax;
+sampling and beam search first apply top-k/top-p truncation, then sampling
+draws one token and beam search proposes num_beams successors. Reweighting
+runs before truncation on purpose: a boosted token must be able to re-enter
+the candidate set even if the raw logits placed it outside the top-k.
+Greedy and sampling keep one hypothesis, beam search num_beams, and
+``trace=True`` records per-step logits for all three.
 
 Determinism contract: greedy and beam search are fully deterministic; ties
 go to the lower token id, then the lower beam index. Sampling uses a PCG64
@@ -22,7 +27,6 @@ import numpy as np
 from .models import LogitsProvider, LogitVector, TokenSequence, Vocabulary, log_softmax, softmax
 
 __all__ = [
-    "Beam",
     "GenerationConfig",
     "GenerationResult",
     "StepRecord",
@@ -97,15 +101,6 @@ class GenerationResult:
         return record
 
 
-@dataclass(frozen=True)
-class Beam:
-    """One beam-search hypothesis over new tokens."""
-
-    sequence: tuple[int, ...]
-    cumulative_log_prob: float
-    finished: bool = False
-
-
 def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.ndarray:
     """Mask everything outside the top-k, then outside the top-p nucleus.
 
@@ -137,31 +132,83 @@ def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.nd
     return out
 
 
-def _validated_prefix(model: LogitsProvider, prefix: TokenSequence) -> list[int]:
-    ids = [int(t) for t in prefix]
-    if not ids:
-        raise ValueError("prefix must be non-empty")
-    model.vocabulary.validate_ids(ids)
-    return ids
+# A selector maps one hypothesis's steered logits to [(token, log prob)]. It calls
+# truncate_top_k_top_p, softmax and log_softmax as module globals, so tracers can wrap them.
+def _greedy(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
+    """Argmax of the untruncated logits; truncation never changes the argmax."""
+    token = int(np.argmax(steered))
+    return [(token, float(log_softmax(steered)[token]))]
 
 
-def _steered(chain, raw: np.ndarray) -> np.ndarray:
-    return raw.copy() if chain is None else chain.apply(raw)
+def _sample(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
+    """Inverse-CDF draw in token-id order; zero-probability entries can't win."""
+    probs = softmax(truncate_top_k_top_p(steered, config.top_k, config.top_p))
+    token = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    if token >= probs.size:
+        token = int(np.flatnonzero(probs > 0.0)[-1])
+    return [(token, math.log(probs[token]))]
 
 
-def _require(config: GenerationConfig, strategy: str) -> GenerationConfig:
+def _beam(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
+    """The num_beams most likely truncated successors, lower id first on ties."""
+    log_probs = log_softmax(truncate_top_k_top_p(steered, config.top_k, config.top_p))
+    finite = np.flatnonzero(np.isfinite(log_probs))
+    best = finite[np.argsort(-log_probs[finite], kind="stable")][: config.num_beams]
+    return [(int(token), float(log_probs[token])) for token in best]
+
+
+_SELECTORS = {"greedy": _greedy, "sample": _sample, "beam": _beam}
+
+
+def _decode(
+    model: LogitsProvider, prefix: TokenSequence, chain, config: GenerationConfig, trace: bool, strategy: str
+) -> GenerationResult:
+    """The one decoding loop; ``strategy`` picks the selector and the width.
+
+    Each step keeps the global top ``width`` (1, or num_beams for beam
+    search) of all live hypotheses' candidates, ranked by cumulative log
+    probability, ties to the lower token id, then the lower source index.
+    A hypothesis that emits EOS is finished and never extended, but it takes
+    one of the ``width`` slots of the step it ends in: the next step extends
+    one fewer live hypothesis per hypothesis just finished, and no extra
+    candidates refill those slots. Returns the best finished hypothesis (the
+    earliest on ties), or the best live one if max_new_tokens cuts it off.
+    """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
-    return config
-
-
-def _sample_index(probs: np.ndarray, u: float) -> int:
-    """Inverse-CDF draw in token-id order; zero-probability entries can't win."""
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    if idx >= probs.size:
-        idx = int(np.flatnonzero(probs > 0.0)[-1])
-    return idx
+    select = _SELECTORS[strategy]
+    width = config.num_beams if strategy == "beam" else 1
+    rng = np.random.Generator(np.random.PCG64(config.seed)) if strategy == "sample" else None
+    base = [int(t) for t in prefix]
+    if not base:
+        raise ValueError("prefix must be non-empty")
+    model.vocabulary.validate_ids(base)
+    eos = model.vocabulary.eos_id
+    live = [(0.0, base, ())]  # (cumulative log prob, prefix + new tokens, step records)
+    done = []
+    for step in range(config.max_new_tokens):
+        candidates, logits = [], []  # candidates: (-cumulative, token, source index)
+        for index, (cumulative, seq, _) in enumerate(live):
+            raw = model.next_logits(seq)
+            steered = raw.copy() if chain is None else chain.apply(raw)
+            if step < config.min_new_tokens:
+                steered[eos] = -np.inf
+            logits.append((raw, steered))
+            for token, log_prob in select(steered, config, rng):
+                candidates.append((-(cumulative + log_prob), token, index))
+        candidates.sort()
+        extended = []
+        for score, token, index in candidates[:width]:
+            _, seq, records = live[index]
+            if trace:
+                raw, steered = logits[index]
+                records += (StepRecord(step, token, float(raw[token]), float(steered[token])),)
+            (done if token == eos else extended).append((-score, seq + [token], records))
+        live = extended
+        if not live:
+            break
+    cumulative, seq, records = max(done or live, key=lambda hypothesis: hypothesis[0])
+    return GenerationResult(tuple(seq[len(base):]), cumulative, records if trace else None)
 
 
 def generate_greedy(
@@ -176,30 +223,7 @@ def generate_greedy(
     Truncation is skipped: the argmax is invariant under it. Ties resolve to
     the lowest token id.
     """
-    config = _require(config or GenerationConfig(strategy="greedy"), "greedy")
-    seq = _validated_prefix(model, prefix)
-    eos = model.vocabulary.eos_id
-    tokens: list[int] = []
-    records: list[StepRecord] = []
-    log_prob = 0.0
-    while len(tokens) < config.max_new_tokens:
-        raw = model.next_logits(seq)
-        steered = _steered(chain, raw)
-        if len(tokens) < config.min_new_tokens:
-            steered[eos] = -np.inf
-        token = int(np.argmax(steered))
-        log_prob += float(log_softmax(steered)[token])
-        if trace:
-            records.append(StepRecord(len(tokens), token, float(raw[token]), float(steered[token])))
-        tokens.append(token)
-        seq.append(token)
-        if token == eos:
-            break
-    return GenerationResult(
-        tokens=tuple(tokens),
-        log_prob=log_prob,
-        step_records=tuple(records) if trace else None,
-    )
+    return _decode(model, prefix, chain, config or GenerationConfig(strategy="greedy"), trace, "greedy")
 
 
 def generate_sample(
@@ -210,33 +234,7 @@ def generate_sample(
     trace: bool = False,
 ) -> GenerationResult:
     """Seeded top-k/top-p sampling; reproducible for a fixed seed."""
-    config = _require(config or GenerationConfig(strategy="sample"), "sample")
-    seq = _validated_prefix(model, prefix)
-    eos = model.vocabulary.eos_id
-    rng = np.random.Generator(np.random.PCG64(config.seed))
-    tokens: list[int] = []
-    records: list[StepRecord] = []
-    log_prob = 0.0
-    while len(tokens) < config.max_new_tokens:
-        raw = model.next_logits(seq)
-        steered = _steered(chain, raw)
-        if len(tokens) < config.min_new_tokens:
-            steered[eos] = -np.inf
-        truncated = truncate_top_k_top_p(steered, config.top_k, config.top_p)
-        probs = softmax(truncated)
-        token = _sample_index(probs, rng.random())
-        log_prob += math.log(probs[token])
-        if trace:
-            records.append(StepRecord(len(tokens), token, float(raw[token]), float(steered[token])))
-        tokens.append(token)
-        seq.append(token)
-        if token == eos:
-            break
-    return GenerationResult(
-        tokens=tuple(tokens),
-        log_prob=log_prob,
-        step_records=tuple(records) if trace else None,
-    )
+    return _decode(model, prefix, chain, config or GenerationConfig(strategy="sample"), trace, "sample")
 
 
 def generate_beam(
@@ -248,56 +246,12 @@ def generate_beam(
 ) -> GenerationResult:
     """Beam search over post-chain, post-truncation log probabilities.
 
-    Each live beam proposes its top num_beams successors; the global top
-    num_beams candidates are retained, ranked by cumulative log probability
-    with ties broken by lower token id then lower beam index. A beam that
-    emits EOS is finished and never extended. No length normalization is
-    applied. Returns the best finished beam, or the best live one when the
-    length limit cuts the search off. Step traces are not recorded for beam
-    search.
+    Each live beam proposes its top num_beams successors and the global top
+    num_beams candidates are retained; a beam that emits EOS is finished and
+    uses up its slot. No length normalization is applied. ``_decode`` states
+    the ranking, tie and width rules.
     """
-    del trace  # per-beam traces are not supported
-    config = _require(config or GenerationConfig(strategy="beam"), "beam")
-    base = _validated_prefix(model, prefix)
-    eos = model.vocabulary.eos_id
-    live: list[Beam] = [Beam(sequence=(), cumulative_log_prob=0.0)]
-    done: list[Beam] = []
-    for step in range(config.max_new_tokens):
-        if not live:
-            break
-        # (cumulative log prob, token id, source beam index)
-        candidates: list[tuple[float, int, int]] = []
-        for beam_index, beam in enumerate(live):
-            raw = model.next_logits(base + list(beam.sequence))
-            steered = _steered(chain, raw)
-            if step < config.min_new_tokens:
-                steered[eos] = -np.inf
-            truncated = truncate_top_k_top_p(steered, config.top_k, config.top_p)
-            log_probs = log_softmax(truncated)
-            finite = np.flatnonzero(np.isfinite(log_probs))
-            best = finite[np.argsort(-log_probs[finite], kind="stable")][: config.num_beams]
-            for token in best:
-                candidates.append(
-                    (beam.cumulative_log_prob + float(log_probs[token]), int(token), beam_index)
-                )
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_live: list[Beam] = []
-        for score, token, beam_index in candidates[: config.num_beams]:
-            extended = Beam(
-                sequence=live[beam_index].sequence + (token,),
-                cumulative_log_prob=score,
-                finished=token == eos,
-            )
-            if extended.finished:
-                done.append(extended)
-            else:
-                next_live.append(extended)
-        live = next_live
-    pool = done if done else live
-    if not pool:
-        return GenerationResult(tokens=(), log_prob=0.0)
-    winner = max(pool, key=lambda b: b.cumulative_log_prob)
-    return GenerationResult(tokens=winner.sequence, log_prob=winner.cumulative_log_prob)
+    return _decode(model, prefix, chain, config or GenerationConfig(strategy="beam"), trace, "beam")
 
 
 def generate(

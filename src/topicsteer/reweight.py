@@ -141,7 +141,7 @@ def threshold_selection(
     probs = softmax(x)
     peak = x.max()
     selected = ids[probs[ids] >= theta]
-    out[selected] = peak + beta
+    out[selected] = _finite(np.full(selected.size, peak + beta), "threshold_selection")
     return out
 
 

@@ -331,8 +331,7 @@ SETTING_VALUES = st.fixed_dictionaries({}, optional={
 @settings(max_examples=60, deadline=None)
 @given(SETTING_VALUES)
 def test_flags_and_config_keys_build_equal_conditions(values):
-    # "--c=-1e-300": argparse reads a separate "-1e-300" as a flag
-    flags = ["--{}={}".format(key.replace("_", "-"), value) for key, value in values.items()]
+    flags = [arg for key, value in values.items() for arg in ("--" + key.replace("_", "-"), str(value))]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "sweep.json"
         path.write_text(json.dumps(values))
@@ -340,6 +339,14 @@ def test_flags_and_config_keys_build_equal_conditions(values):
     from_flags = captured_config(*flags)
     assert from_flags.conditions == from_file.conditions
     assert from_flags.to_dict() == from_file.to_dict()
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+2", "-.5e1", "-3"])
+def test_negative_numbers_in_exponent_form_are_values(value):
+    separate = captured_config("--method", "shift", "--c", value)
+    joined = captured_config("--method", "shift", f"--c={value}")
+    assert separate.to_dict() == joined.to_dict()
+    assert separate.conditions[0].reweight.c == float(value)
 
 
 class TestConfigRejections:

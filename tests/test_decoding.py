@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicsteer.decoding import (
     GenerationConfig,
@@ -16,6 +18,7 @@ from topicsteer.models import Vocabulary, log_softmax, softmax
 from topicsteer.reweight import ProcessorChain, ReweightConfig, build_chain
 
 from conftest import make_markov, make_vocab, random_markov
+from reference_decoding import REFERENCE
 
 
 def greedy_config(min_new=0, max_new=6, **kw):
@@ -381,3 +384,105 @@ class TestDispatcherAndRecords:
         model = random_markov(1)
         with pytest.raises(ValueError, match="non-empty"):
             generate_greedy(model, [], None, greedy_config())
+
+
+class CountingProvider:
+    """Wraps a provider and records the prefix length of every call."""
+
+    def __init__(self, model):
+        self.model = model
+        self.lengths = []
+
+    @property
+    def vocabulary(self):
+        return self.model.vocabulary
+
+    def next_logits(self, prefix):
+        self.lengths.append(len(prefix))
+        return self.model.next_logits(prefix)
+
+
+class TestSharedLoop:
+    def test_finished_beam_uses_up_its_slot(self):
+        # From BOS, EOS is among the top 3 successors, so one of the 3 beams
+        # finishes at step 1; step 2 extends the other 2 and step 3 is full again.
+        vocab = make_vocab(3)
+        table = np.full((5, 5), -20.0)
+        table[vocab.bos_id] = [-20.0, 3.0, 2.0, 1.0, 0.0]
+        table[2:, 2:] = [[1.0, 0.5, 0.0], [0.0, 1.0, 0.5], [0.5, 0.0, 1.0]]
+        provider = CountingProvider(make_markov(vocab, table))
+        config = beam_config(min_new=0, max_new=3, num_beams=3, top_k=5, top_p=1.0)
+        generate_beam(provider, [vocab.bos_id], None, config)
+        calls_per_step = [provider.lengths.count(1 + step) for step in range(3)]
+        assert calls_per_step == [1, config.num_beams - 1, config.num_beams]
+
+    def test_single_beam_trace_equals_greedy(self):
+        for seed in range(10):
+            model = random_markov(seed, n_words=3 + seed % 3)
+            prefix = [model.vocabulary.bos_id]
+            chain = build_chain(ReweightConfig(method="constant_shift", c=1.5), {2, 4})
+            config = beam_config(max_new=6, num_beams=1, top_k=model.vocabulary.size, top_p=1.0)
+            beam = generate_beam(model, prefix, chain, config, trace=True)
+            greedy = generate_greedy(model, prefix, chain, greedy_config(max_new=6), trace=True)
+            assert beam.step_records == greedy.step_records
+            assert [r.step for r in beam.step_records] == list(range(len(beam.tokens)))
+
+    def test_sample_trace_follows_tokens(self):
+        model = random_markov(3, eos_logit=-20.0)
+        config = sample_config(max_new=8, seed=4)
+        result = generate_sample(model, [model.vocabulary.bos_id], None, config, trace=True)
+        assert [r.token_id for r in result.step_records] == list(result.tokens)
+
+    def test_trace_off_records_nothing(self):
+        model = random_markov(2)
+        for config in (greedy_config(), sample_config(), beam_config()):
+            assert generate(model, [model.vocabulary.bos_id], None, config).step_records is None
+
+
+@st.composite
+def decoding_cases(draw):
+    n_words = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.normal(0.0, 1.5, (n_words + 2, n_words + 2))
+    shape = draw(st.sampled_from(["random", "grid", "grid, equal rows"]))
+    if shape != "random":
+        table = np.round(table * 2.0) / 2.0  # coarse grid: ties within a step
+    if shape == "grid, equal rows":
+        table[:] = table[0]  # equal cumulative scores across beams, too
+    model = make_markov(make_vocab(n_words), table)
+    size = model.vocabulary.size
+    topic = draw(st.sets(st.integers(0, size - 1), max_size=size))
+    method = draw(st.sampled_from(["none", "shift", "scale", "threshold"]))
+    if method == "none":
+        chain = draw(st.sampled_from([None, ProcessorChain()]))
+    elif method == "shift":
+        chain = build_chain(ReweightConfig(method="constant_shift", c=draw(st.floats(-4.0, 4.0))), topic)
+    elif method == "scale":
+        chain = build_chain(ReweightConfig(method="factor_scaling", alpha=draw(st.floats(-2.0, 3.0))), topic)
+    else:
+        theta, beta = draw(st.floats(0.0, 0.6)), draw(st.floats(0.0, 3.0))
+        chain = build_chain(ReweightConfig(method="threshold_selection", theta=theta, beta=beta), topic)
+    max_new = draw(st.integers(0, 8))
+    config = GenerationConfig(
+        strategy=draw(st.sampled_from(["greedy", "sample", "beam"])),
+        top_k=draw(st.integers(1, size + 1)),
+        top_p=draw(st.sampled_from([1.0, 0.95, 0.7, 0.3, 1e-9])),
+        num_beams=draw(st.integers(1, 4)),
+        max_new_tokens=max_new,
+        min_new_tokens=draw(st.integers(0, max_new)),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+    return model, chain, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(decoding_cases())
+def test_shared_loop_matches_reference_decoders(case):
+    model, chain, config = case
+    prefix = [model.vocabulary.bos_id]
+    trace = config.strategy != "beam"  # the reference beam loop records no traces
+    expected = REFERENCE[config.strategy](model, prefix, chain, config, trace)
+    result = generate(model, prefix, chain, config, trace)
+    assert result.tokens == expected.tokens
+    assert result.log_prob.hex() == expected.log_prob.hex()
+    assert result.step_records == expected.step_records

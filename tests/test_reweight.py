@@ -145,6 +145,7 @@ class TestNonFiniteOutput:
         ("constant_shift", lambda x, ids: constant_shift(x, ids, 1e308)),
         ("factor_scaling", lambda x, ids: factor_scaling(x, ids, 1e308)),
         ("factor_scaling", lambda x, ids: factor_scaling(x, ids, -1e308)),
+        ("threshold_selection", lambda x, ids: threshold_selection(x, ids, theta=0.0, beta=1e308)),
     ])
     def test_overflowing_topic_logit_names_method(self, method, apply):
         with pytest.raises(ValueError, match=method):
