@@ -35,7 +35,7 @@ from .experiment import (
 )
 from .models import ToyModelFormatError, load_toy_model
 from .reweight import ReweightConfig, build_chain
-from .scoring import report_row, score_summary
+from .scoring import KEY_COLUMNS, report_row, score_summary
 from .topics import TopicModelFormatError, load_topic_model, topic_token_set
 
 # CLI and config-file method names -> ReweightConfig method names.
@@ -231,7 +231,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         condition=condition.label,
         steered_tid=steered_tid,
         reweight=asdict(condition.reweight),
-        scores={k: v for k, v in report_row(report).items() if k not in ("article_id", "condition", "steered_tid")},
+        scores={k: v for k, v in report_row(report).items() if k not in KEY_COLUMNS},
     )
     print(json.dumps(record, indent=2))
     return 0

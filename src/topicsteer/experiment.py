@@ -22,7 +22,7 @@ from statistics import mean, stdev
 from .decoding import GenerationConfig, generate
 from .models import load_toy_model
 from .reweight import ReweightConfig, build_chain
-from .scoring import REPORT_COLUMNS, format_score, report_row, score_summary, write_report_csv
+from .scoring import KEY_COLUMNS, METRIC_COLUMNS, REPORT_COLUMNS, format_score, report_row, score_summary, write_report_csv
 from .topics import TopicTokenSet, load_topic_model, topic_token_set
 
 __all__ = [
@@ -229,7 +229,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
             for tid in _steered_tids(sample, config.steered_policy):
                 per_condition[condition.label] += 1
                 try:
-                    chain = build_chain(condition.reweight, get_token_set(tid))
+                    # Both topics come from the cache, the steered one first; an unknown id fails only its rows.
+                    row_sets = {t: get_token_set(t) for t in (tid, sample.tid1, sample.tid2)}
+                    chain = build_chain(condition.reweight, row_sets[tid])
                     gen_config = replace(
                         condition.generation,
                         seed=derive_seed(config.master_seed, sample.article_id, condition.label, tid),
@@ -245,7 +247,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                         model=topic_model,
                         vocab=vocab,
                         top_n=config.top_n,
-                        token_sets=token_sets,
+                        token_sets=row_sets,
                     )
                 except Exception as exc:  # recorded per row; the sweep continues
                     logger.warning(
@@ -305,16 +307,13 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     )
 
 
-_METRIC_COLUMNS = ("lemma_t1", "token_t1", "dict_t1", "lemma_t2", "token_t2", "dict_t2", "rouge_l_f1")
-
-
 def _write_aggregates(ok_rows: list[dict[str, str]], config: ExperimentConfig, path: Path) -> None:
     """Mean and sample standard deviation per (condition, steered topic)."""
     groups: dict[tuple[str, str], list[dict[str, str]]] = {}
     for row in ok_rows:
         groups.setdefault((row["condition"], row["steered_tid"]), []).append(row)
     columns = ["condition", "steered_tid", "n"]
-    for metric in _METRIC_COLUMNS:
+    for metric in METRIC_COLUMNS:
         columns += [f"{metric}_mean", f"{metric}_std"]
     out_rows = []
     for condition in config.conditions:
@@ -322,7 +321,7 @@ def _write_aggregates(ok_rows: list[dict[str, str]], config: ExperimentConfig, p
         for key in keys:
             rows = groups[key]
             record = {"condition": key[0], "steered_tid": key[1], "n": str(len(rows))}
-            for metric in _METRIC_COLUMNS:
+            for metric in METRIC_COLUMNS:
                 values = [float(r[metric]) for r in rows]
                 record[f"{metric}_mean"] = format_score(mean(values))
                 record[f"{metric}_std"] = format_score(stdev(values) if len(values) > 1 else 0.0)
@@ -340,7 +339,11 @@ class MergeResult:
     metrics: tuple[str, ...]
 
 
-EXTERNAL_COLUMNS = ("article_id", "condition", "metric", "value")
+EXTERNAL_COLUMNS = (*KEY_COLUMNS, "metric", "value")
+
+
+def _row_key(row: dict[str, str]) -> tuple[str, ...]:
+    return tuple(row[c] for c in KEY_COLUMNS)
 
 
 def merge_external_scores(
@@ -351,11 +354,12 @@ def merge_external_scores(
 ) -> MergeResult:
     """Left-join externally computed metrics onto a report CSV.
 
-    The external file has columns article_id, condition, metric, value; each
-    metric becomes a column joined on (article_id, condition). External rows
-    whose key matches no report row land in the rejects file. Two external
-    rows for the same key and metric with different values are a conflict.
-    A value that is not a finite number is rejected with its line.
+    The external file has columns article_id, condition, steered_tid, metric,
+    value; each metric becomes a column joined on the report's full row key
+    (article_id, condition, steered_tid). External rows whose key matches no
+    report row land in the rejects file. Two external rows for the same key
+    and metric with different values are a conflict. A value that is not a
+    finite number is rejected with its line.
     """
     with open(report_path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -363,9 +367,9 @@ def merge_external_scores(
         report_rows = list(reader)
     if not report_columns:
         raise CorpusFormatError(f"{report_path}: empty report")
-    report_keys = {(row["article_id"], row["condition"]) for row in report_rows}
+    report_keys = {_row_key(row) for row in report_rows}
 
-    values: dict[tuple[str, str, str], str] = {}
+    values: dict[tuple[str, ...], str] = {}
     rejected: list[dict[str, str]] = []
     with open(external_path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
@@ -373,7 +377,7 @@ def merge_external_scores(
         if missing:
             raise CorpusFormatError(f"{external_path}: missing columns {sorted(missing)}")
         for row in reader:
-            key = (row["article_id"], row["condition"], row["metric"])
+            key = (*_row_key(row), row["metric"])
             if not row["metric"]:
                 raise CorpusFormatError(f"{external_path}: empty metric name for {key}")
             try:
@@ -383,23 +387,23 @@ def merge_external_scores(
             if not math.isfinite(value):
                 raise CorpusFormatError(f"{external_path}:{reader.line_num}: {key}: value {row['value']!r} "
                                         "is not a finite number")
-            if key[:2] not in report_keys:
+            if key[:-1] not in report_keys:
                 rejected.append({c: row[c] for c in EXTERNAL_COLUMNS})
                 continue
             if key in values and values[key] != row["value"]:
                 raise MergeConflictError(
-                    f"conflicting values for article={key[0]} condition={key[1]} metric={key[2]}: "
+                    f"conflicting values for article={key[0]} condition={key[1]} steered_tid={key[2]} metric={key[3]}: "
                     f"{values[key]} vs {row['value']}"
                 )
             values[key] = row["value"]
 
-    metrics = tuple(sorted({metric for (_a, _c, metric) in values}))
+    metrics = tuple(sorted({key[-1] for key in values}))
     merged_columns = report_columns + [m for m in metrics if m not in report_columns]
     merged_rows = []
     for row in report_rows:
-        merged = dict(row)
+        merged, key = dict(row), _row_key(row)
         for metric in metrics:
-            value = values.get((row["article_id"], row["condition"], metric))
+            value = values.get((*key, metric))
             if value is not None:
                 merged[metric] = value
         merged_rows.append(merged)

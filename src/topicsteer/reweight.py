@@ -14,13 +14,16 @@ entry bit-identical:
   original maximum logit plus an encouragement factor beta. Tokens the model
   already considered plausible jump to the front; the rest are untouched.
 
-All functions are pure: they return new arrays and never mutate their input.
+Each decoding step is one rewrite: ``build_chain`` sorts the topic ids once,
+and every method goes through ``_rewrite``, which validates the vector,
+range-checks the ids, copies once and writes the method's values. All
+functions are pure: they return new arrays and never mutate their input.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -40,6 +43,7 @@ __all__ = [
 ]
 
 METHODS = ("none", "constant_shift", "factor_scaling", "threshold_selection")
+_NO_IDS = np.empty(0, dtype=np.intp)
 
 
 class VocabularyMismatchError(ValueError):
@@ -52,7 +56,7 @@ class ReweightConfig:
 
     Only the fields of the active method are read: ``c`` for constant_shift,
     ``alpha`` for factor_scaling, ``theta`` and ``beta`` for
-    threshold_selection.
+    threshold_selection. All four are validated here and nowhere else.
     """
 
     method: str = "none"
@@ -74,103 +78,81 @@ class ReweightConfig:
             raise ValueError("encouragement factor beta must be finite and >= 0")
 
 
-def _token_id_array(topic: object, size: int) -> np.ndarray:
+def _sorted_ids(topic: object) -> np.ndarray:
     """Sorted unique token ids from a TopicTokenSet or any iterable of ids."""
     ids = getattr(topic, "token_ids", topic)
-    arr = np.array(sorted({int(i) for i in ids}), dtype=np.intp)
-    if arr.size and (arr[0] < 0 or arr[-1] >= size):
-        raise VocabularyMismatchError(
-            f"topic token ids span [{arr[0]}, {arr[-1]}] but the logit vector has {size} entries"
-        )
-    return arr
+    return np.array(sorted({int(i) for i in ids}), dtype=np.intp)
 
 
-def _validated(scores: LogitVector) -> np.ndarray:
+def _rewrite(scores: LogitVector, ids: np.ndarray, config: ReweightConfig) -> np.ndarray:
+    """The one reweighting step: a copy of ``scores`` with the topic ``ids`` rewritten.
+
+    ``ids`` must be sorted and unique, and empty for method "none". The values
+    are computed from the original vector, so threshold selection does not
+    depend on token order; its comparison against theta is an exact >= with
+    no epsilon.
+    """
     x = np.asarray(scores, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("logit vector must be one-dimensional")
     if not np.isfinite(x).all():
         raise ValueError("logit vector must be finite before reweighting")
-    return x
-
-
-def _finite(values: np.ndarray, method: str) -> np.ndarray:
-    """Rewritten topic logits, checked: an overflow must not mask tokens silently."""
+    if ids.size and (ids[0] < 0 or ids[-1] >= x.size):
+        raise VocabularyMismatchError(
+            f"topic token ids span [{ids[0]}, {ids[-1]}] but the logit vector has {x.size} entries"
+        )
+    out = x.copy()
+    if ids.size == 0:
+        return out
+    if config.method == "constant_shift":
+        values = x[ids] + config.c
+    elif config.method == "factor_scaling":
+        values = x[ids] * config.alpha
+    else:
+        ids = ids[softmax(x)[ids] >= config.theta]
+        values = np.full(ids.size, x.max() + config.beta)
+    # An overflow must not mask tokens silently.
     if not np.isfinite(values).all():
-        raise ValueError(f"{method}: a rewritten topic logit is not finite")
-    return values
+        raise ValueError(f"{config.method}: a rewritten topic logit is not finite")
+    out[ids] = values
+    return out
 
 
 def constant_shift(scores: LogitVector, topic: Iterable[int], c: float) -> np.ndarray:
     """Add c to every topic token's logit; all other entries are unchanged."""
-    x = _validated(scores)
-    ids = _token_id_array(topic, x.size)
-    out = x.copy()
-    out[ids] = _finite(x[ids] + c, "constant_shift")
-    return out
+    return _rewrite(scores, _sorted_ids(topic), ReweightConfig("constant_shift", c=c))
 
 
 def factor_scaling(scores: LogitVector, topic: Iterable[int], alpha: float) -> np.ndarray:
     """Multiply every topic token's logit by alpha; others unchanged."""
-    x = _validated(scores)
-    ids = _token_id_array(topic, x.size)
-    out = x.copy()
-    out[ids] = _finite(x[ids] * alpha, "factor_scaling")
-    return out
+    return _rewrite(scores, _sorted_ids(topic), ReweightConfig("factor_scaling", alpha=alpha))
 
 
-def threshold_selection(
-    scores: LogitVector, topic: Iterable[int], theta: float, beta: float
-) -> np.ndarray:
-    """Raise likely topic tokens to the original max logit plus beta.
-
-    Probabilities and the maximum are computed once from the original vector,
-    then every qualifying boost is applied simultaneously, so the result does
-    not depend on token-id order. The comparison against theta is an exact >=
-    with no epsilon.
-    """
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError("beta must be finite and >= 0")
-    x = _validated(scores)
-    ids = _token_id_array(topic, x.size)
-    out = x.copy()
-    if ids.size == 0:
-        return out
-    probs = softmax(x)
-    peak = x.max()
-    selected = ids[probs[ids] >= theta]
-    out[selected] = _finite(np.full(selected.size, peak + beta), "threshold_selection")
-    return out
+def threshold_selection(scores: LogitVector, topic: Iterable[int], theta: float, beta: float) -> np.ndarray:
+    """Raise topic tokens with original probability >= theta to the original max logit plus beta."""
+    return _rewrite(scores, _sorted_ids(topic), ReweightConfig("threshold_selection", theta=theta, beta=beta))
 
 
 def apply_reweight(scores: LogitVector, topic: Iterable[int], config: ReweightConfig) -> np.ndarray:
     """Apply one configured method; method "none" copies the input verbatim."""
-    if config.method == "none":
-        return _validated(scores).copy()
-    if config.method == "constant_shift":
-        return constant_shift(scores, topic, config.c)
-    if config.method == "factor_scaling":
-        return factor_scaling(scores, topic, config.alpha)
-    return threshold_selection(scores, topic, config.theta, config.beta)
+    return _rewrite(scores, _NO_IDS if config.method == "none" else _sorted_ids(topic), config)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessorChain:
-    """Ordered reweighting steps applied left to right; empty is the identity."""
+    """One compiled reweighting step with its sorted topic ids; the default (method "none") copies."""
 
-    steps: tuple[tuple[ReweightConfig, object], ...] = ()
+    config: ReweightConfig = ReweightConfig()
+    ids: np.ndarray = field(default_factory=lambda: _NO_IDS)
 
     def apply(self, scores: LogitVector) -> np.ndarray:
-        x = np.asarray(scores, dtype=np.float64).copy()
-        for config, topic in self.steps:
-            x = apply_reweight(x, topic, config)
-        return x
+        if self.config.method == "none":
+            return np.asarray(scores, dtype=np.float64).copy()
+        return _rewrite(scores, self.ids, self.config)
 
 
 def build_chain(config: ReweightConfig, topic: object) -> ProcessorChain:
-    """Single-step chain for a condition; method "none" yields the empty chain."""
+    """Compile a condition's step once, sorting the topic ids; method "none" is the identity."""
     if config.method == "none":
         return ProcessorChain()
-    return ProcessorChain(steps=((config, topic),))
+    return ProcessorChain(config, _sorted_ids(topic))

@@ -23,6 +23,8 @@ from .stemmer import stem
 from .topics import TopicModel, TopicTokenSet, topic_token_set
 
 __all__ = [
+    "KEY_COLUMNS",
+    "METRIC_COLUMNS",
     "QualityScores",
     "REPORT_COLUMNS",
     "ScoreReport",
@@ -219,18 +221,9 @@ def score_summary(
     )
 
 
-REPORT_COLUMNS = (
-    "article_id",
-    "condition",
-    "steered_tid",
-    "lemma_t1",
-    "token_t1",
-    "dict_t1",
-    "lemma_t2",
-    "token_t2",
-    "dict_t2",
-    "rouge_l_f1",
-)
+KEY_COLUMNS = ("article_id", "condition", "steered_tid")
+METRIC_COLUMNS = ("lemma_t1", "token_t1", "dict_t1", "lemma_t2", "token_t2", "dict_t2", "rouge_l_f1")
+REPORT_COLUMNS = KEY_COLUMNS + METRIC_COLUMNS
 
 
 def format_score(value: float) -> str:

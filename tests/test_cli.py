@@ -163,9 +163,10 @@ class TestMerge:
         external = tmp_path / "ext.csv"
         with open(external, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["article_id", "condition", "metric", "value"])
-            writer.writerow(["a000", "baseline", "bertscore", "0.91"])
-            writer.writerow(["missing", "baseline", "bertscore", "0.2"])
+            writer.writerow(["article_id", "condition", "steered_tid", "metric", "value"])
+            writer.writerow(["a000", "baseline", "0", "bertscore", "0.91"])
+            writer.writerow(["a000", "baseline", "1", "bertscore", "0.91"])
+            writer.writerow(["missing", "baseline", "0", "bertscore", "0.2"])
         code, out, _err = run(capsys, "merge", "--report", str(report), "--external", str(external))
         assert code == 0
         merged = report.with_suffix(".merged.csv")
@@ -182,12 +183,20 @@ class TestMerge:
         external = tmp_path / "ext.csv"
         with open(external, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["article_id", "condition", "metric", "value"])
-            writer.writerow(["a000", "baseline", "m", "1"])
-            writer.writerow(["a000", "baseline", "m", "2"])
+            writer.writerow(["article_id", "condition", "steered_tid", "metric", "value"])
+            writer.writerow(["a000", "baseline", "0", "m", "1"])
+            writer.writerow(["a000", "baseline", "0", "m", "2"])
         code, _out, err = run(capsys, "merge", "--report", str(report), "--external", str(external))
         assert code == 3
         assert "merge failed" in err
+
+    def test_external_without_steered_tid_exits_1(self, tmp_path, capsys):
+        report = self.make_report(tmp_path, capsys)
+        external = tmp_path / "ext.csv"
+        external.write_text("article_id,condition,metric,value\na000,baseline,m,1\n")
+        code, _out, err = run(capsys, "merge", "--report", str(report), "--external", str(external))
+        assert code == 1
+        assert "steered_tid" in err
 
 
 class TestExpandTopic:

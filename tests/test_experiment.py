@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from topicsteer import fixtures
+from topicsteer import experiment, fixtures, scoring
 from topicsteer.decoding import GenerationConfig
 from topicsteer.experiment import (
     Condition,
@@ -20,6 +20,7 @@ from topicsteer.experiment import (
     run_sweep,
 )
 from topicsteer.reweight import ReweightConfig
+from topicsteer.topics import topic_token_set
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:
@@ -176,6 +177,36 @@ class TestRunSweep:
             rows = list(csv.DictReader(handle))
         assert all(row["steered_tid"] == "0" for row in rows)
 
+    @pytest.mark.parametrize("policy", ["tid1", "tid2", "both"])
+    def test_each_topic_expanded_once_per_sweep(self, tmp_path, monkeypatch, policy):
+        expanded = []
+
+        def counting(tid, *args, **kwargs):
+            expanded.append(tid)
+            return topic_token_set(tid, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, "topic_token_set", counting)
+        monkeypatch.setattr(scoring, "topic_token_set", counting)
+        result = run_sweep(make_config(tmp_path, three_conditions()[1:2], limit=3, steered_policy=policy))
+        assert result.rows_error == 0
+        assert sorted(expanded) == [0, 1]
+
+    def test_benchmark_grid_report_is_byte_identical(self, tmp_path):
+        # The digest is the sha256 of report.csv from this same sweep, run with the
+        # per-method reweighting code that tests/reference_reweight.py keeps verbatim.
+        # Any change to what decoding, reweighting or scoring writes moves it.
+        methods = {
+            "none": ReweightConfig(),
+            "shift5": ReweightConfig(method="constant_shift", c=5.0),
+            "threshold": ReweightConfig(method="threshold_selection", theta=0.005, beta=1.0),
+        }
+        grid = [Condition(f"{strategy}-{label}", reweight, GenerationConfig(strategy=strategy))
+                for strategy in ("greedy", "sample", "beam") for label, reweight in methods.items()]
+        result = run_sweep(make_config(tmp_path, grid, limit=4, steered_policy="both", master_seed=1))
+        assert (result.rows_total, result.rows_error) == (72, 0)
+        digest = hashlib.sha256(result.report_path.read_bytes()).hexdigest()
+        assert digest == "13bc8512ce4cbec606d5c89184f260458b40df64aa4f7c163073b06d0e577677"
+
 
 class TestDeriveSeed:
     def test_stable(self):
@@ -200,7 +231,7 @@ class TestMerge:
     def write_external(self, path: Path, rows):
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
-            writer.writerow(["article_id", "condition", "metric", "value"])
+            writer.writerow(["article_id", "condition", "steered_tid", "metric", "value"])
             writer.writerows(rows)
         return path
 
@@ -208,7 +239,8 @@ class TestMerge:
         report = self.run_small_sweep(tmp_path)
         external = self.write_external(
             tmp_path / "ext.csv",
-            [[aid, cond, "mauve", "0.5"] for aid in ("a000", "a001") for cond in ("baseline", "shift2")],
+            [[aid, cond, tid, "mauve", "0.5"]
+             for aid in ("a000", "a001") for cond in ("baseline", "shift2") for tid in ("0", "1")],
         )
         result = merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
         assert result.rejected_rows == 0
@@ -222,7 +254,7 @@ class TestMerge:
         report = self.run_small_sweep(tmp_path)
         external = self.write_external(
             tmp_path / "ext.csv",
-            [["a000", "baseline", "mauve", "0.4"], ["zzz", "baseline", "mauve", "0.9"]],
+            [["a000", "baseline", "0", "mauve", "0.4"], ["zzz", "baseline", "0", "mauve", "0.9"]],
         )
         result = merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
         assert result.rejected_rows == 1
@@ -242,7 +274,7 @@ class TestMerge:
         report = self.run_small_sweep(tmp_path)
         external = self.write_external(
             tmp_path / "ext.csv",
-            [["a000", "baseline", "mauve", "0.4"], ["a000", "baseline", "mauve", "0.5"]],
+            [["a000", "baseline", "0", "mauve", "0.4"], ["a000", "baseline", "0", "mauve", "0.5"]],
         )
         with pytest.raises(MergeConflictError, match="conflicting values"):
             merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
@@ -252,7 +284,7 @@ class TestMerge:
         report = self.run_small_sweep(tmp_path)
         external = self.write_external(
             tmp_path / "ext.csv",
-            [["a000", "baseline", "mauve", "0.4"], ["a001", "shift2", "mauve", value]],
+            [["a000", "baseline", "0", "mauve", "0.4"], ["a001", "shift2", "1", "mauve", value]],
         )
         with pytest.raises(CorpusFormatError, match=r"ext\.csv:3: .*a001.*not a finite number"):
             merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
@@ -261,10 +293,29 @@ class TestMerge:
         report = self.run_small_sweep(tmp_path)
         external = self.write_external(
             tmp_path / "ext.csv",
-            [["a000", "baseline", "mauve", "0.4"], ["a000", "baseline", "mauve", "0.4"]],
+            [["a000", "baseline", "0", "mauve", "0.4"], ["a000", "baseline", "0", "mauve", "0.4"]],
         )
         result = merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
         assert result.matched_values == 1
+
+    def test_value_joins_only_its_steered_topic(self, tmp_path):
+        # the sweep steers both topics; a value scored for the tid-0 summary
+        # must not land on the tid-1 row of the same article and condition
+        report = self.run_small_sweep(tmp_path)
+        external = self.write_external(tmp_path / "ext.csv", [["a000", "baseline", "0", "mauve", "0.4"]])
+        result = merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
+        with open(result.out_path) as handle:
+            rows = {(r["article_id"], r["condition"], r["steered_tid"]): r for r in csv.DictReader(handle)}
+        assert rows[("a000", "baseline", "0")]["mauve"] == "0.4"
+        assert rows[("a000", "baseline", "1")]["mauve"] == ""
+        assert sum(1 for r in rows.values() if r["mauve"]) == 1
+
+    def test_missing_steered_tid_column_is_named(self, tmp_path):
+        report = self.run_small_sweep(tmp_path)
+        external = tmp_path / "ext.csv"
+        external.write_text("article_id,condition,metric,value\na000,baseline,mauve,0.4\n")
+        with pytest.raises(CorpusFormatError, match="missing columns.*steered_tid"):
+            merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
 
 
 class TestConfigHash:

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_reweight as reference
+import topicsteer.reweight as reweight
 from topicsteer.models import softmax
 from topicsteer.reweight import (
     ProcessorChain,
@@ -12,6 +16,7 @@ from topicsteer.reweight import (
     factor_scaling,
     threshold_selection,
 )
+from topicsteer.topics import TopicTokenSet
 
 
 def random_case(rng, low=-8.0, high=8.0):
@@ -204,24 +209,89 @@ class TestProcessorChain:
         scores = np.array([1.0, 2.0, 3.0])
         assert np.array_equal(chain.apply(scores), scores)
 
-    def test_shift_twice_adds_up(self):
-        step = (ReweightConfig(method="constant_shift", c=1.0), {0})
-        chain = ProcessorChain(steps=(step, step))
-        assert chain.apply(np.array([0.0, 0.0])).tolist() == [2.0, 0.0]
-
-    def test_order_matters(self):
-        scale = (ReweightConfig(method="factor_scaling", alpha=2.0), {0})
-        shift = (ReweightConfig(method="constant_shift", c=1.0), {0})
-        scores = np.array([1.0, 0.0])
-        assert ProcessorChain(steps=(scale, shift)).apply(scores).tolist() == [3.0, 0.0]
-        assert ProcessorChain(steps=(shift, scale)).apply(scores).tolist() == [4.0, 0.0]
-
     def test_vocabulary_mismatch(self):
-        chain = ProcessorChain(steps=((ReweightConfig(method="constant_shift", c=1.0), {5}),))
+        chain = build_chain(ReweightConfig(method="constant_shift", c=1.0), {5})
         with pytest.raises(VocabularyMismatchError):
             chain.apply(np.zeros(3))
 
     def test_build_chain_none_is_empty(self):
-        assert build_chain(ReweightConfig(method="none"), {0}).steps == ()
-        chain = build_chain(ReweightConfig(method="constant_shift", c=2.0), {1})
-        assert len(chain.steps) == 1
+        chain = build_chain(ReweightConfig(method="none"), {0})
+        assert chain.config == ReweightConfig() and chain.ids.size == 0
+        chain = build_chain(ReweightConfig(method="constant_shift", c=2.0), [3, 1, 3])
+        assert chain.ids.tolist() == [1, 3]
+
+
+def _outcome(run):
+    """Bytes, dtype and shape of a rewrite, or the type of the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            out = run()
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+    return out.dtype.str, out.shape, out.tobytes()
+
+
+@st.composite
+def oracle_cases(draw):
+    size = draw(st.integers(1, 64))
+    entry = st.one_of(
+        st.sampled_from([0.0, 1.0, -1.0, 2.5]),  # ties
+        st.floats(-50.0, 50.0),
+        st.sampled_from([1e308, -1e308]),  # the rewrite overflows
+    )
+    scores = draw(st.lists(entry, min_size=size, max_size=size))
+    if draw(st.booleans()) and draw(st.booleans()):
+        scores[draw(st.integers(0, size - 1))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    ids = draw(st.lists(st.integers(0, size - 1), max_size=12))  # duplicates
+    if draw(st.booleans()) and draw(st.booleans()):
+        ids.append(draw(st.sampled_from([-2, -1, size, size + 1])))  # negative or out of range
+    kind = draw(st.sampled_from(["list", "set", "token_set"]))
+    if kind == "set":
+        topic = set(ids)
+    elif kind == "token_set":
+        topic = TopicTokenSet(0, frozenset(ids), {i: f"w{i}" for i in ids})
+    else:
+        topic = ids
+    strength = st.one_of(st.floats(-5.0, 5.0), st.sampled_from([1e308, -1e308, 1e300, 0.0]))
+    config = draw(st.sampled_from([
+        ReweightConfig(),
+        ReweightConfig(method="constant_shift", c=draw(strength)),
+        ReweightConfig(method="factor_scaling", alpha=draw(strength)),
+        ReweightConfig(
+            method="threshold_selection",
+            theta=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+            beta=draw(st.one_of(st.floats(0.0, 5.0), st.sampled_from([1e308, 0.0]))),
+        ),
+    ]))
+    return np.array(scores), topic, config
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_cases())
+def test_one_rewrite_matches_reference_reweighting(case):
+    """build_chain/apply and every public function equal the per-method reference bit for bit."""
+    scores, topic, config = case
+    steps = () if config.method == "none" else ((config, topic),)
+    expected = _outcome(lambda: reference.ProcessorChain(steps=steps).apply(scores))
+    assert _outcome(lambda: build_chain(config, topic).apply(scores)) == expected
+    assert _outcome(lambda: apply_reweight(scores, topic, config)) == \
+        _outcome(lambda: reference.apply_reweight(scores, topic, config))
+    public = {
+        "constant_shift": lambda module: module.constant_shift(scores, topic, config.c),
+        "factor_scaling": lambda module: module.factor_scaling(scores, topic, config.alpha),
+        "threshold_selection": lambda module: module.threshold_selection(scores, topic, config.theta, config.beta),
+    }
+    if config.method in public:
+        run = public[config.method]
+        assert _outcome(lambda: run(reweight)) == _outcome(lambda: run(reference))
+    if isinstance(topic, list):
+        assert _outcome(lambda: build_chain(config, topic[::-1]).apply(scores)) == expected
+
+
+class TestNonFiniteStrength:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("function, name", [(constant_shift, "c"), (factor_scaling, "alpha")], ids=["c", "alpha"])
+    def test_rejected_without_topic_tokens(self, function, name, value):
+        # no topic logit is rewritten, yet the strength itself cannot be right
+        with pytest.raises(ValueError, match=name):
+            function(np.zeros(3), set(), value)
