@@ -38,6 +38,8 @@ __all__ = [
 ]
 
 STRATEGIES = ("greedy", "sample", "beam")
+# Below this many entries one stable sort of the whole vector beats partial selection.
+_PARTITION_MIN_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -104,17 +106,35 @@ class GenerationResult:
 def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.ndarray:
     """Mask everything outside the top-k, then outside the top-p nucleus.
 
-    Survivor order is descending score with ties kept in token-id order. The
-    nucleus is the smallest prefix of survivors whose renormalized softmax
-    mass reaches top_p; the highest-scoring token always survives. Masked
-    entries are set to -inf.
+    Survivor order is descending score with ties kept in token-id order: the
+    first top_k ids of a stable descending sort, of which the non-finite ones
+    are then dropped. A vector of more than max(1024, 4 * top_k) entries gets
+    them by partial selection: ``np.partition`` finds the top_k-th best
+    score, only the ids that score strictly better are sorted, and the
+    lowest ids that tie with that score fill the remaining places. A smaller
+    vector is cheaper to sort whole. Both paths keep the same ids in the same
+    order. The nucleus is the smallest prefix of survivors whose renormalized
+    softmax mass reaches top_p; the highest-scoring token always survives.
+    Masked entries are set to -inf.
     """
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     if not 0.0 < top_p <= 1.0:
         raise ValueError("top_p must lie in (0, 1]")
     x = np.asarray(scores, dtype=np.float64)
-    order = np.argsort(-x, kind="stable")[: min(top_k, x.size)]
+    k = min(top_k, x.size)
+    if x.size <= max(_PARTITION_MIN_SIZE, 4 * k):
+        order = np.argsort(-x, kind="stable")[:k]
+    else:
+        # The sort ranks NaN after -inf; here the two tie. That changes no
+        # finite survivor: both rank after every finite score.
+        y = -x
+        y[np.isnan(y)] = np.inf
+        boundary = np.partition(y, k - 1)[k - 1]
+        better = np.flatnonzero(y < boundary)
+        better = better[np.argsort(y[better], kind="stable")]
+        ties = np.flatnonzero(y == boundary)[: k - better.size]
+        order = np.concatenate((better, ties))
     kept = x[order]
     finite = np.isfinite(kept)
     if not finite.any():

@@ -23,6 +23,7 @@ functions are pure: they return new arrays and never mutate their input.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -79,9 +80,21 @@ class ReweightConfig:
 
 
 def _sorted_ids(topic: object) -> np.ndarray:
-    """Sorted unique token ids from a TopicTokenSet or any iterable of ids."""
+    """Sorted unique token ids from a TopicTokenSet or any iterable of integer ids.
+
+    A float or bool id is rejected rather than truncated onto another token.
+    """
     ids = getattr(topic, "token_ids", topic)
-    return np.array(sorted({int(i) for i in ids}), dtype=np.intp)
+    return np.array(sorted({_token_id(i) for i in ids}), dtype=np.intp)
+
+
+def _token_id(value: object) -> int:
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"topic token id {value!r} is not an integer")
 
 
 def _rewrite(scores: LogitVector, ids: np.ndarray, config: ReweightConfig) -> np.ndarray:

@@ -7,6 +7,8 @@ of the same rule tables produces identical stems.
 
 from __future__ import annotations
 
+import functools
+
 _VOWELS = frozenset("aeiou")
 
 
@@ -185,6 +187,9 @@ def _step_5(word: str) -> str:
     return word
 
 
+# Scoring and topic expansion stem the same words again and again; the bound
+# keeps a run over an open vocabulary from growing the cache without limit.
+@functools.lru_cache(maxsize=4096)
 def stem(word: str) -> str:
     """Stem a single lowercase word; words of length <= 2 pass through."""
     word = word.lower()

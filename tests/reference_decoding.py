@@ -1,9 +1,12 @@
 """Reference decoder: the separate greedy, sampling and beam-search loops.
 
 These are the three loops topicsteer.decoding had before all strategies
-shared one loop, copied unchanged. tests/test_decoding.py checks the shared
-loop against them: equal tokens, bit-equal log probabilities and equal step
-records. The beam loop records no step traces.
+shared one loop, copied unchanged, and the top-k/top-p truncation that ran a
+full stable sort of the vocabulary on every call, also unchanged. The loops
+call this copy, not the package's truncation. tests/test_decoding.py checks
+the shared loop against the loops (equal tokens, bit-equal log probabilities
+and equal step records) and the package's truncation against this copy (bit-
+equal output or the same exception). The beam loop records no step traces.
 """
 
 from __future__ import annotations
@@ -13,8 +16,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topicsteer.decoding import GenerationConfig, GenerationResult, StepRecord, truncate_top_k_top_p
-from topicsteer.models import LogitsProvider, TokenSequence, log_softmax, softmax
+from topicsteer.decoding import GenerationConfig, GenerationResult, StepRecord
+from topicsteer.models import LogitsProvider, LogitVector, TokenSequence, log_softmax, softmax
+
+
+def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.ndarray:
+    """Mask everything outside the top-k, then outside the top-p nucleus.
+
+    Survivor order is descending score with ties kept in token-id order. The
+    nucleus is the smallest prefix of survivors whose renormalized softmax
+    mass reaches top_p; the highest-scoring token always survives. Masked
+    entries are set to -inf.
+    """
+    if top_k < 1:
+        raise ValueError("top_k must be >= 1")
+    if not 0.0 < top_p <= 1.0:
+        raise ValueError("top_p must lie in (0, 1]")
+    x = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-x, kind="stable")[: min(top_k, x.size)]
+    kept = x[order]
+    finite = np.isfinite(kept)
+    if not finite.any():
+        raise ValueError("cannot truncate a fully masked logit vector")
+    order = order[finite]
+    kept = kept[finite]
+    if top_p < 1.0:
+        probs = softmax(kept)
+        cumulative = np.cumsum(probs)
+        # token j survives if the mass strictly before it is < top_p
+        nucleus = np.concatenate(([True], cumulative[:-1] < top_p))
+        order = order[nucleus]
+    out = np.full_like(x, -np.inf)
+    out[order] = x[order]
+    return out
 
 
 @dataclass(frozen=True)

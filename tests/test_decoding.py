@@ -18,6 +18,7 @@ from topicsteer.models import Vocabulary, log_softmax, softmax
 from topicsteer.reweight import ProcessorChain, ReweightConfig, build_chain
 
 from conftest import make_markov, make_vocab, random_markov
+import reference_decoding
 from reference_decoding import REFERENCE
 
 
@@ -486,3 +487,45 @@ def test_shared_loop_matches_reference_decoders(case):
     assert result.tokens == expected.tokens
     assert result.log_prob.hex() == expected.log_prob.hex()
     assert result.step_records == expected.step_records
+
+
+def _truncation_outcome(truncate, scores, top_k, top_p):
+    """Bytes of the truncated vector, or the type of the exception raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return truncate(scores, top_k, top_p).tobytes()
+    except Exception as exc:  # compared by type against the reference
+        return type(exc)
+
+
+@st.composite
+def truncation_cases(draw):
+    """Vectors of a few distinct values, so many ids tie at the top-k boundary.
+
+    Small sizes take the full sort, sizes over 1024 with a small top_k the
+    partial selection. Most ids share a background score, as in the shipped
+    fixture, that may be -inf or NaN; -inf, +inf and NaN are also sprinkled.
+    """
+    size = draw(st.one_of(st.integers(1, 80), st.integers(1000, 4000)))
+    top_k = draw(st.one_of(st.integers(1, 64), st.integers(1, size + 5)))
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-30.0, 30.0)), min_size=1, max_size=5
+    ))
+    background = draw(st.sampled_from([pool[0], pool[0], -np.inf, np.nan]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scores = np.full(size, background)
+    peaks = rng.choice(size, int(rng.integers(0, min(size, 3 * top_k) + 1)), replace=False)
+    scores[peaks] = rng.choice(pool, peaks.size)
+    specials = rng.choice(size, int(rng.integers(0, min(size, 4) + 1)), replace=False)
+    scores[specials] = rng.choice([-np.inf, np.inf, np.nan], specials.size)
+    top_p = draw(st.one_of(st.sampled_from([1.0, 0.95, 0.5, 1e-9]), st.floats(1e-9, 1.0)))
+    return scores, top_k, top_p
+
+
+@settings(max_examples=500, deadline=None)
+@given(truncation_cases())
+def test_truncation_matches_full_sort_reference(case):
+    """Partial selection and the full sort keep the reference's ids, bit for bit."""
+    scores, top_k, top_p = case
+    expected = _truncation_outcome(reference_decoding.truncate_top_k_top_p, scores, top_k, top_p)
+    assert _truncation_outcome(truncate_top_k_top_p, scores, top_k, top_p) == expected

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -219,6 +221,21 @@ class TestProcessorChain:
         assert chain.config == ReweightConfig() and chain.ids.size == 0
         chain = build_chain(ReweightConfig(method="constant_shift", c=2.0), [3, 1, 3])
         assert chain.ids.tolist() == [1, 3]
+
+    @pytest.mark.parametrize("bad", [1.7, 2.0, True, np.float64(1.0), np.True_], ids=repr)
+    def test_non_integer_topic_id_is_named(self, bad):
+        # int() would truncate 1.7 and True to token 1 and shift it silently
+        config = ReweightConfig(method="constant_shift", c=5.0)
+        with pytest.raises(TypeError, match=re.escape(f"topic token id {bad!r}")):
+            build_chain(config, [0, bad])
+        with pytest.raises(TypeError, match=re.escape(f"topic token id {bad!r}")):
+            constant_shift(np.zeros(3), {0, bad}, 5.0)
+
+    def test_python_and_numpy_integer_ids_work(self):
+        config = ReweightConfig(method="constant_shift", c=5.0)
+        ids = [1, np.int64(2), np.int32(0), np.uint8(2)]
+        assert build_chain(config, ids).apply(np.zeros(4)).tolist() == [5.0, 5.0, 5.0, 0.0]
+        assert build_chain(config, np.array([3, 1])).apply(np.zeros(4)).tolist() == [0.0, 5.0, 0.0, 5.0]
 
 
 def _outcome(run):

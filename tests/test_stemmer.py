@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from topicsteer.stemmer import stem
 
@@ -61,3 +63,10 @@ def test_uppercase_input_is_normalized():
 def test_deterministic():
     words = list(KNOWN_STEMS) * 3
     assert [stem(w) for w in words] == [stem(w) for w in words]
+
+
+@given(st.lists(st.text(alphabet="abcdefghijklmnopqrstuvwxyz", max_size=14), max_size=20))
+def test_cached_stems_equal_uncached(words):
+    uncached = stem.__wrapped__
+    for word in sorted(KNOWN_STEMS) + words + words:
+        assert stem(word) == uncached(word)
