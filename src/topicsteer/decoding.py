@@ -1,15 +1,16 @@
 """Token generation from any logits provider: greedy, sampling, beam search.
 
-All strategies share one loop. Per live hypothesis and step it makes one
-provider call, one reweighting-chain call and one token selection: provider
-logits -> reweighting chain -> EOS masking while below the minimum length ->
-selection. Only the selection differs: greedy takes the steered argmax;
-sampling and beam search first apply top-k/top-p truncation, then sampling
-draws one token and beam search proposes num_beams successors. Reweighting
-runs before truncation on purpose: a boosted token must be able to re-enter
-the candidate set even if the raw logits placed it outside the top-k.
-Greedy and sampling keep one hypothesis, beam search num_beams, and
-``trace=True`` records per-step logits for all three.
+All strategies share one loop. It checks the prompt once; then, per live
+hypothesis and step, it makes one provider call, one reweighting-chain call
+and one token selection: provider logits -> reweighting chain -> EOS masking
+while below the minimum length -> selection. Only the selection differs:
+greedy takes the steered argmax; sampling and beam search first apply
+top-k/top-p truncation, then sampling draws one token and beam search
+proposes num_beams successors. Reweighting runs before truncation on
+purpose: a boosted token must be able to re-enter the candidate set even if
+the raw logits placed it outside the top-k. Greedy and sampling keep one
+hypothesis, beam search num_beams, and ``trace=True`` records per-step
+logits for all three.
 
 Determinism contract: greedy and beam search are fully deterministic; ties
 go to the lower token id, then the lower beam index. Sampling uses a PCG64
@@ -24,7 +25,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .models import LogitsProvider, LogitVector, TokenSequence, Vocabulary, log_softmax, softmax
+from .models import (
+    LogitsProvider,
+    LogitVector,
+    TokenSequence,
+    Vocabulary,
+    as_int,
+    check_real,
+    log_softmax,
+    softmax,
+)
 
 __all__ = [
     "GenerationConfig",
@@ -61,6 +71,9 @@ class GenerationConfig:
     def __post_init__(self) -> None:
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
+        for name in ("top_k", "num_beams", "max_new_tokens", "min_new_tokens", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        check_real(self.top_p, "top_p")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if not 0.0 < self.top_p <= 1.0:
@@ -71,6 +84,8 @@ class GenerationConfig:
             raise ValueError("token window must be non-negative")
         if self.min_new_tokens > self.max_new_tokens:
             raise ValueError("min_new_tokens must not exceed max_new_tokens")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -180,15 +195,53 @@ def _beam(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int,
 _SELECTORS = {"greedy": _greedy, "sample": _sample, "beam": _beam}
 
 
+class _PrefixStates:
+    """The incremental half for a provider that has only ``next_logits``.
+
+    A state is the whole prefix as a list; ``advance`` returns a longer copy.
+    """
+
+    def __init__(self, model: LogitsProvider) -> None:
+        self.model = model
+
+    def start(self, prefix: TokenSequence) -> list[int]:
+        ids = self.model.vocabulary.validate_ids(prefix)
+        if not ids:
+            raise ValueError("prefix must be non-empty")
+        return ids
+
+    def advance(self, state: list[int], token: int) -> list[int]:
+        return state + [token]
+
+    def logits(self, state: list[int]) -> LogitVector:
+        return self.model.next_logits(state)
+
+
+def _tokens(chain: tuple) -> tuple[int, ...]:
+    """Tokens of a ``(token, parent chain)`` chain, oldest first."""
+    tokens = []
+    while chain:
+        token, chain = chain
+        tokens.append(token)
+    return tuple(reversed(tokens))
+
+
 def _decode(
     model: LogitsProvider, prefix: TokenSequence, chain, config: GenerationConfig, trace: bool, strategy: str
 ) -> GenerationResult:
     """The one decoding loop; ``strategy`` picks the selector and the width.
 
+    The provider's incremental half checks the prompt once (``start``); each
+    kept hypothesis then advances its own state by one token. A provider
+    with only ``next_logits`` is driven through ``_PrefixStates``, whose
+    state is the whole prefix. A hypothesis holds its state and its new
+    tokens as a ``(token, parent)`` chain, so extending one costs O(1) in
+    the prefix length; the tokens are listed once, at the end.
+
     Each step keeps the global top ``width`` (1, or num_beams for beam
     search) of all live hypotheses' candidates, ranked by cumulative log
     probability, ties to the lower token id, then the lower source index.
-    A hypothesis that emits EOS is finished and never extended, but it takes
+    A hypothesis that emits EOS is finished and never advanced, but it takes
     one of the ``width`` slots of the step it ends in: the next step extends
     one fewer live hypothesis per hypothesis just finished, and no extra
     candidates refill those slots. Returns the best finished hypothesis (the
@@ -199,17 +252,15 @@ def _decode(
     select = _SELECTORS[strategy]
     width = config.num_beams if strategy == "beam" else 1
     rng = np.random.Generator(np.random.PCG64(config.seed)) if strategy == "sample" else None
-    base = [int(t) for t in prefix]
-    if not base:
-        raise ValueError("prefix must be non-empty")
-    model.vocabulary.validate_ids(base)
+    provider = model if hasattr(model, "start") else _PrefixStates(model)
     eos = model.vocabulary.eos_id
-    live = [(0.0, base, ())]  # (cumulative log prob, prefix + new tokens, step records)
+    # (cumulative log prob, provider state, (token, parent) chain, step records)
+    live = [(0.0, provider.start(prefix), (), ())]
     done = []
     for step in range(config.max_new_tokens):
         candidates, logits = [], []  # candidates: (-cumulative, token, source index)
-        for index, (cumulative, seq, _) in enumerate(live):
-            raw = model.next_logits(seq)
+        for index, (cumulative, state, _, _) in enumerate(live):
+            raw = provider.logits(state)
             steered = raw.copy() if chain is None else chain.apply(raw)
             if step < config.min_new_tokens:
                 steered[eos] = -np.inf
@@ -219,16 +270,19 @@ def _decode(
         candidates.sort()
         extended = []
         for score, token, index in candidates[:width]:
-            _, seq, records = live[index]
+            _, state, tokens, records = live[index]
             if trace:
                 raw, steered = logits[index]
                 records += (StepRecord(step, token, float(raw[token]), float(steered[token])),)
-            (done if token == eos else extended).append((-score, seq + [token], records))
+            if token == eos:
+                done.append((-score, None, (token, tokens), records))
+            else:
+                extended.append((-score, provider.advance(state, token), (token, tokens), records))
         live = extended
         if not live:
             break
-    cumulative, seq, records = max(done or live, key=lambda hypothesis: hypothesis[0])
-    return GenerationResult(tuple(seq[len(base):]), cumulative, records if trace else None)
+    cumulative, _, tokens, records = max(done or live, key=lambda hypothesis: hypothesis[0])
+    return GenerationResult(_tokens(tokens), cumulative, records if trace else None)
 
 
 def generate_greedy(

@@ -20,7 +20,7 @@ from pathlib import Path
 from statistics import mean, stdev
 
 from .decoding import GenerationConfig, generate
-from .models import load_toy_model
+from .models import as_int, load_toy_model
 from .reweight import ReweightConfig, build_chain
 from .scoring import KEY_COLUMNS, METRIC_COLUMNS, REPORT_COLUMNS, format_score, report_row, score_summary, write_report_csv
 from .topics import TopicTokenSet, load_topic_model, topic_token_set
@@ -98,13 +98,13 @@ def load_corpus(path: str | Path, limit: int | None = None) -> list[CorpusSample
                     CorpusSample(
                         article_id=article_id,
                         article=str(raw["article"]),
-                        tid1=int(raw["tid1"]),
-                        tid2=int(raw["tid2"]),
+                        tid1=as_int(raw["tid1"], "tid1"),
+                        tid2=as_int(raw["tid2"], "tid2"),
                         ref1=str(raw["ref1"]),
                         ref2=str(raw["ref2"]),
                     )
                 )
-            except ValueError as exc:
+            except (TypeError, ValueError) as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
             if limit is not None and len(samples) >= limit:
                 break

@@ -1,16 +1,21 @@
 """Next-token logits providers and the deterministic toy Markov model.
 
-The decoding engine only ever talks to a provider through ``vocabulary`` and
-``next_logits``; anything that satisfies :class:`LogitsProvider` can be
-plugged in. The shipped provider is an order-1 Markov table over a small
-vocabulary, which keeps every decoding path exactly reproducible and cheap
-enough for brute-force oracles.
+A provider is anything that satisfies :class:`LogitsProvider`: a
+``vocabulary`` and ``next_logits(prefix)``. A provider may also have the
+optional incremental half, ``start``/``advance``/``logits``, which lets the
+decoding engine check a prompt once and then pay one token per step instead
+of the whole prefix. The shipped provider is an order-1 Markov table over a
+small vocabulary with both halves; its decoding state is the last token id.
+It keeps every decoding path exactly reproducible and cheap enough for
+brute-force oracles.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -25,6 +30,8 @@ __all__ = [
     "ToyMarkovModel",
     "ToyModelFormatError",
     "Vocabulary",
+    "as_int",
+    "check_real",
     "load_toy_model",
     "log_softmax",
     "save_toy_model",
@@ -41,6 +48,25 @@ TokenSequence = Sequence[int]
 
 class ToyModelFormatError(ValueError):
     """Raised when a toy-model file does not conform to the on-disk format."""
+
+
+def as_int(value: object, name: str) -> int:
+    """``value`` as a Python int; a bool, float or string is rejected, not truncated.
+
+    Python and numpy integers are integers. The message names ``name``.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} {value!r} is not an integer")
+
+
+def check_real(value: object, name: str) -> None:
+    """Reject anything but a non-bool real number (int, float or numpy scalar), naming ``name``."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} {value!r} is not a real number")
 
 
 @dataclass(frozen=True)
@@ -89,10 +115,16 @@ class Vocabulary:
     def is_special(self, token_id: int) -> bool:
         return token_id in (self.bos_id, self.eos_id)
 
-    def validate_ids(self, ids: TokenSequence) -> None:
+    def validate_ids(self, ids: TokenSequence) -> list[int]:
+        """The ids as Python ints: TypeError for a bool, float or string, ValueError out of [0, size)."""
+        size = self.size
+        out = []
         for tid in ids:
-            if not 0 <= int(tid) < self.size:
-                raise ValueError(f"token id {tid} out of range for vocabulary of size {self.size}")
+            i = tid if type(tid) is int else as_int(tid, "token id")
+            if not 0 <= i < size:
+                raise ValueError(f"token id {tid} out of range for vocabulary of size {size}")
+            out.append(i)
+        return out
 
     def encode_words(self, text: str) -> list[int]:
         """Exact-match word encoder used to build prefixes from fixture text.
@@ -113,14 +145,31 @@ class Vocabulary:
 
     def decode(self, ids: TokenSequence, skip_special: bool = True) -> str:
         """Concatenate token strings (leading spaces separate words)."""
-        self.validate_ids(ids)
-        parts = [self.tokens[int(i)] for i in ids if not (skip_special and self.is_special(int(i)))]
+        ids = self.validate_ids(ids)
+        parts = [self.tokens[i] for i in ids if not (skip_special and self.is_special(i))]
         return "".join(parts).lstrip(" ")
 
 
 @runtime_checkable
 class LogitsProvider(Protocol):
     """Anything that maps a token prefix to one logit vector.
+
+    ``vocabulary`` and ``next_logits`` are all a provider needs. It may also
+    have an optional incremental half, which the decoding engine then uses:
+
+    * ``start(prefix) -> state`` checks the prompt once and returns the
+      decoding state after it;
+    * ``advance(state, token) -> state`` returns the state after one more
+      token, an id the engine chose from ``logits(state)``;
+    * ``logits(state) -> LogitVector`` returns the next-token logits, equal
+      to ``next_logits`` of the prefix the state stands for.
+
+    A state is whatever the provider needs to continue: the last id for an
+    order-1 table, a key/value cache for a neural model. ``advance`` must
+    return a new state and leave the old one usable, because beams that
+    share a parent advance it with different tokens. Without the
+    incremental half, the engine calls ``next_logits`` on the whole prefix
+    at every step.
 
     Implementations must be safe for concurrent read-only queries and, for
     toy models, pure: the same prefix always yields the same vector. Real
@@ -149,13 +198,24 @@ class ToyMarkovModel:
             raise ValueError("toy model table must be finite")
         object.__setattr__(self, "table", table)
 
-    def next_logits(self, prefix: TokenSequence) -> LogitVector:
-        """Logits for the token after ``prefix``; only the last id matters."""
-        ids = [int(t) for t in prefix]
+    def start(self, prefix: TokenSequence) -> int:
+        """Check every prompt id; the state is the last one, the only id the table reads."""
+        ids = self.vocabulary.validate_ids(prefix)
         if not ids:
             raise ValueError("prefix must be non-empty")
-        self.vocabulary.validate_ids(ids)
-        return self.table[ids[-1]].copy()
+        return ids[-1]
+
+    def advance(self, state: int, token: int) -> int:
+        """The state after ``token``: the token itself."""
+        return token
+
+    def logits(self, state: int) -> LogitVector:
+        """A copy of the table row of the last id."""
+        return self.table[state].copy()
+
+    def next_logits(self, prefix: TokenSequence) -> LogitVector:
+        """Logits for the token after ``prefix``; only the last id matters."""
+        return self.logits(self.start(prefix))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ToyMarkovModel):

@@ -23,13 +23,12 @@ functions are pure: they return new arrays and never mutate their input.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .models import LogitVector, softmax
+from .models import LogitVector, as_int, check_real, softmax
 
 __all__ = [
     "METHODS",
@@ -69,6 +68,8 @@ class ReweightConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+        for name in ("c", "alpha", "theta", "beta"):
+            check_real(getattr(self, name), name)
         if not math.isfinite(self.c):
             raise ValueError("shift constant c must be finite")
         if not math.isfinite(self.alpha):
@@ -85,16 +86,7 @@ def _sorted_ids(topic: object) -> np.ndarray:
     A float or bool id is rejected rather than truncated onto another token.
     """
     ids = getattr(topic, "token_ids", topic)
-    return np.array(sorted({_token_id(i) for i in ids}), dtype=np.intp)
-
-
-def _token_id(value: object) -> int:
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise TypeError(f"topic token id {value!r} is not an integer")
+    return np.array(sorted({as_int(i, "topic token id") for i in ids}), dtype=np.intp)
 
 
 def _rewrite(scores: LogitVector, ids: np.ndarray, config: ReweightConfig) -> np.ndarray:

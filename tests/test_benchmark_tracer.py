@@ -25,17 +25,41 @@ def test_patched_name_resolves(owner, attr, span):
     assert callable(target), f"{span}: {owner!r} has no callable {attr!r}"
 
 
+class CountingSteps:
+    """Drives a toy model incrementally and counts its provider steps (``logits`` calls)."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocabulary = model.vocabulary
+        self.steps = 0
+
+    def start(self, prefix):
+        return self.model.start(prefix)
+
+    def advance(self, state, token):
+        return self.model.advance(state, token)
+
+    def logits(self, state):
+        self.steps += 1
+        return self.model.logits(state)
+
+    def next_logits(self, prefix):
+        return self.logits(self.start(prefix))
+
+
 def test_beam_truncation_spans_sit_under_generate_beam():
     # The beam candidate count is taken from truncate spans whose parent
     # span is decoding.generate_beam, so the loop must call
-    # truncate_top_k_top_p through the module global, below generate_beam.
-    model = random_markov(5, eos_logit=-20.0)
+    # truncate_top_k_top_p through the module global, below generate_beam,
+    # once per provider step.
+    provider = CountingSteps(random_markov(5, eos_logit=-20.0))
     config = GenerationConfig(strategy="beam", num_beams=3, min_new_tokens=2, max_new_tokens=4)
     tracer = spans.Tracer(num_beams=config.num_beams)
     with tracer.installed():
-        generate(model, [model.vocabulary.bos_id], None, config)
+        generate(provider, [provider.vocabulary.bos_id], None, config)
     a = tracer.arrays()
     names = [tracer.names[i] for i in a["name"]]
     parents = [names[p] for p in a["parent"][[n == "decoding.truncate" for n in names]]]
     assert parents and set(parents) == {"decoding.generate_beam"}
-    assert len(parents) == names.count("models.next_logits")
+    assert provider.steps > config.num_beams
+    assert len(parents) == provider.steps

@@ -397,6 +397,14 @@ class TestConfigRejections:
         assert code == 1
         assert "beta" in err
 
+    @pytest.mark.parametrize("command", ["generate", "sweep"])
+    def test_negative_seed_exits_1_naming_seed(self, tmp_path, capsys, command):
+        code, _out, err = run(capsys, command, "--strategy", "sample", "--seed", "-1",
+                              *(["--out-dir", str(tmp_path / "out")] if command == "sweep" else []))
+        assert code == 1
+        assert "seed must be >= 0" in err
+        assert not (tmp_path / "out").exists()
+
 
 def test_help_prints_every_derived_default(capsys):
     code, out, _err = run(capsys, "sweep", "--help")

@@ -381,6 +381,26 @@ class TestDispatcherAndRecords:
         with pytest.raises(ValueError):
             GenerationConfig(strategy="magic")
 
+    @pytest.mark.parametrize("field", ["top_k", "num_beams", "min_new_tokens", "max_new_tokens", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, np.True_, "2", None], ids=repr)
+    def test_mistyped_count_is_named(self, field, bad):
+        with pytest.raises(TypeError, match=rf"^{field} .* is not an integer"):
+            GenerationConfig(**{field: bad})
+
+    @pytest.mark.parametrize("bad", [True, "0.9", None], ids=repr)
+    def test_mistyped_top_p_is_named(self, bad):
+        with pytest.raises(TypeError, match=r"^top_p .* is not a real number"):
+            GenerationConfig(top_p=bad)
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0"):
+            GenerationConfig(strategy="sample", seed=-1)
+
+    def test_numpy_integers_become_python_ints(self):
+        config = GenerationConfig(top_k=np.int64(3), num_beams=np.int32(2), seed=np.uint64(2**63))
+        assert (config.top_k, config.num_beams, config.seed) == (3, 2, 2**63)
+        assert all(type(v) is int for v in (config.top_k, config.num_beams, config.seed))
+
     def test_empty_prefix_rejected(self):
         model = random_markov(1)
         with pytest.raises(ValueError, match="non-empty"):
@@ -487,6 +507,60 @@ def test_shared_loop_matches_reference_decoders(case):
     assert result.tokens == expected.tokens
     assert result.log_prob.hex() == expected.log_prob.hex()
     assert result.step_records == expected.step_records
+
+
+class NextLogitsOnly:
+    """A provider with only ``vocabulary`` and ``next_logits``: the decoder's fallback path."""
+
+    def __init__(self, model):
+        self.vocabulary = model.vocabulary
+        self.next_logits = model.next_logits
+
+
+@st.composite
+def prompted_decoding_cases(draw):
+    model, chain, config = draw(decoding_cases())
+    prefix = draw(st.lists(st.integers(0, model.vocabulary.size - 1), min_size=1, max_size=60))
+    return model, chain, config, prefix
+
+
+@settings(max_examples=300, deadline=None)
+@given(prompted_decoding_cases())
+def test_incremental_path_matches_next_logits_fallback(case):
+    model, chain, config, prefix = case
+    assert hasattr(model, "start") and not hasattr(NextLogitsOnly(model), "start")
+    expected = generate(NextLogitsOnly(model), prefix, chain, config, trace=True)
+    result = generate(model, prefix, chain, config, trace=True)
+    assert result.tokens == expected.tokens
+    assert result.log_prob.hex() == expected.log_prob.hex()
+    assert result.step_records == expected.step_records
+
+
+class TestPromptChecks:
+    def test_beam_decode_checks_each_prompt_id_once(self, monkeypatch):
+        checked = []
+        validate = Vocabulary.validate_ids
+
+        def counting(self, ids):
+            checked.append(len(ids))
+            return validate(self, ids)
+
+        monkeypatch.setattr(Vocabulary, "validate_ids", counting)
+        model = random_markov(6, eos_logit=-20.0)
+        prefix = [model.vocabulary.bos_id, *range(2, model.vocabulary.size)] * 10
+        result = generate_beam(model, prefix, None, beam_config(min_new=5, max_new=8, num_beams=3))
+        assert len(result.tokens) == 8
+        assert sum(checked) == len(prefix)
+
+    @pytest.mark.parametrize("bad, error", [(99, ValueError), (-1, ValueError), (True, TypeError), (2.0, TypeError)],
+                             ids=repr)
+    def test_bad_id_mid_prompt_rejected(self, bad, error):
+        model = random_markov(1)
+        prefix = [model.vocabulary.bos_id, 2, 3, bad, 4, 5]
+        for provider in (model, NextLogitsOnly(model)):
+            for config in (greedy_config(), sample_config(), beam_config()):
+                with pytest.raises(error, match="token id"):
+                    generate(provider, prefix, None, config)
 
 
 def _truncation_outcome(truncate, scores, top_k, top_p):

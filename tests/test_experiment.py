@@ -71,6 +71,14 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match="non-empty"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("key, bad", [("tid1", 1.7), ("tid2", True), ("tid1", "0"), ("tid2", 1.0), ("tid1", None)],
+                             ids=repr)
+    def test_non_integer_topic_id_names_line_and_key(self, tmp_path, key, bad):
+        # int() would load 1.7 and true as topic 1 and "0" as topic 0
+        path = write_jsonl(tmp_path / "c.jsonl", [sample_dict(0), sample_dict(1, **{key: bad})])
+        with pytest.raises(CorpusFormatError, match=rf"c\.jsonl:2: {key} .* is not an integer"):
+            load_corpus(path)
+
     def test_shipped_corpus_has_25_samples(self):
         samples = load_corpus(fixtures.corpus_path())
         assert len(samples) == 25

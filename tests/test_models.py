@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,22 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="out of range"):
             vocab.validate_ids([0, 99])
 
+    @pytest.mark.parametrize("bad", [1.9, 1.0, True, False, np.True_, np.float64(2.0), "1"], ids=repr)
+    def test_non_integer_id_is_named(self, bad):
+        # int() would read 1.9 and True as token 1
+        vocab = make_vocab(2)
+        with pytest.raises(TypeError, match=re.escape(f"token id {bad!r} is not an integer")):
+            vocab.validate_ids([0, bad, 2])
+        with pytest.raises(TypeError, match=re.escape(f"token id {bad!r}")):
+            vocab.decode([2, bad])
+
+    def test_python_and_numpy_integer_ids_are_valid(self):
+        vocab = Vocabulary.from_tokens(["<s>", "</s>", " the", " court"], bos="<s>", eos="</s>")
+        ids = [np.int64(2), np.int32(3), np.uint8(2), 3]
+        assert vocab.validate_ids(ids) == [2, 3, 2, 3]
+        assert all(type(i) is int for i in vocab.validate_ids(ids))
+        assert vocab.decode(np.array([0, 2, 3, 1])) == "the court"
+
 
 class TestToyMarkovModel:
     def test_next_logits_is_table_lookup(self):
@@ -70,6 +87,28 @@ class TestToyMarkovModel:
         model = make_markov(make_vocab(1))
         with pytest.raises(ValueError, match="non-empty"):
             model.next_logits([])
+        with pytest.raises(ValueError, match="non-empty"):
+            model.start([])
+
+    @pytest.mark.parametrize("bad", [1.9, True, np.True_], ids=repr)
+    def test_non_integer_prefix_id_rejected(self, bad):
+        model = make_markov(make_vocab(2))
+        with pytest.raises(TypeError, match=re.escape(f"token id {bad!r}")):
+            model.next_logits([bad])
+        with pytest.raises(TypeError, match=re.escape(f"token id {bad!r}")):
+            model.start([0, bad, 2])
+
+    def test_incremental_half_matches_next_logits(self):
+        model = random_markov(4, n_words=4)
+        prefix = [0, 3, 5, 2]
+        state = model.start(prefix)
+        assert np.array_equal(model.logits(state), model.next_logits(prefix))
+        for token in (4, 1, 2):
+            before = state
+            state = model.advance(state, token)
+            prefix = prefix + [token]
+            assert np.array_equal(model.logits(state), model.next_logits(prefix))
+            assert np.array_equal(model.logits(before), model.next_logits(prefix[:-1]))
 
     def test_deterministic_and_shaped(self):
         for seed in range(10):

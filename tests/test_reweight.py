@@ -198,6 +198,16 @@ class TestReweightConfig:
             with pytest.raises(ValueError, match="beta"):
                 ReweightConfig(method="threshold_selection", beta=beta)
 
+    @pytest.mark.parametrize("field", ["c", "alpha", "theta", "beta"])
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, [0.5]], ids=repr)
+    def test_mistyped_strength_is_named(self, field, bad):
+        with pytest.raises(TypeError, match=rf"^{field} .* is not a real number"):
+            ReweightConfig(method="threshold_selection", **{field: bad})
+
+    def test_integer_and_numpy_strengths_are_accepted(self):
+        assert ReweightConfig(method="constant_shift", c=5).c == 5
+        assert ReweightConfig(method="threshold_selection", theta=np.float64(0.25), beta=np.int64(1)).theta == 0.25
+
     def test_none_is_identity(self):
         rng = np.random.default_rng(8)
         scores, topic = random_case(rng)
