@@ -26,6 +26,7 @@ from .experiment import (
     derive_seed,
     load_corpus,
     merge_external_scores,
+    run_row,
     run_sweep,
 )
 from .models import (
@@ -49,9 +50,6 @@ from .reweight import (
     threshold_selection,
 )
 from .scoring import (
-    QualityScores,
-    ScoreReport,
-    TopicalScores,
     dict_topic_score,
     lemma_topic_score,
     rouge_l_f1,
@@ -65,7 +63,6 @@ from .topics import (
     TopicTokenSet,
     WordVariants,
     expand_word,
-    load_lemma_dictionary,
     load_topic_model,
     topic_token_set,
 )

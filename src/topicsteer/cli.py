@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import fixtures
-from .decoding import STRATEGIES, GenerationConfig, generate
+from .decoding import STRATEGIES, GenerationConfig
 from .experiment import (
     STEERED_POLICIES,
     Condition,
@@ -31,11 +31,12 @@ from .experiment import (
     MergeConflictError,
     load_corpus,
     merge_external_scores,
+    run_row,
     run_sweep,
 )
 from .models import ToyModelFormatError, load_toy_model
-from .reweight import ReweightConfig, build_chain
-from .scoring import KEY_COLUMNS, report_row, score_summary
+from .reweight import ReweightConfig
+from .scoring import KEY_COLUMNS
 from .topics import TopicModelFormatError, load_topic_model, topic_token_set
 
 # CLI and config-file method names -> ReweightConfig method names.
@@ -85,7 +86,7 @@ SETTINGS = {
     "top_p": Setting(GenerationConfig, "top_p", float, "nucleus (top-p) truncation"),
     "min_tokens": Setting(GenerationConfig, "min_new_tokens", int, "minimum new tokens"),
     "max_tokens": Setting(GenerationConfig, "max_new_tokens", int, "maximum new tokens"),
-    "seed": Setting(GenerationConfig, "seed", int, "sampling seed; a sweep's master seed"),
+    "seed": Setting(GenerationConfig, "seed", int, "master seed; each row's sampling seed derives from it and the row"),
     "top_n": Setting(ExperimentConfig, "top_n", int, "topic words to expand"),
     "limit": Setting(ExperimentConfig, "limit", int, "articles limit"),
     "steered": Setting(ExperimentConfig, "steered_policy", str, "steered topics", STEERED_POLICIES),
@@ -209,29 +210,16 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"({sample.tid1}, {sample.tid2})"
         )
     condition = _condition(values, None)
-    token_set = topic_token_set(steered_tid, topic_model, model.vocabulary, values["top_n"])
-    chain = build_chain(condition.reweight, token_set)
-    prefix = [model.vocabulary.bos_id, *model.vocabulary.encode_words(sample.article)]
-    result = generate(model, prefix, chain, condition.generation)
-    report = score_summary(
-        result,
-        article_id=sample.article_id,
-        condition=condition.label,
-        steered_tid=steered_tid,
-        topics=(sample.tid1, sample.tid2),
-        references=(sample.ref1, sample.ref2),
-        model=topic_model,
-        vocab=model.vocabulary,
-        top_n=values["top_n"],
-        token_sets={steered_tid: token_set},
-    )
-    record = result.to_record(model.vocabulary, condition.generation)
+    master_seed = values["seed"]
+    result, row = run_row(model, topic_model, sample, sample.prompt(model.vocabulary), condition, steered_tid,
+                          master_seed=master_seed, top_n=values["top_n"], token_sets={})
+    record = result.to_record(model.vocabulary, condition.generation_for(master_seed, sample.article_id, steered_tid))
     record.update(
         article_id=sample.article_id,
         condition=condition.label,
         steered_tid=steered_tid,
         reweight=asdict(condition.reweight),
-        scores={k: v for k, v in report_row(report).items() if k not in KEY_COLUMNS},
+        scores={k: v for k, v in row.items() if k not in KEY_COLUMNS},
     )
     print(json.dumps(record, indent=2))
     return 0

@@ -19,11 +19,11 @@ from datetime import datetime, timezone
 from pathlib import Path
 from statistics import mean, stdev
 
-from .decoding import GenerationConfig, generate
-from .models import as_int, load_toy_model
+from .decoding import GenerationConfig, GenerationResult, generate
+from .models import LogitsProvider, Vocabulary, as_int, load_toy_model
 from .reweight import ReweightConfig, build_chain
 from .scoring import KEY_COLUMNS, METRIC_COLUMNS, REPORT_COLUMNS, format_score, report_row, score_summary, write_report_csv
-from .topics import TopicTokenSet, load_topic_model, topic_token_set
+from .topics import TopicModel, TopicTokenSet, load_topic_model, topic_token_set
 
 __all__ = [
     "Condition",
@@ -36,6 +36,7 @@ __all__ = [
     "derive_seed",
     "load_corpus",
     "merge_external_scores",
+    "run_row",
     "run_sweep",
 ]
 
@@ -69,9 +70,15 @@ class CorpusSample:
         if not self.ref1 or not self.ref2:
             raise ValueError(f"article {self.article_id!r}: reference summaries must be non-empty")
 
+    def prompt(self, vocab: Vocabulary) -> list[int]:
+        """The prefix every row of this article decodes from: BOS, then the encoded article."""
+        return [vocab.bos_id, *vocab.encode_words(self.article)]
+
 
 def load_corpus(path: str | Path, limit: int | None = None) -> list[CorpusSample]:
-    """Load JSON-lines corpus samples in file order, truncated to ``limit``."""
+    """Load JSON-lines corpus samples in file order, truncated to ``limit`` (at least 1)."""
+    if limit is not None and as_int(limit, "limit") < 1:
+        raise ValueError("articles limit must be >= 1")
     path = Path(path)
     samples: list[CorpusSample] = []
     seen: set[str] = set()
@@ -123,6 +130,10 @@ class Condition:
         if not self.label:
             raise ValueError("condition label must be non-empty")
 
+    def generation_for(self, master_seed: int, article_id: str, tid: int) -> GenerationConfig:
+        """The generation setting of one row: its sampling seed derives from the master seed and the row."""
+        return replace(self.generation, seed=derive_seed(master_seed, article_id, self.label, tid))
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -144,10 +155,16 @@ class ExperimentConfig:
             raise ValueError("condition labels must be unique")
         if self.steered_policy not in STEERED_POLICIES:
             raise ValueError(f"steered policy must be one of {STEERED_POLICIES}")
+        if self.limit is not None:
+            object.__setattr__(self, "limit", as_int(self.limit, "limit"))
+        for name in ("top_n", "master_seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.limit is not None and self.limit < 1:
             raise ValueError("articles limit must be >= 1")
         if self.top_n < 1:
             raise ValueError("top_n must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     def to_dict(self) -> dict:
         """Experiment identity for hashing; output location is not part of it."""
@@ -199,6 +216,36 @@ def _steered_tids(sample: CorpusSample, policy: str) -> list[int]:
     return [sample.tid1, sample.tid2]
 
 
+def run_row(
+    model: LogitsProvider,
+    topic_model: TopicModel,
+    sample: CorpusSample,
+    prefix: list[int],
+    condition: Condition,
+    tid: int,
+    *,
+    master_seed: int,
+    top_n: int,
+    token_sets: dict[int, TopicTokenSet],
+) -> tuple[GenerationResult, dict[str, str]]:
+    """Generate and score one (sample, condition, steered topic) row; return the result and its CSV row.
+
+    ``token_sets`` is a cache of topic token sets that this call fills, the
+    steered topic first, so a cache shared across rows expands each topic
+    once and an unknown topic id fails only the rows that need it.
+    """
+    vocab = model.vocabulary
+    for t in (tid, sample.tid1, sample.tid2):
+        if t not in token_sets:
+            token_sets[t] = topic_token_set(t, topic_model, vocab, top_n)
+    chain = build_chain(condition.reweight, token_sets[tid])
+    result = generate(model, prefix, chain, condition.generation_for(master_seed, sample.article_id, tid))
+    scores = score_summary(result, article_id=sample.article_id, condition=condition.label, steered_tid=tid,
+                           topics=(sample.tid1, sample.tid2), references=(sample.ref1, sample.ref2),
+                           model=topic_model, vocab=vocab, top_n=top_n, token_sets=token_sets)
+    return result, report_row(scores)
+
+
 def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run every (sample, condition, steered topic) cell and write CSV outputs.
 
@@ -210,63 +257,31 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     model = load_toy_model(config.model_path)
     topic_model = load_topic_model(config.topics_path)
     corpus = load_corpus(config.corpus_path, config.limit)
-    vocab = model.vocabulary
-
     token_sets: dict[int, TopicTokenSet] = {}
-
-    def get_token_set(tid: int) -> TopicTokenSet:
-        if tid not in token_sets:
-            token_sets[tid] = topic_token_set(tid, topic_model, vocab, config.top_n)
-        return token_sets[tid]
-
     columns = list(REPORT_COLUMNS) + ["error"]
     rows: list[dict[str, str]] = []
-    ok_reports = []
+    ok_rows = []
     per_condition: dict[str, int] = {c.label: 0 for c in config.conditions}
     for sample in corpus:
-        prefix = [vocab.bos_id, *vocab.encode_words(sample.article)]
+        prefix = sample.prompt(model.vocabulary)
         for condition in config.conditions:
             for tid in _steered_tids(sample, config.steered_policy):
                 per_condition[condition.label] += 1
                 try:
-                    # Both topics come from the cache, the steered one first; an unknown id fails only its rows.
-                    row_sets = {t: get_token_set(t) for t in (tid, sample.tid1, sample.tid2)}
-                    chain = build_chain(condition.reweight, row_sets[tid])
-                    gen_config = replace(
-                        condition.generation,
-                        seed=derive_seed(config.master_seed, sample.article_id, condition.label, tid),
-                    )
-                    result = generate(model, prefix, chain, gen_config)
-                    report = score_summary(
-                        result,
-                        article_id=sample.article_id,
-                        condition=condition.label,
-                        steered_tid=tid,
-                        topics=(sample.tid1, sample.tid2),
-                        references=(sample.ref1, sample.ref2),
-                        model=topic_model,
-                        vocab=vocab,
-                        top_n=config.top_n,
-                        token_sets=row_sets,
-                    )
+                    _result, row = run_row(model, topic_model, sample, prefix, condition, tid,
+                                           master_seed=config.master_seed, top_n=config.top_n,
+                                           token_sets=token_sets)
                 except Exception as exc:  # recorded per row; the sweep continues
                     logger.warning(
                         "row failed: article=%s condition=%s tid=%s: %s",
                         sample.article_id, condition.label, tid, exc,
                     )
-                    row = {column: "" for column in columns}
-                    row.update(
-                        article_id=sample.article_id,
-                        condition=condition.label,
-                        steered_tid=str(tid),
-                        error=" ".join(str(exc).split()),
-                    )
-                    rows.append(row)
-                    continue
-                row = report_row(report)
-                row["error"] = ""
+                    row = {**dict.fromkeys(columns, ""), "article_id": sample.article_id, "condition": condition.label,
+                           "steered_tid": str(tid), "error": " ".join(str(exc).split())}
+                else:
+                    row["error"] = ""
+                    ok_rows.append(row)
                 rows.append(row)
-                ok_reports.append(row)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -275,7 +290,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     manifest_path = out_dir / "manifest.json"
 
     write_report_csv(rows, report_path, columns)
-    _write_aggregates(ok_reports, config, aggregate_path)
+    _write_aggregates(ok_rows, config, aggregate_path)
 
     rows_error = sum(1 for r in rows if r["error"])
     expected = len(corpus) * len(config.conditions) * (2 if config.steered_policy == "both" else 1)

@@ -2,10 +2,14 @@
 
 Three topical scores measure how much of a topic's vocabulary a summary
 uses (stem overlap, token-id overlap, and per-word topic posterior), and
-ROUGE-L F1 measures overlap with a reference summary. Embedding-based
-quality metrics are out of native scope; ``topicsteer merge``
-(:func:`topicsteer.experiment.merge_external_scores`) joins externally
-computed values into a report CSV.
+ROUGE-L F1 measures overlap with a reference summary. ``score_summary``
+returns one flat mapping per (article, condition, steered topic) cell, keyed
+in ``REPORT_COLUMNS`` order: the three key columns, then the three topical
+scores for each of the article's two topics and ROUGE-L F1 as floats.
+``report_row`` formats that mapping into the strings of one CSV row.
+Embedding-based quality metrics are out of native scope; ``topicsteer
+merge`` (:func:`topicsteer.experiment.merge_external_scores`) joins
+externally computed values into a report CSV.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -25,10 +28,7 @@ from .topics import TopicModel, TopicTokenSet, topic_token_set
 __all__ = [
     "KEY_COLUMNS",
     "METRIC_COLUMNS",
-    "QualityScores",
     "REPORT_COLUMNS",
-    "ScoreReport",
-    "TopicalScores",
     "dict_topic_score",
     "lemma_topic_score",
     "report_row",
@@ -47,42 +47,6 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 def tokenize_words(text: str) -> list[str]:
     """Lowercase word extraction; punctuation splits and is dropped."""
     return _WORD_RE.findall(text.lower())
-
-
-@dataclass(frozen=True)
-class TopicalScores:
-    """The three topical-focus measures for one summary and one topic."""
-
-    lemma_score: float
-    token_score: float
-    dict_score: float
-
-
-@dataclass(frozen=True)
-class QualityScores:
-    rouge_l_f1: float
-
-
-@dataclass(frozen=True)
-class ScoreReport:
-    """All scores for one (article, condition, steered topic) cell."""
-
-    article_id: str
-    condition: str
-    steered_tid: int
-    tid1: int
-    tid2: int
-    topical_tid1: TopicalScores
-    topical_tid2: TopicalScores
-    quality: QualityScores
-
-    def __post_init__(self) -> None:
-        if not self.condition:
-            raise ValueError("condition label must be non-empty")
-        if self.tid1 == self.tid2:
-            raise ValueError("tid1 and tid2 must be distinct")
-        if self.steered_tid not in (self.tid1, self.tid2):
-            raise ValueError("steered_tid must be tid1 or tid2")
 
 
 def lemma_topic_score(
@@ -172,6 +136,11 @@ def rouge_l_f1(candidate: str, reference: str) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
+KEY_COLUMNS = ("article_id", "condition", "steered_tid")
+METRIC_COLUMNS = ("lemma_t1", "token_t1", "dict_t1", "lemma_t2", "token_t2", "dict_t2", "rouge_l_f1")
+REPORT_COLUMNS = KEY_COLUMNS + METRIC_COLUMNS
+
+
 def score_summary(
     result: GenerationResult,
     article_id: str,
@@ -183,67 +152,46 @@ def score_summary(
     vocab: Vocabulary,
     top_n: int = 25,
     token_sets: Mapping[int, TopicTokenSet] | None = None,
-) -> ScoreReport:
+) -> dict[str, str | int | float]:
     """Score one generated summary against both of its article's topics.
 
-    ROUGE-L is computed against the reference summary of the steered topic.
-    ``token_sets`` may supply prebuilt topic token sets (keyed by topic id)
-    to avoid re-expanding topics per call.
+    Returns the key columns and the seven float metrics, in REPORT_COLUMNS
+    order. ROUGE-L is computed against the reference summary of the steered
+    topic. ``token_sets`` may supply prebuilt topic token sets (keyed by
+    topic id) to avoid re-expanding topics per call.
     """
     tid1, tid2 = topics
     ref1, ref2 = references
     if not ref1 or not ref2:
         raise ValueError("both reference summaries must be non-empty")
+    if not condition:
+        raise ValueError("condition label must be non-empty")
+    if tid1 == tid2:
+        raise ValueError("tid1 and tid2 must be distinct")
+    if steered_tid not in topics:
+        raise ValueError("steered_tid must be tid1 or tid2")
     text = vocab.decode(result.tokens)
     content_ids = [t for t in result.tokens if not vocab.is_special(t)]
-
-    def topical(tid: int) -> TopicalScores:
+    scores: dict[str, str | int | float] = dict(article_id=article_id, condition=condition, steered_tid=steered_tid)
+    for suffix, tid in (("t1", tid1), ("t2", tid2)):
         if token_sets is not None and tid in token_sets:
             tset = token_sets[tid]
         else:
             tset = topic_token_set(tid, model, vocab, top_n)
-        return TopicalScores(
-            lemma_score=lemma_topic_score(text, tid, model, top_n),
-            token_score=token_topic_score(content_ids, tset),
-            dict_score=dict_topic_score(text, tid, model),
-        )
-
-    reference = ref1 if steered_tid == tid1 else ref2
-    return ScoreReport(
-        article_id=article_id,
-        condition=condition,
-        steered_tid=steered_tid,
-        tid1=tid1,
-        tid2=tid2,
-        topical_tid1=topical(tid1),
-        topical_tid2=topical(tid2),
-        quality=QualityScores(rouge_l_f1=rouge_l_f1(text, reference)),
-    )
-
-
-KEY_COLUMNS = ("article_id", "condition", "steered_tid")
-METRIC_COLUMNS = ("lemma_t1", "token_t1", "dict_t1", "lemma_t2", "token_t2", "dict_t2", "rouge_l_f1")
-REPORT_COLUMNS = KEY_COLUMNS + METRIC_COLUMNS
+        scores["lemma_" + suffix] = lemma_topic_score(text, tid, model, top_n)
+        scores["token_" + suffix] = token_topic_score(content_ids, tset)
+        scores["dict_" + suffix] = dict_topic_score(text, tid, model)
+    scores["rouge_l_f1"] = rouge_l_f1(text, ref1 if steered_tid == tid1 else ref2)
+    return scores
 
 
 def format_score(value: float) -> str:
     return format(float(value), ".12g")
 
 
-def report_row(report: ScoreReport) -> dict[str, str]:
-    """One CSV row per report, in REPORT_COLUMNS order."""
-    return {
-        "article_id": report.article_id,
-        "condition": report.condition,
-        "steered_tid": str(report.steered_tid),
-        "lemma_t1": format_score(report.topical_tid1.lemma_score),
-        "token_t1": format_score(report.topical_tid1.token_score),
-        "dict_t1": format_score(report.topical_tid1.dict_score),
-        "lemma_t2": format_score(report.topical_tid2.lemma_score),
-        "token_t2": format_score(report.topical_tid2.token_score),
-        "dict_t2": format_score(report.topical_tid2.dict_score),
-        "rouge_l_f1": format_score(report.quality.rouge_l_f1),
-    }
+def report_row(scores: Mapping[str, str | int | float]) -> dict[str, str]:
+    """One CSV row of a ``score_summary`` mapping: key columns as text, metrics formatted."""
+    return {c: str(scores[c]) if c in KEY_COLUMNS else format_score(scores[c]) for c in REPORT_COLUMNS}
 
 
 def write_report_csv(rows: Iterable[Mapping[str, str]], path: str | Path, columns: Sequence[str]) -> None:

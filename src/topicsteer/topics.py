@@ -1,7 +1,7 @@
 """Topic-word distributions and their expansion into vocabulary token sets.
 
 A topic is an ordered list of (word, weight) pairs. To steer generation the
-top N words of a topic are expanded into every surface variant (stem, lemma,
+top N words of a topic are expanded into every surface variant (stem,
 capitalization, leading space) that exactly matches a vocabulary token; the
 resulting id set is what the reweighting methods act on.
 """
@@ -25,7 +25,6 @@ __all__ = [
     "TopicTokenSet",
     "WordVariants",
     "expand_word",
-    "load_lemma_dictionary",
     "load_topic_model",
     "topic_token_set",
 ]
@@ -144,28 +143,14 @@ def load_topic_model(path: str | Path) -> TopicModel:
     return TopicModel(topics=topics)
 
 
-def load_lemma_dictionary(path: str | Path) -> dict[str, str]:
-    """Optional word -> lemma map; both sides lowercased."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(raw, dict):
-        raise TopicModelFormatError(f"{path}: lemma dictionary must be a JSON object")
-    lemmas: dict[str, str] = {}
-    for word, lemma in raw.items():
-        if not isinstance(lemma, str) or not word or not lemma:
-            raise TopicModelFormatError(f"{path}: lemma entries must map word to non-empty string")
-        lemmas[word.lower()] = lemma.lower()
-    return lemmas
-
-
 def _capitalize(word: str) -> str:
     return word[:1].upper() + word[1:]
 
 
-def expand_word(word: str, lemmas: Mapping[str, str] | None = None) -> WordVariants:
+def expand_word(word: str) -> WordVariants:
     """All surface variants of a word that could appear as vocabulary tokens.
 
-    Base forms are the word itself, its stem, and its lemma when a lemma
-    dictionary supplies one that differs from the stem. Each base form also
+    Base forms are the word itself and its stem. Each base form also
     contributes a capitalized variant, and every variant additionally appears
     with one leading space.
     """
@@ -173,10 +158,6 @@ def expand_word(word: str, lemmas: Mapping[str, str] | None = None) -> WordVaria
         raise ValueError("cannot expand an empty word")
     word = word.lower()
     bases = {word, stem(word)}
-    if lemmas is not None:
-        lemma = lemmas.get(word)
-        if lemma:
-            bases.add(lemma)
     forms = set(bases)
     forms.update(_capitalize(b) for b in bases)
     forms.update(" " + f for f in tuple(forms))
@@ -188,7 +169,6 @@ def topic_token_set(
     model: TopicModel,
     vocab: Vocabulary,
     top_n: int = 25,
-    lemmas: Mapping[str, str] | None = None,
 ) -> TopicTokenSet:
     """Expand a topic's top_n words into the matching vocabulary token ids.
 
@@ -199,7 +179,7 @@ def topic_token_set(
     ids: set[int] = set()
     provenance: dict[int, str] = {}
     for word, _weight in model.top_words(topic_id, top_n):
-        for variant in sorted(expand_word(word, lemmas).variants):
+        for variant in sorted(expand_word(word).variants):
             tid = vocab.lookup(variant)
             if tid is not None and tid not in ids:
                 ids.add(tid)

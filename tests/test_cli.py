@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicsteer import cli
+from topicsteer import cli, experiment
 from topicsteer.cli import main
-from topicsteer.experiment import SweepResult
+from topicsteer.experiment import SweepResult, derive_seed
+from topicsteer.scoring import METRIC_COLUMNS
 
 
 def run(capsys, *argv):
@@ -44,6 +45,33 @@ class TestGenerate:
         record = json.loads(out)
         assert record["article_id"] == "a003"
         assert record["steered_tid"] == 1
+
+    def test_prints_the_row_sweep_writes(self, tmp_path, capsys, monkeypatch):
+        # --seed is the master seed in both commands, so even a sampled row agrees.
+        flags = ["--strategy", "sample", "--seed", "7", "--method", "shift", "--c", "5",
+                 "--min-tokens", "3", "--max-tokens", "6"]
+        code, out, _err = run(capsys, "generate", "--article-id", "a003", "--topic", "1", *flags)
+        assert code == 0
+        record = json.loads(out)
+        assert record["config"]["seed"] == derive_seed(7, "a003", record["condition"], 1)
+
+        sweep_tokens = {}
+        inner = experiment.run_row
+
+        def recording_run_row(model, topic_model, sample, prefix, condition, tid, **kwargs):
+            result, row = inner(model, topic_model, sample, prefix, condition, tid, **kwargs)
+            sweep_tokens[sample.article_id, condition.label, tid] = result.tokens
+            return result, row
+
+        monkeypatch.setattr(experiment, "run_row", recording_run_row)
+        out_dir = tmp_path / "out"
+        code, _out, _err = run(capsys, "sweep", "--limit", "4", "--out-dir", str(out_dir), *flags)
+        assert code == 0
+        with open(out_dir / "report.csv") as handle:
+            rows = {(r["article_id"], r["condition"], r["steered_tid"]): r for r in csv.DictReader(handle)}
+        row = rows["a003", record["condition"], "1"]
+        assert record["scores"] == {column: row[column] for column in METRIC_COLUMNS}
+        assert record["tokens"] == list(sweep_tokens["a003", record["condition"], 1])
 
     def test_unknown_article_is_config_error(self, capsys):
         code, _out, err = run(capsys, "generate", "--article-id", "nope")

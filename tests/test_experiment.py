@@ -4,6 +4,7 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from topicsteer import experiment, fixtures, scoring
@@ -79,6 +80,20 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match=rf"c\.jsonl:2: {key} .* is not an integer"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_limit_below_one_rejected(self, tmp_path, limit):
+        # both used to load one sample
+        path = write_jsonl(tmp_path / "c.jsonl", [sample_dict(i) for i in range(3)])
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            load_corpus(path, limit)
+
+    @pytest.mark.parametrize("limit", [1.5, True], ids=repr)
+    def test_non_integer_limit_rejected(self, tmp_path, limit):
+        # 1.5 used to load two samples and True one
+        path = write_jsonl(tmp_path / "c.jsonl", [sample_dict(i) for i in range(3)])
+        with pytest.raises(TypeError, match="limit .* is not an integer"):
+            load_corpus(path, limit)
+
     def test_shipped_corpus_has_25_samples(self):
         samples = load_corpus(fixtures.corpus_path())
         assert len(samples) == 25
@@ -113,6 +128,25 @@ def three_conditions():
     ]
 
 
+class TestExperimentConfigTypes:
+    @pytest.mark.parametrize("field, bad", [("limit", 1.5), ("limit", True), ("top_n", 2.5), ("top_n", "25"),
+                                            ("master_seed", 1.5), ("master_seed", False)], ids=repr)
+    def test_mistyped_count_names_field(self, tmp_path, field, bad):
+        # top_n=2.5 used to fail every row with "slice indices must be integers"
+        with pytest.raises(TypeError, match=f"{field} .* is not an integer"):
+            make_config(tmp_path, three_conditions(), **{field: bad})
+
+    def test_negative_master_seed_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="master_seed must be >= 0, got -1"):
+            make_config(tmp_path, three_conditions(), master_seed=-1)
+
+    def test_numpy_counts_stored_as_python_ints(self, tmp_path):
+        config = make_config(tmp_path, three_conditions(), limit=np.int64(2), top_n=np.int32(5),
+                             master_seed=np.uint8(3))
+        assert [type(v) for v in (config.limit, config.top_n, config.master_seed)] == [int, int, int]
+        assert run_sweep(config).rows_error == 0
+
+
 class TestRunSweep:
     def test_row_cardinality(self, tmp_path):
         result = run_sweep(make_config(tmp_path, three_conditions()))
@@ -123,6 +157,25 @@ class TestRunSweep:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 12
         assert all(row["error"] == "" for row in rows)
+
+    def test_each_row_calls_generate_then_score_summary_once(self, tmp_path, monkeypatch):
+        # The benchmark times rows by swapping out these two module names.
+        calls = []
+        inner_generate, inner_score = experiment.generate, experiment.score_summary
+
+        def generate(*args, **kwargs):
+            calls.append(("generate", len(args), sorted(kwargs)))
+            return inner_generate(*args, **kwargs)
+
+        def score_summary(*args, **kwargs):
+            calls.append(("score_summary",))
+            return inner_score(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "generate", generate)
+        monkeypatch.setattr(experiment, "score_summary", score_summary)
+        result = run_sweep(make_config(tmp_path, three_conditions()))
+        assert (result.rows_total, result.rows_ok) == (12, 12)
+        assert calls == [("generate", 4, []), ("score_summary",)] * 12
 
     def test_byte_identical_reruns(self, tmp_path):
         first = run_sweep(make_config(tmp_path, three_conditions(), out_dir=tmp_path / "one"))

@@ -6,9 +6,7 @@ import pytest
 from topicsteer.decoding import GenerationResult
 from topicsteer.models import Vocabulary
 from topicsteer.scoring import (
-    QualityScores,
-    ScoreReport,
-    TopicalScores,
+    REPORT_COLUMNS,
     dict_topic_score,
     lemma_topic_score,
     report_row,
@@ -205,10 +203,10 @@ class TestScoreSummary:
             result, "a1", "steered", steered_tid=0, topics=(0, 1),
             references=("the court", "the rocket"), model=model, vocab=vocab,
         )
-        assert report.topical_tid1.token_score == 1.0
-        assert report.topical_tid2.token_score == 0.0
-        assert report.topical_tid1.lemma_score == 1.0
-        assert report.topical_tid2.lemma_score == 0.0
+        assert report["token_t1"] == 1.0
+        assert report["token_t2"] == 0.0
+        assert report["lemma_t1"] == 1.0
+        assert report["lemma_t2"] == 0.0
 
     def test_condition_label_verbatim(self):
         vocab, model = self.make_parts()
@@ -217,8 +215,8 @@ class TestScoreSummary:
             result, "a1", "baseline", steered_tid=1, topics=(0, 1),
             references=("x court", "x rocket"), model=model, vocab=vocab,
         )
-        assert report.condition == "baseline"
-        assert report.steered_tid == 1
+        assert report["condition"] == "baseline"
+        assert report["steered_tid"] == 1
 
     def test_summary_equal_to_reference_scores_one(self):
         vocab, model = self.make_parts()
@@ -227,7 +225,7 @@ class TestScoreSummary:
             result, "a1", "c", steered_tid=0, topics=(0, 1),
             references=("court judge", "rocket orbit"), model=model, vocab=vocab,
         )
-        assert report.quality.rouge_l_f1 == 1.0
+        assert report["rouge_l_f1"] == 1.0
 
     def test_rouge_uses_steered_reference(self):
         vocab, model = self.make_parts()
@@ -240,8 +238,8 @@ class TestScoreSummary:
             result, "a1", "c", steered_tid=0, topics=(0, 1),
             references=("court judge", "rocket orbit"), model=model, vocab=vocab,
         )
-        assert toward_t2.quality.rouge_l_f1 == 1.0
-        assert toward_t1.quality.rouge_l_f1 == 0.0
+        assert toward_t2["rouge_l_f1"] == 1.0
+        assert toward_t1["rouge_l_f1"] == 0.0
 
     def test_specials_excluded_from_token_score(self):
         vocab, model = self.make_parts()
@@ -250,7 +248,7 @@ class TestScoreSummary:
             result, "a1", "c", steered_tid=0, topics=(0, 1),
             references=("court", "rocket"), model=model, vocab=vocab,
         )
-        assert report.topical_tid1.token_score == 1.0
+        assert report["token_t1"] == 1.0
 
     def test_all_scores_in_range(self):
         vocab, model = self.make_parts()
@@ -263,19 +261,21 @@ class TestScoreSummary:
                 steered_tid=0, topics=(0, 1), references=("court", "rocket"),
                 model=model, vocab=vocab,
             )
-            for scores in (report.topical_tid1, report.topical_tid2):
-                assert 0.0 <= scores.lemma_score <= 1.0
-                assert 0.0 <= scores.token_score <= 1.0
-                assert 0.0 <= scores.dict_score <= 1.0
-            assert 0.0 <= report.quality.rouge_l_f1 <= 1.0
+            for suffix in ("t1", "t2"):
+                assert 0.0 <= report["lemma_" + suffix] <= 1.0
+                assert 0.0 <= report["token_" + suffix] <= 1.0
+                assert 0.0 <= report["dict_" + suffix] <= 1.0
+            assert 0.0 <= report["rouge_l_f1"] <= 1.0
 
     def test_report_validation(self):
+        vocab, model = self.make_parts()
+        result = GenerationResult(tokens=(2,), log_prob=-0.5)
         with pytest.raises(ValueError, match="distinct"):
-            ScoreReport("a", "c", 0, 0, 0, TopicalScores(0, 0, 0), TopicalScores(0, 0, 0),
-                        QualityScores(0.0))
+            score_summary(result, "a", "c", steered_tid=0, topics=(0, 0), references=("court", "rocket"),
+                          model=model, vocab=vocab)
         with pytest.raises(ValueError, match="non-empty"):
-            ScoreReport("a", "", 0, 0, 1, TopicalScores(0, 0, 0), TopicalScores(0, 0, 0),
-                        QualityScores(0.0))
+            score_summary(result, "a", "", steered_tid=0, topics=(0, 1), references=("court", "rocket"),
+                          model=model, vocab=vocab)
 
     def test_report_row_columns(self):
         vocab, model = self.make_parts()
@@ -291,3 +291,4 @@ class TestScoreSummary:
             "article_id", "condition", "steered_tid", "lemma_t1", "token_t1",
             "dict_t1", "lemma_t2", "token_t2", "dict_t2", "rouge_l_f1",
         }
+        assert list(row) == list(REPORT_COLUMNS) == list(report)

@@ -8,7 +8,6 @@ from topicsteer.topics import (
     TopicModel,
     TopicModelFormatError,
     expand_word,
-    load_lemma_dictionary,
     load_topic_model,
     topic_token_set,
 )
@@ -77,10 +76,6 @@ class TestExpandWord:
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             expand_word("")
-
-    def test_lemma_dictionary_adds_variant(self):
-        variants = expand_word("went", lemmas={"went": "go"}).variants
-        assert {"went", "go", "Go", " go"} <= variants
 
     def test_original_word_always_included(self):
         for word in ("court", "running", "a", "xyzzy"):
@@ -161,14 +156,3 @@ class TestTopicTokenSet:
         model = TopicModel(topics={0: (("spacecraft", 1.0),)})
         assert len(topic_token_set(0, model, vocab)) == 0
 
-
-def test_load_lemma_dictionary(tmp_path):
-    path = tmp_path / "lemmas.json"
-    path.write_text(json.dumps({"Went": "Go", "mice": "mouse"}))
-    lemmas = load_lemma_dictionary(path)
-    assert lemmas == {"went": "go", "mice": "mouse"}
-
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"went": 3}))
-    with pytest.raises(TopicModelFormatError):
-        load_lemma_dictionary(bad)
