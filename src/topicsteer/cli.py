@@ -245,7 +245,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValueError(f"conditions[{i}] must be an object")
-            own = _file_values(entry, {"label", *CONDITION_SETTINGS}, f"conditions[{i}]")
+            # no "seed": a row's sampling seed derives from the master seed, not from its condition
+            own = _file_values(entry, {"label", *CONDITION_SETTINGS} - {"seed"}, f"conditions[{i}]")
             conditions.append(_condition({**values, **own}, own.get("label")))
 
     config = ExperimentConfig(

@@ -6,7 +6,10 @@ and one token selection: provider logits -> reweighting chain -> EOS masking
 while below the minimum length -> selection. Only the selection differs:
 greedy takes the steered argmax; sampling and beam search first apply
 top-k/top-p truncation, then sampling draws one token and beam search
-proposes num_beams successors. Reweighting runs before truncation on
+proposes num_beams successors. Both work on the truncation's survivors (at
+most top_k ids), not the whole vocabulary, but take the softmax normaliser
+over the full-length truncated vector, so their probabilities are bit for
+bit those of a full-vector softmax. Reweighting runs before truncation on
 purpose: a boosted token must be able to re-enter the candidate set even if
 the raw logits placed it outside the top-k. Greedy and sampling keep one
 hypothesis, beam search num_beams, and ``trace=True`` records per-step
@@ -168,28 +171,57 @@ def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.nd
 
 
 # A selector maps one hypothesis's steered logits to [(token, log prob)]. It calls
-# truncate_top_k_top_p, softmax and log_softmax as module globals, so tracers can wrap them.
+# truncate_top_k_top_p and log_softmax as module globals, so tracers can wrap them.
 def _greedy(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
     """Argmax of the untruncated logits; truncation never changes the argmax."""
     token = int(np.argmax(steered))
     return [(token, float(log_softmax(steered)[token]))]
 
 
+def _survivors(truncated: np.ndarray):
+    """The finite entries of a truncated vector and the softmax normaliser over all of it.
+
+    Returns the survivor ids in id order, their scores, the max score, each
+    survivor's ``exp(score - max)`` and the normaliser. The normaliser is
+    summed over a full-length vector with zeros at the masked ids, so numpy's
+    pairwise sum groups it exactly as ``softmax(truncated)`` does; a sum over
+    the survivors alone can differ in the last bit.
+    """
+    ids = (truncated > -np.inf).nonzero()[0]
+    kept = truncated[ids]
+    top = kept.max()
+    e = np.exp(kept - top)
+    z = np.zeros(truncated.size)
+    z[ids] = e
+    return ids, kept, top, e, z.sum()
+
+
 def _sample(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
-    """Inverse-CDF draw in token-id order; zero-probability entries can't win."""
-    probs = softmax(truncate_top_k_top_p(steered, config.top_k, config.top_p))
-    token = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
-    if token >= probs.size:
-        token = int(np.flatnonzero(probs > 0.0)[-1])
-    return [(token, math.log(probs[token]))]
+    """Inverse-CDF draw over the survivors in token-id order; zero-probability entries can't win.
+
+    Bit for bit the draw over ``softmax`` of the whole truncated vector: the
+    masked entries add exact zeros to the cumulative sum.
+    """
+    ids, _, _, e, total = _survivors(truncate_top_k_top_p(steered, config.top_k, config.top_p))
+    probs = e / total
+    index = int(probs.cumsum().searchsorted(rng.random(), side="right"))
+    if index >= probs.size:
+        index = int(np.flatnonzero(probs > 0.0)[-1])
+    return [(int(ids[index]), math.log(probs[index]))]
 
 
 def _beam(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
-    """The num_beams most likely truncated successors, lower id first on ties."""
-    log_probs = log_softmax(truncate_top_k_top_p(steered, config.top_k, config.top_p))
-    finite = np.flatnonzero(np.isfinite(log_probs))
-    best = finite[np.argsort(-log_probs[finite], kind="stable")][: config.num_beams]
-    return [(int(token), float(log_probs[token])) for token in best]
+    """The num_beams most likely truncated successors, lower id first on ties.
+
+    Log probabilities are taken over the survivors only, with the full-length
+    normaliser, so they equal ``log_softmax`` of the whole truncated vector.
+    """
+    ids, kept, top, _, total = _survivors(truncate_top_k_top_p(steered, config.top_k, config.top_p))
+    log_probs = kept - (top + math.log(total))
+    finite = np.isfinite(log_probs)  # a survivor far below the max can overflow to -inf
+    ids, log_probs = ids[finite], log_probs[finite]
+    best = (-log_probs).argsort(kind="stable")[: config.num_beams]
+    return [(int(ids[i]), float(log_probs[i])) for i in best]
 
 
 _SELECTORS = {"greedy": _greedy, "sample": _sample, "beam": _beam}

@@ -7,6 +7,10 @@ call this copy, not the package's truncation. tests/test_decoding.py checks
 the shared loop against the loops (equal tokens, bit-equal log probabilities
 and equal step records) and the package's truncation against this copy (bit-
 equal output or the same exception). The beam loop records no step traces.
+
+``_sample`` and ``_beam`` are the shared loop's selectors as they were
+before selection ran over the truncation's survivors only: they normalise
+the whole V-length truncated vector with ``softmax``/``log_softmax``.
 """
 
 from __future__ import annotations
@@ -223,4 +227,22 @@ def generate_beam(
     return GenerationResult(tokens=winner.sequence, log_prob=winner.cumulative_log_prob)
 
 
+def _sample(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
+    """Inverse-CDF draw in token-id order; zero-probability entries can't win."""
+    probs = softmax(truncate_top_k_top_p(steered, config.top_k, config.top_p))
+    token = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right"))
+    if token >= probs.size:
+        token = int(np.flatnonzero(probs > 0.0)[-1])
+    return [(token, math.log(probs[token]))]
+
+
+def _beam(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
+    """The num_beams most likely truncated successors, lower id first on ties."""
+    log_probs = log_softmax(truncate_top_k_top_p(steered, config.top_k, config.top_p))
+    finite = np.flatnonzero(np.isfinite(log_probs))
+    best = finite[np.argsort(-log_probs[finite], kind="stable")][: config.num_beams]
+    return [(int(token), float(log_probs[token])) for token in best]
+
+
+SELECTORS = {"sample": _sample, "beam": _beam}
 REFERENCE = {"greedy": generate_greedy, "sample": generate_sample, "beam": generate_beam}

@@ -405,6 +405,7 @@ class TestConfigRejections:
         ({"limit": "1"}, "limit"),
         ({"method": "sorcery"}, "method"),
         ({"conditions": {"method": "none"}}, "conditions"),
+        ({"conditions": [{"method": "none", "seed": 1}]}, "seed"),
     ])
     def test_bad_key_or_value_exits_1(self, tmp_path, capsys, config, key):
         code, _out, err = self.sweep_with(tmp_path, capsys, config)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import topicsteer.decoding as decoding
 from topicsteer.decoding import (
     GenerationConfig,
     generate,
@@ -603,3 +604,99 @@ def test_truncation_matches_full_sort_reference(case):
     scores, top_k, top_p = case
     expected = _truncation_outcome(reference_decoding.truncate_top_k_top_p, scores, top_k, top_p)
     assert _truncation_outcome(truncate_top_k_top_p, scores, top_k, top_p) == expected
+
+
+class FixedUniforms:
+    """An rng stand-in whose ``random()`` returns the given uniforms in order."""
+
+    def __init__(self, uniforms):
+        self.uniforms = iter(uniforms)
+
+    def random(self):
+        return next(self.uniforms)
+
+
+@st.composite
+def selection_cases(draw):
+    """Large steered vectors for the sampling and beam selectors.
+
+    Sizes of 1,000-4,000, now and then 50,000, so the normaliser's pairwise
+    sum runs over many blocks. Scores are N(0, s) or rounded onto a coarse
+    grid (ties), over a background that may be -inf, with -inf sprinkled
+    in. Uniforms include 0, the largest double below 1 (which can land past
+    the last cumulative probability) and values of the CDF itself.
+    """
+    size = 50_000 if draw(st.integers(0, 9)) == 9 else draw(st.integers(1000, 4000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, draw(st.sampled_from([0.5, 1.0, 3.0, 10.0])), size)
+    if draw(st.booleans()):
+        values = np.round(values * 2.0) / 2.0
+    top_k = draw(st.one_of(st.integers(8, 64), st.integers(8, size)))
+    scores = values.copy()
+    if draw(st.booleans()):  # -inf background: only a few finite peaks
+        peaks = rng.choice(size, int(rng.integers(1, min(size, 3 * top_k) + 1)), replace=False)
+        scores = np.full(size, -np.inf)
+        scores[peaks] = values[peaks]
+    scores[rng.choice(size, int(rng.integers(0, 20)), replace=False)] = -np.inf
+    kept = rng.integers(size)
+    scores[kept] = values[kept]  # so at least one entry is finite
+    config = GenerationConfig(
+        strategy="sample",
+        top_k=top_k,
+        top_p=draw(st.one_of(st.sampled_from([1.0, 0.99, 0.95, 0.5]), st.floats(1e-3, 1.0))),
+        num_beams=draw(st.integers(1, 8)),
+    )
+    truncated = truncate_top_k_top_p(scores, config.top_k, config.top_p)
+    cdf = np.cumsum(softmax(truncated))
+    exact = [float(c) for c in cdf[truncated > -np.inf] if c < 1.0]  # a draw on a step of the CDF
+    uniforms = draw(st.lists(
+        st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                  st.sampled_from([0.0, float(np.nextafter(1.0, 0.0)), *exact])),
+        min_size=1, max_size=6,
+    ))
+    return scores, config, uniforms
+
+
+def _selections(selector, scores, config, uniforms):
+    rng = FixedUniforms(uniforms)
+    with np.errstate(over="ignore"):
+        return [[(token, float(log_prob).hex()) for token, log_prob in selector(scores, config, rng)]
+                for _ in uniforms]
+
+
+@settings(max_examples=200, deadline=None)
+@given(selection_cases())
+def test_survivor_selectors_match_full_vector_reference(case):
+    """Selection over the survivors is bit for bit the selection over the whole truncated vector."""
+    scores, config, uniforms = case
+    for strategy in ("sample", "beam"):
+        expected = _selections(reference_decoding.SELECTORS[strategy], scores, config, uniforms)
+        assert _selections(decoding._SELECTORS[strategy], scores, config, uniforms) == expected
+
+
+class TestSelectionOverSurvivors:
+    @pytest.mark.parametrize("strategy", ["sample", "beam"])
+    def test_no_normalisation_over_the_whole_vocabulary(self, monkeypatch, strategy):
+        sizes = []
+        for name in ("softmax", "log_softmax"):
+            def counting(scores, normalise=getattr(decoding, name)):
+                sizes.append(np.size(scores))
+                return normalise(scores)
+
+            monkeypatch.setattr(decoding, name, counting)
+        model = make_markov(make_vocab(1_000), seed=3)
+        config = GenerationConfig(strategy=strategy, top_k=20, top_p=0.9, num_beams=3,
+                                  min_new_tokens=6, max_new_tokens=6, seed=1)
+        result = generate(model, [model.vocabulary.bos_id], None, config)
+        assert len(result.tokens) == 6
+        assert sizes  # the nucleus cut normalises the top-k survivors
+        assert max(sizes) <= config.top_k
+
+    def test_survivor_whose_log_prob_overflows_is_dropped(self):
+        # -1e308 survives top-k, but its log prob -1e308 - 1e308 overflows to -inf
+        scores = np.array([1e308, -1e308, 0.0, 5.0])
+        config = beam_config(top_k=4, top_p=1.0, num_beams=4)
+        with np.errstate(over="ignore"):
+            expected = reference_decoding.SELECTORS["beam"](scores, config, None)
+            assert decoding._beam(scores, config, None) == expected
+        assert [token for token, _ in expected] == [0, 2, 3]
