@@ -34,10 +34,10 @@ from .experiment import (
     run_row,
     run_sweep,
 )
-from .models import ToyModelFormatError, load_toy_model
+from .models import load_toy_model
 from .reweight import ReweightConfig
 from .scoring import KEY_COLUMNS
-from .topics import TopicModelFormatError, load_topic_model, topic_token_set
+from .topics import load_topic_model, topic_token_set
 
 # CLI and config-file method names -> ReweightConfig method names.
 METHOD_NAMES = {
@@ -293,15 +293,7 @@ _COMMANDS = {
     "expand-topic": cmd_expand_topic,
 }
 
-_CONFIG_ERRORS = (
-    CorpusFormatError,
-    ToyModelFormatError,
-    TopicModelFormatError,
-    FileNotFoundError,
-    json.JSONDecodeError,
-    ValueError,
-    KeyError,
-)
+_CONFIG_ERRORS = (FileNotFoundError, ValueError, KeyError)
 
 
 def main(argv: list[str] | None = None) -> int:

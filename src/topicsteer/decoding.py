@@ -109,16 +109,14 @@ class GenerationResult:
     log_prob: float
     step_records: tuple[StepRecord, ...] | None = None
 
-    def to_record(self, vocab: Vocabulary, config: GenerationConfig | None = None) -> dict:
+    def to_record(self, vocab: Vocabulary, config: GenerationConfig) -> dict:
         """JSON-serializable record: tokens, decoded text, log prob, config."""
-        record = {
+        return {
             "tokens": list(self.tokens),
             "text": vocab.decode(self.tokens),
             "log_prob": self.log_prob,
+            "config": asdict(config),
         }
-        if config is not None:
-            record["config"] = asdict(config)
-        return record
 
 
 def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.ndarray:

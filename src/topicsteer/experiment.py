@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from statistics import mean, stdev
@@ -167,24 +167,10 @@ class ExperimentConfig:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
 
     def to_dict(self) -> dict:
-        """Experiment identity for hashing; output location is not part of it."""
-        return {
-            "corpus_path": str(self.corpus_path),
-            "topics_path": str(self.topics_path),
-            "model_path": str(self.model_path),
-            "conditions": [
-                {
-                    "label": c.label,
-                    "reweight": asdict(c.reweight),
-                    "generation": asdict(c.generation),
-                }
-                for c in self.conditions
-            ],
-            "limit": self.limit,
-            "steered_policy": self.steered_policy,
-            "master_seed": self.master_seed,
-            "top_n": self.top_n,
-        }
+        """Experiment identity for hashing: every field but the output location, paths as text."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        values["conditions"] = [asdict(c) for c in self.conditions]
+        return {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
 
 
 def derive_seed(master_seed: int, *parts: object) -> int:

@@ -13,23 +13,26 @@ Every state of the Markov table has one strong filler successor (logit 3.0)
 and one designated topic candidate per topic at 3.0 minus a gap drawn from
 one of four buckets: already ahead (gap < 0), flips under a shift of 2,
 flips only under a shift of 5, never flips. The builder re-runs the steering
-trend end to end and refuses to write fixtures that do not exhibit it.
+trend end to end and refuses to write fixtures that do not exhibit it: one
+greedy decode per article at each shift of topic 0, scored against both
+topics, and one 4-beam decode at shift 5.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from ..decoding import GenerationConfig, generate_beam, generate_greedy
+from ..decoding import GenerationConfig, generate
 from ..models import ToyMarkovModel, Vocabulary, save_toy_model
 from ..reweight import ReweightConfig, build_chain
 from ..scoring import token_topic_score
 from ..stemmer import stem
-from ..topics import TopicModel, expand_word, topic_token_set
+from ..topics import TopicModel, _capitalize, expand_word, topic_token_set
 
 SEED = 20260809
 
@@ -77,10 +80,6 @@ ARTICLES = 25
 GENERATION = GenerationConfig(strategy="greedy", min_new_tokens=80, max_new_tokens=90)
 
 
-def _capitalize(word: str) -> str:
-    return word[:1].upper() + word[1:]
-
-
 def _variant_candidates(word: str) -> list[str]:
     """Deterministic preference order for a word's surface-form tokens."""
     s = stem(word)
@@ -118,17 +117,13 @@ def build_topic_model() -> TopicModel:
     return TopicModel(topics=topics)
 
 
-def build_markov_table(vocab: Vocabulary, rng: np.random.Generator) -> np.ndarray:
+def build_markov_table(vocab: Vocabulary, chosen: dict[str, list[str]], rng: np.random.Generator) -> np.ndarray:
+    """The logits table; ``chosen`` maps each topic word to its vocabulary variants."""
     size = vocab.size
     filler_ids = [vocab.lookup(" " + f) for f in FILLERS]
-    topic_ids = {
-        0: [vocab.lookup(v) for w in TOPIC0_WORDS for v in _variant_candidates(w) if vocab.lookup(v) is not None],
-        1: [vocab.lookup(v) for w in TOPIC1_WORDS for v in _variant_candidates(w) if vocab.lookup(v) is not None],
-    }
-    candidates = {
-        0: [vocab.lookup(" " + w) for w in TOPIC0_WORDS],
-        1: [vocab.lookup(" " + w) for w in TOPIC1_WORDS],
-    }
+    topic_words = dict(enumerate((TOPIC0_WORDS, TOPIC1_WORDS)))
+    topic_ids = {tid: [vocab.lookup(v) for w in words for v in chosen[w]] for tid, words in topic_words.items()}
+    candidates = {tid: [vocab.lookup(" " + w) for w in words] for tid, words in topic_words.items()}
     def pick(pool: list[int], exclude: int) -> int:
         token = pool[rng.integers(len(pool))]
         while token == exclude:  # no self-loops: keeps greedy paths moving
@@ -184,10 +179,10 @@ def build_corpus(rng: np.random.Generator) -> list[dict]:
 def verify(model: ToyMarkovModel, topic_model: TopicModel, samples: list[dict]) -> dict:
     """Re-run the fixture's contract checks; raises AssertionError on failure."""
     vocab = model.vocabulary
-    for tid, words in ((0, TOPIC0_WORDS), (1, TOPIC1_WORDS)):
-        tset = topic_token_set(tid, topic_model, vocab, top_n=25)
+    tsets = [topic_token_set(tid, topic_model, vocab, top_n=25) for tid in (0, 1)]
+    for tset, words in zip(tsets, (TOPIC0_WORDS, TOPIC1_WORDS)):
         if not 75 <= len(tset) <= 125:
-            raise AssertionError(f"topic {tid}: token set size {len(tset)} outside [75, 125]")
+            raise AssertionError(f"topic {tset.topic_id}: token set size {len(tset)} outside [75, 125]")
         for word in words:
             matches = sum(1 for v in expand_word(word).variants if vocab.lookup(v) is not None)
             if not 3 <= matches <= 5:
@@ -195,46 +190,34 @@ def verify(model: ToyMarkovModel, topic_model: TopicModel, samples: list[dict]) 
             if stem(stem(word)) != stem(word):
                 raise AssertionError(f"stem of {word!r} is not idempotent")
 
-    tset0 = topic_token_set(0, topic_model, vocab, top_n=25)
-    tset1 = topic_token_set(1, topic_model, vocab, top_n=25)
     prefixes = [[vocab.bos_id, *vocab.encode_words(s["article"])] for s in samples]
     if any(len(p) < 2 for p in prefixes):
         raise AssertionError("an article encodes to an empty prefix")
 
-    def steered_mean(shift: float, beams: int | None = None) -> float:
-        scores = []
+    def steered_means(shift: float, config: GenerationConfig = GENERATION) -> list[float]:
+        """Mean token-topic score of each topic over the corpus, with topic 0 shifted by ``shift``."""
+        chain = build_chain(ReweightConfig(method="constant_shift", c=shift), tsets[0])
+        scores: list[list[float]] = [[], []]
         for prefix in prefixes:
-            chain = build_chain(ReweightConfig(method="constant_shift", c=shift), tset0)
-            if beams is None:
-                result = generate_greedy(model, prefix, chain, GENERATION)
-            else:
-                config = GenerationConfig(
-                    strategy="beam", num_beams=beams,
-                    min_new_tokens=GENERATION.min_new_tokens, max_new_tokens=GENERATION.max_new_tokens,
-                )
-                result = generate_beam(model, prefix, chain, config)
+            result = generate(model, prefix, chain, config)
             content = [t for t in result.tokens if not vocab.is_special(t)]
-            scores.append(token_topic_score(content, tset0))
-        return float(np.mean(scores))
+            for tset, topic_scores in zip(tsets, scores):
+                topic_scores.append(token_topic_score(content, tset))
+        return [float(np.mean(topic_scores)) for topic_scores in scores]
 
-    means = {c: steered_mean(c) for c in (0.0, 2.0, 5.0)}
-    beam_mean = steered_mean(5.0, beams=4)
+    greedy = {c: steered_means(c) for c in (0.0, 2.0, 5.0)}
+    means = {c: on_topic for c, (on_topic, _off_topic) in greedy.items()}
+    beam_mean = steered_means(5.0, replace(GENERATION, strategy="beam", num_beams=4))[0]
     if not (means[0.0] + 0.02 < means[2.0] and means[2.0] + 0.02 < means[5.0]):
         raise AssertionError(f"steering trend not strictly increasing: {means}")
     if beam_mean < means[5.0]:
         raise AssertionError(f"beam mean {beam_mean} below greedy mean {means[5.0]} at shift 5")
-
     # steering one topic must not drag the other one up
-    off_topic = []
-    for prefix in prefixes:
-        chain = build_chain(ReweightConfig(method="constant_shift", c=5.0), tset0)
-        result = generate_greedy(model, prefix, chain, GENERATION)
-        content = [t for t in result.tokens if not vocab.is_special(t)]
-        off_topic.append(token_topic_score(content, tset1))
-    if not float(np.mean(off_topic)) < means[5.0]:
+    off_topic = greedy[5.0][1]
+    if not off_topic < means[5.0]:
         raise AssertionError("steered topic does not dominate the unsteered one")
 
-    return {"greedy_means": means, "beam_mean_at_5": beam_mean, "off_topic_mean_at_5": float(np.mean(off_topic))}
+    return {"greedy_means": means, "beam_mean_at_5": beam_mean, "off_topic_mean_at_5": off_topic}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -243,9 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     rng = np.random.default_rng(SEED)
 
-    vocab, _chosen = build_vocabulary()
+    vocab, chosen = build_vocabulary()
     topic_model = build_topic_model()
-    table = build_markov_table(vocab, rng)
+    table = build_markov_table(vocab, chosen, rng)
     model = ToyMarkovModel(vocabulary=vocab, table=table)
     samples = build_corpus(rng)
 

@@ -143,10 +143,10 @@ class Vocabulary:
                 ids.append(tid)
         return ids
 
-    def decode(self, ids: TokenSequence, skip_special: bool = True) -> str:
-        """Concatenate token strings (leading spaces separate words)."""
+    def decode(self, ids: TokenSequence) -> str:
+        """Concatenate the token strings of all but BOS and EOS (leading spaces separate words)."""
         ids = self.validate_ids(ids)
-        parts = [self.tokens[i] for i in ids if not (skip_special and self.is_special(i))]
+        parts = [self.tokens[i] for i in ids if not self.is_special(i)]
         return "".join(parts).lstrip(" ")
 
 
@@ -283,10 +283,14 @@ def load_toy_model(path: str | Path) -> ToyMarkovModel:
             raise ToyModelFormatError(f"{path}: missing table row for token {token!r}")
         if not isinstance(row, list) or len(row) != vocab.size:
             raise ToyModelFormatError(f"{path}: row for {token!r} must list {vocab.size} numbers")
-        for j, value in enumerate(row):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ToyModelFormatError(f"{path}: non-finite or non-numeric score for {token!r}[{j}]")
-            table[tid, j] = float(value)
+        try:
+            values = np.array(row, dtype=np.float64) if set(map(type, row)) <= {int, float} else None
+        except OverflowError:  # an int beyond float range; the scan raises at the first bad value
+            values = None
+        if values is None or not np.isfinite(values).all():
+            j = next(j for j, v in enumerate(row) if type(v) not in (int, float) or not math.isfinite(v))
+            raise ToyModelFormatError(f"{path}: non-finite or non-numeric score for {token!r}[{j}]")
+        table[tid] = values
     return ToyMarkovModel(vocabulary=vocab, table=table)
 
 

@@ -83,23 +83,16 @@ def token_topic_score(summary_ids: Sequence[int], topic_set: TopicTokenSet | Ite
 def dict_topic_score(summary: str, topic_id: int, model: TopicModel) -> float:
     """Mean posterior of the target topic over in-dictionary summary words.
 
-    For each summary word that appears in any topic's word list, the word's
-    weights are normalized over the topics containing it; the score averages
-    the target topic's share across those words. Words outside the dictionary
-    are skipped; a summary with no in-dictionary words scores 0 (warned).
+    Each summary word in the model's ``word_topic_shares`` contributes the
+    target topic's share of its weight (0 if the topic does not list it); the
+    score averages those shares. Words outside the dictionary, or whose
+    weights sum to 0, are skipped; a summary with no such words scores 0
+    (warned).
     """
     if topic_id not in model.topics:
         raise KeyError(f"unknown topic id {topic_id}")
-    index = model.word_topic_weights
-    shares: list[float] = []
-    for word in tokenize_words(summary):
-        weights = index.get(word)
-        if weights is None:
-            continue
-        total = sum(weights.values())
-        if total <= 0.0:
-            continue
-        shares.append(weights.get(topic_id, 0.0) / total)
+    index = model.word_topic_shares
+    shares = [index[word].get(topic_id, 0.0) for word in tokenize_words(summary) if word in index]
     if not shares:
         logger.warning("dictionary score: no summary word found in the topic model dictionary")
         return 0.0

@@ -3,7 +3,9 @@
 A topic is an ordered list of (word, weight) pairs. To steer generation the
 top N words of a topic are expanded into every surface variant (stem,
 capitalization, leading space) that exactly matches a vocabulary token; the
-resulting id set is what the reweighting methods act on.
+resulting id set is what the reweighting methods act on. For the dictionary
+score, a model also holds each word's topic shares: per topic listing the
+word, its weight over the word's total weight in all topics.
 """
 
 from __future__ import annotations
@@ -42,10 +44,6 @@ class TopicModel:
 
     topics: Mapping[int, tuple[tuple[str, float], ...]]
 
-    @property
-    def topic_count(self) -> int:
-        return len(self.topics)
-
     def topic_ids(self) -> list[int]:
         return sorted(self.topics)
 
@@ -57,13 +55,19 @@ class TopicModel:
         return self.topics[topic_id][:top_n]
 
     @cached_property
-    def word_topic_weights(self) -> dict[str, dict[int, float]]:
-        """Per-word map of the topics containing it and their weights."""
+    def word_topic_shares(self) -> dict[str, dict[int, float]]:
+        """Per word, each listing topic's share of the word's total weight; words of total 0 are left out."""
         index: dict[str, dict[int, float]] = {}
         for tid, words in self.topics.items():
             for word, weight in words:
                 index.setdefault(word, {})[tid] = weight
-        return index
+        shares = {}
+        for word, weights in index.items():
+            total = sum(weights.values())
+            if total <= 0.0:
+                continue
+            shares[word] = {tid: weight / total for tid, weight in weights.items()}
+        return shares
 
 
 @dataclass(frozen=True)

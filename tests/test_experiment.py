@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -407,6 +408,16 @@ class TestConfigHash:
         two = self.sweep_in(tmp_path / "two", lambda corpus: corpus.replace(b"jury", b"fury", 1))
         assert one["config_hash"] != two["config_hash"]
         assert one["inputs"]["corpus_path"] != two["inputs"]["corpus_path"]
+
+    def test_identity_covers_every_field_but_out_dir(self, tmp_path):
+        # A field added to the config enters the hashed identity without a second edit.
+        Extended = dataclasses.make_dataclass("Extended", [("extra", int, dataclasses.field(default=7))],
+                                              bases=(ExperimentConfig,), frozen=True)
+        base = make_config(tmp_path, three_conditions())
+        record = Extended(**{f.name: getattr(base, f.name) for f in dataclasses.fields(base)}).to_dict()
+        assert record["extra"] == 7
+        assert "out_dir" not in record
+        assert {k: v for k, v in record.items() if k != "extra"} == base.to_dict()
 
 
 class TestConfigValidation:

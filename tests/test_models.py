@@ -1,8 +1,12 @@
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from topicsteer.models import (
     ToyMarkovModel,
@@ -14,6 +18,7 @@ from topicsteer.models import (
     softmax,
 )
 
+import reference_models
 from conftest import make_markov, make_vocab, random_markov
 
 
@@ -198,6 +203,50 @@ class TestToyModelFile:
         }))
         with pytest.raises(ToyModelFormatError, match="must list 2 numbers"):
             load_toy_model(path)
+
+
+_GOOD_SCORES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**70), 2**70),
+)
+_BAD_SCORES = st.sampled_from([True, False, "1.0", None, float("nan"), float("inf"), -float("inf"), [1.0], {}, 10**400])
+
+
+@st.composite
+def _toy_model_payloads(draw) -> dict:
+    """A toy-model JSON object whose rows may be short, long, missing, unknown or hold bad entries."""
+    size = draw(st.integers(2, 5))
+    tokens = [f"t{i}" for i in range(size)]
+    rows = {}
+    for token in tokens:
+        if draw(st.integers(0, 19)) == 0:
+            continue  # missing row
+        length = size if draw(st.integers(0, 9)) else draw(st.integers(0, size + 1))
+        scores = _GOOD_SCORES if draw(st.booleans()) else st.one_of(_GOOD_SCORES, _BAD_SCORES)
+        rows[token] = draw(st.lists(scores, min_size=length, max_size=length))
+    if draw(st.integers(0, 19)) == 0:
+        rows["zz"] = [0.0] * size
+    return {"tokens": tokens, "bos": "t0", "eos": "t1", "table": rows}
+
+
+def _load_outcome(load, path: Path):
+    """The loaded table's bytes, or the exception's type and message."""
+    try:
+        return load(path).table.tobytes()
+    except Exception as exc:  # the two loaders must fail alike, whatever the type
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(payload=_toy_model_payloads())
+# an int beyond float range after a NaN: the NaN is reported, not an OverflowError
+@example(payload={"tokens": ["t0", "t1"], "bos": "t0", "eos": "t1",
+                  "table": {"t0": [float("nan"), 10**400], "t1": [0, 1.5]}})
+def test_loader_matches_per_entry_reference(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        assert _load_outcome(load_toy_model, path) == _load_outcome(reference_models.load_toy_model, path)
 
 
 class TestSoftmax:

@@ -2,6 +2,10 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_scoring
 
 from topicsteer.decoding import GenerationResult
 from topicsteer.models import Vocabulary
@@ -134,6 +138,59 @@ class TestDictScore:
     def test_unknown_topic(self, court_topics):
         with pytest.raises(KeyError):
             dict_topic_score("court", 42, court_topics)
+
+
+_DICT_WORDS = ("court", "case", "judge", "orbit", "rocket", "moot")
+_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.integers(1, 10**6).map(lambda n: n / 997),  # inexact sums, so the summation order shows
+    st.floats(min_value=0.0, max_value=1e308, allow_infinity=False),
+)
+
+
+@st.composite
+def _topic_models(draw) -> TopicModel:
+    """Two to six topics over a small shared word pool, with zero weights and zero-total words."""
+    tids = draw(st.lists(st.integers(0, 9), min_size=2, max_size=6, unique=True))
+    topics = {}
+    for tid in tids:
+        words = draw(st.lists(st.sampled_from(_DICT_WORDS), min_size=1, max_size=len(_DICT_WORDS), unique=True))
+        topics[tid] = tuple((word, draw(_WEIGHTS)) for word in words)
+    return TopicModel(topics=topics)
+
+
+def _dict_outcome(score, summary: str, topic_id: int, model: TopicModel, logger_name: str):
+    """(float.hex of the score or the exception's type and args, warning messages logged)."""
+    records: list[logging.LogRecord] = []
+    handler = logging.Handler()
+    handler.emit = records.append
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        outcome = float.hex(score(summary, topic_id, model))
+    except KeyError as exc:
+        outcome = (type(exc), exc.args)
+    finally:
+        logger.removeHandler(handler)
+    return outcome, [(r.levelno, r.getMessage()) for r in records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=_topic_models(),
+    summary_words=st.lists(st.sampled_from(_DICT_WORDS + ("Court", "zebra", "stripes", "case,", "9")), max_size=8),
+    topic_index=st.integers(0, 6),
+)
+# (0.3 + 0.2) + 0.1 is 0.6, (0.1 + 0.2) + 0.3 is not: the total sums in topic order
+@example(model=TopicModel(topics={0: (("case", 0.3),), 1: (("case", 0.2),), 2: (("case", 0.1),)}),
+         summary_words=["case"], topic_index=0)
+def test_dict_score_matches_per_call_weight_reference(model, summary_words, topic_index):
+    candidates = sorted(model.topics) + [42]  # 42 is no topic: both must raise the same KeyError
+    topic_id = candidates[topic_index % len(candidates)]
+    summary = " ".join(summary_words)
+    expected = _dict_outcome(reference_scoring.dict_topic_score, summary, topic_id, model, "reference_scoring")
+    got = _dict_outcome(dict_topic_score, summary, topic_id, model, "topicsteer.scoring")
+    assert got == expected
 
 
 class TestRougeL:

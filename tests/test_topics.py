@@ -28,7 +28,7 @@ class TestLoadTopicModel:
             ]
         })
         model = load_topic_model(path)
-        assert model.topic_count == 2
+        assert len(model.topics) == 2
         assert len(model.top_words(0, 25)) == 25
 
     def test_negative_weight(self, tmp_path):
