@@ -34,7 +34,7 @@ from .experiment import (
     run_row,
     run_sweep,
 )
-from .models import load_toy_model
+from .models import as_real, load_toy_model, read_json
 from .reweight import ReweightConfig
 from .scoring import KEY_COLUMNS
 from .topics import load_topic_model, topic_token_set
@@ -159,7 +159,7 @@ def _file_value(key: str, value, where: str):
     if not (type(value) in types and (kind is not int or value % 1 == 0) and (not choices or value in choices)):
         raise ValueError(f"{where} key {key!r}: expected {f'one of {list(choices)}' if choices else expected}, "
                          f"got {value!r}")
-    return kind(value)
+    return as_real(value, f"{where} key {key!r}") if kind is float else kind(value)
 
 
 def _file_values(entry: dict, allowed: set[str], where: str) -> dict:
@@ -226,11 +226,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    file_config: dict = {}
-    if args.config is not None:
-        file_config = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        if not isinstance(file_config, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
+    file_config = read_json(args.config, ValueError) if args.config is not None else {}
     entries = file_config.pop("conditions", None)
     values = _settings(args, file_config)
     label = args.label or values.get("label")

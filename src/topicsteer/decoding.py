@@ -34,7 +34,7 @@ from .models import (
     TokenSequence,
     Vocabulary,
     as_int,
-    check_real,
+    as_real,
     log_softmax,
     softmax,
 )
@@ -76,7 +76,7 @@ class GenerationConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         for name in ("top_k", "num_beams", "max_new_tokens", "min_new_tokens", "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        check_real(self.top_p, "top_p")
+        as_real(self.top_p, "top_p")
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if not 0.0 < self.top_p <= 1.0:

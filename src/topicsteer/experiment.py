@@ -13,17 +13,16 @@ import csv
 import hashlib
 import json
 import logging
-import math
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from statistics import mean, stdev
 
 from .decoding import GenerationConfig, GenerationResult, generate
-from .models import LogitsProvider, Vocabulary, as_int, load_toy_model
+from .models import LogitsProvider, Vocabulary, as_int, as_real, load_toy_model
 from .reweight import ReweightConfig, build_chain
 from .scoring import KEY_COLUMNS, METRIC_COLUMNS, REPORT_COLUMNS, format_score, report_row, score_summary, write_report_csv
-from .topics import TopicModel, TopicTokenSet, load_topic_model, topic_token_set
+from .topics import DEFAULT_TOP_N, TopicModel, TopicTokenSet, load_topic_model, topic_token_set
 
 __all__ = [
     "Condition",
@@ -65,6 +64,11 @@ class CorpusSample:
     ref2: str
 
     def __post_init__(self) -> None:
+        for name in ("article_id", "article", "ref1", "ref2"):
+            if not isinstance(getattr(self, name), str):
+                raise TypeError(f"{name} {getattr(self, name)!r} is not a string")
+        for name in ("tid1", "tid2"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.tid1 == self.tid2:
             raise ValueError(f"article {self.article_id!r}: tid1 and tid2 must differ")
         if not self.ref1 or not self.ref2:
@@ -80,8 +84,8 @@ def load_corpus(path: str | Path, limit: int | None = None) -> list[CorpusSample
     if limit is not None and as_int(limit, "limit") < 1:
         raise ValueError("articles limit must be >= 1")
     path = Path(path)
-    samples: list[CorpusSample] = []
-    seen: set[str] = set()
+    keys = [f.name for f in fields(CorpusSample)]
+    samples: dict[str, CorpusSample] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -89,33 +93,22 @@ def load_corpus(path: str | Path, limit: int | None = None) -> list[CorpusSample
                 continue
             try:
                 raw = json.loads(line)
+                if not isinstance(raw, dict):
+                    raise ValueError("each line must be an object")
+                missing = set(keys) - set(raw)
+                if missing:
+                    raise ValueError(f"missing keys {sorted(missing)}")
+                sample = CorpusSample(**{key: raw[key] for key in keys})
+                if sample.article_id in samples:
+                    raise ValueError(f"duplicate article_id {sample.article_id!r}")
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            if not isinstance(raw, dict):
-                raise CorpusFormatError(f"{path}:{lineno}: each line must be an object")
-            missing = {"article_id", "article", "tid1", "tid2", "ref1", "ref2"} - set(raw)
-            if missing:
-                raise CorpusFormatError(f"{path}:{lineno}: missing keys {sorted(missing)}")
-            article_id = str(raw["article_id"])
-            if article_id in seen:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate article_id {article_id!r}")
-            seen.add(article_id)
-            try:
-                samples.append(
-                    CorpusSample(
-                        article_id=article_id,
-                        article=str(raw["article"]),
-                        tid1=as_int(raw["tid1"], "tid1"),
-                        tid2=as_int(raw["tid2"], "tid2"),
-                        ref1=str(raw["ref1"]),
-                        ref2=str(raw["ref2"]),
-                    )
-                )
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError) as exc:  # CorpusSample's rules and the ones above
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+            samples[sample.article_id] = sample
             if limit is not None and len(samples) >= limit:
                 break
-    return samples
+    return list(samples.values())
 
 
 @dataclass(frozen=True)
@@ -145,7 +138,7 @@ class ExperimentConfig:
     limit: int | None = None
     steered_policy: str = "both"
     master_seed: int = 0
-    top_n: int = 25
+    top_n: int = DEFAULT_TOP_N
 
     def __post_init__(self) -> None:
         if not self.conditions:
@@ -382,12 +375,10 @@ def merge_external_scores(
             if not row["metric"]:
                 raise CorpusFormatError(f"{external_path}: empty metric name for {key}")
             try:
-                value = float(row["value"])
-            except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
+                as_real(float(row["value"]), "value")  # a short line leaves the value None
+            except (TypeError, ValueError):
                 raise CorpusFormatError(f"{external_path}:{reader.line_num}: {key}: value {row['value']!r} "
-                                        "is not a finite number")
+                                        "is not a finite number") from None
             if key[:-1] not in report_keys:
                 rejected.append({c: row[c] for c in EXTERNAL_COLUMNS})
                 continue

@@ -31,9 +31,10 @@ __all__ = [
     "ToyModelFormatError",
     "Vocabulary",
     "as_int",
-    "check_real",
+    "as_real",
     "load_toy_model",
     "log_softmax",
+    "read_json",
     "save_toy_model",
     "softmax",
 ]
@@ -63,10 +64,33 @@ def as_int(value: object, name: str) -> int:
     raise TypeError(f"{name} {value!r} is not an integer")
 
 
-def check_real(value: object, name: str) -> None:
-    """Reject anything but a non-bool real number (int, float or numpy scalar), naming ``name``."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} {value!r} is not a real number")
+def as_real(value: object, name: str) -> float:
+    """``value`` as a finite Python float: the one rule for a real-number input, naming ``name``.
+
+    A bool or a non-number raises TypeError; NaN, ±inf and an int beyond
+    float range raise ValueError. An int or a numpy real scalar is converted.
+    """
+    if type(value) is not float:  # a plain float, the common case, skips the ABC check
+        if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} {value!r} is not a real number")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must be finite, got an integer beyond float range") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
+
+
+def read_json(path: str | Path, error: type[ValueError]) -> dict:
+    """The JSON object in the file at ``path``; a syntax error or a non-object raises ``error`` naming the file."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+        raise error(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise error(f"{path}: top level must be an object")
+    return raw
 
 
 @dataclass(frozen=True)
@@ -254,12 +278,7 @@ def load_toy_model(path: str | Path) -> ToyMarkovModel:
     one row per token, each of vocabulary length).
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ToyModelFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ToyModelFormatError(f"{path}: top level must be an object")
+    raw = read_json(path, ToyModelFormatError)
     for key in ("tokens", "bos", "eos", "table"):
         if key not in raw:
             raise ToyModelFormatError(f"{path}: missing key {key!r}")
@@ -288,8 +307,11 @@ def load_toy_model(path: str | Path) -> ToyMarkovModel:
         except OverflowError:  # an int beyond float range; the scan raises at the first bad value
             values = None
         if values is None or not np.isfinite(values).all():
-            j = next(j for j, v in enumerate(row) if type(v) not in (int, float) or not math.isfinite(v))
-            raise ToyModelFormatError(f"{path}: non-finite or non-numeric score for {token!r}[{j}]")
+            for j, v in enumerate(row):
+                try:
+                    as_real(v, "score")
+                except (TypeError, ValueError):
+                    raise ToyModelFormatError(f"{path}: non-finite or non-numeric score for {token!r}[{j}]") from None
         table[tid] = values
     return ToyMarkovModel(vocabulary=vocab, table=table)
 

@@ -22,13 +22,12 @@ functions are pure: they return new arrays and never mutate their input.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
 
-from .models import LogitVector, as_int, check_real, softmax
+from .models import LogitVector, as_int, as_real, softmax
 
 __all__ = [
     "METHODS",
@@ -69,15 +68,11 @@ class ReweightConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         for name in ("c", "alpha", "theta", "beta"):
-            check_real(getattr(self, name), name)
-        if not math.isfinite(self.c):
-            raise ValueError("shift constant c must be finite")
-        if not math.isfinite(self.alpha):
-            raise ValueError("scaling factor alpha must be finite")
+            as_real(getattr(self, name), name)
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("selection threshold theta must lie in [0, 1]")
-        if not (math.isfinite(self.beta) and self.beta >= 0.0):
-            raise ValueError("encouragement factor beta must be finite and >= 0")
+        if self.beta < 0.0:
+            raise ValueError("encouragement factor beta must be >= 0")
 
 
 def _sorted_ids(topic: object) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 from .decoding import GenerationResult
 from .models import Vocabulary
 from .stemmer import stem
-from .topics import TopicModel, TopicTokenSet, topic_token_set
+from .topics import DEFAULT_TOP_N, TopicModel, TopicTokenSet, topic_token_set
 
 __all__ = [
     "KEY_COLUMNS",
@@ -53,7 +53,7 @@ def lemma_topic_score(
     summary: str,
     topic_id: int,
     model: TopicModel,
-    top_n: int = 25,
+    top_n: int = DEFAULT_TOP_N,
 ) -> float:
     """Weight mass of top-n topic words whose stem occurs in the summary.
 
@@ -143,7 +143,7 @@ def score_summary(
     references: tuple[str, str],
     model: TopicModel,
     vocab: Vocabulary,
-    top_n: int = 25,
+    top_n: int = DEFAULT_TOP_N,
     token_sets: Mapping[int, TopicTokenSet] | None = None,
 ) -> dict[str, str | int | float]:
     """Score one generated summary against both of its article's topics.

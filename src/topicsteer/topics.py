@@ -10,15 +10,13 @@ word, its weight over the word's total weight in all topics.
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Mapping
 
-from .models import Vocabulary
+from .models import Vocabulary, as_int, as_real, read_json
 from .stemmer import stem
 
 __all__ = [
@@ -32,6 +30,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# How many of a topic's highest-weight words are expanded and scored, unless a caller says otherwise.
+DEFAULT_TOP_N = 25
 
 
 class TopicModelFormatError(ValueError):
@@ -104,46 +105,39 @@ def load_topic_model(path: str | Path) -> TopicModel:
     topic's list is re-sorted by descending weight (stable for ties).
     """
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise TopicModelFormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict) or not isinstance(raw.get("topics"), list):
-        raise TopicModelFormatError(f"{path}: expected an object with a 'topics' array")
+    raw = read_json(path, TopicModelFormatError)
     topics: dict[int, tuple[tuple[str, float], ...]] = {}
-    for entry in raw["topics"]:
-        if not isinstance(entry, dict) or "id" not in entry or "words" not in entry:
-            raise TopicModelFormatError(f"{path}: each topic needs 'id' and 'words'")
-        tid = entry["id"]
-        if not isinstance(tid, int) or isinstance(tid, bool):
-            raise TopicModelFormatError(f"{path}: topic id {tid!r} must be an integer")
-        if tid in topics:
-            raise TopicModelFormatError(f"{path}: duplicate topic id {tid}")
-        words_raw = entry["words"]
-        if not isinstance(words_raw, list) or not words_raw:
-            raise TopicModelFormatError(f"{path}: topic {tid} must list at least one word")
-        seen: set[str] = set()
-        pairs: list[tuple[str, float]] = []
-        for item in words_raw:
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise TopicModelFormatError(f"{path}: topic {tid} entries must be [word, weight] pairs")
-            word, weight = item
-            if not isinstance(word, str) or not word.strip():
-                raise TopicModelFormatError(f"{path}: topic {tid} has an empty word")
-            if isinstance(weight, bool) or not isinstance(weight, (int, float)):
-                raise TopicModelFormatError(f"{path}: topic {tid} weight for {word!r} must be a number")
-            weight = float(weight)
-            if not math.isfinite(weight) or weight < 0.0:
-                raise TopicModelFormatError(f"{path}: topic {tid} weight for {word!r} must be finite and >= 0")
-            word = word.strip().lower()
-            if word in seen:
-                raise TopicModelFormatError(f"{path}: topic {tid} lists {word!r} twice")
-            seen.add(word)
-            pairs.append((word, weight))
-        pairs.sort(key=lambda p: -p[1])
-        topics[tid] = tuple(pairs)
-    if not topics:
-        raise TopicModelFormatError(f"{path}: no topics defined")
+    try:
+        if not isinstance(raw.get("topics"), list):
+            raise ValueError("expected an object with a 'topics' array")
+        for entry in raw["topics"]:
+            if not isinstance(entry, dict) or "id" not in entry or "words" not in entry:
+                raise ValueError("each topic needs 'id' and 'words'")
+            tid = as_int(entry["id"], "topic id")
+            if tid in topics:
+                raise ValueError(f"duplicate topic id {tid}")
+            words = entry["words"]
+            if not isinstance(words, list) or not words:
+                raise ValueError(f"topic {tid} must list at least one word")
+            weights: dict[str, float] = {}
+            for item in words:
+                if not isinstance(item, (list, tuple)) or len(item) != 2:
+                    raise ValueError(f"topic {tid} entries must be [word, weight] pairs")
+                word, weight = item
+                if not isinstance(word, str) or not word.strip():
+                    raise ValueError(f"topic {tid} has an empty word")
+                weight = as_real(weight, f"topic {tid} weight for {word!r}")
+                if weight < 0.0:
+                    raise ValueError(f"topic {tid} weight for {word!r} must be finite and >= 0")
+                word = word.strip().lower()
+                if word in weights:
+                    raise ValueError(f"topic {tid} lists {word!r} twice")
+                weights[word] = weight
+            topics[tid] = tuple(sorted(weights.items(), key=lambda p: -p[1]))
+        if not topics:
+            raise ValueError("no topics defined")
+    except (TypeError, ValueError) as exc:  # every rule above, and as_int/as_real's, gets the file's name
+        raise TopicModelFormatError(f"{path}: {exc}") from None
     return TopicModel(topics=topics)
 
 
@@ -172,7 +166,7 @@ def topic_token_set(
     topic_id: int,
     model: TopicModel,
     vocab: Vocabulary,
-    top_n: int = 25,
+    top_n: int = DEFAULT_TOP_N,
 ) -> TopicTokenSet:
     """Expand a topic's top_n words into the matching vocabulary token ids.
 

@@ -1,8 +1,12 @@
+import copy
 import csv
+import functools
 import io
 import json
+import math
+import shutil
 import tempfile
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
 
@@ -10,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topicsteer import cli, experiment
+from topicsteer import cli, experiment, fixtures
 from topicsteer.cli import main
 from topicsteer.experiment import SweepResult, derive_seed
 from topicsteer.scoring import METRIC_COLUMNS
@@ -218,6 +222,15 @@ class TestMerge:
         assert code == 3
         assert "merge failed" in err
 
+    def test_short_external_line_exits_1(self, tmp_path, capsys):
+        # the missing value is None, on which float() used to raise TypeError: exit 3, "unexpected failure"
+        report = self.make_report(tmp_path, capsys)
+        external = tmp_path / "ext.csv"
+        external.write_text("article_id,condition,steered_tid,metric,value\na000,baseline,0,mauve\n")
+        code, _out, err = run(capsys, "merge", "--report", str(report), "--external", str(external))
+        assert code == 1
+        assert "ext.csv:2:" in err and "value None is not a finite number" in err
+
     def test_external_without_steered_tid_exits_1(self, tmp_path, capsys):
         report = self.make_report(tmp_path, capsys)
         external = tmp_path / "ext.csv"
@@ -406,11 +419,21 @@ class TestConfigRejections:
         ({"method": "sorcery"}, "method"),
         ({"conditions": {"method": "none"}}, "conditions"),
         ({"conditions": [{"method": "none", "seed": 1}]}, "seed"),
+        ({"conditions": [{"method": "shift", "c": 10**400}]}, "c"),
     ])
     def test_bad_key_or_value_exits_1(self, tmp_path, capsys, config, key):
         code, _out, err = self.sweep_with(tmp_path, capsys, config)
         assert code == 1
         assert repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("content", [b'{"limit": 1, oops}', b"\xff\xfe{}"], ids=["syntax", "not-utf8"])
+    def test_malformed_config_names_file(self, tmp_path, capsys, content):
+        path = tmp_path / "sweep.json"
+        path.write_bytes(content)
+        code, _out, err = run(capsys, "sweep", "--config", str(path), "--out-dir", str(tmp_path / "out"))
+        assert code == 1
+        assert f"{path}: not valid JSON" in err
         assert not (tmp_path / "out").exists()
 
     def test_label_flag_with_conditions_list_exits_1(self, tmp_path, capsys):
@@ -441,3 +464,89 @@ def test_help_prints_every_derived_default(capsys):
     for default in ("(default: 0.95)", "(default: 50)", "(default: 4)", "(default: 80)",
                     "(default: 90)", "(default: 25)", "(default: greedy)", "(default: both)"):
         assert default in out
+
+
+# One value of an input file or sweep config, replaced by something no input may hold.
+_MALFORMED = st.sampled_from([None, True, "x", [1], math.nan, -math.inf, 10**400])
+_INPUT_FILES = {"model": fixtures.toy_model_path(), "topics_file": fixtures.topic_model_path(),
+                "corpus": fixtures.corpus_path()}
+_SWEEP_CONFIG = {
+    "top_p": 0.9,
+    "conditions": [
+        {"label": "shift", "method": "shift", "c": 2.0},
+        {"label": "scale", "method": "scale", "alpha": 0.5, "top_p": 0.8},
+        {"label": "threshold", "method": "threshold", "theta": 0.01, "beta": 1.0},
+    ],
+}
+# Strengths and top_p only: a huge beam width, top_k or token window is valid and only makes a run long.
+_CONFIG_VALUE_PATHS = [("top_p",), ("conditions", 0, "c"), ("conditions", 1, "alpha"), ("conditions", 1, "top_p"),
+                       ("conditions", 2, "theta"), ("conditions", 2, "beta")]
+
+
+@functools.cache
+def _shipped_document(key: str):
+    """A shipped input parsed as JSON; the corpus is the list of its lines."""
+    text = _INPUT_FILES[key].read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()] if key == "corpus" else json.loads(text)
+
+
+def _dump(key: str, document) -> str:
+    if key == "corpus":
+        return "".join(json.dumps(line) + "\n" for line in document)
+    return json.dumps(document)
+
+
+@st.composite
+def _value_paths(draw, document) -> tuple:
+    """A path to one value of ``document``: a top-level entry, then one level deeper with probability 1/2."""
+    path, node = (), document
+    while isinstance(node, (dict, list)) and node and (not path or draw(st.booleans())):
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict) else range(len(node))))
+        path, node = (*path, key), node[key]
+    return path
+
+
+def _replaced(node, path: tuple, value):
+    """A copy of ``node`` with the value at ``path`` replaced; only the containers on the path are copied."""
+    if not path:
+        return value
+    out = copy.copy(node)
+    out[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return out
+
+
+@st.composite
+def _malformed_runs(draw) -> tuple:
+    """(command, key of the mutated input or "config", path, replacement)."""
+    key = draw(st.sampled_from([*_INPUT_FILES, "config"]))
+    if key == "config":
+        return "sweep", key, draw(st.sampled_from(_CONFIG_VALUE_PATHS)), draw(_MALFORMED)
+    command = draw(st.sampled_from(["generate", "expand-topic", "sweep"]))
+    return command, key, draw(_value_paths(_shipped_document(key))), draw(_MALFORMED)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_malformed_runs())
+def test_malformed_input_is_never_an_unexpected_failure(run_case):
+    command, key, path, value = run_case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {k: tmp / p.name for k, p in _INPUT_FILES.items()}
+        for k, p in _INPUT_FILES.items():
+            shutil.copyfile(p, files[k])
+        config = tmp / "sweep.json"
+        config.write_text(json.dumps(_replaced(_SWEEP_CONFIG, path, value) if key == "config" else _SWEEP_CONFIG))
+        if key != "config":
+            files[key].write_text(_dump(key, _replaced(_shipped_document(key), path, value)), encoding="utf-8")
+        inputs = ["--topics-file", str(files["topics_file"]), "--model", str(files["model"])]
+        window = ["--min-tokens", "1", "--max-tokens", "4"]
+        argv = {
+            "generate": ["generate", *inputs, "--corpus", str(files["corpus"]), *window],
+            "expand-topic": ["expand-topic", *inputs, "--topic", "0"],
+            "sweep": ["sweep", *inputs, "--corpus", str(files["corpus"]), "--config", str(config),
+                      "--limit", "1", *window, "--out-dir", str(tmp / "out")],
+        }[command]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            main(argv)
+    assert "unexpected failure" not in err.getvalue()

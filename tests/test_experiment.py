@@ -81,6 +81,14 @@ class TestLoadCorpus:
         with pytest.raises(CorpusFormatError, match=rf"c\.jsonl:2: {key} .* is not an integer"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("key, bad", [("ref1", None), ("article", ["a"]), ("article_id", 7), ("ref2", False)],
+                             ids=repr)
+    def test_non_string_text_names_line_and_key(self, tmp_path, key, bad):
+        # str() used to load null as the text "None", an array as its repr and 7 as "7"
+        path = write_jsonl(tmp_path / "c.jsonl", [sample_dict(0), sample_dict(1, **{key: bad})])
+        with pytest.raises(CorpusFormatError, match=rf"c\.jsonl:2: {key} .* is not a string"):
+            load_corpus(path)
+
     @pytest.mark.parametrize("limit", [0, -3])
     def test_limit_below_one_rejected(self, tmp_path, limit):
         # both used to load one sample

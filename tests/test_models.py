@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -12,6 +13,7 @@ from topicsteer.models import (
     ToyMarkovModel,
     ToyModelFormatError,
     Vocabulary,
+    as_real,
     load_toy_model,
     log_softmax,
     save_toy_model,
@@ -182,6 +184,14 @@ class TestToyModelFile:
         with pytest.raises(ToyModelFormatError, match="non-finite or non-numeric"):
             load_toy_model(path)
 
+    def test_int_beyond_float_range_names_entry(self, tmp_path):
+        # used to escape as a bare OverflowError naming neither file nor entry
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"tokens": ["a", "b"], "bos": "a", "eos": "b",
+                                    "table": {"a": [0, 1], "b": [3, 10**400]}}))
+        with pytest.raises(ToyModelFormatError, match=r"m\.json: non-finite or non-numeric score for 'b'\[1\]"):
+            load_toy_model(path)
+
     def test_unknown_row(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps({
@@ -237,16 +247,65 @@ def _load_outcome(load, path: Path):
         return type(exc), str(exc)
 
 
+def _beyond_float_as_nan(payload: dict) -> dict:
+    """The payload with each table entry beyond float range replaced by NaN."""
+    def entry(v):
+        if type(v) is int:
+            try:
+                float(v)
+            except OverflowError:
+                return math.nan
+        return v
+    table = {token: [entry(v) for v in row] if isinstance(row, list) else row
+             for token, row in payload["table"].items()}
+    return {**payload, "table": table}
+
+
+def _reference_outcome(payload: dict, path: Path):
+    """The reference loader's outcome, except that an int beyond float range is a bad entry like NaN.
+
+    The reference lets such an int escape as a bare OverflowError from its
+    finiteness test; the package reports it as the first bad entry.
+    """
+    outcome = _load_outcome(reference_models.load_toy_model, path)
+    if isinstance(outcome, tuple) and outcome[0] is OverflowError:
+        path.write_text(json.dumps(_beyond_float_as_nan(payload)), encoding="utf-8")
+        outcome = _load_outcome(reference_models.load_toy_model, path)
+    return outcome
+
+
 @settings(max_examples=300, deadline=None)
 @given(payload=_toy_model_payloads())
-# an int beyond float range after a NaN: the NaN is reported, not an OverflowError
+# an int beyond float range after a NaN: the NaN is reported
 @example(payload={"tokens": ["t0", "t1"], "bos": "t0", "eos": "t1",
                   "table": {"t0": [float("nan"), 10**400], "t1": [0, 1.5]}})
+# a lone int beyond float range is reported like NaN, not as an OverflowError
+@example(payload={"tokens": ["t0", "t1"], "bos": "t0", "eos": "t1",
+                  "table": {"t0": [0, 1], "t1": [2.5, 10**400]}})
 def test_loader_matches_per_entry_reference(payload):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "m.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
-        assert _load_outcome(load_toy_model, path) == _load_outcome(reference_models.load_toy_model, path)
+        outcome = _load_outcome(load_toy_model, path)
+        assert outcome == _reference_outcome(payload, path)
+
+
+class TestAsReal:
+    @pytest.mark.parametrize("value", [0.5, -3, np.float32(0.5), np.int64(7)], ids=repr)
+    def test_real_numbers_become_equal_floats(self, value):
+        out = as_real(value, "x")
+        assert type(out) is float and out == value
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 10**400, -(10**400)],
+                             ids=["nan", "inf", "-inf", "10**400", "-10**400"])
+    def test_non_finite_is_a_value_error_naming_it(self, bad):
+        with pytest.raises(ValueError, match=r"^x must be finite"):
+            as_real(bad, "x")
+
+    @pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, [0.5], {}], ids=repr)
+    def test_non_number_is_a_type_error_naming_it(self, bad):
+        with pytest.raises(TypeError, match=r"^x .* is not a real number"):
+            as_real(bad, "x")
 
 
 class TestSoftmax:

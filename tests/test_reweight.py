@@ -199,6 +199,14 @@ class TestReweightConfig:
                 ReweightConfig(method="threshold_selection", beta=beta)
 
     @pytest.mark.parametrize("field", ["c", "alpha", "theta", "beta"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 10**400],
+                             ids=["nan", "inf", "-inf", "10**400"])
+    def test_non_finite_strength_is_named(self, field, bad):
+        # c=10**400 used to escape as a bare OverflowError
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            ReweightConfig(method="constant_shift", **{field: bad})
+
+    @pytest.mark.parametrize("field", ["c", "alpha", "theta", "beta"])
     @pytest.mark.parametrize("bad", [True, np.True_, "0.5", None, [0.5]], ids=repr)
     def test_mistyped_strength_is_named(self, field, bad):
         with pytest.raises(TypeError, match=rf"^{field} .* is not a real number"):

@@ -36,6 +36,19 @@ class TestLoadTopicModel:
         with pytest.raises(TopicModelFormatError, match="finite and >= 0"):
             load_topic_model(path)
 
+    @pytest.mark.parametrize("weight", [10**400, float("nan"), float("-inf")], ids=["10**400", "nan", "-inf"])
+    def test_non_finite_weight_names_file_and_word(self, tmp_path, weight):
+        # 10**400 used to escape as a bare OverflowError
+        path = write_topics(tmp_path, {"topics": [{"id": 0, "words": [["a", 1.0], ["b", weight]]}]})
+        with pytest.raises(TopicModelFormatError, match=r"topics\.json: topic 0 weight for 'b' must be finite"):
+            load_topic_model(path)
+
+    @pytest.mark.parametrize("tid", [1.5, True, "0", None], ids=repr)
+    def test_non_integer_topic_id_names_file(self, tmp_path, tid):
+        path = write_topics(tmp_path, {"topics": [{"id": tid, "words": [["a", 1.0]]}]})
+        with pytest.raises(TopicModelFormatError, match=r"topics\.json: topic id .* is not an integer"):
+            load_topic_model(path)
+
     def test_empty_topic(self, tmp_path):
         path = write_topics(tmp_path, {"topics": [{"id": 0, "words": []}]})
         with pytest.raises(TopicModelFormatError, match="at least one word"):
