@@ -1,19 +1,20 @@
 """Token generation from any logits provider: greedy, sampling, beam search.
 
-All strategies share one loop. It checks the prompt once; then, per live
-hypothesis and step, it makes one provider call, one reweighting-chain call
-and one token selection: provider logits -> reweighting chain -> EOS masking
-while below the minimum length -> selection. Only the selection differs:
-greedy takes the steered argmax; sampling and beam search first apply
-top-k/top-p truncation, then sampling draws one token and beam search
-proposes num_beams successors. Both work on the truncation's survivors (at
-most top_k ids), not the whole vocabulary, but take the softmax normaliser
-over the full-length truncated vector, so their probabilities are bit for
-bit those of a full-vector softmax. Reweighting runs before truncation on
+All strategies share one loop. It checks the prompt once; then each step
+works on one (n, V) block that holds the logits of the n live hypotheses
+(1 for greedy and sampling, up to num_beams for beam search): one provider
+call for the block -> one reweighting-chain rewrite of the block, in place
+-> EOS column masked while below the minimum length -> one selection. Only
+the selection differs: greedy takes the steered argmax; sampling and beam
+search first apply row-wise top-k/top-p truncation, which hands over each
+row's surviving ids (at most top_k) and their scores, then sampling draws
+one token and beam search keeps the global top num_beams of each row's
+num_beams best successors. Both take the softmax normaliser over the
+full-length truncated row, so their probabilities are bit for bit those of
+a full-vector softmax of that row. Reweighting runs before truncation on
 purpose: a boosted token must be able to re-enter the candidate set even if
-the raw logits placed it outside the top-k. Greedy and sampling keep one
-hypothesis, beam search num_beams, and ``trace=True`` records per-step
-logits for all three.
+the raw logits placed it outside the top-k. ``trace=True`` records per-step
+logits for all three strategies.
 
 Determinism contract: greedy and beam search are fully deterministic; ties
 go to the lower token id, then the lower beam index. Sampling uses a PCG64
@@ -35,6 +36,7 @@ from .models import (
     Vocabulary,
     as_int,
     as_real,
+    flat_ids,
     log_softmax,
     softmax,
 )
@@ -122,15 +124,7 @@ class GenerationResult:
 def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.ndarray:
     """Mask everything outside the top-k, then outside the top-p nucleus.
 
-    Survivor order is descending score with ties kept in token-id order: the
-    first top_k ids of a stable descending sort, of which the non-finite ones
-    are then dropped. A vector of more than max(1024, 4 * top_k) entries gets
-    them by partial selection: ``np.partition`` finds the top_k-th best
-    score, only the ids that score strictly better are sorted, and the
-    lowest ids that tie with that score fill the remaining places. A smaller
-    vector is cheaper to sort whole. Both paths keep the same ids in the same
-    order. The nucleus is the smallest prefix of survivors whose renormalized
-    softmax mass reaches top_p; the highest-scoring token always survives.
+    The one-row case of ``_truncate``, which states the survivor rules.
     Masked entries are set to -inf.
     """
     if top_k < 1:
@@ -138,88 +132,136 @@ def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.nd
     if not 0.0 < top_p <= 1.0:
         raise ValueError("top_p must lie in (0, 1]")
     x = np.asarray(scores, dtype=np.float64)
-    k = min(top_k, x.size)
-    if x.size <= max(_PARTITION_MIN_SIZE, 4 * k):
-        order = np.argsort(-x, kind="stable")[:k]
-    else:
-        # The sort ranks NaN after -inf; here the two tie. That changes no
-        # finite survivor: both rank after every finite score.
-        y = -x
-        y[np.isnan(y)] = np.inf
-        boundary = np.partition(y, k - 1)[k - 1]
-        better = np.flatnonzero(y < boundary)
-        better = better[np.argsort(y[better], kind="stable")]
-        ties = np.flatnonzero(y == boundary)[: k - better.size]
-        order = np.concatenate((better, ties))
-    kept = x[order]
-    finite = np.isfinite(kept)
-    if not finite.any():
-        raise ValueError("cannot truncate a fully masked logit vector")
-    order = order[finite]
-    kept = kept[finite]
-    if top_p < 1.0:
-        probs = softmax(kept)
-        cumulative = np.cumsum(probs)
-        # token j survives if the mass strictly before it is < top_p
-        nucleus = np.concatenate(([True], cumulative[:-1] < top_p))
-        order = order[nucleus]
+    ids, kept = _truncate(x[None], top_k, top_p)
     out = np.full_like(x, -np.inf)
-    out[order] = x[order]
+    out[ids[0]] = kept[0]
     return out
 
 
-# A selector maps one hypothesis's steered logits to [(token, log prob)]. It calls
-# truncate_top_k_top_p and log_softmax as module globals, so tracers can wrap them.
-def _greedy(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
+def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise top-k/top-p truncation of a float64 (n, V) block.
+
+    Returns ``(ids, kept)``, both (n, min(top_k, V)): each row's top-k ids in
+    survivor order and their scores, -inf where an id does not survive.
+    Survivor order is descending score with ties kept in token-id order: the
+    first top_k ids of a stable descending sort, of which the non-finite
+    ones are then dropped. A row of more than max(1024, 4 * top_k) entries
+    gets them by partial selection: a partition finds the top_k-th best
+    score, only the ids that score strictly better are sorted, and the
+    lowest ids that tie with that score fill the remaining places (a row
+    with fewer than top_k entries that are not NaN is sorted whole). A
+    smaller block is cheaper to sort whole. Both paths keep the same ids in
+    the same order. The nucleus is the smallest prefix of a row's survivors
+    whose renormalized softmax mass reaches top_p; the highest-scoring token
+    always survives.
+    """
+    rows, size = x.shape
+    k = min(top_k, size)
+    if size <= max(_PARTITION_MIN_SIZE, 4 * k):
+        ids = (-x).argsort(axis=1, kind="stable")[:, :k]
+    else:
+        ids = np.empty((rows, k), dtype=np.intp)
+        for out, row in zip(ids, x):
+            lowest = -row
+            lowest.partition(k - 1)  # NaN last, as the sort ranks it
+            boundary = -lowest[k - 1]  # the top_k-th best score
+            if boundary != boundary:  # fewer than top_k entries are not NaN
+                out[:] = (-row).argsort(kind="stable")[:k]
+                continue
+            top = (row >= boundary).nonzero()[0]
+            better = top[row[top] > boundary]
+            out[: better.size] = better[(-row[better]).argsort(kind="stable")]
+            out[better.size:] = top[row[top] == boundary][: k - better.size]
+    kept = x.take(flat_ids(ids, rows, size))
+    finite = np.isfinite(kept)
+    if k and finite.all():  # the usual case: every row keeps all k, so the block is cut at once
+        if top_p < 1.0:
+            for row, count in zip(kept, _nucleus_sizes(kept, top_p)):
+                row[count:] = -np.inf
+        return ids, kept
+    for row, keep in zip(kept, finite):
+        if not keep.any():
+            raise ValueError("cannot truncate a fully masked logit vector")
+        row[~keep] = -np.inf
+        if top_p < 1.0:
+            where = keep.nonzero()[0]
+            row[where[_nucleus_sizes(row[where][None], top_p)[0]:]] = -np.inf
+    return ids, kept
+
+
+def _nucleus_sizes(kept: np.ndarray, top_p: float) -> list[int]:
+    """How many leading entries of each row of finite, descending scores the top-p nucleus keeps.
+
+    Entry j survives if the renormalized mass strictly before it is < top_p.
+    """
+    return [1 + int(mass[:-1].searchsorted(top_p)) for mass in softmax(kept).cumsum(axis=1)]
+
+
+def _normalisers(ids: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Per row of ``ids``, the sum of ``weights`` placed at those ids in a zero-filled row of ``size`` entries.
+
+    Summed over the full length, numpy's pairwise sum groups the weights
+    exactly as a softmax of the whole truncated row does; a sum over the
+    survivors alone can differ in the last bit. One row of ids gives a
+    scalar, an (n, k) array n sums.
+    """
+    z = np.zeros((*ids.shape[:-1], size))
+    z.put(flat_ids(ids, z.size // size, size), weights)
+    return z.sum(axis=-1)
+
+
+# A selector maps the steered (n, V) block of a step and the live hypotheses
+# (row i is hypothesis i; entry 0 of each is its cumulative log prob) to the
+# kept successors, best first, as (cumulative log prob, token, source row):
+# one for greedy and sampling, at most num_beams for beam search. It calls
+# log_softmax and softmax as module globals, so tracers can wrap them.
+def _greedy(steered: np.ndarray, live: list, config: GenerationConfig, rng) -> tuple:
     """Argmax of the untruncated logits; truncation never changes the argmax."""
-    token = int(np.argmax(steered))
-    return [(token, float(log_softmax(steered)[token]))]
+    row = steered[0]
+    token = int(row.argmax())
+    return ((live[0][0] + float(log_softmax(row)[token]), token, 0),)
 
 
-def _survivors(truncated: np.ndarray):
-    """The finite entries of a truncated vector and the softmax normaliser over all of it.
+def _sample(steered: np.ndarray, live: list, config: GenerationConfig, rng) -> tuple:
+    """Inverse-CDF draw over the top-k ids in token-id order; zero-probability entries can't win.
 
-    Returns the survivor ids in id order, their scores, the max score, each
-    survivor's ``exp(score - max)`` and the normaliser. The normaliser is
-    summed over a full-length vector with zeros at the masked ids, so numpy's
-    pairwise sum groups it exactly as ``softmax(truncated)`` does; a sum over
-    the survivors alone can differ in the last bit.
+    Bit for bit the draw over ``softmax`` of the whole truncated vector:
+    the masked entries add exact zeros to the cumulative sum, and the
+    normaliser is summed over the full length.
     """
-    ids = (truncated > -np.inf).nonzero()[0]
-    kept = truncated[ids]
-    top = kept.max()
-    e = np.exp(kept - top)
-    z = np.zeros(truncated.size)
-    z[ids] = e
-    return ids, kept, top, e, z.sum()
-
-
-def _sample(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
-    """Inverse-CDF draw over the survivors in token-id order; zero-probability entries can't win.
-
-    Bit for bit the draw over ``softmax`` of the whole truncated vector: the
-    masked entries add exact zeros to the cumulative sum.
-    """
-    ids, _, _, e, total = _survivors(truncate_top_k_top_p(steered, config.top_k, config.top_p))
-    probs = e / total
+    ids, kept = _truncate(steered, config.top_k, config.top_p)
+    ids, kept = ids[0], kept[0]
+    by_id = ids.argsort()
+    ids, kept = ids[by_id], kept[by_id]
+    weights = np.exp(kept - kept.max())  # 0 where masked
+    probs = weights / _normalisers(ids, weights, steered.shape[1])
     index = int(probs.cumsum().searchsorted(rng.random(), side="right"))
     if index >= probs.size:
-        index = int(np.flatnonzero(probs > 0.0)[-1])
-    return [(int(ids[index]), math.log(probs[index]))]
+        index = int((probs > 0.0).nonzero()[0][-1])
+    return ((live[0][0] + math.log(probs[index]), int(ids[index]), 0),)
 
 
-def _beam(steered: np.ndarray, config: GenerationConfig, rng) -> list[tuple[int, float]]:
-    """The num_beams most likely truncated successors, lower id first on ties.
+def _beam(steered: np.ndarray, live: list, config: GenerationConfig, rng) -> list:
+    """Each row's num_beams most likely truncated successors, then the global top num_beams.
 
-    Log probabilities are taken over the survivors only, with the full-length
-    normaliser, so they equal ``log_softmax`` of the whole truncated vector.
+    A row ranks its successors by log probability, lower id first on ties.
+    Log probabilities use each row's full-length normaliser, so they equal
+    ``log_softmax`` of the whole truncated row. The global rank is by
+    cumulative log probability, then the lower token id, then the lower row.
     """
-    ids, kept, top, _, total = _survivors(truncate_top_k_top_p(steered, config.top_k, config.top_p))
-    log_probs = kept - (top + math.log(total))
-    finite = np.isfinite(log_probs)  # a survivor far below the max can overflow to -inf
-    ids, log_probs = ids[finite], log_probs[finite]
-    best = (-log_probs).argsort(kind="stable")[: config.num_beams]
-    return [(int(ids[i]), float(log_probs[i])) for i in best]
+    ids, kept = _truncate(steered, config.top_k, config.top_p)
+    top = kept.max(axis=1)
+    z = _normalisers(ids, np.exp(kept - top[:, None]), steered.shape[1])
+    lse = [t + math.log(s) for t, s in zip(top.tolist(), z.tolist())]
+    log_probs = kept - np.array(lse)[:, None]  # -inf where masked, or where a survivor far below the max overflows
+    best = np.lexsort((ids, -log_probs), axis=1)[:, : config.num_beams]
+    rows = np.arange(ids.shape[0])[:, None].repeat(best.shape[1], axis=1)
+    log_probs = log_probs[rows, best]
+    proposed = np.isfinite(log_probs)
+    totals = (np.array([hypothesis[0] for hypothesis in live])[:, None] + log_probs)[proposed]
+    tokens, sources = ids[rows, best][proposed], rows[proposed]
+    order = np.lexsort((sources, tokens, -totals))[: config.num_beams]
+    return list(zip(totals[order].tolist(), tokens[order].tolist(), sources[order].tolist()))
 
 
 _SELECTORS = {"greedy": _greedy, "sample": _sample, "beam": _beam}
@@ -256,6 +298,18 @@ def _tokens(chain: tuple) -> tuple[int, ...]:
     return tuple(reversed(tokens))
 
 
+def _stacked_logits(provider, size: int, states: list) -> np.ndarray:
+    """``logits(state)`` of each state, copied into one fresh (n, V) block.
+
+    Each row is copied as soon as it is made, so at large V no more than
+    one of them is alive next to the block.
+    """
+    block = np.empty((len(states), size))
+    for row, state in zip(block, states):
+        row[:] = provider.logits(state)
+    return block
+
+
 def _decode(
     model: LogitsProvider, prefix: TokenSequence, chain, config: GenerationConfig, trace: bool, strategy: str
 ) -> GenerationResult:
@@ -268,51 +322,51 @@ def _decode(
     tokens as a ``(token, parent)`` chain, so extending one costs O(1) in
     the prefix length; the tokens are listed once, at the end.
 
-    Each step keeps the global top ``width`` (1, or num_beams for beam
-    search) of all live hypotheses' candidates, ranked by cumulative log
-    probability, ties to the lower token id, then the lower source index.
-    A hypothesis that emits EOS is finished and never advanced, but it takes
-    one of the ``width`` slots of the step it ends in: the next step extends
-    one fewer live hypothesis per hypothesis just finished, and no extra
-    candidates refill those slots. Returns the best finished hypothesis (the
-    earliest on ties), or the best live one if max_new_tokens cuts it off.
+    A step works on one (n, V) block, row i the logits of live hypothesis i:
+    one ``logits_many`` call (or ``logits`` per row, stacked), one chain
+    rewrite in place (on a copy when tracing, which keeps the raw logits),
+    the EOS column masked while below the minimum length, and one selection.
+    It keeps the global top ``width`` (1, or num_beams for beam search) of
+    all rows' candidates, ranked by cumulative log probability, ties to the
+    lower token id, then the lower source row. A hypothesis that emits EOS
+    is finished and never advanced, but it takes one of the ``width`` slots
+    of the step it ends in: the next step extends one fewer live hypothesis
+    per hypothesis just finished, and no extra candidates refill those
+    slots. Returns the best finished hypothesis (the earliest on ties), or
+    the best live one if max_new_tokens cuts it off.
     """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
     select = _SELECTORS[strategy]
-    width = config.num_beams if strategy == "beam" else 1
     rng = np.random.Generator(np.random.PCG64(config.seed)) if strategy == "sample" else None
     provider = model if hasattr(model, "start") else _PrefixStates(model)
+    size = model.vocabulary.size
+    logits_many = getattr(provider, "logits_many", None) or (lambda states: _stacked_logits(provider, size, states))
     eos = model.vocabulary.eos_id
     # (cumulative log prob, provider state, (token, parent) chain, step records)
     live = [(0.0, provider.start(prefix), (), ())]
     done = []
     for step in range(config.max_new_tokens):
-        candidates, logits = [], []  # candidates: (-cumulative, token, source index)
-        for index, (cumulative, state, _, _) in enumerate(live):
-            raw = provider.logits(state)
-            steered = raw.copy() if chain is None else chain.apply(raw)
-            if step < config.min_new_tokens:
-                steered[eos] = -np.inf
-            logits.append((raw, steered))
-            for token, log_prob in select(steered, config, rng):
-                candidates.append((-(cumulative + log_prob), token, index))
-        candidates.sort()
+        raw = logits_many([state for _, state, _, _ in live])
+        steered = raw.copy() if trace else raw
+        if chain is not None:
+            chain.apply_in_place(steered)
+        if step < config.min_new_tokens:
+            steered[:, eos] = -np.inf
         extended = []
-        for score, token, index in candidates[:width]:
-            _, state, tokens, records = live[index]
+        for total, token, source in select(steered, live, config, rng):
+            _, state, tokens, records = live[source]
             if trace:
-                raw, steered = logits[index]
-                records += (StepRecord(step, token, float(raw[token]), float(steered[token])),)
+                records += (StepRecord(step, token, float(raw[source, token]), float(steered[source, token])),)
             if token == eos:
-                done.append((-score, None, (token, tokens), records))
+                done.append((total, None, (token, tokens), records))
             else:
-                extended.append((-score, provider.advance(state, token), (token, tokens), records))
+                extended.append((total, provider.advance(state, token), (token, tokens), records))
         live = extended
         if not live:
             break
-    cumulative, _, tokens, records = max(done or live, key=lambda hypothesis: hypothesis[0])
-    return GenerationResult(_tokens(tokens), cumulative, records if trace else None)
+    total, _, tokens, records = max(done or live, key=lambda hypothesis: hypothesis[0])
+    return GenerationResult(_tokens(tokens), total, records if trace else None)
 
 
 def generate_greedy(

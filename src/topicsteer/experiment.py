@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
 from dataclasses import asdict, dataclass, fields, replace
@@ -19,7 +20,7 @@ from pathlib import Path
 from statistics import mean, stdev
 
 from .decoding import GenerationConfig, GenerationResult, generate
-from .models import LogitsProvider, Vocabulary, as_int, as_real, load_toy_model
+from .models import LogitsProvider, Vocabulary, as_int, as_real, load_toy_model, read_text
 from .reweight import ReweightConfig, build_chain
 from .scoring import KEY_COLUMNS, METRIC_COLUMNS, REPORT_COLUMNS, format_score, report_row, score_summary, write_report_csv
 from .topics import DEFAULT_TOP_N, TopicModel, TopicTokenSet, load_topic_model, topic_token_set
@@ -86,28 +87,30 @@ def load_corpus(path: str | Path, limit: int | None = None) -> list[CorpusSample
     path = Path(path)
     keys = [f.name for f in fields(CorpusSample)]
     samples: dict[str, CorpusSample] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                if not isinstance(raw, dict):
-                    raise ValueError("each line must be an object")
-                missing = set(keys) - set(raw)
-                if missing:
-                    raise ValueError(f"missing keys {sorted(missing)}")
-                sample = CorpusSample(**{key: raw[key] for key in keys})
-                if sample.article_id in samples:
-                    raise ValueError(f"duplicate article_id {sample.article_id!r}")
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            except (TypeError, ValueError) as exc:  # CorpusSample's rules and the ones above
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-            samples[sample.article_id] = sample
-            if limit is not None and len(samples) >= limit:
-                break
+    text = read_text(path, CorpusFormatError, "JSON")
+    for lineno, line in enumerate(io.StringIO(text, newline=None), start=1):  # lines end at \n, \r\n or \r
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            raw = json.loads(line)
+            if not isinstance(raw, dict):
+                raise ValueError("each line must be an object")
+            missing = set(keys) - set(raw)
+            if missing:
+                raise ValueError(f"missing keys {sorted(missing)}")
+            sample = CorpusSample(**{key: raw[key] for key in keys})
+            if sample.article_id in samples:
+                raise ValueError(f"duplicate article_id {sample.article_id!r}")
+        except json.JSONDecodeError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
+        except (TypeError, ValueError) as exc:  # CorpusSample's rules and the ones above
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+        samples[sample.article_id] = sample
+        if limit is not None and len(samples) >= limit:
+            break
+    if not samples:
+        raise CorpusFormatError(f"{path}: no articles")
     return list(samples.values())
 
 
@@ -355,39 +358,37 @@ def merge_external_scores(
     and metric with different values are a conflict. A value that is not a
     finite number is rejected with its line.
     """
-    with open(report_path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        report_columns = list(reader.fieldnames or [])
-        report_rows = list(reader)
+    reader = csv.DictReader(io.StringIO(read_text(report_path, CorpusFormatError, "CSV"), newline=""))
+    report_columns = list(reader.fieldnames or [])
+    report_rows = list(reader)
     if not report_columns:
         raise CorpusFormatError(f"{report_path}: empty report")
     report_keys = {_row_key(row) for row in report_rows}
 
     values: dict[tuple[str, ...], str] = {}
     rejected: list[dict[str, str]] = []
-    with open(external_path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        missing = set(EXTERNAL_COLUMNS) - set(reader.fieldnames or [])
-        if missing:
-            raise CorpusFormatError(f"{external_path}: missing columns {sorted(missing)}")
-        for row in reader:
-            key = (*_row_key(row), row["metric"])
-            if not row["metric"]:
-                raise CorpusFormatError(f"{external_path}: empty metric name for {key}")
-            try:
-                as_real(float(row["value"]), "value")  # a short line leaves the value None
-            except (TypeError, ValueError):
-                raise CorpusFormatError(f"{external_path}:{reader.line_num}: {key}: value {row['value']!r} "
-                                        "is not a finite number") from None
-            if key[:-1] not in report_keys:
-                rejected.append({c: row[c] for c in EXTERNAL_COLUMNS})
-                continue
-            if key in values and values[key] != row["value"]:
-                raise MergeConflictError(
-                    f"conflicting values for article={key[0]} condition={key[1]} steered_tid={key[2]} metric={key[3]}: "
-                    f"{values[key]} vs {row['value']}"
-                )
-            values[key] = row["value"]
+    reader = csv.DictReader(io.StringIO(read_text(external_path, CorpusFormatError, "CSV"), newline=""))
+    missing = set(EXTERNAL_COLUMNS) - set(reader.fieldnames or [])
+    if missing:
+        raise CorpusFormatError(f"{external_path}: missing columns {sorted(missing)}")
+    for row in reader:
+        key = (*_row_key(row), row["metric"])
+        if not row["metric"]:
+            raise CorpusFormatError(f"{external_path}: empty metric name for {key}")
+        try:
+            as_real(float(row["value"]), "value")  # a short line leaves the value None
+        except (TypeError, ValueError):
+            raise CorpusFormatError(f"{external_path}:{reader.line_num}: {key}: value {row['value']!r} "
+                                    "is not a finite number") from None
+        if key[:-1] not in report_keys:
+            rejected.append({c: row[c] for c in EXTERNAL_COLUMNS})
+            continue
+        if key in values and values[key] != row["value"]:
+            raise MergeConflictError(
+                f"conflicting values for article={key[0]} condition={key[1]} steered_tid={key[2]} metric={key[3]}: "
+                f"{values[key]} vs {row['value']}"
+            )
+        values[key] = row["value"]
 
     metrics = tuple(sorted({key[-1] for key in values}))
     merged_columns = report_columns + [m for m in metrics if m not in report_columns]

@@ -32,9 +32,11 @@ __all__ = [
     "Vocabulary",
     "as_int",
     "as_real",
+    "flat_ids",
     "load_toy_model",
     "log_softmax",
     "read_json",
+    "read_text",
     "save_toy_model",
     "softmax",
 ]
@@ -82,11 +84,29 @@ def as_real(value: object, name: str) -> float:
     return value
 
 
+def read_text(path: str | Path, error: type[ValueError], form: str) -> str:
+    """The text of the input file at ``path``, which must be UTF-8 ``form`` (JSON, CSV).
+
+    The one way an input file is opened. A file that cannot be read (missing,
+    a directory, unreadable) raises ``error`` naming the path; bytes that are
+    not UTF-8 raise it naming the path and the line.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}: not valid {form}: line {line}: {exc}") from exc
+
+
 def read_json(path: str | Path, error: type[ValueError]) -> dict:
     """The JSON object in the file at ``path``; a syntax error or a non-object raises ``error`` naming the file."""
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
+        raw = json.loads(read_text(path, error, "JSON"))
+    except json.JSONDecodeError as exc:
         raise error(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise error(f"{path}: top level must be an object")
@@ -186,14 +206,20 @@ class LogitsProvider(Protocol):
     * ``advance(state, token) -> state`` returns the state after one more
       token, an id the engine chose from ``logits(state)``;
     * ``logits(state) -> LogitVector`` returns the next-token logits, equal
-      to ``next_logits`` of the prefix the state stands for.
+      to ``next_logits`` of the prefix the state stands for;
+    * ``logits_many(states) -> ndarray``, optional within the half, returns
+      one C-contiguous float64 (n, V) block whose row i is ``logits`` of
+      ``states[i]``. The block must be a fresh array: the engine owns it and
+      may write into it (it rewrites topic logits and masks EOS in place).
+      Without it, the engine stacks ``logits(state)`` row by row.
 
     A state is whatever the provider needs to continue: the last id for an
     order-1 table, a key/value cache for a neural model. ``advance`` must
     return a new state and leave the old one usable, because beams that
-    share a parent advance it with different tokens. Without the
-    incremental half, the engine calls ``next_logits`` on the whole prefix
-    at every step.
+    share a parent advance it with different tokens. The engine asks for
+    the logits of all live hypotheses of a step at once. Without the
+    incremental half, it calls ``next_logits`` on each whole prefix at every
+    step.
 
     Implementations must be safe for concurrent read-only queries and, for
     toy models, pure: the same prefix always yields the same vector. Real
@@ -237,6 +263,10 @@ class ToyMarkovModel:
         """A copy of the table row of the last id."""
         return self.table[state].copy()
 
+    def logits_many(self, states: Sequence[int]) -> np.ndarray:
+        """The table rows of the states, gathered into one fresh (n, V) block."""
+        return self.table.take(states, axis=0)
+
     def next_logits(self, prefix: TokenSequence) -> LogitVector:
         """Logits for the token after ``prefix``; only the last id matters."""
         return self.logits(self.start(prefix))
@@ -247,23 +277,35 @@ class ToyMarkovModel:
         return self.vocabulary == other.vocabulary and np.array_equal(self.table, other.table)
 
 
-def softmax(scores: LogitVector) -> np.ndarray:
-    """Probabilities from logits, stabilized by max subtraction.
+def flat_ids(ids: np.ndarray, rows: int, size: int) -> np.ndarray:
+    """Token ids as indices into a flattened (rows, size) block: row i's ids offset by i * size.
 
-    Entries of -inf (masked tokens) get probability exactly 0.
+    ``ids`` is (rows, k), or (k,) for the same ids in every row. A single
+    row needs no offset, so its ids come back as they are.
+    """
+    return ids if rows == 1 else ids + np.arange(0, rows * size, size)[:, None]
+
+
+def softmax(scores: LogitVector) -> np.ndarray:
+    """Probabilities from logits along the last axis, stabilized by max subtraction.
+
+    Entries of -inf (masked tokens) get probability exactly 0. Each row of a
+    2-D array is normalised on its own, bit for bit as a 1-D call on it.
     """
     x = np.asarray(scores, dtype=np.float64)
-    m = np.max(x)
-    if not np.isfinite(m):
+    m = x.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
         raise ValueError("softmax requires at least one finite entry and no +inf/NaN")
-    z = np.exp(x - m)
-    return z / z.sum()
+    z = x - m
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def log_softmax(scores: LogitVector) -> np.ndarray:
     """Log probabilities from logits; masked (-inf) entries stay -inf."""
     x = np.asarray(scores, dtype=np.float64)
-    m = np.max(x)
+    m = x.max()
     if not np.isfinite(m):
         raise ValueError("log_softmax requires at least one finite entry and no +inf/NaN")
     lse = m + math.log(np.exp(x - m).sum())

@@ -15,9 +15,12 @@ entry bit-identical:
   already considered plausible jump to the front; the rest are untouched.
 
 Each decoding step is one rewrite: ``build_chain`` sorts the topic ids once,
-and every method goes through ``_rewrite``, which validates the vector,
-range-checks the ids, copies once and writes the method's values. All
-functions are pure: they return new arrays and never mutate their input.
+and every method goes through ``_rewrite``, which validates the logits,
+range-checks the ids and writes the method's values. It works on an (n, V)
+block, one logit vector per row, so the decoding engine rewrites all live
+hypotheses of a step at once and in place (``ProcessorChain.apply_in_place``).
+The public functions and ``ProcessorChain.apply`` are its one-row case: they
+copy once and never mutate their input.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .models import LogitVector, as_int, as_real, softmax
+from .models import LogitVector, as_int, as_real, flat_ids, softmax
 
 __all__ = [
     "METHODS",
@@ -84,58 +87,67 @@ def _sorted_ids(topic: object) -> np.ndarray:
     return np.array(sorted({as_int(i, "topic token id") for i in ids}), dtype=np.intp)
 
 
-def _rewrite(scores: LogitVector, ids: np.ndarray, config: ReweightConfig) -> np.ndarray:
-    """The one reweighting step: a copy of ``scores`` with the topic ``ids`` rewritten.
+def _rewrite(x: np.ndarray, ids: np.ndarray, config: ReweightConfig) -> np.ndarray:
+    """The one reweighting step: rewrite the topic ``ids`` of every row of ``x`` in place and return it.
 
-    ``ids`` must be sorted and unique, and empty for method "none". The values
-    are computed from the original vector, so threshold selection does not
-    depend on token order; its comparison against theta is an exact >= with
-    no epsilon.
+    ``x`` is a float64 (n, V) block that the caller owns; each row is one
+    logit vector and is rewritten as if alone. ``ids`` must be sorted and
+    unique, and empty for method "none". Every check runs before the first
+    write. The values are computed from the original rows, so threshold
+    selection does not depend on token order; its comparison against theta
+    is an exact >= with no epsilon, against each row's own softmax.
     """
-    x = np.asarray(scores, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("logit vector must be one-dimensional")
     if not np.isfinite(x).all():
         raise ValueError("logit vector must be finite before reweighting")
-    if ids.size and (ids[0] < 0 or ids[-1] >= x.size):
+    size = x.shape[1]
+    if ids.size and (ids[0] < 0 or ids[-1] >= size):
         raise VocabularyMismatchError(
-            f"topic token ids span [{ids[0]}, {ids[-1]}] but the logit vector has {x.size} entries"
+            f"topic token ids span [{ids[0]}, {ids[-1]}] but the logit vector has {size} entries"
         )
-    out = x.copy()
     if ids.size == 0:
-        return out
+        return x
+    values = x.take(ids, axis=1)
     if config.method == "constant_shift":
-        values = x[ids] + config.c
+        values += config.c
     elif config.method == "factor_scaling":
-        values = x[ids] * config.alpha
+        values *= config.alpha
     else:
-        ids = ids[softmax(x)[ids] >= config.theta]
-        values = np.full(ids.size, x.max() + config.beta)
+        raised = softmax(x).take(ids, axis=1) >= config.theta
+        np.copyto(values, x.max(axis=1, keepdims=True) + config.beta, where=raised)
     # An overflow must not mask tokens silently.
     if not np.isfinite(values).all():
         raise ValueError(f"{config.method}: a rewritten topic logit is not finite")
-    out[ids] = values
-    return out
+    x.put(flat_ids(ids, len(x), size), values)
+    return x
+
+
+def _rewritten(scores: LogitVector, ids: np.ndarray, config: ReweightConfig) -> np.ndarray:
+    """A rewritten copy of the one-dimensional vector ``scores``: the one-row case of ``_rewrite``."""
+    x = np.array(scores, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("logit vector must be one-dimensional")
+    _rewrite(x[None], ids, config)
+    return x
 
 
 def constant_shift(scores: LogitVector, topic: Iterable[int], c: float) -> np.ndarray:
     """Add c to every topic token's logit; all other entries are unchanged."""
-    return _rewrite(scores, _sorted_ids(topic), ReweightConfig("constant_shift", c=c))
+    return _rewritten(scores, _sorted_ids(topic), ReweightConfig("constant_shift", c=c))
 
 
 def factor_scaling(scores: LogitVector, topic: Iterable[int], alpha: float) -> np.ndarray:
     """Multiply every topic token's logit by alpha; others unchanged."""
-    return _rewrite(scores, _sorted_ids(topic), ReweightConfig("factor_scaling", alpha=alpha))
+    return _rewritten(scores, _sorted_ids(topic), ReweightConfig("factor_scaling", alpha=alpha))
 
 
 def threshold_selection(scores: LogitVector, topic: Iterable[int], theta: float, beta: float) -> np.ndarray:
     """Raise topic tokens with original probability >= theta to the original max logit plus beta."""
-    return _rewrite(scores, _sorted_ids(topic), ReweightConfig("threshold_selection", theta=theta, beta=beta))
+    return _rewritten(scores, _sorted_ids(topic), ReweightConfig("threshold_selection", theta=theta, beta=beta))
 
 
 def apply_reweight(scores: LogitVector, topic: Iterable[int], config: ReweightConfig) -> np.ndarray:
     """Apply one configured method; method "none" copies the input verbatim."""
-    return _rewrite(scores, _NO_IDS if config.method == "none" else _sorted_ids(topic), config)
+    return _rewritten(scores, _NO_IDS if config.method == "none" else _sorted_ids(topic), config)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +158,16 @@ class ProcessorChain:
     ids: np.ndarray = field(default_factory=lambda: _NO_IDS)
 
     def apply(self, scores: LogitVector) -> np.ndarray:
+        """A rewritten copy of one logit vector."""
         if self.config.method == "none":
             return np.asarray(scores, dtype=np.float64).copy()
-        return _rewrite(scores, self.ids, self.config)
+        return _rewritten(scores, self.ids, self.config)
+
+    def apply_in_place(self, block: np.ndarray) -> np.ndarray:
+        """Rewrite each row of a float64 (n, V) block that the caller owns, as ``apply`` would; return it."""
+        if self.config.method != "none":
+            _rewrite(block, self.ids, self.config)
+        return block
 
 
 def build_chain(config: ReweightConfig, topic: object) -> ProcessorChain:

@@ -2,10 +2,10 @@
 
 Deselected by default; run with ``PYTHONPATH=src python -m pytest -m bench
 tests/test_bench_selection.py``. Each selector is timed two ways: as it was
-(the reference copy, which normalises the whole V-length truncated vector)
-and as the package runs it (over the truncation's survivors only). Both
-truncate with the package's ``truncate_top_k_top_p``, so only selection
-differs. The vectors are a row of the shipped fixture (V=226) and N(0, 1)
+(the reference copy, which normalises the whole V-length truncated vector
+that the package's ``truncate_top_k_top_p`` returns) and as the package runs
+it (on a one-row block, over the truncation's survivors only, truncation
+included). The vectors are a row of the shipped fixture (V=226) and N(0, 1)
 logits at V=50,000.
 """
 
@@ -16,6 +16,8 @@ import reference_decoding
 import topicsteer.decoding as decoding
 from topicsteer.fixtures import toy_model_path
 from topicsteer.models import load_toy_model
+
+from test_decoding import one_row_selector
 
 CONFIG = decoding.GenerationConfig(strategy="sample", top_k=50, top_p=0.95, num_beams=4)
 
@@ -40,7 +42,7 @@ def test_selector(benchmark, monkeypatch, size, strategy, path):
     monkeypatch.setattr(reference_decoding, "truncate_top_k_top_p", decoding.truncate_top_k_top_p)
     scores = _scores(size)
     reference = reference_decoding.SELECTORS[strategy]
-    select = reference if path == "whole_vector" else decoding._SELECTORS[strategy]
+    select = reference if path == "whole_vector" else one_row_selector(strategy)
     benchmark(select, scores, CONFIG, np.random.default_rng(0))
     for seed in range(20):
         got = select(scores, CONFIG, np.random.default_rng(seed))

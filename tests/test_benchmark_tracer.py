@@ -47,19 +47,20 @@ class CountingSteps:
         return self.logits(self.start(prefix))
 
 
-def test_beam_truncation_spans_sit_under_generate_beam():
-    # The beam candidate count is taken from truncate spans whose parent
-    # span is decoding.generate_beam, so the loop must call
-    # truncate_top_k_top_p through the module global, below generate_beam,
-    # once per provider step.
+def test_beam_step_spans_sit_under_generate_beam():
+    # A step works on one (n, V) block of all live beams: the nucleus softmax
+    # runs once per step, below decoding.generate_beam, and not once per
+    # hypothesis. The 1-D truncate_top_k_top_p, which the decoding.truncate
+    # span wraps, is not on the engine's path.
     provider = CountingSteps(random_markov(5, eos_logit=-20.0))
-    config = GenerationConfig(strategy="beam", num_beams=3, min_new_tokens=2, max_new_tokens=4)
+    config = GenerationConfig(strategy="beam", num_beams=3, top_p=0.9, min_new_tokens=0, max_new_tokens=4)
     tracer = spans.Tracer(num_beams=config.num_beams)
     with tracer.installed():
-        generate(provider, [provider.vocabulary.bos_id], None, config)
+        result = generate(provider, [provider.vocabulary.bos_id], None, config)
     a = tracer.arrays()
     names = [tracer.names[i] for i in a["name"]]
-    parents = [names[p] for p in a["parent"][[n == "decoding.truncate" for n in names]]]
+    parents = [names[p] for p in a["parent"][[n == "decoding.softmax" for n in names]]]
+    assert len(result.tokens) == config.max_new_tokens
     assert parents and set(parents) == {"decoding.generate_beam"}
-    assert provider.steps > config.num_beams
-    assert len(parents) == provider.steps
+    assert len(parents) == config.max_new_tokens < provider.steps
+    assert "decoding.truncate" not in names

@@ -515,38 +515,103 @@ def _replaced(node, path: tuple, value):
     return out
 
 
+_MERGE_FILES = ("report", "external")
+# A file-level fault: the input path names a directory, nothing, an empty file or bytes that are not UTF-8.
+# A file that cannot be opened for lack of permission stays untested: tests run as root, which opens it anyway.
+_FILE_FAULTS = ("directory", "missing", "empty", "not-utf8")
+
+
+@functools.cache
+def _report_text() -> str:
+    """A small sweep's report.csv, the report that merge reads."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            main(["sweep", "--limit", "1", "--min-tokens", "1", "--max-tokens", "4", "--out-dir", tmp])
+        return (Path(tmp) / "report.csv").read_text(encoding="utf-8")
+
+
+def _break_file(path: Path, fault: str) -> None:
+    data = path.read_bytes()
+    path.unlink()
+    if fault == "directory":
+        path.mkdir()
+    elif fault == "empty":
+        path.write_bytes(b"")
+    elif fault == "not-utf8":
+        path.write_bytes(b"\xff\xfe" + data)  # a UTF-16 byte-order mark
+
+
+def _run_with_broken_input(tmp: Path, command: str, key: str, fault) -> tuple[int, str]:
+    """Run ``command`` on copies of the shipped inputs, a sweep config and a merge pair, one of them broken.
+
+    ``fault`` is a file-level fault, or a (path, value) pair: the value at
+    that path of the parsed input replaced. Returns the exit code and stderr.
+    """
+    files = {k: tmp / p.name for k, p in _INPUT_FILES.items()}
+    for k, p in _INPUT_FILES.items():
+        shutil.copyfile(p, files[k])
+    files["config"] = tmp / "sweep.json"
+    files["config"].write_text(json.dumps(_SWEEP_CONFIG))
+    files["report"] = tmp / "report.csv"
+    files["report"].write_text(_report_text(), encoding="utf-8")
+    files["external"] = tmp / "external.csv"
+    files["external"].write_text("article_id,condition,steered_tid,metric,value\na000,baseline,0,m,1\n")
+    if isinstance(fault, str):
+        _break_file(files[key], fault)
+    elif key == "config":
+        files[key].write_text(json.dumps(_replaced(_SWEEP_CONFIG, *fault)))
+    else:
+        files[key].write_text(_dump(key, _replaced(_shipped_document(key), *fault)), encoding="utf-8")
+    inputs = ["--topics-file", str(files["topics_file"]), "--model", str(files["model"])]
+    window = ["--min-tokens", "1", "--max-tokens", "4"]
+    argv = {
+        "generate": ["generate", *inputs, "--corpus", str(files["corpus"]), *window],
+        "expand-topic": ["expand-topic", *inputs, "--topic", "0"],
+        "sweep": ["sweep", *inputs, "--corpus", str(files["corpus"]), "--config", str(files["config"]),
+                  "--limit", "1", *window, "--out-dir", str(tmp / "out")],
+        "merge": ["merge", "--report", str(files["report"]), "--external", str(files["external"]),
+                  "--out", str(tmp / "merged.csv"), "--rejects", str(tmp / "rejects.csv")],
+    }[command]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 @st.composite
 def _malformed_runs(draw) -> tuple:
-    """(command, key of the mutated input or "config", path, replacement)."""
-    key = draw(st.sampled_from([*_INPUT_FILES, "config"]))
+    """(command, key of the broken input, file-level fault or (path, replacement))."""
+    key = draw(st.sampled_from([*_INPUT_FILES, "config", *_MERGE_FILES]))
+    if key in _MERGE_FILES:
+        return "merge", key, draw(st.sampled_from(_FILE_FAULTS))
+    command = "sweep" if key == "config" else draw(st.sampled_from(["generate", "expand-topic", "sweep"]))
+    if command == "expand-topic" and key == "corpus":
+        command = "generate"  # expand-topic reads no corpus
+    if draw(st.integers(0, 2)) == 0:
+        return command, key, draw(st.sampled_from(_FILE_FAULTS))
     if key == "config":
-        return "sweep", key, draw(st.sampled_from(_CONFIG_VALUE_PATHS)), draw(_MALFORMED)
-    command = draw(st.sampled_from(["generate", "expand-topic", "sweep"]))
-    return command, key, draw(_value_paths(_shipped_document(key))), draw(_MALFORMED)
+        return command, key, (draw(st.sampled_from(_CONFIG_VALUE_PATHS)), draw(_MALFORMED))
+    return command, key, (draw(_value_paths(_shipped_document(key))), draw(_MALFORMED))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(_malformed_runs())
 def test_malformed_input_is_never_an_unexpected_failure(run_case):
-    command, key, path, value = run_case
+    command, key, fault = run_case
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        files = {k: tmp / p.name for k, p in _INPUT_FILES.items()}
-        for k, p in _INPUT_FILES.items():
-            shutil.copyfile(p, files[k])
-        config = tmp / "sweep.json"
-        config.write_text(json.dumps(_replaced(_SWEEP_CONFIG, path, value) if key == "config" else _SWEEP_CONFIG))
-        if key != "config":
-            files[key].write_text(_dump(key, _replaced(_shipped_document(key), path, value)), encoding="utf-8")
-        inputs = ["--topics-file", str(files["topics_file"]), "--model", str(files["model"])]
-        window = ["--min-tokens", "1", "--max-tokens", "4"]
-        argv = {
-            "generate": ["generate", *inputs, "--corpus", str(files["corpus"]), *window],
-            "expand-topic": ["expand-topic", *inputs, "--topic", "0"],
-            "sweep": ["sweep", *inputs, "--corpus", str(files["corpus"]), "--config", str(config),
-                      "--limit", "1", *window, "--out-dir", str(tmp / "out")],
-        }[command]
-        err = io.StringIO()
-        with redirect_stdout(io.StringIO()), redirect_stderr(err):
-            main(argv)
-    assert "unexpected failure" not in err.getvalue()
+        _code, err = _run_with_broken_input(Path(tmp), command, key, fault)
+    assert "unexpected failure" not in err
+
+
+@pytest.mark.parametrize("fault", _FILE_FAULTS)
+@pytest.mark.parametrize("command, key", [("generate", "model"), ("expand-topic", "topics_file"),
+                                          ("generate", "corpus"), ("sweep", "config"),
+                                          ("merge", "report"), ("merge", "external")])
+def test_file_fault_exits_1_naming_the_file(tmp_path, command, key, fault):
+    code, err = _run_with_broken_input(tmp_path, command, key, fault)
+    assert code == 1
+    name = {"topics_file": "topics.json", "model": "toy_model.json", "corpus": "corpus.jsonl",
+            "config": "sweep.json", "report": "report.csv", "external": "external.csv"}[key]
+    assert f"{tmp_path / name}:" in err
+    if fault == "not-utf8":
+        assert "line 1:" in err

@@ -463,14 +463,28 @@ class TestSharedLoop:
 
 @st.composite
 def decoding_cases(draw):
+    """Small models whose steps hold up to 6 live rows, with ties within and across rows.
+
+    Shapes: random rows; a coarse grid (ties within a step); all rows equal
+    (equal cumulative scores across beams, too); some rows equal (tied rows
+    among the live ones). EOS may be lifted into each row's top-k, so beams
+    finish at different steps. top_k may exceed V, so while EOS is masked a
+    row's top-k holds a non-finite entry; top_p < 1 gives rows different
+    survivor counts.
+    """
     n_words = draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = rng.normal(0.0, 1.5, (n_words + 2, n_words + 2))
-    shape = draw(st.sampled_from(["random", "grid", "grid, equal rows"]))
+    shape = draw(st.sampled_from(["random", "grid", "grid, equal rows", "grid, some equal rows"]))
     if shape != "random":
-        table = np.round(table * 2.0) / 2.0  # coarse grid: ties within a step
+        table = np.round(table * 2.0) / 2.0
     if shape == "grid, equal rows":
-        table[:] = table[0]  # equal cumulative scores across beams, too
+        table[:] = table[0]
+    if shape == "grid, some equal rows":
+        table[rng.random(table.shape[0]) < 0.5] = table[-1]
+    eos_gap = draw(st.sampled_from([None, 0.0, 0.5, 2.0]))
+    if eos_gap is not None:
+        table[:, 1] = table.max(axis=1) - eos_gap  # id 1 is EOS
     model = make_markov(make_vocab(n_words), table)
     size = model.vocabulary.size
     topic = draw(st.sets(st.integers(0, size - 1), max_size=size))
@@ -487,9 +501,9 @@ def decoding_cases(draw):
     max_new = draw(st.integers(0, 8))
     config = GenerationConfig(
         strategy=draw(st.sampled_from(["greedy", "sample", "beam"])),
-        top_k=draw(st.integers(1, size + 1)),
+        top_k=draw(st.one_of(st.integers(1, size), st.integers(size, 3 * size))),
         top_p=draw(st.sampled_from([1.0, 0.95, 0.7, 0.3, 1e-9])),
-        num_beams=draw(st.integers(1, 4)),
+        num_beams=draw(st.integers(1, 6)),
         max_new_tokens=max_new,
         min_new_tokens=draw(st.integers(0, max_new)),
         seed=draw(st.integers(0, 2**31 - 1)),
@@ -606,6 +620,58 @@ def test_truncation_matches_full_sort_reference(case):
     assert _truncation_outcome(truncate_top_k_top_p, scores, top_k, top_p) == expected
 
 
+@st.composite
+def block_truncation_cases(draw):
+    """Blocks of 1-6 rows, mostly over 1,024 entries, for the row-wise truncation.
+
+    Rows are drawn like ``truncation_cases``: a few distinct values over a
+    background that may be -inf or NaN, with -inf, +inf and NaN sprinkled
+    in. Some rows repeat an earlier row (tied rows), and a row may be all
+    NaN, which fails the whole block as it fails its row.
+    """
+    rows = draw(st.integers(1, 6))
+    size = draw(st.one_of(st.integers(1025, 3000), st.integers(1, 80)))
+    top_k = draw(st.one_of(st.integers(1, 64), st.integers(1, size + 5)))
+    top_p = draw(st.one_of(st.sampled_from([1.0, 0.95, 0.5, 1e-9]), st.floats(1e-9, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, *rng.normal(0.0, 5.0, 3)], int(rng.integers(1, 6)))
+    block = np.empty((rows, size))
+    for row in block:
+        row[:] = rng.choice([pool[0], pool[0], -np.inf, np.nan])
+        peaks = rng.choice(size, int(rng.integers(0, min(size, 3 * top_k) + 1)), replace=False)
+        row[peaks] = rng.choice(pool, peaks.size)
+        specials = rng.choice(size, int(rng.integers(0, min(size, 4) + 1)), replace=False)
+        row[specials] = rng.choice([-np.inf, np.inf, np.nan], specials.size)
+    for i in range(1, rows):
+        kind = draw(st.sampled_from(["own", "own", "tie", "nan"]))
+        if kind == "tie":
+            block[i] = block[draw(st.integers(0, i - 1))]
+        elif kind == "nan":
+            block[i] = np.nan
+    return block, top_k, top_p
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_truncation_cases())
+def test_row_wise_truncation_matches_reference_row_by_row(case):
+    """Each row of a block truncates to the reference's vector for that row, bit for bit."""
+    block, top_k, top_p = case
+    expected = [_truncation_outcome(reference_decoding.truncate_top_k_top_p, row, top_k, top_p) for row in block]
+    failed = [outcome for outcome in expected if isinstance(outcome, type)]
+
+    def truncate(scores, top_k, top_p):
+        ids, kept = decoding._truncate(scores, top_k, top_p)
+        out = np.full_like(scores, -np.inf)
+        out[np.arange(scores.shape[0])[:, None], ids] = kept
+        return out
+
+    outcome = _truncation_outcome(truncate, block.copy(), top_k, top_p)
+    if failed:
+        assert outcome == failed[0]
+    else:
+        assert outcome == b"".join(expected)
+
+
 class FixedUniforms:
     """An rng stand-in whose ``random()`` returns the given uniforms in order."""
 
@@ -664,6 +730,19 @@ def _selections(selector, scores, config, uniforms):
                 for _ in uniforms]
 
 
+def one_row_selector(strategy):
+    """The package's selector on a one-row block, as the reference's [(token, log prob)].
+
+    The one hypothesis has cumulative log prob -0.0: added to any log prob,
+    -0.0 included, it gives that log prob bit for bit.
+    """
+    def select(scores, config, rng):
+        kept = decoding._SELECTORS[strategy](np.array(scores, dtype=np.float64)[None], [(-0.0,)], config, rng)
+        return [(token, total) for total, token, _ in kept]
+
+    return select
+
+
 @settings(max_examples=200, deadline=None)
 @given(selection_cases())
 def test_survivor_selectors_match_full_vector_reference(case):
@@ -671,16 +750,16 @@ def test_survivor_selectors_match_full_vector_reference(case):
     scores, config, uniforms = case
     for strategy in ("sample", "beam"):
         expected = _selections(reference_decoding.SELECTORS[strategy], scores, config, uniforms)
-        assert _selections(decoding._SELECTORS[strategy], scores, config, uniforms) == expected
+        assert _selections(one_row_selector(strategy), scores, config, uniforms) == expected
 
 
 class TestSelectionOverSurvivors:
     @pytest.mark.parametrize("strategy", ["sample", "beam"])
     def test_no_normalisation_over_the_whole_vocabulary(self, monkeypatch, strategy):
-        sizes = []
+        sizes = []  # entries per hypothesis: a step normalises one row per live hypothesis
         for name in ("softmax", "log_softmax"):
             def counting(scores, normalise=getattr(decoding, name)):
-                sizes.append(np.size(scores))
+                sizes.append(np.shape(scores)[-1])
                 return normalise(scores)
 
             monkeypatch.setattr(decoding, name, counting)
@@ -698,5 +777,5 @@ class TestSelectionOverSurvivors:
         config = beam_config(top_k=4, top_p=1.0, num_beams=4)
         with np.errstate(over="ignore"):
             expected = reference_decoding.SELECTORS["beam"](scores, config, None)
-            assert decoding._beam(scores, config, None) == expected
+            assert one_row_selector("beam")(scores, config, None) == expected
         assert [token for token, _ in expected] == [0, 2, 3]

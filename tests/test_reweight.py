@@ -330,3 +330,31 @@ class TestNonFiniteStrength:
         # no topic logit is rewritten, yet the strength itself cannot be right
         with pytest.raises(ValueError, match=name):
             function(np.zeros(3), set(), value)
+
+
+@st.composite
+def block_cases(draw):
+    """Blocks of 1-5 rows drawn like ``oracle_cases``' vectors, with one chain for all rows."""
+    scores, topic, config = draw(oracle_cases())
+    rows = [scores] + [np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -1.0, 2.5, 1e308, -1e308, *scores]),
+                                              min_size=scores.size, max_size=scores.size)))
+                       for _ in range(draw(st.integers(0, 4)))]
+    return np.array(rows), topic, config
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_cases())
+def test_block_rewrite_matches_one_row_at_a_time(case):
+    """Rewriting an (n, V) block in place equals ``apply`` on each row; a block with a failing row fails."""
+    block, topic, config = case
+    try:
+        chain = build_chain(config, topic)
+    except (TypeError, ValueError):
+        return  # a bad topic id fails when the chain is built, as ``test_one_rewrite_...`` checks
+    expected = [_outcome(lambda: chain.apply(row)) for row in block]
+    outcome = _outcome(lambda: chain.apply_in_place(block.copy()))
+    failed = {e for e in expected if isinstance(e, type)}
+    if failed:
+        assert outcome in failed
+    else:
+        assert outcome == (block.dtype.str, block.shape, b"".join(e[2] for e in expected))
