@@ -11,7 +11,11 @@ row's surviving ids (at most top_k) and their scores, then sampling draws
 one token and beam search keeps the global top num_beams of each row's
 num_beams best successors. Both take the softmax normaliser over the
 full-length truncated row, so their probabilities are bit for bit those of
-a full-vector softmax of that row. Reweighting runs before truncation on
+a full-vector softmax of that row. Each decode call owns one workspace of
+(width, V) blocks, allocated when it starts and freed when it returns: the
+zero-filled rows those normalisers are summed over, and the block that a
+provider without ``logits_many`` is copied into, so no step allocates
+either. Nothing is cached across calls. Reweighting runs before truncation on
 purpose: a boosted token must be able to re-enter the candidate set even if
 the raw logits placed it outside the top-k. ``trace=True`` records per-step
 logits for all three strategies.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from functools import partial
 
 import numpy as np
 
@@ -53,8 +58,8 @@ __all__ = [
 ]
 
 STRATEGIES = ("greedy", "sample", "beam")
-# Below this many entries one stable sort of the whole vector beats partial selection.
-_PARTITION_MIN_SIZE = 1024
+# At or below this many entries (or 4 * top_k) one stable sort of a whole row beats the block-max bound.
+_BOUND_MIN_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -145,33 +150,46 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
     survivor order and their scores, -inf where an id does not survive.
     Survivor order is descending score with ties kept in token-id order: the
     first top_k ids of a stable descending sort, of which the non-finite
-    ones are then dropped. A row of more than max(1024, 4 * top_k) entries
-    gets them by partial selection: a partition finds the top_k-th best
-    score, only the ids that score strictly better are sorted, and the
-    lowest ids that tie with that score fill the remaining places (a row
-    with fewer than top_k entries that are not NaN is sorted whole). A
-    smaller block is cheaper to sort whole. Both paths keep the same ids in
-    the same order. The nucleus is the smallest prefix of a row's survivors
-    whose renormalized softmax mass reaches top_p; the highest-scoring token
-    always survives.
+    ones are then dropped. Rows of at most max(1024, 4 * top_k) entries are
+    cheaper to sort whole. A longer row is first cut by a block-max bound:
+    its first k * (V // k) entries form k blocks of V // k, and the bound is
+    the smallest block maximum. Each block holds an entry at or above the
+    bound, so at least k entries reach it; hence every top_k survivor is at
+    or above it, and every entry below it (or NaN) ranks after them. The
+    candidates, the entries at or above the bound in id order, are sorted
+    stably. If more than 4 * top_k reach the bound, a partition of the
+    candidates finds the top_k-th best score, only those strictly better are
+    sorted, and the lowest ids that tie with it fill the remaining places. A
+    row whose bound is NaN (a block holds a NaN) is sorted whole. Every path
+    keeps the same ids in the same order. The nucleus is the smallest prefix
+    of a row's survivors whose renormalized softmax mass reaches top_p; the
+    highest-scoring token always survives.
     """
     rows, size = x.shape
     k = min(top_k, size)
-    if size <= max(_PARTITION_MIN_SIZE, 4 * k):
+    if size <= max(_BOUND_MIN_SIZE, 4 * k):
         ids = (-x).argsort(axis=1, kind="stable")[:, :k]
     else:
         ids = np.empty((rows, k), dtype=np.intp)
-        for out, row in zip(ids, x):
-            lowest = -row
-            lowest.partition(k - 1)  # NaN last, as the sort ranks it
-            boundary = -lowest[k - 1]  # the top_k-th best score
-            if boundary != boundary:  # fewer than top_k entries are not NaN
+        bound = x[:, : size - size % k].reshape(rows, k, -1).max(axis=2).min(axis=1)
+        offsets = np.arange(0, (rows + 1) * size, size)
+        hits = (x >= bound[:, None]).ravel().nonzero()[0]  # flat indices, in id order per row; a NaN bound admits none
+        ends = hits.searchsorted(offsets)
+        for out, row, lowest, offset, start, end in zip(ids, x, bound.tolist(), offsets.tolist(), ends, ends[1:]):
+            if lowest != lowest:
                 out[:] = (-row).argsort(kind="stable")[:k]
                 continue
-            top = (row >= boundary).nonzero()[0]
-            better = top[row[top] > boundary]
+            top = hits[start:end] - offset
+            scores = row[top]
+            if top.size <= 4 * k:
+                out[:] = top[(-scores).argsort(kind="stable")[:k]]
+                continue
+            ranked = -scores
+            ranked.partition(k - 1)
+            boundary = -ranked[k - 1]  # the top_k-th best score
+            better = top[scores > boundary]
             out[: better.size] = better[(-row[better]).argsort(kind="stable")]
-            out[better.size:] = top[row[top] == boundary][: k - better.size]
+            out[better.size:] = top[scores == boundary][: k - better.size]
     kept = x.take(flat_ids(ids, rows, size))
     finite = np.isfinite(kept)
     if k and finite.all():  # the usual case: every row keeps all k, so the block is cut at once
@@ -197,32 +215,38 @@ def _nucleus_sizes(kept: np.ndarray, top_p: float) -> list[int]:
     return [1 + int(mass[:-1].searchsorted(top_p)) for mass in softmax(kept).cumsum(axis=1)]
 
 
-def _normalisers(ids: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Per row of ``ids``, the sum of ``weights`` placed at those ids in a zero-filled row of ``size`` entries.
+def _normalisers(ids: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Per row of ``ids``, the sum of ``weights`` placed at those ids in the all-zero row of ``zeros``.
 
-    Summed over the full length, numpy's pairwise sum groups the weights
-    exactly as a softmax of the whole truncated row does; a sum over the
-    survivors alone can differ in the last bit. One row of ids gives a
-    scalar, an (n, k) array n sums.
+    ``zeros`` is a view of the decode's zero workspace block with the rows
+    of ``ids``: (V,) for one row of ids, which gives a scalar, or (n, V) for
+    (n, k) ids, which gives n sums. The weights are put in, each row is
+    summed and zeros are put back, so the block is all zeros again on
+    return. Summed over the full length, numpy's pairwise sum groups the
+    weights exactly as a softmax of the whole truncated row does; a sum over
+    the survivors alone can differ in the last bit.
     """
-    z = np.zeros((*ids.shape[:-1], size))
-    z.put(flat_ids(ids, z.size // size, size), weights)
-    return z.sum(axis=-1)
+    at = flat_ids(ids, ids.size // ids.shape[-1], zeros.shape[-1])
+    zeros.put(at, weights)
+    sums = zeros.sum(axis=-1)
+    zeros.put(at, 0.0)
+    return sums
 
 
 # A selector maps the steered (n, V) block of a step and the live hypotheses
 # (row i is hypothesis i; entry 0 of each is its cumulative log prob) to the
 # kept successors, best first, as (cumulative log prob, token, source row):
-# one for greedy and sampling, at most num_beams for beam search. It calls
+# one for greedy and sampling, at most num_beams for beam search. ``zeros``
+# is the decode's all-zero workspace block for ``_normalisers``. It calls
 # log_softmax and softmax as module globals, so tracers can wrap them.
-def _greedy(steered: np.ndarray, live: list, config: GenerationConfig, rng) -> tuple:
+def _greedy(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros: np.ndarray) -> tuple:
     """Argmax of the untruncated logits; truncation never changes the argmax."""
     row = steered[0]
     token = int(row.argmax())
     return ((live[0][0] + float(log_softmax(row)[token]), token, 0),)
 
 
-def _sample(steered: np.ndarray, live: list, config: GenerationConfig, rng) -> tuple:
+def _sample(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros: np.ndarray) -> tuple:
     """Inverse-CDF draw over the top-k ids in token-id order; zero-probability entries can't win.
 
     Bit for bit the draw over ``softmax`` of the whole truncated vector:
@@ -234,14 +258,14 @@ def _sample(steered: np.ndarray, live: list, config: GenerationConfig, rng) -> t
     by_id = ids.argsort()
     ids, kept = ids[by_id], kept[by_id]
     weights = np.exp(kept - kept.max())  # 0 where masked
-    probs = weights / _normalisers(ids, weights, steered.shape[1])
+    probs = weights / _normalisers(ids, weights, zeros[0])
     index = int(probs.cumsum().searchsorted(rng.random(), side="right"))
     if index >= probs.size:
         index = int((probs > 0.0).nonzero()[0][-1])
     return ((live[0][0] + math.log(probs[index]), int(ids[index]), 0),)
 
 
-def _beam(steered: np.ndarray, live: list, config: GenerationConfig, rng) -> list:
+def _beam(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros: np.ndarray) -> list:
     """Each row's num_beams most likely truncated successors, then the global top num_beams.
 
     A row ranks its successors by log probability, lower id first on ties.
@@ -251,7 +275,7 @@ def _beam(steered: np.ndarray, live: list, config: GenerationConfig, rng) -> lis
     """
     ids, kept = _truncate(steered, config.top_k, config.top_p)
     top = kept.max(axis=1)
-    z = _normalisers(ids, np.exp(kept - top[:, None]), steered.shape[1])
+    z = _normalisers(ids, np.exp(kept - top[:, None]), zeros[: len(ids)])
     lse = [t + math.log(s) for t, s in zip(top.tolist(), z.tolist())]
     log_probs = kept - np.array(lse)[:, None]  # -inf where masked, or where a survivor far below the max overflows
     best = np.lexsort((ids, -log_probs), axis=1)[:, : config.num_beams]
@@ -298,13 +322,14 @@ def _tokens(chain: tuple) -> tuple[int, ...]:
     return tuple(reversed(tokens))
 
 
-def _stacked_logits(provider, size: int, states: list) -> np.ndarray:
-    """``logits(state)`` of each state, copied into one fresh (n, V) block.
+def _stacked_logits(provider, rows: np.ndarray, states: list) -> np.ndarray:
+    """``logits(state)`` of each state, copied into the first n rows of the decode's (width, V) workspace block.
 
-    Each row is copied as soon as it is made, so at large V no more than
-    one of them is alive next to the block.
+    The step owns the rows it is handed until the next step overwrites them.
+    Each row is copied as soon as it is made, so at large V no more than one
+    of them is alive next to the block.
     """
-    block = np.empty((len(states), size))
+    block = rows[: len(states)]
     for row, state in zip(block, states):
         row[:] = provider.logits(state)
     return block
@@ -323,9 +348,10 @@ def _decode(
     the prefix length; the tokens are listed once, at the end.
 
     A step works on one (n, V) block, row i the logits of live hypothesis i:
-    one ``logits_many`` call (or ``logits`` per row, stacked), one chain
-    rewrite in place (on a copy when tracing, which keeps the raw logits),
-    the EOS column masked while below the minimum length, and one selection.
+    one ``logits_many`` call (or ``logits`` per row, copied into the
+    workspace), one chain rewrite in place (on a copy when tracing, which
+    keeps the raw logits), the EOS column masked while below the minimum
+    length, and one selection.
     It keeps the global top ``width`` (1, or num_beams for beam search) of
     all rows' candidates, ranked by cumulative log probability, ties to the
     lower token id, then the lower source row. A hypothesis that emits EOS
@@ -341,7 +367,10 @@ def _decode(
     rng = np.random.Generator(np.random.PCG64(config.seed)) if strategy == "sample" else None
     provider = model if hasattr(model, "start") else _PrefixStates(model)
     size = model.vocabulary.size
-    logits_many = getattr(provider, "logits_many", None) or (lambda states: _stacked_logits(provider, size, states))
+    width = config.num_beams if strategy == "beam" else 1
+    # The call's workspace: the zero block of the normalisers, and the block the provider's rows are copied into.
+    zeros = np.zeros((width, size))
+    logits_many = getattr(provider, "logits_many", None) or partial(_stacked_logits, provider, np.empty((width, size)))
     eos = model.vocabulary.eos_id
     # (cumulative log prob, provider state, (token, parent) chain, step records)
     live = [(0.0, provider.start(prefix), (), ())]
@@ -354,7 +383,7 @@ def _decode(
         if step < config.min_new_tokens:
             steered[:, eos] = -np.inf
         extended = []
-        for total, token, source in select(steered, live, config, rng):
+        for total, token, source in select(steered, live, config, rng, zeros):
             _, state, tokens, records = live[source]
             if trace:
                 records += (StepRecord(step, token, float(raw[source, token]), float(steered[source, token])),)

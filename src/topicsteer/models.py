@@ -211,7 +211,8 @@ class LogitsProvider(Protocol):
       one C-contiguous float64 (n, V) block whose row i is ``logits`` of
       ``states[i]``. The block must be a fresh array: the engine owns it and
       may write into it (it rewrites topic logits and masks EOS in place).
-      Without it, the engine stacks ``logits(state)`` row by row.
+      Without it, the engine copies ``logits(state)`` row by row into a
+      block of its own that each decode allocates once.
 
     A state is whatever the provider needs to continue: the last id for an
     order-1 table, a key/value cache for a neural model. ``advance`` must

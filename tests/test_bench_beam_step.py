@@ -7,10 +7,11 @@ as the loop ran it before steps were batched (per hypothesis: ``logits``,
 ``ProcessorChain.apply``, the reference beam selector over the package's 1-D
 ``truncate_top_k_top_p``, then a sort of all candidates), and as the package
 runs it (``logits_many``, one in-place chain rewrite and one block
-selection). Both must keep the same successors with bit-equal cumulative
-log probabilities. The inputs are the shipped fixture (V=226) with a shift
-of topic 0, and four N(0, 3) rows at V=50,000 with threshold selection over
-1,000 ids.
+selection, whose normalisers use a zero workspace block made once, as a
+decode makes one per call). Both must keep the same successors with
+bit-equal cumulative log probabilities. The inputs are the shipped fixture
+(V=226) with a shift of topic 0, and four N(0, 3) rows at V=50,000 with
+threshold selection over 1,000 ids.
 """
 
 import numpy as np
@@ -64,9 +65,9 @@ def per_hypothesis_step(model, states, chain):
     return [(-score, token, source) for score, token, source in candidates[: CONFIG.num_beams]]
 
 
-def block_step(model, states, chain):
+def block_step(model, states, chain, zeros):
     steered = chain.apply_in_place(model.logits_many(states))
-    return decoding._beam(steered, [(cumulative,) for cumulative in CUMULATIVE], CONFIG, None)
+    return decoding._beam(steered, [(cumulative,) for cumulative in CUMULATIVE], CONFIG, None, zeros)
 
 
 def _hex(kept):
@@ -79,7 +80,11 @@ def _hex(kept):
 def test_beam_step(benchmark, monkeypatch, size, path):
     monkeypatch.setattr(reference_decoding, "truncate_top_k_top_p", decoding.truncate_top_k_top_p)
     model, states, chain = _inputs(size)
-    step = per_hypothesis_step if path == "per_hypothesis" else block_step
-    kept = benchmark(step, model, states, chain)
+    if path == "per_hypothesis":
+        kept = benchmark(per_hypothesis_step, model, states, chain)
+    else:
+        zeros = np.zeros((CONFIG.num_beams, size))
+        kept = benchmark(block_step, model, states, chain, zeros)
+        assert zeros.tobytes() == bytes(zeros.nbytes)
     assert len(kept) == CONFIG.num_beams
     assert _hex(kept) == _hex(per_hypothesis_step(model, states, chain))

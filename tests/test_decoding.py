@@ -1,5 +1,7 @@
 import itertools
+import linecache
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -461,10 +463,41 @@ class TestSharedLoop:
             assert generate(model, [model.vocabulary.bos_id], None, config).step_records is None
 
 
+class FewRowsModel:
+    """An order-1 provider over a large vocabulary with only a few distinct rows.
+
+    Token t's successors are scored by row t % len(rows). It has the
+    incremental half but no ``logits_many``, so the engine stacks its rows
+    into the decode's workspace block.
+    """
+
+    def __init__(self, vocabulary, rows):
+        self.vocabulary = vocabulary
+        self.rows = rows
+
+    def start(self, prefix):
+        ids = self.vocabulary.validate_ids(prefix)
+        if not ids:
+            raise ValueError("prefix must be non-empty")
+        return ids[-1]
+
+    def advance(self, state, token):
+        return token
+
+    def logits(self, state):
+        return self.rows[state % len(self.rows)].copy()
+
+    def next_logits(self, prefix):
+        return self.logits(self.start(prefix))
+
+
 @st.composite
 def decoding_cases(draw):
-    """Small models whose steps hold up to 6 live rows, with ties within and across rows.
+    """Models whose steps hold up to 6 live rows, with ties within and across rows.
 
+    Mostly small order-1 tables; for sampling and beam search also V of
+    1,100-3,000 (a ``FewRowsModel``), where a small top_k takes the block-max
+    truncation and one decode's workspace blocks are reused while beams end.
     Shapes: random rows; a coarse grid (ties within a step); all rows equal
     (equal cumulative scores across beams, too); some rows equal (tied rows
     among the live ones). EOS may be lifted into each row's top-k, so beams
@@ -472,9 +505,11 @@ def decoding_cases(draw):
     row's top-k holds a non-finite entry; top_p < 1 gives rows different
     survivor counts.
     """
-    n_words = draw(st.integers(2, 6))
+    strategy = draw(st.sampled_from(["greedy", "sample", "beam"]))
+    large = strategy != "greedy" and draw(st.integers(0, 3)) == 0
+    n_words = draw(st.integers(1098, 2998)) if large else draw(st.integers(2, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    table = rng.normal(0.0, 1.5, (n_words + 2, n_words + 2))
+    table = rng.normal(0.0, 1.5, (draw(st.integers(2, 6)) if large else n_words + 2, n_words + 2))
     shape = draw(st.sampled_from(["random", "grid", "grid, equal rows", "grid, some equal rows"]))
     if shape != "random":
         table = np.round(table * 2.0) / 2.0
@@ -485,9 +520,12 @@ def decoding_cases(draw):
     eos_gap = draw(st.sampled_from([None, 0.0, 0.5, 2.0]))
     if eos_gap is not None:
         table[:, 1] = table.max(axis=1) - eos_gap  # id 1 is EOS
-    model = make_markov(make_vocab(n_words), table)
+    model = FewRowsModel(make_vocab(n_words), table) if large else make_markov(make_vocab(n_words), table)
     size = model.vocabulary.size
-    topic = draw(st.sets(st.integers(0, size - 1), max_size=size))
+    if large:
+        topic = set(rng.choice(size, draw(st.integers(0, size // 2)), replace=False).tolist())
+    else:
+        topic = draw(st.sets(st.integers(0, size - 1), max_size=size))
     method = draw(st.sampled_from(["none", "shift", "scale", "threshold"]))
     if method == "none":
         chain = draw(st.sampled_from([None, ProcessorChain()]))
@@ -500,8 +538,8 @@ def decoding_cases(draw):
         chain = build_chain(ReweightConfig(method="threshold_selection", theta=theta, beta=beta), topic)
     max_new = draw(st.integers(0, 8))
     config = GenerationConfig(
-        strategy=draw(st.sampled_from(["greedy", "sample", "beam"])),
-        top_k=draw(st.one_of(st.integers(1, size), st.integers(size, 3 * size))),
+        strategy=strategy,
+        top_k=draw(st.one_of(st.integers(1, 64), st.integers(1, size), st.integers(size, 3 * size))),
         top_p=draw(st.sampled_from([1.0, 0.95, 0.7, 0.3, 1e-9])),
         num_beams=draw(st.integers(1, 6)),
         max_new_tokens=max_new,
@@ -626,8 +664,13 @@ def block_truncation_cases(draw):
 
     Rows are drawn like ``truncation_cases``: a few distinct values over a
     background that may be -inf or NaN, with -inf, +inf and NaN sprinkled
-    in. Some rows repeat an earlier row (tied rows), and a row may be all
-    NaN, which fails the whole block as it fails its row.
+    in. Some rows instead hit a case of the block-max bound (k = min(top_k,
+    V) blocks of V // k entries): more than 4 * top_k boosted ids tied at
+    5.0 over N(0, 1) logits, so more than 4 * top_k entries reach the
+    bound; NaN only past the last block (V need not be a multiple of
+    top_k); or one block all -inf (bound -inf). Some rows repeat an earlier
+    row (tied rows), and a row may be all NaN, which fails the whole block
+    as it fails its row.
     """
     rows = draw(st.integers(1, 6))
     size = draw(st.one_of(st.integers(1025, 3000), st.integers(1, 80)))
@@ -635,6 +678,8 @@ def block_truncation_cases(draw):
     top_p = draw(st.one_of(st.sampled_from([1.0, 0.95, 0.5, 1e-9]), st.floats(1e-9, 1.0)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = rng.choice([0.0, -0.0, 1.0, -1.0, 2.5, *rng.normal(0.0, 5.0, 3)], int(rng.integers(1, 6)))
+    k = min(top_k, size)
+    blocks_end = size - size % k  # ids at or past it lie outside every block of the bound
     block = np.empty((rows, size))
     for row in block:
         row[:] = rng.choice([pool[0], pool[0], -np.inf, np.nan])
@@ -642,6 +687,18 @@ def block_truncation_cases(draw):
         row[peaks] = rng.choice(pool, peaks.size)
         specials = rng.choice(size, int(rng.integers(0, min(size, 4) + 1)), replace=False)
         row[specials] = rng.choice([-np.inf, np.inf, np.nan], specials.size)
+        bound_case = draw(st.sampled_from(["drawn", "drawn", "boosted", "nan past the blocks", "-inf block"]))
+        if bound_case == "boosted":
+            row[:] = rng.normal(0.0, 1.0, size)
+            row[rng.choice(size, min(size, 4 * top_k + int(rng.integers(1, 1000))), replace=False)] = 5.0
+        elif bound_case == "nan past the blocks":
+            row[np.isnan(row)] = pool[0]
+            row[blocks_end + rng.choice(size - blocks_end, int(rng.integers(0, size - blocks_end + 1)),
+                                        replace=False)] = np.nan
+        elif bound_case == "-inf block":
+            width = size // k
+            start = width * int(rng.integers(k))
+            row[start:start + width] = -np.inf
     for i in range(1, rows):
         kind = draw(st.sampled_from(["own", "own", "tie", "nan"]))
         if kind == "tie":
@@ -670,6 +727,85 @@ def test_row_wise_truncation_matches_reference_row_by_row(case):
         assert outcome == failed[0]
     else:
         assert outcome == b"".join(expected)
+        ids, _ = decoding._truncate(block, top_k, top_p)
+        assert np.array_equal(ids, (-block).argsort(axis=1, kind="stable")[:, : min(top_k, block.shape[1])])
+
+
+def _lines_run(function, *args):
+    """``function(*args)`` and the stripped source lines of ``function`` that the call ran."""
+    code, lines = function.__code__, set()
+
+    def in_function(frame, event, arg):
+        if event == "line":
+            lines.add(linecache.getline(code.co_filename, frame.f_lineno).strip())
+        return in_function
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: in_function if frame.f_code is code else None)
+    try:
+        return function(*args), lines
+    finally:
+        sys.settrace(previous)
+
+
+def _block_max_bound(row, k):
+    """The smallest maximum of the k blocks of len(row) // k entries that start the row."""
+    return row[: row.size - row.size % k].reshape(k, -1).max(axis=1).min()
+
+
+class TestBlockMaxBound:
+    """Each path of ``_truncate`` runs on a row built for it and keeps the stable sort's ids.
+
+    V = 5,003 is not a multiple of top_k = 50, so ids 5,000-5,002 lie
+    outside every block of the bound.
+    """
+
+    SIZE, TOP_K = 5_003, 50
+    # a line that only the path of each case runs
+    PATHS = {
+        "sort whole row": 'ids = (-x).argsort(axis=1, kind="stable")[:, :k]',
+        "sorted candidates": 'out[:] = top[(-scores).argsort(kind="stable")[:k]]',
+        "many boosted ids": "ranked.partition(k - 1)",
+        "nan past the blocks": 'out[:] = top[(-scores).argsort(kind="stable")[:k]]',
+        "-inf block": "ranked.partition(k - 1)",
+        "nan bound": 'out[:] = (-row).argsort(kind="stable")[:k]',
+    }
+
+    def _row(self, case):
+        rng = np.random.default_rng(7)
+        row = rng.normal(0.0, 1.0, self.SIZE)
+        if case == "sort whole row":
+            row = row[:1_000]
+        elif case == "many boosted ids":  # more than 4 * top_k ids at 5.0, all at or above the bound
+            row[rng.choice(self.SIZE, 1_000, replace=False)] = 5.0
+        elif case == "nan past the blocks":
+            row[self.SIZE - self.SIZE % self.TOP_K:] = np.nan
+        elif case == "-inf block":
+            row[700:800] = -np.inf  # block 7 of 100-entry blocks
+        elif case == "nan bound":
+            row[123] = np.nan
+        return row
+
+    def test_rows_have_the_bounds_they_are_built_for(self):
+        k = self.TOP_K
+        assert self.SIZE % k
+        row = self._row("nan past the blocks")
+        assert np.isnan(row).any() and not np.isnan(_block_max_bound(row, k))
+        assert _block_max_bound(self._row("-inf block"), k) == -np.inf
+        assert np.isnan(_block_max_bound(self._row("nan bound"), k))
+        few, many = (self._row(case) for case in ("sorted candidates", "many boosted ids"))
+        assert k <= (few >= _block_max_bound(few, k)).sum() <= 4 * k < (many >= _block_max_bound(many, k)).sum()
+
+    @pytest.mark.parametrize("case", list(PATHS))
+    @pytest.mark.parametrize("top_p", [1.0, 0.9])
+    def test_path_runs_and_keeps_the_stable_sort_ids(self, case, top_p):
+        row, k = self._row(case), self.TOP_K
+        (ids, kept), lines = _lines_run(decoding._truncate, row[None], k, top_p)
+        assert {line for line in self.PATHS.values() if line in lines} == {self.PATHS[case]}
+        assert ids[0].tolist() == (-row).argsort(kind="stable")[:k].tolist()
+        out = np.full_like(row, -np.inf)
+        out[ids[0]] = kept[0]
+        assert out.tobytes() == reference_decoding.truncate_top_k_top_p(row, k, top_p).tobytes()
 
 
 class FixedUniforms:
@@ -734,10 +870,12 @@ def one_row_selector(strategy):
     """The package's selector on a one-row block, as the reference's [(token, log prob)].
 
     The one hypothesis has cumulative log prob -0.0: added to any log prob,
-    -0.0 included, it gives that log prob bit for bit.
+    -0.0 included, it gives that log prob bit for bit. The zero workspace
+    block is a fresh one per call.
     """
     def select(scores, config, rng):
-        kept = decoding._SELECTORS[strategy](np.array(scores, dtype=np.float64)[None], [(-0.0,)], config, rng)
+        block = np.array(scores, dtype=np.float64)[None]
+        kept = decoding._SELECTORS[strategy](block, [(-0.0,)], config, rng, np.zeros_like(block))
         return [(token, total) for total, token, _ in kept]
 
     return select
@@ -779,3 +917,32 @@ class TestSelectionOverSurvivors:
             expected = reference_decoding.SELECTORS["beam"](scores, config, None)
             assert one_row_selector("beam")(scores, config, None) == expected
         assert [token for token, _ in expected] == [0, 2, 3]
+
+
+def _hex_kept(kept):
+    return [(float(total).hex(), token, source) for total, token, source in kept]
+
+
+def test_zero_workspace_is_all_zeros_again_after_each_selection():
+    """Selections that share one zero block match selections on fresh zeros, bit for bit.
+
+    The beam steps shrink from 4 live rows to 1 on the same (4, V) block, as
+    when beams end; sampling reuses the block's first row.
+    """
+    rng = np.random.default_rng(5)
+    size = 3_000
+    zeros = np.zeros((4, size))
+    beam = beam_config(top_k=50, top_p=0.95, num_beams=4)
+    for rows in (4, 3, 1):
+        steered = rng.normal(0.0, 3.0, (rows, size))
+        live = [(cumulative,) for cumulative in rng.normal(-5.0, 1.0, rows).tolist()]
+        kept = decoding._beam(steered, live, beam, None, zeros)
+        assert zeros.tobytes() == bytes(zeros.nbytes)
+        assert _hex_kept(kept) == _hex_kept(decoding._beam(steered, live, beam, None, np.zeros((rows, size))))
+    sample = sample_config(top_k=50, top_p=0.95)
+    for seed in range(3):
+        steered = rng.normal(0.0, 3.0, (1, size))
+        kept = decoding._sample(steered, [(0.0,)], sample, np.random.default_rng(seed), zeros)
+        assert zeros.tobytes() == bytes(zeros.nbytes)
+        fresh = decoding._sample(steered, [(0.0,)], sample, np.random.default_rng(seed), np.zeros((1, size)))
+        assert _hex_kept(kept) == _hex_kept(fresh)
