@@ -42,7 +42,7 @@ from .models import (
     as_int,
     as_real,
     flat_ids,
-    log_softmax,
+    log_softmax,  # noqa: F401  (no step calls it; tracers wrap this name)
     softmax,
 )
 
@@ -237,13 +237,20 @@ def _normalisers(ids: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> np.
 # (row i is hypothesis i; entry 0 of each is its cumulative log prob) to the
 # kept successors, best first, as (cumulative log prob, token, source row):
 # one for greedy and sampling, at most num_beams for beam search. ``zeros``
-# is the decode's all-zero workspace block for ``_normalisers``. It calls
-# log_softmax and softmax as module globals, so tracers can wrap them.
+# is the decode's all-zero workspace block for ``_normalisers``.
 def _greedy(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros: np.ndarray) -> tuple:
-    """Argmax of the untruncated logits; truncation never changes the argmax."""
+    """Argmax of the untruncated logits; truncation never changes the argmax.
+
+    Its log probability is ``log_softmax(row)[token]`` bit for bit, without
+    the full-length row: the argmax entry is the row's max, and the same
+    error is raised when that is not finite.
+    """
     row = steered[0]
     token = int(row.argmax())
-    return ((live[0][0] + float(log_softmax(row)[token]), token, 0),)
+    top = row[token]  # NaN if the row holds one: argmax returns the first NaN
+    if not np.isfinite(top):
+        raise ValueError("log_softmax requires at least one finite entry and no +inf/NaN")
+    return ((live[0][0] + float(top - (top + math.log(np.exp(row - top).sum()))), token, 0),)
 
 
 def _sample(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros: np.ndarray) -> tuple:

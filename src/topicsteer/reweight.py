@@ -30,7 +30,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .models import LogitVector, as_int, as_real, flat_ids, softmax
+from .models import LogitVector, as_int, as_real, flat_ids, softmax  # noqa: F401  (tracers wrap softmax)
 
 __all__ = [
     "METHODS",
@@ -112,8 +112,12 @@ def _rewrite(x: np.ndarray, ids: np.ndarray, config: ReweightConfig) -> np.ndarr
     elif config.method == "factor_scaling":
         values *= config.alpha
     else:
-        raised = softmax(x).take(ids, axis=1) >= config.theta
-        np.copyto(values, x.max(axis=1, keepdims=True) + config.beta, where=raised)
+        # Each row's softmax, divided only at the topic ids: the same quotients as ``softmax(x)``.
+        top = x.max(axis=1, keepdims=True)
+        e = x - top
+        np.exp(e, out=e)
+        raised = e.take(ids, axis=1) / e.sum(axis=1, keepdims=True) >= config.theta
+        np.copyto(values, top + config.beta, where=raised)
     # An overflow must not mask tokens silently.
     if not np.isfinite(values).all():
         raise ValueError(f"{config.method}: a rewritten topic logit is not finite")

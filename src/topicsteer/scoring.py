@@ -2,10 +2,14 @@
 
 Three topical scores measure how much of a topic's vocabulary a summary
 uses (stem overlap, token-id overlap, and per-word topic posterior), and
-ROUGE-L F1 measures overlap with a reference summary. ``score_summary``
+ROUGE-L F1 measures overlap with a reference summary; its longest common
+subsequence length is exact and computed bit-parallel. ``score_summary``
 returns one flat mapping per (article, condition, steered topic) cell, keyed
 in ``REPORT_COLUMNS`` order: the three key columns, then the three topical
-scores for each of the article's two topics and ROUGE-L F1 as floats.
+scores for each of the article's two topics and ROUGE-L F1 as floats. It
+stems each text once: the summary per row, a reference once for all of its
+rows, a topic's words once per topic model. The public per-metric scorers
+wrap the same helpers and return the same values.
 ``report_row`` formats that mapping into the strings of one CSV row.
 Embedding-based quality metrics are out of native scope; ``topicsteer
 merge`` (:func:`topicsteer.experiment.merge_external_scores`) joins
@@ -15,6 +19,7 @@ externally computed values into a report CSV.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 import re
 from pathlib import Path
@@ -49,6 +54,16 @@ def tokenize_words(text: str) -> list[str]:
     return _WORD_RE.findall(text.lower())
 
 
+def _lemma_score(present: set[str], topic_id: int, model: TopicModel, top_n: int) -> float:
+    """``lemma_topic_score`` of a summary whose set of stems is ``present``."""
+    pairs = model.top_words(topic_id, top_n)
+    total = sum(weight for _word, weight in pairs)
+    if total <= 0.0:
+        return 0.0
+    covered = sum(weight for (_word, weight), s in zip(pairs, model.word_stems[topic_id]) if s in present)
+    return covered / total
+
+
 def lemma_topic_score(
     summary: str,
     topic_id: int,
@@ -61,13 +76,7 @@ def lemma_topic_score(
     word appears among the summary's stems, normalized by the total weight of
     the top-n words.
     """
-    pairs = model.top_words(topic_id, top_n)
-    total = sum(weight for _word, weight in pairs)
-    if total <= 0.0:
-        return 0.0
-    present = {stem(w) for w in tokenize_words(summary)}
-    covered = sum(weight for word, weight in pairs if stem(word) in present)
-    return covered / total
+    return _lemma_score({stem(w) for w in tokenize_words(summary)}, topic_id, model, top_n)
 
 
 def token_topic_score(summary_ids: Sequence[int], topic_set: TopicTokenSet | Iterable[int]) -> float:
@@ -80,6 +89,18 @@ def token_topic_score(summary_ids: Sequence[int], topic_set: TopicTokenSet | Ite
     return sum(1 for t in ids if t in members) / len(ids)
 
 
+def _dict_score(words: Sequence[str], topic_id: int, model: TopicModel) -> float:
+    """``dict_topic_score`` of a summary whose words are ``words``."""
+    if topic_id not in model.topics:
+        raise KeyError(f"unknown topic id {topic_id}")
+    index = model.word_topic_shares
+    shares = [index[word].get(topic_id, 0.0) for word in words if word in index]
+    if not shares:
+        logger.warning("dictionary score: no summary word found in the topic model dictionary")
+        return 0.0
+    return sum(shares) / len(shares)
+
+
 def dict_topic_score(summary: str, topic_id: int, model: TopicModel) -> float:
     """Mean posterior of the target topic over in-dictionary summary words.
 
@@ -89,36 +110,32 @@ def dict_topic_score(summary: str, topic_id: int, model: TopicModel) -> float:
     weights sum to 0, are skipped; a summary with no such words scores 0
     (warned).
     """
-    if topic_id not in model.topics:
-        raise KeyError(f"unknown topic id {topic_id}")
-    index = model.word_topic_shares
-    shares = [index[word].get(topic_id, 0.0) for word in tokenize_words(summary) if word in index]
-    if not shares:
-        logger.warning("dictionary score: no summary word found in the topic model dictionary")
-        return 0.0
-    return sum(shares) / len(shares)
+    return _dict_score(tokenize_words(summary), topic_id, model)
 
 
 def _lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
-    """Longest common subsequence via a rolling-row DP table."""
-    if not a or not b:
-        return 0
-    previous = [0] * (len(b) + 1)
+    """Length of the longest common subsequence, bit-parallel (Allison & Dix 1986; Hyyrö 2004).
+
+    Bit j of ``v`` stands for position j of ``b``. After each item of ``a``,
+    bit j is 0 where the LCS of the items so far with ``b[:j + 1]`` is one
+    longer than with ``b[:j]``, so the 0 bits count the LCS length: the same
+    integer as the quadratic table, at a few integer operations per item. An
+    item absent from ``b`` leaves ``v`` as it is.
+    """
+    masks: dict[str, int] = {}
+    for j, item in enumerate(b):
+        masks[item] = masks.get(item, 0) | 1 << j
+    full = (1 << len(b)) - 1
+    v = full
     for item in a:
-        current = [0]
-        for j, other in enumerate(b, start=1):
-            if item == other:
-                current.append(previous[j - 1] + 1)
-            else:
-                current.append(max(previous[j], current[j - 1]))
-        previous = current
-    return previous[-1]
+        if item in masks:
+            u = v & masks[item]
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
-def rouge_l_f1(candidate: str, reference: str) -> float:
-    """ROUGE-L F1 over stemmed words of the two texts; empty input scores 0."""
-    cand = [stem(w) for w in tokenize_words(candidate)]
-    ref = [stem(w) for w in tokenize_words(reference)]
+def _rouge_l(cand: Sequence[str], ref: Sequence[str]) -> float:
+    """ROUGE-L F1 of two stem sequences; an empty side scores 0."""
     if not cand or not ref:
         return 0.0
     lcs = _lcs_length(cand, ref)
@@ -127,6 +144,17 @@ def rouge_l_f1(candidate: str, reference: str) -> float:
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
+
+
+# A sweep scores each reference in every row of its article: stem it once.
+@functools.lru_cache(maxsize=256)
+def _reference_stems(text: str) -> tuple[str, ...]:
+    return tuple(stem(w) for w in tokenize_words(text))
+
+
+def rouge_l_f1(candidate: str, reference: str) -> float:
+    """ROUGE-L F1 over stemmed words of the two texts; empty input scores 0."""
+    return _rouge_l([stem(w) for w in tokenize_words(candidate)], _reference_stems(reference))
 
 
 KEY_COLUMNS = ("article_id", "condition", "steered_tid")
@@ -163,7 +191,9 @@ def score_summary(
         raise ValueError("tid1 and tid2 must be distinct")
     if steered_tid not in topics:
         raise ValueError("steered_tid must be tid1 or tid2")
-    text = vocab.decode(result.tokens)
+    words = tokenize_words(vocab.decode(result.tokens))
+    stems = [stem(w) for w in words]
+    present = set(stems)
     content_ids = [t for t in result.tokens if not vocab.is_special(t)]
     scores: dict[str, str | int | float] = dict(article_id=article_id, condition=condition, steered_tid=steered_tid)
     for suffix, tid in (("t1", tid1), ("t2", tid2)):
@@ -171,10 +201,10 @@ def score_summary(
             tset = token_sets[tid]
         else:
             tset = topic_token_set(tid, model, vocab, top_n)
-        scores["lemma_" + suffix] = lemma_topic_score(text, tid, model, top_n)
+        scores["lemma_" + suffix] = _lemma_score(present, tid, model, top_n)
         scores["token_" + suffix] = token_topic_score(content_ids, tset)
-        scores["dict_" + suffix] = dict_topic_score(text, tid, model)
-    scores["rouge_l_f1"] = rouge_l_f1(text, ref1 if steered_tid == tid1 else ref2)
+        scores["dict_" + suffix] = _dict_score(words, tid, model)
+    scores["rouge_l_f1"] = _rouge_l(stems, _reference_stems(ref1 if steered_tid == tid1 else ref2))
     return scores
 
 

@@ -5,7 +5,8 @@ top N words of a topic are expanded into every surface variant (stem,
 capitalization, leading space) that exactly matches a vocabulary token; the
 resulting id set is what the reweighting methods act on. For the dictionary
 score, a model also holds each word's topic shares: per topic listing the
-word, its weight over the word's total weight in all topics.
+word, its weight over the word's total weight in all topics; for the lemma
+score, the stem of each topic word.
 """
 
 from __future__ import annotations
@@ -69,6 +70,11 @@ class TopicModel:
                 continue
             shares[word] = {tid: weight / total for tid, weight in weights.items()}
         return shares
+
+    @cached_property
+    def word_stems(self) -> dict[int, tuple[str, ...]]:
+        """Per topic, the stem of each of its words, in the topic's order."""
+        return {tid: tuple(stem(word) for word, _weight in words) for tid, words in self.topics.items()}
 
 
 @dataclass(frozen=True)

@@ -946,3 +946,32 @@ def test_zero_workspace_is_all_zeros_again_after_each_selection():
         assert zeros.tobytes() == bytes(zeros.nbytes)
         fresh = decoding._sample(steered, [(0.0,)], sample, np.random.default_rng(seed), np.zeros((1, size)))
         assert _hex_kept(kept) == _hex_kept(fresh)
+
+
+_GREEDY = greedy_config()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-np.inf, 0.0, 1e300, -1e300])), min_size=1, max_size=80)
+    .filter(lambda row: any(np.isfinite(row))),
+    st.floats(-50.0, 0.0),
+)
+def test_greedy_log_prob_is_log_softmax_entry(row, cumulative):
+    """Greedy's log prob equals ``log_softmax(row)[token]`` bit for bit, -inf masks and overflows included."""
+    row = np.array(row)
+    with np.errstate(over="ignore"):
+        (total, token, source), = decoding._greedy(row[None], [(cumulative,)], _GREEDY, None, None)
+        expected = cumulative + float(log_softmax(row)[token])
+    assert (float(total).hex(), token, source) == (expected.hex(), int(row.argmax()), 0)
+
+
+@pytest.mark.parametrize("row", [[0.0, np.nan, 1.0], [np.nan, np.nan], [1.0, np.inf], [-np.inf, -np.inf], [np.inf, np.nan]],
+                         ids=["nan", "all-nan", "+inf", "all-masked", "+inf-and-nan"])
+def test_greedy_rejects_what_log_softmax_rejects(row):
+    row = np.array(row)
+    with pytest.raises(ValueError) as expected:
+        log_softmax(row)
+    with pytest.raises(ValueError) as got:
+        decoding._greedy(row[None], [(0.0,)], _GREEDY, None, None)
+    assert str(got.value) == str(expected.value)

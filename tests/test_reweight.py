@@ -358,3 +358,27 @@ def test_block_rewrite_matches_one_row_at_a_time(case):
         assert outcome in failed
     else:
         assert outcome == (block.dtype.str, block.shape, b"".join(e[2] for e in expected))
+
+
+@st.composite
+def threshold_blocks(draw):
+    """(n, V) blocks, sorted topic ids and a theta that is often exactly one topic token's probability."""
+    rows, size = draw(st.integers(1, 4)), draw(st.integers(2, 60))
+    values = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, 1.0, 1e3, -1e3]))
+    x = np.array(draw(st.lists(st.lists(values, min_size=size, max_size=size), min_size=rows, max_size=rows)))
+    ids = np.array(sorted(draw(st.sets(st.integers(0, size - 1), min_size=1))), dtype=np.intp)
+    at = float(softmax(x)[draw(st.integers(0, rows - 1)), draw(st.sampled_from(ids.tolist()))])
+    theta = draw(st.sampled_from([at, at, float(np.nextafter(at, 1.0)), float(np.nextafter(at, 0.0))])
+                 | st.floats(0.0, 1.0))
+    return x, ids, ReweightConfig(method="threshold_selection", theta=theta, beta=draw(st.floats(0.0, 5.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(threshold_blocks())
+def test_threshold_raise_mask_is_full_softmax_comparison(case):
+    """The rewrite raises exactly where ``softmax(x).take(ids, axis=1) >= theta``, at theta itself too."""
+    x, ids, config = case
+    raised = softmax(x).take(ids, axis=1) >= config.theta
+    expected = x.copy()
+    expected[:, ids] = np.where(raised, x.max(axis=1, keepdims=True) + config.beta, x[:, ids])
+    assert reweight._rewrite(x.copy(), ids, config).tobytes() == expected.tobytes()

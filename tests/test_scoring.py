@@ -11,6 +11,7 @@ from topicsteer.decoding import GenerationResult
 from topicsteer.models import Vocabulary
 from topicsteer.scoring import (
     REPORT_COLUMNS,
+    _lcs_length,
     dict_topic_score,
     lemma_topic_score,
     report_row,
@@ -19,7 +20,7 @@ from topicsteer.scoring import (
     token_topic_score,
     tokenize_words,
 )
-from topicsteer.topics import TopicModel, TopicTokenSet
+from topicsteer.topics import TopicModel, TopicTokenSet, topic_token_set
 
 
 def test_tokenize_words_strips_punctuation_and_case():
@@ -159,20 +160,27 @@ def _topic_models(draw) -> TopicModel:
     return TopicModel(topics=topics)
 
 
-def _dict_outcome(score, summary: str, topic_id: int, model: TopicModel, logger_name: str):
-    """(float.hex of the score or the exception's type and args, warning messages logged)."""
+def _outcome(call, *logger_names: str):
+    """(what ``call()`` returns, or the exception's type and args; the warnings logged meanwhile)."""
     records: list[logging.LogRecord] = []
     handler = logging.Handler()
     handler.emit = records.append
-    logger = logging.getLogger(logger_name)
-    logger.addHandler(handler)
+    loggers = [logging.getLogger(name) for name in logger_names]
+    for logger in loggers:
+        logger.addHandler(handler)
     try:
-        outcome = float.hex(score(summary, topic_id, model))
-    except KeyError as exc:
+        outcome = call()
+    except (KeyError, ValueError) as exc:
         outcome = (type(exc), exc.args)
     finally:
-        logger.removeHandler(handler)
+        for logger in loggers:
+            logger.removeHandler(handler)
     return outcome, [(r.levelno, r.getMessage()) for r in records]
+
+
+def _dict_outcome(score, summary: str, topic_id: int, model: TopicModel, logger_name: str):
+    """(float.hex of the score or the exception's type and args, warning messages logged)."""
+    return _outcome(lambda: float.hex(score(summary, topic_id, model)), logger_name)
 
 
 @settings(max_examples=300, deadline=None)
@@ -191,6 +199,32 @@ def test_dict_score_matches_per_call_weight_reference(model, summary_words, topi
     expected = _dict_outcome(reference_scoring.dict_topic_score, summary, topic_id, model, "reference_scoring")
     got = _dict_outcome(dict_topic_score, summary, topic_id, model, "topicsteer.scoring")
     assert got == expected
+
+
+@st.composite
+def _stem_pairs(draw) -> tuple[list[str], list[str]]:
+    """Two stem sequences over one alphabet: tiny ones repeat stems, large ones rarely match.
+
+    Lengths run from empty to past 64, so the bit masks are wider than one 64-bit word.
+    """
+    alphabet = draw(st.sampled_from((1, 2, 3, 8, 40, 500)))
+    stems = st.integers(0, alphabet - 1).map(lambda i: f"s{i}")
+    sides = []
+    for _ in range(2):
+        size = draw(st.one_of(st.integers(0, 10), st.integers(60, 150)))
+        sides.append(draw(st.lists(stems, min_size=size, max_size=size)))
+    return sides[0], sides[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stem_pairs())
+@example((["a", "b", "a"] * 40, []))
+@example(([], ["a"] * 70))
+@example(([f"s{i % 7}" for i in range(120)], [f"s{(3 * i) % 11}" for i in range(70)]))
+def test_bit_parallel_lcs_matches_quadratic_table(pair):
+    a, b = pair
+    assert _lcs_length(a, b) == reference_scoring._lcs_length(a, b)
+    assert _lcs_length(b, a) == reference_scoring._lcs_length(a, b)
 
 
 class TestRougeL:
@@ -349,3 +383,54 @@ class TestScoreSummary:
             "dict_t1", "lemma_t2", "token_t2", "dict_t2", "rouge_l_f1",
         }
         assert list(row) == list(REPORT_COLUMNS) == list(report)
+
+
+_SUMMARY_WORDS = ("court", "courts", "judge", "judging", "case", "cases", "orbit", "orbiting", "rocket", "the", "moot")
+_SUMMARY_TOKENS = ("<s>", "</s>", *(" " + w for w in _SUMMARY_WORDS), " Court", ",", "s", " 9")
+
+
+def _score_outcome(score, args: tuple, kwargs: dict, *logger_names: str):
+    """(the scores with floats as ``float.hex``, or the exception's type and args; the warnings logged)."""
+    return _outcome(lambda: {k: float.hex(v) if isinstance(v, float) else v
+                             for k, v in score(*args, **kwargs).items()}, *logger_names)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    model=_topic_models(),
+    tokens=st.lists(st.integers(0, len(_SUMMARY_TOKENS) - 1), max_size=30),
+    references=st.tuples(*[st.lists(st.sampled_from(_SUMMARY_WORDS + ("Courts,", "zebra")), max_size=12)] * 2),
+    picks=st.tuples(st.integers(0, 6), st.integers(0, 6), st.booleans()),
+    top_n=st.integers(1, 7),
+    prebuilt=st.booleans(),
+)
+# (0.3 + 0.2) + 0.1 is 0.6, (0.1 + 0.2) + 0.3 is not: the lemma score sums in topic order
+@example(model=TopicModel(topics={0: (("judge", 0.3), ("court", 0.2), ("case", 0.1)), 1: (("orbit", 1.0),)}),
+         tokens=[_SUMMARY_TOKENS.index(t) for t in (" case", " court", " judging", " orbit")],
+         references=(["the", "court"], ["orbit"]), picks=(0, 1, True), top_n=3, prebuilt=False)
+def test_score_summary_matches_per_metric_composition(model, tokens, references, picks, top_n, prebuilt):
+    """The once-per-text path gives the old composition's bits, errors and warnings (a no-word summary warns twice)."""
+    vocab = Vocabulary.from_tokens(list(_SUMMARY_TOKENS), bos="<s>", eos="</s>")
+    candidates = sorted(model.topics) + [42]  # 42 is no topic: both must fail the same way
+    tid1, tid2 = (candidates[i % len(candidates)] for i in picks[:2])
+    steered = tid1 if picks[2] else tid2
+    token_sets = {t: topic_token_set(t, model, vocab, top_n) for t in (tid1, tid2) if t in model.topics}
+    args = (GenerationResult(tokens=tuple(tokens), log_prob=-1.0), "a1", "c", steered, (tid1, tid2),
+            tuple(" ".join(words) for words in references), model, vocab)
+    kwargs = dict(top_n=top_n, token_sets=token_sets if prebuilt else None)
+    expected = _score_outcome(reference_scoring.score_summary, args, kwargs, "reference_scoring", "topicsteer.topics")
+    got = _score_outcome(score_summary, args, kwargs, "topicsteer.scoring", "topicsteer.topics")
+    assert got == expected
+
+
+def test_public_scorers_match_reference_copies():
+    model = TopicModel(topics={0: (("court", 0.6), ("judge", 0.4), ("case", 0.2)),
+                               1: (("rocket", 0.5), ("orbit", 0.3), ("case", 0.1))})
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        x, y = (" ".join(rng.choice(_SUMMARY_WORDS, size=rng.integers(0, 15))) for _ in range(2))
+        assert float.hex(rouge_l_f1(x, y)) == float.hex(reference_scoring.rouge_l_f1(x, y))
+        for tid in (0, 1):
+            for top_n in (1, 2, 3):
+                got = lemma_topic_score(x, tid, model, top_n)
+                assert float.hex(got) == float.hex(reference_scoring.lemma_topic_score(x, tid, model, top_n))
