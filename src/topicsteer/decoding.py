@@ -1,24 +1,30 @@
 """Token generation from any logits provider: greedy, sampling, beam search.
 
 All strategies share one loop. It checks the prompt once; then each step
-works on one (n, V) block that holds the logits of the n live hypotheses
-(1 for greedy and sampling, up to num_beams for beam search): one provider
-call for the block -> one reweighting-chain rewrite of the block, in place
--> EOS column masked while below the minimum length -> one selection. Only
-the selection differs: greedy takes the steered argmax; sampling and beam
-search first apply row-wise top-k/top-p truncation, which hands over each
-row's surviving ids (at most top_k) and their scores, then sampling draws
-one token and beam search keeps the global top num_beams of each row's
-num_beams best successors. Both take the softmax normaliser over the
-full-length truncated row, so their probabilities are bit for bit those of
-a full-vector softmax of that row. Each decode call owns one workspace of
-(width, V) blocks, allocated when it starts and freed when it returns: the
-zero-filled rows those normalisers are summed over, and the block that a
-provider without ``logits_many`` is copied into, so no step allocates
-either. Nothing is cached across calls. Reweighting runs before truncation on
-purpose: a boosted token must be able to re-enter the candidate set even if
-the raw logits placed it outside the top-k. ``trace=True`` records per-step
-logits for all three strategies.
+works on one (n, V) block that holds the logits of the n live hypotheses (1
+for greedy and sampling, up to num_beams for beam search): one provider call
+for the block -> one reweighting-chain rewrite of the block, in place -> EOS
+column masked while below the minimum length -> one selection. Only the
+selection differs: greedy takes the steered argmax; sampling and beam search
+first apply row-wise top-k/top-p truncation, the one survivor step. It hands
+over each row's surviving ids (at most top_k) in survivor order, their flat
+indices into the block, their scores and one exp(kept - top) per survivor;
+those weights give the nucleus mass, the sampling weights and the beam
+normaliser, so a step exponentiates each survivor once. Sampling then draws
+one token. Beam search keeps the global top num_beams of each row's
+num_beams best successors, which are the row's first num_beams survivors:
+log probabilities never increase along a row, and where rounding ties them
+across that boundary, the lowest ids of the tie run fill it. Both sum the
+normaliser over the full-length truncated row (the weights put into a zero
+row), so their probabilities are bit for bit those of a full-vector softmax
+of that row. Each decode call owns one workspace of (width, V) blocks,
+allocated when it starts and freed when it returns: the zero-filled rows
+those normalisers are summed over, and the block that a provider without
+``logits_many`` is copied into, so no step allocates either. Nothing is
+cached across calls. Reweighting runs before truncation on purpose: a
+boosted token must be able to re-enter the candidate set even if the raw
+logits placed it outside the top-k. ``trace=True`` records per-step logits
+for all three strategies.
 
 Determinism contract: greedy and beam search are fully deterministic; ties
 go to the lower token id, then the lower beam index. Sampling uses a PCG64
@@ -42,8 +48,8 @@ from .models import (
     as_int,
     as_real,
     flat_ids,
-    log_softmax,  # noqa: F401  (no step calls it; tracers wrap this name)
-    softmax,
+    log_softmax,  # noqa: F401  (no step calls it or softmax; tracers wrap both names)
+    softmax,  # noqa: F401
 )
 
 __all__ = [
@@ -130,24 +136,31 @@ def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.nd
     """Mask everything outside the top-k, then outside the top-p nucleus.
 
     The one-row case of ``_truncate``, which states the survivor rules.
-    Masked entries are set to -inf.
+    ``scores`` must be one-dimensional, ``top_k`` an integer and ``top_p`` a
+    real number. Masked entries are set to -inf.
     """
+    top_k, top_p = as_int(top_k, "top_k"), as_real(top_p, "top_p")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     if not 0.0 < top_p <= 1.0:
         raise ValueError("top_p must lie in (0, 1]")
     x = np.asarray(scores, dtype=np.float64)
-    ids, kept = _truncate(x[None], top_k, top_p)
+    if x.ndim != 1:
+        raise ValueError("logit vector must be one-dimensional")
+    ids, _, kept, _ = _truncate(x[None], top_k, top_p)
     out = np.full_like(x, -np.inf)
     out[ids[0]] = kept[0]
     return out
 
 
-def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise top-k/top-p truncation of a float64 (n, V) block.
+def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row-wise top-k/top-p truncation of a float64 (n, V) block: the one survivor step of sampling and beam search.
 
-    Returns ``(ids, kept)``, both (n, min(top_k, V)): each row's top-k ids in
-    survivor order and their scores, -inf where an id does not survive.
+    Returns ``(ids, flat, kept, weights)``, each (n, min(top_k, V)): each
+    row's top-k ids in survivor order, the same ids as indices into the
+    flattened block, their scores (-inf where an id does not survive) and
+    their weights ``exp(kept - top)`` (0 where an id does not survive), with
+    ``top`` the row's highest surviving score.
     Survivor order is descending score with ties kept in token-id order: the
     first top_k ids of a stable descending sort, of which the non-finite
     ones are then dropped. Rows of at most max(1024, 4 * top_k) entries are
@@ -161,9 +174,17 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
     candidates finds the top_k-th best score, only those strictly better are
     sorted, and the lowest ids that tie with it fill the remaining places. A
     row whose bound is NaN (a block holds a NaN) is sorted whole. Every path
-    keeps the same ids in the same order. The nucleus is the smallest prefix
-    of a row's survivors whose renormalized softmax mass reaches top_p; the
-    highest-scoring token always survives.
+    keeps the same ids in the same order.
+
+    The nucleus is the smallest prefix of a row's survivors whose
+    renormalized mass reaches top_p: entry j survives if the mass strictly
+    before it is < top_p, so the highest-scoring token always survives. The
+    mass is the cumulative sum of the weights over their sum: the
+    subtraction, exp, sum, division and cumsum of a ``softmax`` of the
+    survivors, so the weights that sampling and beam search normalise are
+    the ones the nucleus was cut by. When every row keeps all k survivors
+    finite, the whole block is cut at once; a block with a non-finite
+    survivor is cut row by row, each row over its finite survivors only.
     """
     rows, size = x.shape
     k = min(top_k, size)
@@ -190,46 +211,47 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
             better = top[scores > boundary]
             out[: better.size] = better[(-row[better]).argsort(kind="stable")]
             out[better.size:] = top[scores == boundary][: k - better.size]
-    kept = x.take(flat_ids(ids, rows, size))
+    flat = flat_ids(ids, rows, size)
+    kept = x.take(flat)
     finite = np.isfinite(kept)
-    if k and finite.all():  # the usual case: every row keeps all k, so the block is cut at once
+    if k and finite.all():  # the usual case: each row's first survivor is its top
+        weights = kept - kept[:, :1]
+        np.exp(weights, out=weights)
         if top_p < 1.0:
-            for row, count in zip(kept, _nucleus_sizes(kept, top_p)):
-                row[count:] = -np.inf
-        return ids, kept
-    for row, keep in zip(kept, finite):
+            cut = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)[:, :-1] >= top_p
+            weights[:, 1:][cut] = 0.0
+            kept[:, 1:][cut] = -np.inf
+        return ids, flat, kept, weights
+    weights = np.zeros_like(kept)
+    for row, out, keep in zip(kept, weights, finite):
         if not keep.any():
             raise ValueError("cannot truncate a fully masked logit vector")
         row[~keep] = -np.inf
+        where = keep.nonzero()[0]
+        survivors = row[where]
+        exps = np.exp(survivors - survivors[0])  # the first finite survivor is the row's top
         if top_p < 1.0:
-            where = keep.nonzero()[0]
-            row[where[_nucleus_sizes(row[where][None], top_p)[0]:]] = -np.inf
-    return ids, kept
+            count = 1 + int((exps / exps.sum()).cumsum()[:-1].searchsorted(top_p))
+            row[where[count:]] = -np.inf
+            where, exps = where[:count], exps[:count]
+        out[where] = exps
+    return ids, flat, kept, weights
 
 
-def _nucleus_sizes(kept: np.ndarray, top_p: float) -> list[int]:
-    """How many leading entries of each row of finite, descending scores the top-p nucleus keeps.
+def _normalisers(flat: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """Per row of ``zeros``, the sum of ``weights`` placed at the flat indices ``flat`` in its all-zero rows.
 
-    Entry j survives if the renormalized mass strictly before it is < top_p.
+    ``zeros`` is a view of the decode's zero workspace block: (V,) for the
+    ids of one row, which gives a scalar, or the first n rows for the (n, k)
+    flat indices of ``_truncate``, which gives n sums. The weights are put
+    in, each row is summed and zeros are put back, so the block is all zeros
+    again on return. Summed over the full length, numpy's pairwise sum
+    groups the weights exactly as a softmax of the whole truncated row does;
+    a sum over the survivors alone can differ in the last bit.
     """
-    return [1 + int(mass[:-1].searchsorted(top_p)) for mass in softmax(kept).cumsum(axis=1)]
-
-
-def _normalisers(ids: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    """Per row of ``ids``, the sum of ``weights`` placed at those ids in the all-zero row of ``zeros``.
-
-    ``zeros`` is a view of the decode's zero workspace block with the rows
-    of ``ids``: (V,) for one row of ids, which gives a scalar, or (n, V) for
-    (n, k) ids, which gives n sums. The weights are put in, each row is
-    summed and zeros are put back, so the block is all zeros again on
-    return. Summed over the full length, numpy's pairwise sum groups the
-    weights exactly as a softmax of the whole truncated row does; a sum over
-    the survivors alone can differ in the last bit.
-    """
-    at = flat_ids(ids, ids.size // ids.shape[-1], zeros.shape[-1])
-    zeros.put(at, weights)
+    zeros.put(flat, weights)
     sums = zeros.sum(axis=-1)
-    zeros.put(at, 0.0)
+    zeros.put(flat, 0.0)
     return sums
 
 
@@ -257,14 +279,13 @@ def _sample(steered: np.ndarray, live: list, config: GenerationConfig, rng, zero
     """Inverse-CDF draw over the top-k ids in token-id order; zero-probability entries can't win.
 
     Bit for bit the draw over ``softmax`` of the whole truncated vector:
-    the masked entries add exact zeros to the cumulative sum, and the
-    normaliser is summed over the full length.
+    the truncation's weights are that softmax's exps, the masked entries
+    add exact zeros to the cumulative sum, and the normaliser is summed over
+    the full length.
     """
-    ids, kept = _truncate(steered, config.top_k, config.top_p)
-    ids, kept = ids[0], kept[0]
-    by_id = ids.argsort()
-    ids, kept = ids[by_id], kept[by_id]
-    weights = np.exp(kept - kept.max())  # 0 where masked
+    ids, _, _, weights = _truncate(steered, config.top_k, config.top_p)
+    by_id = ids[0].argsort()
+    ids, weights = ids[0][by_id], weights[0][by_id]
     probs = weights / _normalisers(ids, weights, zeros[0])
     index = int(probs.cumsum().searchsorted(rng.random(), side="right"))
     if index >= probs.size:
@@ -279,20 +300,38 @@ def _beam(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros:
     Log probabilities use each row's full-length normaliser, so they equal
     ``log_softmax`` of the whole truncated row. The global rank is by
     cumulative log probability, then the lower token id, then the lower row.
+
+    A row's finite survivors are one run in survivor order (only survivors
+    that were +inf, now dropped, precede it) whose log probabilities never
+    increase, so its best num_beams lead the run. Ties are contiguous; where
+    rounding ties log probabilities across the num_beams boundary, the
+    lowest ids of that tie run fill it.
     """
-    ids, kept = _truncate(steered, config.top_k, config.top_p)
-    top = kept.max(axis=1)
-    z = _normalisers(ids, np.exp(kept - top[:, None]), zeros[: len(ids)])
-    lse = [t + math.log(s) for t, s in zip(top.tolist(), z.tolist())]
-    log_probs = kept - np.array(lse)[:, None]  # -inf where masked, or where a survivor far below the max overflows
-    best = np.lexsort((ids, -log_probs), axis=1)[:, : config.num_beams]
-    rows = np.arange(ids.shape[0])[:, None].repeat(best.shape[1], axis=1)
-    log_probs = log_probs[rows, best]
-    proposed = np.isfinite(log_probs)
-    totals = (np.array([hypothesis[0] for hypothesis in live])[:, None] + log_probs)[proposed]
-    tokens, sources = ids[rows, best][proposed], rows[proposed]
-    order = np.lexsort((sources, tokens, -totals))[: config.num_beams]
-    return list(zip(totals[order].tolist(), tokens[order].tolist(), sources[order].tolist()))
+    ids, flat, kept, weights = _truncate(steered, config.top_k, config.top_p)
+    beams = config.num_beams
+    norms = _normalisers(flat, weights, zeros[: len(ids)]).tolist()
+    candidates = []  # (-cumulative log prob, token, source row)
+    heads = zip(live, kept[:, : beams + 1].tolist(), ids[:, : beams + 1].tolist(), norms)
+    for source, (hypothesis, head, head_ids, norm) in enumerate(heads):
+        start = 0
+        if head[0] == -math.inf:  # survivors that were +inf lead the row
+            start = int(np.isfinite(kept[source]).argmax())
+            head, head_ids = kept[source, start:].tolist(), ids[source, start:].tolist()
+        lse = head[0] + math.log(norm)
+        # -inf where masked, or where a survivor far below the top overflows
+        log_probs = [score - lse for score in head]
+        if len(log_probs) > beams and log_probs[beams - 1] == log_probs[beams] > -math.inf:
+            # a tie across the boundary: the whole tie run competes for its places, lowest ids first
+            tie = log_probs[beams]
+            log_probs = [score - lse for score in kept[source, start:].tolist()]
+            head_ids = ids[source, start:].tolist()
+            first = log_probs.index(tie)
+            head_ids[first:beams] = sorted(head_ids[first: first + log_probs.count(tie)])[: beams - first]
+        for log_prob, token in zip(log_probs[:beams], head_ids):
+            if log_prob > -math.inf:
+                candidates.append((-(hypothesis[0] + log_prob), token, source))
+    candidates.sort()
+    return [(-total, token, source) for total, token, source in candidates[:beams]]
 
 
 _SELECTORS = {"greedy": _greedy, "sample": _sample, "beam": _beam}

@@ -13,6 +13,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
 
+import topicsteer.decoding as decoding  # noqa: E402
 from topicsteer.decoding import GenerationConfig, generate  # noqa: E402
 
 from conftest import random_markov  # noqa: E402
@@ -47,20 +48,27 @@ class CountingSteps:
         return self.logits(self.start(prefix))
 
 
-def test_beam_step_spans_sit_under_generate_beam():
-    # A step works on one (n, V) block of all live beams: the nucleus softmax
-    # runs once per step, below decoding.generate_beam, and not once per
-    # hypothesis. The 1-D truncate_top_k_top_p, which the decoding.truncate
-    # span wraps, is not on the engine's path.
+def test_beam_step_selection_is_one_untraced_truncation(monkeypatch):
+    # A step works on one (n, V) block of all live beams: it truncates once
+    # per step, below decoding.generate_beam, and not once per hypothesis.
+    # That one truncation gives the nucleus mass, the weights and the beam
+    # normalisers, so no step calls decoding.softmax or log_softmax and the
+    # tracer sees no selection span. The 1-D truncate_top_k_top_p, which the
+    # decoding.truncate span wraps, is not on the engine's path either.
     provider = CountingSteps(random_markov(5, eos_logit=-20.0))
     config = GenerationConfig(strategy="beam", num_beams=3, top_p=0.9, min_new_tokens=0, max_new_tokens=4)
+    truncations = []
+
+    def truncate(x, top_k, top_p, block=decoding._truncate):
+        truncations.append(len(x))
+        return block(x, top_k, top_p)
+
+    monkeypatch.setattr(decoding, "_truncate", truncate)
     tracer = spans.Tracer(num_beams=config.num_beams)
     with tracer.installed():
         result = generate(provider, [provider.vocabulary.bos_id], None, config)
-    a = tracer.arrays()
-    names = [tracer.names[i] for i in a["name"]]
-    parents = [names[p] for p in a["parent"][[n == "decoding.softmax" for n in names]]]
+    names = [tracer.names[i] for i in tracer.arrays()["name"]]
     assert len(result.tokens) == config.max_new_tokens
-    assert parents and set(parents) == {"decoding.generate_beam"}
-    assert len(parents) == config.max_new_tokens < provider.steps
-    assert "decoding.truncate" not in names
+    assert "decoding.generate_beam" in names
+    assert "decoding.softmax" not in names and "decoding.truncate" not in names
+    assert len(truncations) == config.max_new_tokens < sum(truncations) == provider.steps

@@ -75,6 +75,22 @@ class TestTruncation:
         out = truncate_top_k_top_p(np.array([1.0, 1.0, 1.0]), top_k=2, top_p=1.0)
         assert out.tolist() == [1.0, 1.0, -np.inf]
 
+    def test_bool_top_k_is_named(self):
+        with pytest.raises(TypeError, match=r"^top_k True is not an integer$"):
+            truncate_top_k_top_p(np.array([3.0, 2.0, 1.0]), top_k=True, top_p=1.0)
+
+    def test_fractional_top_k_is_named(self):
+        with pytest.raises(TypeError, match=r"^top_k 2\.5 is not an integer$"):
+            truncate_top_k_top_p(np.array([3.0, 2.0, 1.0]), top_k=2.5, top_p=1.0)
+
+    def test_mistyped_top_p_is_named(self):
+        with pytest.raises(TypeError, match=r"^top_p '0\.9' is not a real number$"):
+            truncate_top_k_top_p(np.array([3.0, 2.0, 1.0]), top_k=2, top_p="0.9")
+
+    def test_block_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^logit vector must be one-dimensional$"):
+            truncate_top_k_top_p(np.zeros((2, 3)), top_k=2, top_p=1.0)
+
 
 class TestGreedy:
     def test_first_token_is_argmax(self):
@@ -717,7 +733,7 @@ def test_row_wise_truncation_matches_reference_row_by_row(case):
     failed = [outcome for outcome in expected if isinstance(outcome, type)]
 
     def truncate(scores, top_k, top_p):
-        ids, kept = decoding._truncate(scores, top_k, top_p)
+        ids, _, kept, _ = decoding._truncate(scores, top_k, top_p)
         out = np.full_like(scores, -np.inf)
         out[np.arange(scores.shape[0])[:, None], ids] = kept
         return out
@@ -727,7 +743,7 @@ def test_row_wise_truncation_matches_reference_row_by_row(case):
         assert outcome == failed[0]
     else:
         assert outcome == b"".join(expected)
-        ids, _ = decoding._truncate(block, top_k, top_p)
+        ids = decoding._truncate(block, top_k, top_p)[0]
         assert np.array_equal(ids, (-block).argsort(axis=1, kind="stable")[:, : min(top_k, block.shape[1])])
 
 
@@ -800,7 +816,7 @@ class TestBlockMaxBound:
     @pytest.mark.parametrize("top_p", [1.0, 0.9])
     def test_path_runs_and_keeps_the_stable_sort_ids(self, case, top_p):
         row, k = self._row(case), self.TOP_K
-        (ids, kept), lines = _lines_run(decoding._truncate, row[None], k, top_p)
+        (ids, _, kept, _), lines = _lines_run(decoding._truncate, row[None], k, top_p)
         assert {line for line in self.PATHS.values() if line in lines} == {self.PATHS[case]}
         assert ids[0].tolist() == (-row).argsort(kind="stable")[:k].tolist()
         out = np.full_like(row, -np.inf)
@@ -891,23 +907,48 @@ def test_survivor_selectors_match_full_vector_reference(case):
         assert _selections(one_row_selector(strategy), scores, config, uniforms) == expected
 
 
+class CountingExp:
+    """``numpy`` as ``decoding`` sees it, with ``exp`` recording the entries per row of what it exponentiates."""
+
+    def __init__(self, sizes):
+        self.sizes = sizes
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.sizes.append(np.shape(x)[-1])
+        return np.exp(x, *args, **kwargs)
+
+
 class TestSelectionOverSurvivors:
     @pytest.mark.parametrize("strategy", ["sample", "beam"])
     def test_no_normalisation_over_the_whole_vocabulary(self, monkeypatch, strategy):
-        sizes = []  # entries per hypothesis: a step normalises one row per live hypothesis
+        # Apart from the full-length zero-row sum of ``_normalisers``, a step
+        # exponentiates and normalises at most top_k entries per hypothesis:
+        # one exp(kept - top) of the survivors gives the nucleus mass and the
+        # weights that the selector normalises.
+        sizes, normalised = [], []  # entries per hypothesis
+        monkeypatch.setattr(decoding, "np", CountingExp(sizes))
         for name in ("softmax", "log_softmax"):
             def counting(scores, normalise=getattr(decoding, name)):
                 sizes.append(np.shape(scores)[-1])
                 return normalise(scores)
 
             monkeypatch.setattr(decoding, name, counting)
+
+        def normalisers(flat, weights, zeros, full_length=decoding._normalisers):
+            normalised.append(np.shape(weights)[-1])
+            return full_length(flat, weights, zeros)
+
+        monkeypatch.setattr(decoding, "_normalisers", normalisers)
         model = make_markov(make_vocab(1_000), seed=3)
         config = GenerationConfig(strategy=strategy, top_k=20, top_p=0.9, num_beams=3,
                                   min_new_tokens=6, max_new_tokens=6, seed=1)
         result = generate(model, [model.vocabulary.bos_id], None, config)
         assert len(result.tokens) == 6
-        assert sizes  # the nucleus cut normalises the top-k survivors
-        assert max(sizes) <= config.top_k
+        assert len(sizes) == len(normalised) == 6  # one exp and one normaliser per step
+        assert max(sizes + normalised) <= config.top_k
 
     def test_survivor_whose_log_prob_overflows_is_dropped(self):
         # -1e308 survives top-k, but its log prob -1e308 - 1e308 overflows to -inf
@@ -921,6 +962,125 @@ class TestSelectionOverSurvivors:
 
 def _hex_kept(kept):
     return [(float(total).hex(), token, source) for total, token, source in kept]
+
+
+def reference_beam_step(block, live, config):
+    """The reference beam step: each row's selection on its own, then one sort of all candidates."""
+    candidates = []
+    for source, (row, (cumulative,)) in enumerate(zip(block, live)):
+        for token, log_prob in reference_decoding.SELECTORS["beam"](row, config, None):
+            candidates.append((cumulative + log_prob, token, source))
+    candidates.sort(key=lambda candidate: (-candidate[0], candidate[1], candidate[2]))
+    return candidates[: config.num_beams]
+
+
+def _beam_step_outcomes(block, live, config):
+    """``_beam`` and the reference beam step on ``block``: each one's hex totals, or the type of what it raises."""
+    def outcome(step):
+        try:
+            with np.errstate(over="ignore"):
+                return _hex_kept(step())
+        except ValueError as exc:
+            return type(exc)
+
+    return (outcome(lambda: decoding._beam(block, live, config, None, np.zeros_like(block))),
+            outcome(lambda: reference_beam_step(block, live, config)))
+
+
+# Two scores that differ by one ulp but whose log probs round to the same value when the row's
+# log-sum-exp is log(2): x - log(2) crosses 2**53, where the spacing of doubles doubles.
+ABOVE, BELOW = -(2.0**53 - 1), -(2.0**53)
+
+
+class TestBeamBoundary:
+    """A row's best num_beams are its first survivors, save a tie run across the boundary."""
+
+    def test_rounding_tie_is_filled_by_the_lowest_ids(self):
+        # survivor order: ids 0, 2 (score 0), 3 (ABOVE), 1, 4 (BELOW); the last three tie in log prob
+        row = np.array([0.0, BELOW, 0.0, ABOVE, BELOW])
+        lse = math.log(2.0)
+        assert ABOVE > BELOW and ABOVE - lse == BELOW - lse
+        config = beam_config(top_k=5, top_p=1.0, num_beams=3)
+        kept, expected = _beam_step_outcomes(row[None], [(-0.0,)], config)
+        assert kept == expected
+        assert [token for _, token, _ in kept] == [0, 2, 1]
+        assert kept[2][0] == (BELOW - lse).hex()
+
+    def test_top_k_at_most_num_beams(self):
+        block = np.random.default_rng(3).normal(0.0, 2.0, (3, 40))
+        live = [(-1.0,), (-1.25,), (-4.0,)]
+        for top_k in (1, 2, 4):
+            config = beam_config(top_k=top_k, top_p=1.0, num_beams=4)
+            kept, expected = _beam_step_outcomes(block, live, config)
+            assert kept == expected and len(kept) == min(4, 3 * top_k)
+
+    def test_fewer_nucleus_survivors_than_num_beams(self):
+        block = np.array([[12.0, 0.0, 1.0, 11.0, 0.5], [0.0, 0.0, 30.0, 0.0, 0.0]])
+        config = beam_config(top_k=5, top_p=0.9, num_beams=4)
+        kept, expected = _beam_step_outcomes(block, [(-2.0,), (-0.5,)], config)
+        assert kept == expected
+        assert sorted((source, token) for _, token, source in kept) == [(0, 0), (0, 3), (1, 2)]
+
+    @pytest.mark.parametrize("beams", [1, 2, 3, 5, 8])
+    def test_rows_of_one_block_end_at_different_boundaries(self, beams):
+        # every survivor is finite, so the block is cut at once
+        cut_at_once = np.array([
+            [0.0, 3e-17, 0.0, 1e-17, 2e-17, -30.0],  # five survivors whose log probs all round to -log(5)
+            [0.0, 40.0, 1.0, 2.0, 3.0, 4.0],  # a nucleus of one
+            [12.0, 0.0, 1.0, 11.0, 0.5, 0.25],  # a nucleus of two
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # equal scores: a tie run that rounding did not make
+        ])
+        tied = log_softmax(cut_at_once[0, :5])
+        assert len(set(cut_at_once[0, :5].tolist())) == 4 and len(set(tied.tolist())) == 1
+        # a non-finite survivor: the block is cut row by row
+        row_by_row = np.array([
+            [0.0, BELOW, 0.0, ABOVE, BELOW, -np.inf],
+            [np.inf, 1.0, np.inf, 0.5, 0.25, np.nan],  # dropped +inf survivors lead the row
+            [-np.inf, -np.inf, 2.0, -np.inf, -np.inf, -np.inf],
+        ])
+        live = [(-0.0,), (-0.5,), (-1.0,), (-0.75,)]
+        for block, top_p in ((cut_at_once, 0.9), (row_by_row, 1.0)):
+            config = beam_config(top_k=6, top_p=top_p, num_beams=beams)
+            kept, expected = _beam_step_outcomes(block, live[: len(block)], config)
+            assert kept == expected
+
+
+@st.composite
+def beam_step_cases(draw):
+    """Blocks of 1-5 rows whose log probs often tie at a row's num_beams boundary.
+
+    Scores come from a small pool: 0 and scores within 1e-16 of it (whose
+    log probs round to one value), the two ``ABOVE``/``BELOW`` neighbours
+    and their neighbours, a few normal draws, -inf, +inf and NaN, so rows
+    hold exact ties, rounding ties, dropped survivors and nuclei of every
+    size. Rows are short, or now and then longer than the block-max bound's
+    threshold.
+    """
+    rows = draw(st.integers(1, 5))
+    size = draw(st.one_of(st.integers(2, 40), st.integers(1025, 1500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = [0.0, 1e-17, 2e-17, -1e-17, ABOVE, BELOW, ABOVE + 1.0, BELOW - 2.0, *rng.normal(0.0, 2.0, 3)]
+    block = rng.choice(pool, (rows, size))
+    for row in block:
+        specials = rng.choice(size, int(rng.integers(0, min(size, 5) + 1)), replace=False)
+        row[specials] = rng.choice([-np.inf, np.inf, np.nan], specials.size)
+    config = beam_config(
+        top_k=draw(st.integers(1, size + 3)),
+        top_p=draw(st.one_of(st.sampled_from([1.0, 0.99, 0.9, 0.5]), st.floats(1e-3, 1.0))),
+        num_beams=draw(st.integers(1, 8)),
+    )
+    live = [(cumulative,) for cumulative in draw(st.lists(
+        st.sampled_from([-0.0, -0.5, -1.0, -2.0**53, float(rng.normal(-3.0, 1.0))]), min_size=rows, max_size=rows))]
+    return block, live, config
+
+
+@settings(max_examples=400, deadline=None)
+@given(beam_step_cases())
+def test_beam_step_matches_reference_rows(case):
+    """A block's beam step keeps the reference's successors with bit-equal totals, or fails as it does."""
+    block, live, config = case
+    kept, expected = _beam_step_outcomes(block, live, config)
+    assert kept == expected
 
 
 def test_zero_workspace_is_all_zeros_again_after_each_selection():

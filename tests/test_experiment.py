@@ -129,6 +129,17 @@ def make_config(tmp_path, conditions, **overrides) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+def benchmark_grid():
+    """The nine conditions of the benchmark grid: {greedy, sample, beam} x {none, shift 5, threshold}."""
+    methods = {
+        "none": ReweightConfig(),
+        "shift5": ReweightConfig(method="constant_shift", c=5.0),
+        "threshold": ReweightConfig(method="threshold_selection", theta=0.005, beta=1.0),
+    }
+    return [Condition(f"{strategy}-{label}", reweight, GenerationConfig(strategy=strategy))
+            for strategy in ("greedy", "sample", "beam") for label, reweight in methods.items()]
+
+
 def three_conditions():
     return [
         Condition("baseline", ReweightConfig(method="none"), fast_generation()),
@@ -265,17 +276,21 @@ class TestRunSweep:
         # The digest is the sha256 of report.csv from this same sweep, run with the
         # per-method reweighting code that tests/reference_reweight.py keeps verbatim.
         # Any change to what decoding, reweighting or scoring writes moves it.
-        methods = {
-            "none": ReweightConfig(),
-            "shift5": ReweightConfig(method="constant_shift", c=5.0),
-            "threshold": ReweightConfig(method="threshold_selection", theta=0.005, beta=1.0),
-        }
-        grid = [Condition(f"{strategy}-{label}", reweight, GenerationConfig(strategy=strategy))
-                for strategy in ("greedy", "sample", "beam") for label, reweight in methods.items()]
-        result = run_sweep(make_config(tmp_path, grid, limit=4, steered_policy="both", master_seed=1))
+        result = run_sweep(make_config(tmp_path, benchmark_grid(), limit=4, steered_policy="both", master_seed=1))
         assert (result.rows_total, result.rows_error) == (72, 0)
         digest = hashlib.sha256(result.report_path.read_bytes()).hexdigest()
         assert digest == "13bc8512ce4cbec606d5c89184f260458b40df64aa4f7c163073b06d0e577677"
+
+    def test_full_benchmark_grid_is_byte_identical(self, tmp_path):
+        # The whole fixture: 25 articles x 9 conditions x 2 topics, the sweep of the
+        # fixture-sweep benchmark workload at master seed 1. Both digests were taken
+        # before sampling and beam search selected from one truncation step.
+        result = run_sweep(make_config(tmp_path, benchmark_grid(), limit=None, steered_policy="both", master_seed=1))
+        assert (result.rows_total, result.rows_error) == (450, 0)
+        assert hashlib.sha256(result.report_path.read_bytes()).hexdigest() == (
+            "d7b933c3ec5c9a43631206b8f80773fc427f2fcaf4277da06da7522be6604e9f")
+        assert hashlib.sha256(result.aggregate_path.read_bytes()).hexdigest() == (
+            "eb3154a8265ec5ecdad15364099cb3329d6b8bb264311f818dc49bad7b1aaf28")
 
 
 class TestDeriveSeed:
