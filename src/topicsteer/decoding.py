@@ -3,7 +3,8 @@
 All strategies share one loop. It checks the prompt once; then each step
 works on one (n, V) block that holds the logits of the n live hypotheses (1
 for greedy and sampling, up to num_beams for beam search): one provider call
-for the block -> one reweighting-chain rewrite of the block, in place -> EOS
+for the block -> one reweighting-chain rewrite of the block, in place, by
+the chain the decode bound once when it started -> EOS
 column masked while below the minimum length -> one selection. Only the
 selection differs: greedy takes the steered argmax; sampling and beam search
 first apply row-wise top-k/top-p truncation, the one survivor step. It hands
@@ -269,10 +270,10 @@ def _greedy(steered: np.ndarray, live: list, config: GenerationConfig, rng, zero
     """
     row = steered[0]
     token = int(row.argmax())
-    top = row[token]  # NaN if the row holds one: argmax returns the first NaN
-    if not np.isfinite(top):
+    top = float(row[token])  # NaN if the row holds one: argmax returns the first NaN
+    if not math.isfinite(top):
         raise ValueError("log_softmax requires at least one finite entry and no +inf/NaN")
-    return ((live[0][0] + float(top - (top + math.log(np.exp(row - top).sum()))), token, 0),)
+    return ((live[0][0] + (top - (top + math.log(np.exp(row - top).sum()))), token, 0),)
 
 
 def _sample(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros: np.ndarray) -> tuple:
@@ -393,11 +394,15 @@ def _decode(
     tokens as a ``(token, parent)`` chain, so extending one costs O(1) in
     the prefix length; the tokens are listed once, at the end.
 
+    The chain is bound once, after the prompt check, for blocks of up to
+    ``width`` rows (``ProcessorChain.bind``): its topic ids are checked
+    against V and their flat indices laid out then, not on every step.
     A step works on one (n, V) block, row i the logits of live hypothesis i:
     one ``logits_many`` call (or ``logits`` per row, copied into the
-    workspace), one chain rewrite in place (on a copy when tracing, which
-    keeps the raw logits), the EOS column masked while below the minimum
-    length, and one selection.
+    workspace), one rewrite by the bound chain in place (on a copy when
+    tracing, which keeps the raw logits; the rewrite still checks that the
+    block and the values it writes are finite), the EOS column masked while
+    below the minimum length, and one selection.
     It keeps the global top ``width`` (1, or num_beams for beam search) of
     all rows' candidates, ranked by cumulative log probability, ties to the
     lower token id, then the lower source row. A hypothesis that emits EOS
@@ -420,12 +425,13 @@ def _decode(
     eos = model.vocabulary.eos_id
     # (cumulative log prob, provider state, (token, parent) chain, step records)
     live = [(0.0, provider.start(prefix), (), ())]
+    rewrite = None if chain is None else chain.bind(width, size)
     done = []
     for step in range(config.max_new_tokens):
         raw = logits_many([state for _, state, _, _ in live])
         steered = raw.copy() if trace else raw
-        if chain is not None:
-            chain.apply_in_place(steered)
+        if rewrite is not None:
+            rewrite(steered)
         if step < config.min_new_tokens:
             steered[:, eos] = -np.inf
         extended = []

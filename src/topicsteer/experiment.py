@@ -3,8 +3,10 @@
 Each corpus sample carries two topic ids with one reference summary each.
 A sweep generates one summary per (sample, condition, steered topic), scores
 it, and writes a report CSV, a per-condition aggregate CSV, and a manifest.
-Given the same config and master seed, outputs are byte-identical; only the
-manifest carries a timestamp.
+Rows of one article that would decode the same text (the unsteered 'none'
+rows of greedy and beam search, for both topics) share one decode; each row
+is still scored on its own. Given the same config and master seed, outputs
+are byte-identical; only the manifest carries a timestamp.
 """
 
 from __future__ import annotations
@@ -198,6 +200,16 @@ def _steered_tids(sample: CorpusSample, policy: str) -> list[int]:
     return [sample.tid1, sample.tid2]
 
 
+def _decode_key(reweight: ReweightConfig, tid: int, generation: GenerationConfig) -> tuple:
+    """Everything a row's decode of its article's prompt depends on.
+
+    The steered topic counts only under a method that reads it, and the
+    seed only when sampling.
+    """
+    return (reweight, None if reweight.method == "none" else tid,
+            generation if generation.strategy == "sample" else replace(generation, seed=0))
+
+
 def run_row(
     model: LogitsProvider,
     topic_model: TopicModel,
@@ -209,19 +221,30 @@ def run_row(
     master_seed: int,
     top_n: int,
     token_sets: dict[int, TopicTokenSet],
+    decodes: dict[tuple, GenerationResult] | None = None,
 ) -> tuple[GenerationResult, dict[str, str]]:
     """Generate and score one (sample, condition, steered topic) row; return the result and its CSV row.
 
     ``token_sets`` is a cache of topic token sets that this call fills, the
     steered topic first, so a cache shared across rows expands each topic
     once and an unknown topic id fails only the rows that need it.
+    ``decodes`` is an optional cache of this article's successful decodes,
+    keyed by ``_decode_key``: a row whose decode is already in it is scored
+    on that result without calling ``generate``. A decode that raises is
+    not cached, so the next row that needs it runs it again and records its
+    own error.
     """
     vocab = model.vocabulary
     for t in (tid, sample.tid1, sample.tid2):
         if t not in token_sets:
             token_sets[t] = topic_token_set(t, topic_model, vocab, top_n)
-    chain = build_chain(condition.reweight, token_sets[tid])
-    result = generate(model, prefix, chain, condition.generation_for(master_seed, sample.article_id, tid))
+    generation = condition.generation_for(master_seed, sample.article_id, tid)
+    key = _decode_key(condition.reweight, tid, generation)
+    result = None if decodes is None else decodes.get(key)
+    if result is None:
+        result = generate(model, prefix, build_chain(condition.reweight, token_sets[tid]), generation)
+        if decodes is not None:
+            decodes[key] = result
     scores = score_summary(result, article_id=sample.article_id, condition=condition.label, steered_tid=tid,
                            topics=(sample.tid1, sample.tid2), references=(sample.ref1, sample.ref2),
                            model=topic_model, vocab=vocab, top_n=top_n, token_sets=token_sets)
@@ -234,7 +257,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     Per-row failures are recorded in the report's "error" column and do not
     stop the sweep. Rows are generated in corpus order, then condition order,
     then steered-topic order, with per-row seeds derived from the master seed
-    and the row identity.
+    and the row identity. Within an article, rows with the same decode
+    (``_decode_key``) share the first successful one.
     """
     model = load_toy_model(config.model_path)
     topic_model = load_topic_model(config.topics_path)
@@ -244,15 +268,17 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     rows: list[dict[str, str]] = []
     ok_rows = []
     per_condition: dict[str, int] = {c.label: 0 for c in config.conditions}
+    decode_count = 0
     for sample in corpus:
         prefix = sample.prompt(model.vocabulary)
+        shared: dict[tuple, GenerationResult] = {}
         for condition in config.conditions:
             for tid in _steered_tids(sample, config.steered_policy):
                 per_condition[condition.label] += 1
                 try:
                     _result, row = run_row(model, topic_model, sample, prefix, condition, tid,
                                            master_seed=config.master_seed, top_n=config.top_n,
-                                           token_sets=token_sets)
+                                           token_sets=token_sets, decodes=shared)
                 except Exception as exc:  # recorded per row; the sweep continues
                     logger.warning(
                         "row failed: article=%s condition=%s tid=%s: %s",
@@ -264,6 +290,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                     row["error"] = ""
                     ok_rows.append(row)
                 rows.append(row)
+        decode_count += len(shared)
 
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,6 +319,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         "rows_ok": len(rows) - rows_error,
         "rows_error": rows_error,
         "rows_per_condition": per_condition,
+        "decodes": decode_count,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return SweepResult(

@@ -15,18 +15,20 @@ entry bit-identical:
   already considered plausible jump to the front; the rest are untouched.
 
 Each decoding step is one rewrite: ``build_chain`` sorts the topic ids once,
-and every method goes through ``_rewrite``, which validates the logits,
-range-checks the ids and writes the method's values. It works on an (n, V)
-block, one logit vector per row, so the decoding engine rewrites all live
-hypotheses of a step at once and in place (``ProcessorChain.apply_in_place``).
-The public functions and ``ProcessorChain.apply`` are its one-row case: they
+and every method goes through the rewrite that ``_bind`` returns, which
+rewrites an (n, V) block, one logit vector per row, in place. A decode binds
+its chain once (``ProcessorChain.bind``), so the id range check and the
+ids' flat indices are paid once, not per step; ``_bind`` lists what each
+step still checks. The public functions, ``ProcessorChain.apply`` and
+``apply_in_place`` bind for the one block they are given; the first two
 copy once and never mutate their input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -87,50 +89,76 @@ def _sorted_ids(topic: object) -> np.ndarray:
     return np.array(sorted({as_int(i, "topic token id") for i in ids}), dtype=np.intp)
 
 
-def _rewrite(x: np.ndarray, ids: np.ndarray, config: ReweightConfig) -> np.ndarray:
-    """The one reweighting step: rewrite the topic ``ids`` of every row of ``x`` in place and return it.
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is finite.
 
-    ``x`` is a float64 (n, V) block that the caller owns; each row is one
-    logit vector and is rewritten as if alone. ``ids`` must be sorted and
-    unique, and empty for method "none". Every check runs before the first
-    write. The values are computed from the original rows, so threshold
-    selection does not depend on token order; its comparison against theta
-    is an exact >= with no epsilon, against each row's own softmax.
+    A finite sum proves it, since one NaN or infinity makes the sum NaN or
+    infinite. Only a non-finite sum, which finite entries near the float
+    range can also reach by overflow, is settled entry by entry.
     """
-    if not np.isfinite(x).all():
-        raise ValueError("logit vector must be finite before reweighting")
-    size = x.shape[1]
+    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
+
+
+def _bind(ids: np.ndarray, config: ReweightConfig, rows: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The one reweighting step, bound to blocks of at most ``rows`` rows of ``size`` logits.
+
+    ``ids`` must be sorted and unique, and empty for method "none". Binding
+    checks them against ``size`` and lays out their flat indices for
+    ``rows`` rows, once. The returned rewrite takes a float64 (n, size)
+    block with n <= rows that the caller owns, rewrites the topic ids of
+    every row in place, as if each row were alone, and returns it. Every
+    check runs before the first write, in this order: the block is finite,
+    the ids fit (a mismatch found when binding is raised here, so a block
+    with both faults still reports the non-finite input), and the
+    rewritten values are finite. The values are computed from the original
+    rows, so threshold selection does not depend on token order; its
+    comparison against theta is an exact >= with no epsilon, against each
+    row's own softmax.
+    """
+    mismatch = ""
     if ids.size and (ids[0] < 0 or ids[-1] >= size):
-        raise VocabularyMismatchError(
-            f"topic token ids span [{ids[0]}, {ids[-1]}] but the logit vector has {size} entries"
-        )
-    if ids.size == 0:
+        mismatch = f"topic token ids span [{ids[0]}, {ids[-1]}] but the logit vector has {size} entries"
+    grid = flat_ids(ids, rows, size).reshape(rows, ids.size)
+
+    def rewrite(x: np.ndarray) -> np.ndarray:
+        if not _all_finite(x):
+            raise ValueError("logit vector must be finite before reweighting")
+        if mismatch:
+            raise VocabularyMismatchError(mismatch)
+        if ids.size == 0:
+            return x
+        at = grid[: len(x)]
+        values = x.take(at)
+        if config.method == "constant_shift":
+            values += config.c
+        elif config.method == "factor_scaling":
+            values *= config.alpha
+        else:
+            # Each row's softmax, divided only at the topic ids: the same quotients as ``softmax(x)``.
+            top = x.max(axis=1, keepdims=True)
+            e = x - top
+            np.exp(e, out=e)
+            raised = e.take(at) / e.sum(axis=1, keepdims=True) >= config.theta
+            np.copyto(values, top + config.beta, where=raised)
+        # An overflow must not mask tokens silently.
+        if not _all_finite(values):
+            raise ValueError(f"{config.method}: a rewritten topic logit is not finite")
+        x.put(at, values)
         return x
-    values = x.take(ids, axis=1)
-    if config.method == "constant_shift":
-        values += config.c
-    elif config.method == "factor_scaling":
-        values *= config.alpha
-    else:
-        # Each row's softmax, divided only at the topic ids: the same quotients as ``softmax(x)``.
-        top = x.max(axis=1, keepdims=True)
-        e = x - top
-        np.exp(e, out=e)
-        raised = e.take(ids, axis=1) / e.sum(axis=1, keepdims=True) >= config.theta
-        np.copyto(values, top + config.beta, where=raised)
-    # An overflow must not mask tokens silently.
-    if not np.isfinite(values).all():
-        raise ValueError(f"{config.method}: a rewritten topic logit is not finite")
-    x.put(flat_ids(ids, len(x), size), values)
-    return x
+
+    return rewrite
+
+
+def _unchanged(block: np.ndarray) -> np.ndarray:
+    return block
 
 
 def _rewritten(scores: LogitVector, ids: np.ndarray, config: ReweightConfig) -> np.ndarray:
-    """A rewritten copy of the one-dimensional vector ``scores``: the one-row case of ``_rewrite``."""
+    """A rewritten copy of the one-dimensional vector ``scores``: the one-row case of ``_bind``."""
     x = np.array(scores, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("logit vector must be one-dimensional")
-    _rewrite(x[None], ids, config)
+    _bind(ids, config, 1, x.size)(x[None])
     return x
 
 
@@ -167,11 +195,16 @@ class ProcessorChain:
             return np.asarray(scores, dtype=np.float64).copy()
         return _rewritten(scores, self.ids, self.config)
 
+    def bind(self, rows: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
+        """This step's in-place rewrite of float64 (n, size) blocks with n <= rows; ``_bind`` says what it checks when.
+
+        Method "none" binds the identity.
+        """
+        return _unchanged if self.config.method == "none" else _bind(self.ids, self.config, rows, size)
+
     def apply_in_place(self, block: np.ndarray) -> np.ndarray:
         """Rewrite each row of a float64 (n, V) block that the caller owns, as ``apply`` would; return it."""
-        if self.config.method != "none":
-            _rewrite(block, self.ids, self.config)
-        return block
+        return self.bind(*block.shape)(block)
 
 
 def build_chain(config: ReweightConfig, topic: object) -> ProcessorChain:

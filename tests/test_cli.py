@@ -77,6 +77,36 @@ class TestGenerate:
         assert record["scores"] == {column: row[column] for column in METRIC_COLUMNS}
         assert record["tokens"] == list(sweep_tokens["a003", record["condition"], 1])
 
+    def test_prints_a_shared_row_the_sweep_writes(self, tmp_path, capsys, monkeypatch):
+        # Greedy 'none' cannot depend on the steered topic, so the sweep decodes it
+        # once per article and scores that decode for tid2 as well.
+        sample = {s.article_id: s for s in experiment.load_corpus(fixtures.corpus_path())}["a003"]
+        flags = ["--strategy", "greedy", "--seed", "7", "--method", "none", "--min-tokens", "3", "--max-tokens", "6"]
+        code, out, _err = run(capsys, "generate", "--article-id", "a003", "--topic", str(sample.tid2), *flags)
+        assert code == 0
+        record = json.loads(out)
+
+        calls, sweep_tokens = [], {}
+        inner, inner_row = experiment.generate, experiment.run_row
+
+        def recording_run_row(model, topic_model, sample, prefix, condition, tid, **kwargs):
+            result, row = inner_row(model, topic_model, sample, prefix, condition, tid, **kwargs)
+            sweep_tokens[sample.article_id, tid] = result.tokens
+            return result, row
+
+        monkeypatch.setattr(experiment, "generate", lambda *args: calls.append(args[3]) or inner(*args))
+        monkeypatch.setattr(experiment, "run_row", recording_run_row)
+        out_dir = tmp_path / "out"
+        code, _out, _err = run(capsys, "sweep", "--limit", "4", "--out-dir", str(out_dir), *flags)
+        assert code == 0
+        assert len(calls) == json.loads((out_dir / "manifest.json").read_text())["decodes"] == 4
+        with open(out_dir / "report.csv") as handle:
+            rows = {(r["article_id"], r["condition"], r["steered_tid"]): r for r in csv.DictReader(handle)}
+        row = rows["a003", record["condition"], str(sample.tid2)]
+        assert record["scores"] == {column: row[column] for column in METRIC_COLUMNS}
+        assert row != rows["a003", record["condition"], str(sample.tid1)]  # scored against its own topic
+        assert record["tokens"] == list(sweep_tokens["a003", sample.tid2]) == list(sweep_tokens["a003", sample.tid1])
+
     def test_unknown_article_is_config_error(self, capsys):
         code, _out, err = run(capsys, "generate", "--article-id", "nope")
         assert code == 1

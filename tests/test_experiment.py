@@ -3,10 +3,14 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topicsteer import experiment, fixtures, scoring
 from topicsteer.decoding import GenerationConfig
@@ -178,8 +182,10 @@ class TestRunSweep:
         assert len(rows) == 12
         assert all(row["error"] == "" for row in rows)
 
-    def test_each_row_calls_generate_then_score_summary_once(self, tmp_path, monkeypatch):
+    def test_each_row_scores_once_and_each_distinct_decode_generates_once(self, tmp_path, monkeypatch):
         # The benchmark times rows by swapping out these two module names.
+        # Greedy 'none' ("baseline") decodes the same text for both topics, so
+        # its tid2 row scores the tid1 row's result without a generate call.
         calls = []
         inner_generate, inner_score = experiment.generate, experiment.score_summary
 
@@ -195,7 +201,10 @@ class TestRunSweep:
         monkeypatch.setattr(experiment, "score_summary", score_summary)
         result = run_sweep(make_config(tmp_path, three_conditions()))
         assert (result.rows_total, result.rows_ok) == (12, 12)
-        assert calls == [("generate", 4, []), ("score_summary",)] * 12
+        row = [("generate", 4, []), ("score_summary",)]
+        article = row + [("score_summary",)] + row * 4  # baseline tid1, tid2; shift2 and sample for each tid
+        assert calls == article * 2
+        assert json.loads(result.manifest_path.read_text())["decodes"] == 10
 
     def test_byte_identical_reruns(self, tmp_path):
         first = run_sweep(make_config(tmp_path, three_conditions(), out_dir=tmp_path / "one"))
@@ -281,16 +290,88 @@ class TestRunSweep:
         digest = hashlib.sha256(result.report_path.read_bytes()).hexdigest()
         assert digest == "13bc8512ce4cbec606d5c89184f260458b40df64aa4f7c163073b06d0e577677"
 
-    def test_full_benchmark_grid_is_byte_identical(self, tmp_path):
+    def test_full_benchmark_grid_is_byte_identical(self, tmp_path, monkeypatch):
         # The whole fixture: 25 articles x 9 conditions x 2 topics, the sweep of the
         # fixture-sweep benchmark workload at master seed 1. Both digests were taken
-        # before sampling and beam search selected from one truncation step.
+        # before sampling and beam search selected from one truncation step, and
+        # before the tid2 rows of greedy-none and beam-none shared their tid1 decode.
+        calls = []
+        inner = experiment.generate
+        monkeypatch.setattr(experiment, "generate", lambda *args: calls.append(args[3]) or inner(*args))
         result = run_sweep(make_config(tmp_path, benchmark_grid(), limit=None, steered_policy="both", master_seed=1))
         assert (result.rows_total, result.rows_error) == (450, 0)
+        assert len(calls) == json.loads(result.manifest_path.read_text())["decodes"] == 450 - 2 * 25
         assert hashlib.sha256(result.report_path.read_bytes()).hexdigest() == (
             "d7b933c3ec5c9a43631206b8f80773fc427f2fcaf4277da06da7522be6604e9f")
         assert hashlib.sha256(result.aggregate_path.read_bytes()).hexdigest() == (
             "eb3154a8265ec5ecdad15364099cb3329d6b8bb264311f818dc49bad7b1aaf28")
+
+
+@st.composite
+def small_grids(draw):
+    """Sweep configs whose conditions often share a decode: 'none' under each strategy, and the same
+    method and generation settings under different labels and condition seeds."""
+    methods = [ReweightConfig(), ReweightConfig(method="constant_shift", c=3.0),
+               ReweightConfig(method="threshold_selection", theta=0.01, beta=1.0)]
+    conditions = [
+        Condition(f"c{i}", draw(st.sampled_from(methods)),
+                  fast_generation(draw(st.sampled_from(["greedy", "sample", "beam"])),
+                                  num_beams=draw(st.sampled_from([2, 3])), seed=draw(st.integers(0, 1))))
+        for i in range(draw(st.integers(1, 5)))
+    ]
+    overrides = dict(limit=draw(st.integers(1, 3)), master_seed=draw(st.integers(0, 3)),
+                     steered_policy=draw(st.sampled_from(experiment.STEERED_POLICIES)))
+    return conditions, overrides
+
+
+class TestSharedDecodes:
+    @settings(max_examples=25, deadline=None)
+    @given(small_grids())
+    def test_sweep_equals_a_row_loop_without_shared_decodes(self, grid):
+        conditions, overrides = grid
+        inner_row, inner_generate = experiment.run_row, experiment.generate
+        generated = []
+
+        def memo_free(*args, decodes, **kwargs):
+            return inner_row(*args, **kwargs)
+
+        def counting(*args):
+            generated.append(args[3])
+            return inner_generate(*args)
+
+        with tempfile.TemporaryDirectory() as root:
+            config = make_config(Path(root), conditions, **overrides)
+            with mock.patch.object(experiment, "generate", counting):
+                shared = run_sweep(config)
+            with mock.patch.object(experiment, "run_row", memo_free):
+                alone = run_sweep(dataclasses.replace(config, out_dir=Path(root) / "alone"))
+            for name in ("report_path", "aggregate_path"):
+                assert getattr(shared, name).read_bytes() == getattr(alone, name).read_bytes()
+            manifests = [json.loads(r.manifest_path.read_text()) for r in (shared, alone)]
+        assert manifests[0]["decodes"] == len(generated) <= shared.rows_total
+        for manifest in manifests:
+            del manifest["created_at"], manifest["decodes"]
+        assert manifests[0] == manifests[1]
+
+    def test_failing_shared_decode_records_its_error_on_each_row(self, tmp_path, monkeypatch):
+        calls = []
+        inner = experiment.generate
+
+        def generate(model, prefix, chain, config):
+            calls.append(chain.config.method)
+            if chain.config.method == "none" and config.strategy == "greedy":
+                raise ValueError("provider\n  failed")
+            return inner(model, prefix, chain, config)
+
+        monkeypatch.setattr(experiment, "generate", generate)
+        result = run_sweep(make_config(tmp_path, three_conditions()))
+        with open(result.report_path) as handle:
+            failed = [r for r in csv.DictReader(handle) if r["error"]]
+        # each of the two 'baseline' rows of an article ran the decode itself and failed alike
+        assert [(r["condition"], r["steered_tid"], r["error"]) for r in failed] == \
+            [("baseline", "0", "provider failed"), ("baseline", "1", "provider failed")] * 2
+        assert len(calls) == 12
+        assert json.loads(result.manifest_path.read_text())["decodes"] == 8
 
 
 class TestDeriveSeed:

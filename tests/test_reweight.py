@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -381,4 +382,99 @@ def test_threshold_raise_mask_is_full_softmax_comparison(case):
     raised = softmax(x).take(ids, axis=1) >= config.theta
     expected = x.copy()
     expected[:, ids] = np.where(raised, x.max(axis=1, keepdims=True) + config.beta, x[:, ids])
-    assert reweight._rewrite(x.copy(), ids, config).tobytes() == expected.tobytes()
+    assert reweight._bind(ids, config, *x.shape)(x.copy()).tobytes() == expected.tobytes()
+
+
+BOUND_CONFIGS = [
+    ReweightConfig(),
+    ReweightConfig(method="constant_shift", c=5.0),
+    ReweightConfig(method="factor_scaling", alpha=0.5),
+    ReweightConfig(method="threshold_selection", theta=1e-4, beta=1.0),
+]
+NUM_BEAMS = 4  # a decode binds its chain for up to GenerationConfig().num_beams rows
+
+
+def _bound_case(size, config):
+    """A (NUM_BEAMS, size) block of N(0, 3) logits with a few exact ties, and a topic of size // 10 ids."""
+    rng = np.random.default_rng(size)
+    block = rng.normal(0.0, 3.0, (NUM_BEAMS, size))
+    block[:, : size // 20] = 1.0
+    ids = sorted(rng.choice(size, size // 10, replace=False).tolist())
+    steps = () if config.method == "none" else ((config, ids),)
+    return block, ids, reference.ProcessorChain(steps=steps)
+
+
+def _raised(run):
+    """The type and message of the exception ``run`` raises."""
+    with pytest.raises(ValueError) as info:
+        with np.errstate(all="ignore"):
+            run()
+    return type(info.value), str(info.value)
+
+
+def _methods(configs):
+    return pytest.mark.parametrize("config", configs, ids=lambda c: c.method)
+
+
+@pytest.mark.parametrize("size", [226, 5_000])
+class TestBoundChain:
+    """One ``bind`` per decode, then blocks of 1 to num_beams rows, as ``decoding._decode`` steps them.
+
+    Method "none" reads no ids and checks nothing, like the reference's empty
+    chain, so only the bit-identity tests bind it.
+    """
+
+    @_methods(BOUND_CONFIGS)
+    def test_rewrites_equal_the_reference_bit_for_bit(self, size, config):
+        block, ids, expected = _bound_case(size, config)
+        chain = build_chain(config, ids)
+        rewrite = chain.bind(NUM_BEAMS, size)
+        for rows in [*range(1, NUM_BEAMS + 1), 2, 1]:
+            want = np.array([expected.apply(row) for row in block[:rows]])
+            assert rewrite(block[:rows].copy()).tobytes() == want.tobytes()
+            assert chain.apply_in_place(block[:rows].copy()).tobytes() == want.tobytes()
+
+    @_methods(BOUND_CONFIGS[1:])
+    def test_out_of_range_ids_raise_as_the_reference_does(self, size, config):
+        block, ids, _ = _bound_case(size, config)
+        for bad in (-1, size, size + 7):
+            rewrite = build_chain(config, [*ids, bad]).bind(NUM_BEAMS, size)  # binding raises nothing
+            expected = reference.ProcessorChain(steps=((config, [*ids, bad]),))
+            for rows in range(1, NUM_BEAMS + 1):
+                assert _raised(lambda: rewrite(block[:rows].copy())) == _raised(lambda: expected.apply(block[0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @_methods(BOUND_CONFIGS[1:])
+    def test_non_finite_input_raises_as_the_reference_does(self, size, config, bad):
+        block, ids, expected = _bound_case(size, config)
+        rewrite = build_chain(config, ids).bind(NUM_BEAMS, size)
+        for rows in range(1, NUM_BEAMS + 1):
+            faulty = block[:rows].copy()
+            faulty[rows - 1, ids[rows - 1]] = bad
+            want = _raised(lambda: expected.apply(faulty[rows - 1]))
+            assert _raised(lambda: rewrite(faulty.copy())) == want
+            # with out-of-range ids as well, the non-finite input is still reported first
+            mismatched = build_chain(config, [*ids, size]).bind(NUM_BEAMS, size)
+            assert _raised(lambda: mismatched(faulty.copy())) == want
+
+    @_methods(BOUND_CONFIGS[1:3])
+    def test_overflowing_rewrite_raises_as_the_reference_does(self, size, config):
+        block, ids, _ = _bound_case(size, config)
+        block[:, ids[0]] = 1e308
+        strong = replace(config, c=1.7e308, alpha=1e10)
+        rewrite = build_chain(strong, ids).bind(NUM_BEAMS, size)
+        expected = reference.ProcessorChain(steps=((strong, ids),))
+        for rows in range(1, NUM_BEAMS + 1):
+            assert _raised(lambda: rewrite(block[:rows].copy())) == _raised(lambda: expected.apply(block[0]))
+
+    @_methods(BOUND_CONFIGS)
+    def test_finite_block_whose_sum_overflows_is_accepted(self, size, config):
+        block, ids, expected = _bound_case(size, config)
+        block[:, ::2] = 1e308
+        block[:, 1::4] = -1e308
+        rewrite = build_chain(config, ids).bind(NUM_BEAMS, size)
+        for rows in range(1, NUM_BEAMS + 1):
+            with np.errstate(all="ignore"):  # numpy reports the overflowing sums; both sides stay finite
+                assert not np.isfinite(block[:rows].sum()) and np.isfinite(block).all()
+                want = np.array([expected.apply(row) for row in block[:rows]])
+                assert rewrite(block[:rows].copy()).tobytes() == want.tobytes()
