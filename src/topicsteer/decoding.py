@@ -401,8 +401,9 @@ def _decode(
     one ``logits_many`` call (or ``logits`` per row, copied into the
     workspace), one rewrite by the bound chain in place (on a copy when
     tracing, which keeps the raw logits; the rewrite still checks that the
-    block and the values it writes are finite), the EOS column masked while
-    below the minimum length, and one selection.
+    block's rows are V wide and that the block and the values it writes are
+    finite), the EOS column masked while below the minimum length, and one
+    selection.
     It keeps the global top ``width`` (1, or num_beams for beam search) of
     all rows' candidates, ranked by cumulative log probability, ties to the
     lower token id, then the lower source row. A hypothesis that emits EOS

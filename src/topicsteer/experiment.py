@@ -221,18 +221,18 @@ def run_row(
     master_seed: int,
     top_n: int,
     token_sets: dict[int, TopicTokenSet],
-    decodes: dict[tuple, GenerationResult] | None = None,
+    decodes: dict[tuple, GenerationResult],
 ) -> tuple[GenerationResult, dict[str, str]]:
     """Generate and score one (sample, condition, steered topic) row; return the result and its CSV row.
 
     ``token_sets`` is a cache of topic token sets that this call fills, the
     steered topic first, so a cache shared across rows expands each topic
     once and an unknown topic id fails only the rows that need it.
-    ``decodes`` is an optional cache of this article's successful decodes,
-    keyed by ``_decode_key``: a row whose decode is already in it is scored
-    on that result without calling ``generate``. A decode that raises is
-    not cached, so the next row that needs it runs it again and records its
-    own error.
+    ``decodes`` is a cache of this article's successful decodes that this
+    call fills, keyed by ``_decode_key``: a row whose decode is already in
+    it is scored on that result without calling ``generate``. A decode that
+    raises is not cached, so the next row that needs it runs it again and
+    records its own error. ``cli generate`` passes an empty one.
     """
     vocab = model.vocabulary
     for t in (tid, sample.tid1, sample.tid2):
@@ -240,11 +240,10 @@ def run_row(
             token_sets[t] = topic_token_set(t, topic_model, vocab, top_n)
     generation = condition.generation_for(master_seed, sample.article_id, tid)
     key = _decode_key(condition.reweight, tid, generation)
-    result = None if decodes is None else decodes.get(key)
+    result = decodes.get(key)
     if result is None:
-        result = generate(model, prefix, build_chain(condition.reweight, token_sets[tid]), generation)
-        if decodes is not None:
-            decodes[key] = result
+        chain = build_chain(condition.reweight, token_sets[tid])
+        result = decodes[key] = generate(model, prefix, chain, generation)
     scores = score_summary(result, article_id=sample.article_id, condition=condition.label, steered_tid=tid,
                            topics=(sample.tid1, sample.tid2), references=(sample.ref1, sample.ref2),
                            model=topic_model, vocab=vocab, top_n=top_n, token_sets=token_sets)

@@ -19,9 +19,9 @@ and every method goes through the rewrite that ``_bind`` returns, which
 rewrites an (n, V) block, one logit vector per row, in place. A decode binds
 its chain once (``ProcessorChain.bind``), so the id range check and the
 ids' flat indices are paid once, not per step; ``_bind`` lists what each
-step still checks. The public functions, ``ProcessorChain.apply`` and
-``apply_in_place`` bind for the one block they are given; the first two
-copy once and never mutate their input.
+step still checks. The public functions and ``ProcessorChain.apply``
+bind for the one vector they are given, copy it once and never mutate
+their input.
 """
 
 from __future__ import annotations
@@ -107,9 +107,10 @@ def _bind(ids: np.ndarray, config: ReweightConfig, rows: int, size: int) -> Call
     ``rows`` rows, once. The returned rewrite takes a float64 (n, size)
     block with n <= rows that the caller owns, rewrites the topic ids of
     every row in place, as if each row were alone, and returns it. Every
-    check runs before the first write, in this order: the block is finite,
-    the ids fit (a mismatch found when binding is raised here, so a block
-    with both faults still reports the non-finite input), and the
+    check runs before the first write, in this order: the block has at
+    most ``rows`` rows, it is finite, its rows have ``size`` entries and
+    the ids fit them (a mismatch found when binding is raised here, so a
+    block with both faults still reports the non-finite input), and the
     rewritten values are finite. The values are computed from the original
     rows, so threshold selection does not depend on token order; its
     comparison against theta is an exact >= with no epsilon, against each
@@ -121,8 +122,12 @@ def _bind(ids: np.ndarray, config: ReweightConfig, rows: int, size: int) -> Call
     grid = flat_ids(ids, rows, size).reshape(rows, ids.size)
 
     def rewrite(x: np.ndarray) -> np.ndarray:
+        if len(x) > rows:
+            raise ValueError(f"a block of {len(x)} rows, but the rewrite is bound for at most {rows}")
         if not _all_finite(x):
             raise ValueError("logit vector must be finite before reweighting")
+        if x.shape[1] != size:
+            raise VocabularyMismatchError(f"logit rows have {x.shape[1]} entries but the rewrite is bound for {size}")
         if mismatch:
             raise VocabularyMismatchError(mismatch)
         if ids.size == 0:
@@ -201,10 +206,6 @@ class ProcessorChain:
         Method "none" binds the identity.
         """
         return _unchanged if self.config.method == "none" else _bind(self.ids, self.config, rows, size)
-
-    def apply_in_place(self, block: np.ndarray) -> np.ndarray:
-        """Rewrite each row of a float64 (n, V) block that the caller owns, as ``apply`` would; return it."""
-        return self.bind(*block.shape)(block)
 
 
 def build_chain(config: ReweightConfig, topic: object) -> ProcessorChain:

@@ -66,7 +66,8 @@ def per_hypothesis_step(model, states, chain):
 
 
 def block_step(model, states, chain, zeros):
-    steered = chain.apply_in_place(model.logits_many(states))
+    block = model.logits_many(states)
+    steered = chain.bind(*block.shape)(block)
     return decoding._beam(steered, [(cumulative,) for cumulative in CUMULATIVE], CONFIG, None, zeros)
 
 

@@ -18,7 +18,7 @@ from topicsteer.decoding import (
     truncate_top_k_top_p,
 )
 from topicsteer.models import Vocabulary, log_softmax, softmax
-from topicsteer.reweight import ProcessorChain, ReweightConfig, build_chain
+from topicsteer.reweight import ProcessorChain, ReweightConfig, VocabularyMismatchError, build_chain
 
 from conftest import make_markov, make_vocab, random_markov
 import reference_decoding
@@ -630,6 +630,31 @@ class TestPromptChecks:
             for config in (greedy_config(), sample_config(), beam_config()):
                 with pytest.raises(error, match="token id"):
                     generate(provider, prefix, None, config)
+
+
+class ShortRows:
+    """A provider whose ``logits_many`` blocks are one column narrower than its vocabulary."""
+
+    def __init__(self, model):
+        self.model = model
+        self.vocabulary = model.vocabulary
+        self.start, self.advance = model.start, model.advance
+
+    def logits_many(self, states):
+        return self.model.logits_many(states)[:, :-1]
+
+
+class TestBlockWidth:
+    @pytest.mark.parametrize("config", [greedy_config(), beam_config(num_beams=3)], ids=lambda c: c.strategy)
+    @pytest.mark.parametrize("method", ["constant_shift", "factor_scaling", "threshold_selection"])
+    def test_block_narrower_than_the_vocabulary_is_a_mismatch(self, config, method):
+        model = random_markov(4, n_words=5)
+        size = model.vocabulary.size
+        provider = ShortRows(model)
+        for topic in ({2, 3}, {2, size - 1}):
+            chain = build_chain(ReweightConfig(method=method), topic)
+            with pytest.raises(VocabularyMismatchError, match=f"logit rows have {size - 1} entries"):
+                generate(provider, [model.vocabulary.bos_id], chain, config)
 
 
 def _truncation_outcome(truncate, scores, top_k, top_p):

@@ -333,7 +333,7 @@ class TestSharedDecodes:
         generated = []
 
         def memo_free(*args, decodes, **kwargs):
-            return inner_row(*args, **kwargs)
+            return inner_row(*args, decodes={}, **kwargs)
 
         def counting(*args):
             generated.append(args[3])

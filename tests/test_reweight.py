@@ -353,7 +353,7 @@ def test_block_rewrite_matches_one_row_at_a_time(case):
     except (TypeError, ValueError):
         return  # a bad topic id fails when the chain is built, as ``test_one_rewrite_...`` checks
     expected = [_outcome(lambda: chain.apply(row)) for row in block]
-    outcome = _outcome(lambda: chain.apply_in_place(block.copy()))
+    outcome = _outcome(lambda: chain.bind(*block.shape)(block.copy()))
     failed = {e for e in expected if isinstance(e, type)}
     if failed:
         assert outcome in failed
@@ -432,7 +432,20 @@ class TestBoundChain:
         for rows in [*range(1, NUM_BEAMS + 1), 2, 1]:
             want = np.array([expected.apply(row) for row in block[:rows]])
             assert rewrite(block[:rows].copy()).tobytes() == want.tobytes()
-            assert chain.apply_in_place(block[:rows].copy()).tobytes() == want.tobytes()
+            assert chain.bind(rows, size)(block[:rows].copy()).tobytes() == want.tobytes()
+
+    @_methods(BOUND_CONFIGS[1:])
+    def test_blocks_that_do_not_fit_the_binding_are_rejected_unwritten(self, size, config):
+        block, ids, _ = _bound_case(size, config)
+        rewrite = build_chain(config, ids).bind(NUM_BEAMS, size)
+        wide = np.vstack([block, block[:1]])
+        with pytest.raises(ValueError, match=f"a block of {NUM_BEAMS + 1} rows"):
+            rewrite(wide)
+        for rows in range(1, NUM_BEAMS + 1):
+            for narrow in (block[:rows, :-1].copy(), np.hstack([block[:rows], block[:rows, :1]])):
+                with pytest.raises(VocabularyMismatchError, match=f"logit rows have {narrow.shape[1]} entries"):
+                    rewrite(narrow)
+        assert wide.tobytes() == np.vstack([block, block[:1]]).tobytes()
 
     @_methods(BOUND_CONFIGS[1:])
     def test_out_of_range_ids_raise_as_the_reference_does(self, size, config):
