@@ -31,6 +31,7 @@ from .experiment import (
 )
 from .models import (
     LogitsProvider,
+    NonFiniteLogitsError,
     ToyMarkovModel,
     ToyModelFormatError,
     Vocabulary,

@@ -34,7 +34,7 @@ from .experiment import (
     run_row,
     run_sweep,
 )
-from .models import as_real, load_toy_model, read_json
+from .models import as_real, error_text, load_toy_model, read_json
 from .reweight import ReweightConfig
 from .scoring import KEY_COLUMNS
 from .topics import load_topic_model, topic_token_set
@@ -305,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"topicsteer: merge failed: {exc}", file=sys.stderr)
         return 3
     except _CONFIG_ERRORS as exc:
-        print(f"topicsteer: {exc}", file=sys.stderr)
+        print(f"topicsteer: {error_text(exc)}", file=sys.stderr)
         return 1
     except Exception as exc:  # total failure
         print(f"topicsteer: unexpected failure: {exc}", file=sys.stderr)

@@ -2,9 +2,9 @@
 
 All strategies share one loop. It checks the prompt once; then each step
 works on one (n, V) block that holds the logits of the n live hypotheses (1
-for greedy and sampling, up to num_beams for beam search): one provider call
-for the block -> one reweighting-chain rewrite of the block, in place, by
-the chain the decode bound once when it started -> EOS
+for greedy and sampling, up to num_beams for beam search): one
+``logits_many`` call for the block -> one reweighting-chain rewrite of the
+block, in place, by the chain the decode bound once when it started -> EOS
 column masked while below the minimum length -> one selection. Only the
 selection differs: greedy takes the steered argmax; sampling and beam search
 first apply row-wise top-k/top-p truncation, the one survivor step. It hands
@@ -20,12 +20,22 @@ normaliser over the full-length truncated row (the weights put into a zero
 row), so their probabilities are bit for bit those of a full-vector softmax
 of that row. Each decode call owns one workspace of (width, V) blocks,
 allocated when it starts and freed when it returns: the zero-filled rows
-those normalisers are summed over, and the block that a provider without
-``logits_many`` is copied into, so no step allocates either. Nothing is
-cached across calls. Reweighting runs before truncation on purpose: a
-boosted token must be able to re-enter the candidate set even if the raw
-logits placed it outside the top-k. ``trace=True`` records per-step logits
-for all three strategies.
+those normalisers are summed over, and, for a provider with only
+``next_logits``, the block its rows are copied into, so no step allocates
+either. Nothing is cached across calls. Reweighting runs before truncation
+on purpose: a boosted token must be able to re-enter the candidate set even
+if the raw logits placed it outside the top-k. ``trace=True`` records
+per-step logits for all three strategies.
+
+Non-finite logits: a provider's -inf masks a token under every method and
+strategy, like the engine's own EOS mask. A block holding NaN or +inf fails
+the decode with ``NonFiniteLogitsError``, naming the step and the row, and
+no step scans the block for it. The work each step already does finds it:
+greedy's argmax lands on the first NaN, else on a +inf; truncation's sort
+puts +inf first and NaN last, and above the size rule the block-max bound
+turns NaN, so only the entries past its last block need a look; the EOS mask
+subtracts inf, which keeps a NaN or +inf visible; and the chain's rewrite
+reports one that reaches a rewritten value (``reweight._bind``).
 
 Determinism contract: greedy and beam search are fully deterministic; ties
 go to the lower token id, then the lower beam index. Sampling uses a PCG64
@@ -37,13 +47,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from functools import partial
 
 import numpy as np
 
 from .models import (
     LogitsProvider,
     LogitVector,
+    NonFiniteLogitsError,
     TokenSequence,
     Vocabulary,
     as_int,
@@ -52,6 +62,7 @@ from .models import (
     log_softmax,  # noqa: F401  (no step calls it or softmax; tracers wrap both names)
     softmax,  # noqa: F401
 )
+from .reweight import ProcessorChain
 
 __all__ = [
     "GenerationConfig",
@@ -67,6 +78,7 @@ __all__ = [
 STRATEGIES = ("greedy", "sample", "beam")
 # At or below this many entries (or 4 * top_k) one stable sort of a whole row beats the block-max bound.
 _BOUND_MIN_SIZE = 1024
+_MASKED = "every token of a logit vector is masked"
 
 
 @dataclass(frozen=True)
@@ -90,7 +102,7 @@ class GenerationConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}; expected one of {STRATEGIES}")
         for name in ("top_k", "num_beams", "max_new_tokens", "min_new_tokens", "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        as_real(self.top_p, "top_p")
+        object.__setattr__(self, "top_p", as_real(self.top_p, "top_p"))
         if self.top_k < 1:
             raise ValueError("top_k must be >= 1")
         if not 0.0 < self.top_p <= 1.0:
@@ -138,17 +150,15 @@ def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.nd
 
     The one-row case of ``_truncate``, which states the survivor rules.
     ``scores`` must be one-dimensional, ``top_k`` an integer and ``top_p`` a
-    real number. Masked entries are set to -inf.
+    real number, checked as ``GenerationConfig`` checks them. Masked entries
+    are set to -inf; a NaN or +inf in ``scores`` raises
+    ``NonFiniteLogitsError``.
     """
-    top_k, top_p = as_int(top_k, "top_k"), as_real(top_p, "top_p")
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    if not 0.0 < top_p <= 1.0:
-        raise ValueError("top_p must lie in (0, 1]")
+    config = GenerationConfig("sample", top_k, top_p)
     x = np.asarray(scores, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("logit vector must be one-dimensional")
-    ids, _, kept, _ = _truncate(x[None], top_k, top_p)
+    ids, _, kept, _ = _truncate(x[None], config.top_k, config.top_p)
     out = np.full_like(x, -np.inf)
     out[ids[0]] = kept[0]
     return out
@@ -163,19 +173,24 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
     their weights ``exp(kept - top)`` (0 where an id does not survive), with
     ``top`` the row's highest surviving score.
     Survivor order is descending score with ties kept in token-id order: the
-    first top_k ids of a stable descending sort, of which the non-finite
+    first top_k ids of a stable descending sort, of which the masked (-inf)
     ones are then dropped. Rows of at most max(1024, 4 * top_k) entries are
     cheaper to sort whole. A longer row is first cut by a block-max bound:
     its first k * (V // k) entries form k blocks of V // k, and the bound is
     the smallest block maximum. Each block holds an entry at or above the
     bound, so at least k entries reach it; hence every top_k survivor is at
-    or above it, and every entry below it (or NaN) ranks after them. The
-    candidates, the entries at or above the bound in id order, are sorted
-    stably. If more than 4 * top_k reach the bound, a partition of the
-    candidates finds the top_k-th best score, only those strictly better are
-    sorted, and the lowest ids that tie with it fill the remaining places. A
-    row whose bound is NaN (a block holds a NaN) is sorted whole. Every path
-    keeps the same ids in the same order.
+    or above it, and every entry below it ranks after them. The candidates,
+    the entries at or above the bound in id order, are sorted stably. If
+    more than 4 * top_k reach the bound, a partition of the candidates finds
+    the top_k-th best score, only those strictly better are sorted, and the
+    lowest ids that tie with it fill the remaining places. Every path keeps
+    the same ids in the same order.
+
+    A block holding NaN or +inf raises ``NonFiniteLogitsError``, found by
+    work the cut does anyway: a +inf leads its row's survivors; a NaN sorts
+    last in a whole-row sort, and above the size rule it makes the bound NaN
+    unless it lies past the last block, where the V % k entries are looked
+    at.
 
     The nucleus is the smallest prefix of a row's survivors whose
     renormalized mass reaches top_p: entry j survives if the mass strictly
@@ -184,23 +199,27 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
     subtraction, exp, sum, division and cumsum of a ``softmax`` of the
     survivors, so the weights that sampling and beam search normalise are
     the ones the nucleus was cut by. When every row keeps all k survivors
-    finite, the whole block is cut at once; a block with a non-finite
-    survivor is cut row by row, each row over its finite survivors only.
+    finite, the whole block is cut at once; a block with a masked survivor
+    is cut row by row, each row over its finite survivors only, which lead
+    it.
     """
     rows, size = x.shape
     k = min(top_k, size)
     if size <= max(_BOUND_MIN_SIZE, 4 * k):
-        ids = (-x).argsort(axis=1, kind="stable")[:, :k]
+        order = (-x).argsort(axis=1, kind="stable")
+        ids = order[:, :k]
+        if any(math.isnan(x[row, last]) for row, last in enumerate(order[:, -1].tolist())):
+            raise NonFiniteLogitsError.in_block(x)
     else:
         ids = np.empty((rows, k), dtype=np.intp)
-        bound = x[:, : size - size % k].reshape(rows, k, -1).max(axis=2).min(axis=1)
+        blocks_end = size - size % k
+        bound = x[:, :blocks_end].reshape(rows, k, -1).max(axis=2).min(axis=1)
+        if np.isnan(bound).any() or np.isnan(x[:, blocks_end:]).any():
+            raise NonFiniteLogitsError.in_block(x)
         offsets = np.arange(0, (rows + 1) * size, size)
-        hits = (x >= bound[:, None]).ravel().nonzero()[0]  # flat indices, in id order per row; a NaN bound admits none
+        hits = (x >= bound[:, None]).ravel().nonzero()[0]  # flat indices, in id order per row
         ends = hits.searchsorted(offsets)
-        for out, row, lowest, offset, start, end in zip(ids, x, bound.tolist(), offsets.tolist(), ends, ends[1:]):
-            if lowest != lowest:
-                out[:] = (-row).argsort(kind="stable")[:k]
-                continue
+        for out, row, offset, start, end in zip(ids, x, offsets.tolist(), ends, ends[1:]):
             top = hits[start:end] - offset
             scores = row[top]
             if top.size <= 4 * k:
@@ -223,19 +242,17 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
             weights[:, 1:][cut] = 0.0
             kept[:, 1:][cut] = -np.inf
         return ids, flat, kept, weights
+    if not (kept[:, :1] < np.inf).all():
+        raise NonFiniteLogitsError.in_block(x)
     weights = np.zeros_like(kept)
-    for row, out, keep in zip(kept, weights, finite):
-        if not keep.any():
-            raise ValueError("cannot truncate a fully masked logit vector")
-        row[~keep] = -np.inf
-        where = keep.nonzero()[0]
-        survivors = row[where]
-        exps = np.exp(survivors - survivors[0])  # the first finite survivor is the row's top
+    for row, out, count in zip(kept, weights, finite.sum(axis=1).tolist()):
+        if not count:
+            raise ValueError(_MASKED)
+        exps = np.exp(row[:count] - row[0])
         if top_p < 1.0:
             count = 1 + int((exps / exps.sum()).cumsum()[:-1].searchsorted(top_p))
-            row[where[count:]] = -np.inf
-            where, exps = where[:count], exps[:count]
-        out[where] = exps
+            row[count:] = -np.inf
+        out[:count] = exps[:count]
     return ids, flat, kept, weights
 
 
@@ -265,14 +282,14 @@ def _greedy(steered: np.ndarray, live: list, config: GenerationConfig, rng, zero
     """Argmax of the untruncated logits; truncation never changes the argmax.
 
     Its log probability is ``log_softmax(row)[token]`` bit for bit, without
-    the full-length row: the argmax entry is the row's max, and the same
-    error is raised when that is not finite.
+    the full-length row: the argmax entry is the row's max. The argmax is
+    also the step's check: it lands on the row's first NaN, else on a +inf.
     """
     row = steered[0]
     token = int(row.argmax())
-    top = float(row[token])  # NaN if the row holds one: argmax returns the first NaN
-    if not math.isfinite(top):
-        raise ValueError("log_softmax requires at least one finite entry and no +inf/NaN")
+    top = float(row[token])
+    if not -math.inf < top < math.inf:
+        raise ValueError(_MASKED) if top == -math.inf else NonFiniteLogitsError(0)
     return ((live[0][0] + (top - (top + math.log(np.exp(row - top).sum()))), token, 0),)
 
 
@@ -302,11 +319,10 @@ def _beam(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros:
     ``log_softmax`` of the whole truncated row. The global rank is by
     cumulative log probability, then the lower token id, then the lower row.
 
-    A row's finite survivors are one run in survivor order (only survivors
-    that were +inf, now dropped, precede it) whose log probabilities never
-    increase, so its best num_beams lead the run. Ties are contiguous; where
-    rounding ties log probabilities across the num_beams boundary, the
-    lowest ids of that tie run fill it.
+    A row's finite survivors lead it in survivor order, and their log
+    probabilities never increase, so its best num_beams come first. Ties are
+    contiguous; where rounding ties log probabilities across the num_beams
+    boundary, the lowest ids of that tie run fill it.
     """
     ids, flat, kept, weights = _truncate(steered, config.top_k, config.top_p)
     beams = config.num_beams
@@ -314,18 +330,14 @@ def _beam(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros:
     candidates = []  # (-cumulative log prob, token, source row)
     heads = zip(live, kept[:, : beams + 1].tolist(), ids[:, : beams + 1].tolist(), norms)
     for source, (hypothesis, head, head_ids, norm) in enumerate(heads):
-        start = 0
-        if head[0] == -math.inf:  # survivors that were +inf lead the row
-            start = int(np.isfinite(kept[source]).argmax())
-            head, head_ids = kept[source, start:].tolist(), ids[source, start:].tolist()
         lse = head[0] + math.log(norm)
         # -inf where masked, or where a survivor far below the top overflows
         log_probs = [score - lse for score in head]
         if len(log_probs) > beams and log_probs[beams - 1] == log_probs[beams] > -math.inf:
             # a tie across the boundary: the whole tie run competes for its places, lowest ids first
             tie = log_probs[beams]
-            log_probs = [score - lse for score in kept[source, start:].tolist()]
-            head_ids = ids[source, start:].tolist()
+            log_probs = [score - lse for score in kept[source].tolist()]
+            head_ids = ids[source].tolist()
             first = log_probs.index(tie)
             head_ids[first:beams] = sorted(head_ids[first: first + log_probs.count(tie)])[: beams - first]
         for log_prob, token in zip(log_probs[:beams], head_ids):
@@ -342,10 +354,16 @@ class _PrefixStates:
     """The incremental half for a provider that has only ``next_logits``.
 
     A state is the whole prefix as a list; ``advance`` returns a longer copy.
+    ``logits_many`` copies each state's ``next_logits`` into the first n rows
+    of a (width, V) block that the adapter allocates once per decode, and
+    returns those rows; the step owns them until the next step overwrites
+    them. Each row is copied as soon as it is made, so at large V no more
+    than one of them is alive next to the block.
     """
 
-    def __init__(self, model: LogitsProvider) -> None:
+    def __init__(self, model: LogitsProvider, width: int) -> None:
         self.model = model
+        self.block = np.empty((width, model.vocabulary.size))
 
     def start(self, prefix: TokenSequence) -> list[int]:
         ids = self.model.vocabulary.validate_ids(prefix)
@@ -356,8 +374,11 @@ class _PrefixStates:
     def advance(self, state: list[int], token: int) -> list[int]:
         return state + [token]
 
-    def logits(self, state: list[int]) -> LogitVector:
-        return self.model.next_logits(state)
+    def logits_many(self, states: list[list[int]]) -> np.ndarray:
+        block = self.block[: len(states)]
+        for row, state in zip(block, states):
+            row[:] = self.model.next_logits(state)
+        return block
 
 
 def _tokens(chain: tuple) -> tuple[int, ...]:
@@ -369,19 +390,6 @@ def _tokens(chain: tuple) -> tuple[int, ...]:
     return tuple(reversed(tokens))
 
 
-def _stacked_logits(provider, rows: np.ndarray, states: list) -> np.ndarray:
-    """``logits(state)`` of each state, copied into the first n rows of the decode's (width, V) workspace block.
-
-    The step owns the rows it is handed until the next step overwrites them.
-    Each row is copied as soon as it is made, so at large V no more than one
-    of them is alive next to the block.
-    """
-    block = rows[: len(states)]
-    for row, state in zip(block, states):
-        row[:] = provider.logits(state)
-    return block
-
-
 def _decode(
     model: LogitsProvider, prefix: TokenSequence, chain, config: GenerationConfig, trace: bool, strategy: str
 ) -> GenerationResult:
@@ -390,20 +398,22 @@ def _decode(
     The provider's incremental half checks the prompt once (``start``); each
     kept hypothesis then advances its own state by one token. A provider
     with only ``next_logits`` is driven through ``_PrefixStates``, whose
-    state is the whole prefix. A hypothesis holds its state and its new
-    tokens as a ``(token, parent)`` chain, so extending one costs O(1) in
-    the prefix length; the tokens are listed once, at the end.
+    state is the whole prefix; one with ``start`` but no ``logits_many`` is
+    rejected (TypeError) before the prompt is read. A hypothesis holds its
+    state and its new tokens as a ``(token, parent)`` chain, so extending
+    one costs O(1) in the prefix length; the tokens are listed once, at the
+    end.
 
-    The chain is bound once, after the prompt check, for blocks of up to
-    ``width`` rows (``ProcessorChain.bind``): its topic ids are checked
-    against V and their flat indices laid out then, not on every step.
+    The chain (method "none" when ``chain`` is None) is bound once, after
+    the prompt check, for blocks of up to ``width`` rows
+    (``ProcessorChain.bind``): its topic ids are checked against V and their
+    flat indices laid out then, not on every step.
     A step works on one (n, V) block, row i the logits of live hypothesis i:
-    one ``logits_many`` call (or ``logits`` per row, copied into the
-    workspace), one rewrite by the bound chain in place (on a copy when
-    tracing, which keeps the raw logits; the rewrite still checks that the
-    block's rows are V wide and that the block and the values it writes are
-    finite), the EOS column masked while below the minimum length, and one
-    selection.
+    one ``logits_many`` call, one rewrite by the bound chain in place (on a
+    copy when tracing, which keeps the raw logits; ``reweight._bind`` says
+    what the rewrite checks), the EOS column masked while below the minimum
+    length, and one selection. A NaN or +inf that the step meets fails the
+    decode with ``NonFiniteLogitsError`` naming the step and the row.
     It keeps the global top ``width`` (1, or num_beams for beam search) of
     all rows' candidates, ranked by cumulative log probability, ties to the
     lower token id, then the lower source row. A hypothesis that emits EOS
@@ -417,36 +427,39 @@ def _decode(
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
     select = _SELECTORS[strategy]
     rng = np.random.Generator(np.random.PCG64(config.seed)) if strategy == "sample" else None
-    provider = model if hasattr(model, "start") else _PrefixStates(model)
-    size = model.vocabulary.size
     width = config.num_beams if strategy == "beam" else 1
-    # The call's workspace: the zero block of the normalisers, and the block the provider's rows are copied into.
-    zeros = np.zeros((width, size))
-    logits_many = getattr(provider, "logits_many", None) or partial(_stacked_logits, provider, np.empty((width, size)))
+    provider = model if hasattr(model, "start") else _PrefixStates(model, width)
+    if not hasattr(provider, "logits_many"):
+        raise TypeError(f"{type(model).__name__} has start but no logits_many")
+    size = model.vocabulary.size
+    zeros = np.zeros((width, size))  # the call's zero workspace block for the normalisers
     eos = model.vocabulary.eos_id
     # (cumulative log prob, provider state, (token, parent) chain, step records)
     live = [(0.0, provider.start(prefix), (), ())]
-    rewrite = None if chain is None else chain.bind(width, size)
+    rewrite = (chain or ProcessorChain()).bind(width, size)
     done = []
-    for step in range(config.max_new_tokens):
-        raw = logits_many([state for _, state, _, _ in live])
-        steered = raw.copy() if trace else raw
-        if rewrite is not None:
+    try:
+        for step in range(config.max_new_tokens):
+            raw = provider.logits_many([state for _, state, _, _ in live])
+            steered = raw.copy() if trace else raw
             rewrite(steered)
-        if step < config.min_new_tokens:
-            steered[:, eos] = -np.inf
-        extended = []
-        for total, token, source in select(steered, live, config, rng, zeros):
-            _, state, tokens, records = live[source]
-            if trace:
-                records += (StepRecord(step, token, float(raw[source, token]), float(steered[source, token])),)
-            if token == eos:
-                done.append((total, None, (token, tokens), records))
-            else:
-                extended.append((total, provider.advance(state, token), (token, tokens), records))
-        live = extended
-        if not live:
-            break
+            if step < config.min_new_tokens:
+                for row in range(len(live)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
+                    steered[row, eos] -= math.inf
+            extended = []
+            for total, token, source in select(steered, live, config, rng, zeros):
+                _, state, tokens, records = live[source]
+                if trace:
+                    records += (StepRecord(step, token, float(raw[source, token]), float(steered[source, token])),)
+                if token == eos:
+                    done.append((total, None, (token, tokens), records))
+                else:
+                    extended.append((total, provider.advance(state, token), (token, tokens), records))
+            live = extended
+            if not live:
+                break
+    except NonFiniteLogitsError as fault:
+        raise NonFiniteLogitsError(fault.row, step) from None
     total, _, tokens, records = max(done or live, key=lambda hypothesis: hypothesis[0])
     return GenerationResult(_tokens(tokens), total, records if trace else None)
 

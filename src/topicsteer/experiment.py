@@ -22,7 +22,7 @@ from pathlib import Path
 from statistics import mean, stdev
 
 from .decoding import GenerationConfig, GenerationResult, generate
-from .models import LogitsProvider, Vocabulary, as_int, as_real, load_toy_model, read_text
+from .models import LogitsProvider, Vocabulary, as_int, as_real, error_text, load_toy_model, read_text
 from .reweight import ReweightConfig, build_chain
 from .scoring import KEY_COLUMNS, METRIC_COLUMNS, REPORT_COLUMNS, format_score, report_row, score_summary, write_report_csv
 from .topics import DEFAULT_TOP_N, TopicModel, TopicTokenSet, load_topic_model, topic_token_set
@@ -257,11 +257,18 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     stop the sweep. Rows are generated in corpus order, then condition order,
     then steered-topic order, with per-row seeds derived from the master seed
     and the row identity. Within an article, rows with the same decode
-    (``_decode_key``) share the first successful one.
+    (``_decode_key``) share the first successful one. The output directory
+    is made once the inputs have loaded and before the first row; a path
+    that cannot be one raises ValueError.
     """
     model = load_toy_model(config.model_path)
     topic_model = load_topic_model(config.topics_path)
     corpus = load_corpus(config.corpus_path, config.limit)
+    out_dir = Path(config.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
     token_sets: dict[int, TopicTokenSet] = {}
     columns = list(REPORT_COLUMNS) + ["error"]
     rows: list[dict[str, str]] = []
@@ -279,20 +286,17 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                                            master_seed=config.master_seed, top_n=config.top_n,
                                            token_sets=token_sets, decodes=shared)
                 except Exception as exc:  # recorded per row; the sweep continues
-                    logger.warning(
-                        "row failed: article=%s condition=%s tid=%s: %s",
-                        sample.article_id, condition.label, tid, exc,
-                    )
+                    error = " ".join(error_text(exc).split())
+                    logger.warning("row failed: article=%s condition=%s tid=%s: %s",
+                                   sample.article_id, condition.label, tid, error)
                     row = {**dict.fromkeys(columns, ""), "article_id": sample.article_id, "condition": condition.label,
-                           "steered_tid": str(tid), "error": " ".join(str(exc).split())}
+                           "steered_tid": str(tid), "error": error}
                 else:
                     row["error"] = ""
                     ok_rows.append(row)
                 rows.append(row)
         decode_count += len(shared)
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.csv"
     aggregate_path = out_dir / "aggregates.csv"
     manifest_path = out_dir / "manifest.json"

@@ -2,10 +2,11 @@
 
 A provider is anything that satisfies :class:`LogitsProvider`: a
 ``vocabulary`` and ``next_logits(prefix)``. A provider may also have the
-optional incremental half, ``start``/``advance``/``logits``, which lets the
-decoding engine check a prompt once and then pay one token per step instead
-of the whole prefix. The shipped provider is an order-1 Markov table over a
-small vocabulary with both halves; its decoding state is the last token id.
+optional incremental half, ``start``/``advance``/``logits_many``, which lets
+the decoding engine check a prompt once and then pay one token per step
+instead of the whole prefix. The shipped provider is an order-1 Markov table
+over a small vocabulary with both halves; its decoding state is the last
+token id.
 It keeps every decoding path exactly reproducible and cheap enough for
 brute-force oracles.
 """
@@ -27,11 +28,13 @@ __all__ = [
     "LogitVector",
     "TokenSequence",
     "LogitsProvider",
+    "NonFiniteLogitsError",
     "ToyMarkovModel",
     "ToyModelFormatError",
     "Vocabulary",
     "as_int",
     "as_real",
+    "error_text",
     "flat_ids",
     "load_toy_model",
     "log_softmax",
@@ -42,8 +45,9 @@ __all__ = [
 ]
 
 # A logit vector is a float64 array of per-token scores, one entry per
-# vocabulary token. Entries are finite when produced by a provider;
-# -inf appears only after explicit masking inside the decoding engine.
+# vocabulary token. A provider's entries are finite or -inf, which masks a
+# token under every method and strategy. A NaN or +inf fails the decode with
+# NonFiniteLogitsError; the step's own work finds it (see decoding).
 LogitVector = np.ndarray
 
 TokenSequence = Sequence[int]
@@ -51,6 +55,23 @@ TokenSequence = Sequence[int]
 
 class ToyModelFormatError(ValueError):
     """Raised when a toy-model file does not conform to the on-disk format."""
+
+
+class NonFiniteLogitsError(ValueError):
+    """A provider's logits hold NaN or +inf: the one error for them, under every strategy and method.
+
+    ``row`` is the block row that holds one; a decode adds the ``step``.
+    """
+
+    def __init__(self, row: int, step: int | None = None) -> None:
+        where = f"row {row}" if step is None else f"step {step}, row {row}"
+        super().__init__(f"provider logits hold NaN or +inf at {where}")
+        self.row = row
+
+    @classmethod
+    def in_block(cls, block: np.ndarray) -> NonFiniteLogitsError:
+        """The error for an (n, V) block that holds NaN or +inf, naming the first row that does."""
+        return cls(int((block < np.inf).all(axis=1).argmin()))
 
 
 def as_int(value: object, name: str) -> int:
@@ -82,6 +103,11 @@ def as_real(value: object, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return value
+
+
+def error_text(exc: BaseException) -> str:
+    """What ``exc`` says to a user: a KeyError's own message, without the quotes its ``str`` adds."""
+    return str(exc.args[0]) if isinstance(exc, KeyError) and len(exc.args) == 1 else str(exc)
 
 
 def read_text(path: str | Path, error: type[ValueError], form: str) -> str:
@@ -204,15 +230,17 @@ class LogitsProvider(Protocol):
     * ``start(prefix) -> state`` checks the prompt once and returns the
       decoding state after it;
     * ``advance(state, token) -> state`` returns the state after one more
-      token, an id the engine chose from ``logits(state)``;
-    * ``logits(state) -> LogitVector`` returns the next-token logits, equal
-      to ``next_logits`` of the prefix the state stands for;
-    * ``logits_many(states) -> ndarray``, optional within the half, returns
-      one C-contiguous float64 (n, V) block whose row i is ``logits`` of
-      ``states[i]``. The block must be a fresh array: the engine owns it and
-      may write into it (it rewrites topic logits and masks EOS in place).
-      Without it, the engine copies ``logits(state)`` row by row into a
-      block of its own that each decode allocates once.
+      token, an id the engine chose from that state's logits;
+    * ``logits_many(states) -> ndarray`` returns one C-contiguous float64
+      (n, V) block whose row i is ``next_logits`` of the prefix that
+      ``states[i]`` stands for. The block must be a fresh array: the engine
+      owns it and may write into it (it rewrites topic logits and masks EOS
+      in place).
+
+    A decode rejects a provider with ``start`` but no ``logits_many``
+    (TypeError). Every entry must be finite or -inf (a masked token); a
+    block that holds NaN or +inf fails the decode with
+    ``NonFiniteLogitsError``, naming the step and the row.
 
     A state is whatever the provider needs to continue: the last id for an
     order-1 table, a key/value cache for a neural model. ``advance`` must
@@ -220,7 +248,8 @@ class LogitsProvider(Protocol):
     share a parent advance it with different tokens. The engine asks for
     the logits of all live hypotheses of a step at once. Without the
     incremental half, it calls ``next_logits`` on each whole prefix at every
-    step.
+    step and copies the rows into a block of its own that each decode
+    allocates once.
 
     Implementations must be safe for concurrent read-only queries and, for
     toy models, pure: the same prefix always yields the same vector. Real

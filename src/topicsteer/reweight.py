@@ -21,7 +21,9 @@ its chain once (``ProcessorChain.bind``), so the id range check and the
 ids' flat indices are paid once, not per step; ``_bind`` lists what each
 step still checks. The public functions and ``ProcessorChain.apply``
 bind for the one vector they are given, copy it once and never mutate
-their input.
+their input, which must be finite. A decode's bound rewrite instead takes
+the provider's -inf as a mask, which every method keeps, and reports a NaN
+or +inf that it meets as ``NonFiniteLogitsError``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .models import LogitVector, as_int, as_real, flat_ids, softmax  # noqa: F401  (tracers wrap softmax)
+from .models import LogitVector, NonFiniteLogitsError, as_int, as_real, flat_ids, softmax  # noqa: F401  (tracers wrap softmax)
 
 __all__ = [
     "METHODS",
@@ -73,7 +75,7 @@ class ReweightConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         for name in ("c", "alpha", "theta", "beta"):
-            as_real(getattr(self, name), name)
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("selection threshold theta must lie in [0, 1]")
         if self.beta < 0.0:
@@ -89,16 +91,6 @@ def _sorted_ids(topic: object) -> np.ndarray:
     return np.array(sorted({as_int(i, "topic token id") for i in ids}), dtype=np.intp)
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """Whether every entry of ``x`` is finite.
-
-    A finite sum proves it, since one NaN or infinity makes the sum NaN or
-    infinite. Only a non-finite sum, which finite entries near the float
-    range can also reach by overflow, is settled entry by entry.
-    """
-    return math.isfinite(x.sum()) or bool(np.isfinite(x).all())
-
-
 def _bind(ids: np.ndarray, config: ReweightConfig, rows: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
     """The one reweighting step, bound to blocks of at most ``rows`` rows of ``size`` logits.
 
@@ -106,15 +98,23 @@ def _bind(ids: np.ndarray, config: ReweightConfig, rows: int, size: int) -> Call
     checks them against ``size`` and lays out their flat indices for
     ``rows`` rows, once. The returned rewrite takes a float64 (n, size)
     block with n <= rows that the caller owns, rewrites the topic ids of
-    every row in place, as if each row were alone, and returns it. Every
-    check runs before the first write, in this order: the block has at
-    most ``rows`` rows, it is finite, its rows have ``size`` entries and
-    the ids fit them (a mismatch found when binding is raised here, so a
-    block with both faults still reports the non-finite input), and the
-    rewritten values are finite. The values are computed from the original
-    rows, so threshold selection does not depend on token order; its
-    comparison against theta is an exact >= with no epsilon, against each
-    row's own softmax.
+    every row in place, as if each row were alone, and returns it. The
+    values are computed from the original rows, so threshold selection does
+    not depend on token order; its comparison against theta is an exact >=
+    with no epsilon, against each row's own softmax.
+
+    An input entry of -inf is a mask and stays -inf under every method, even
+    where the method would move it (a factor alpha <= 0, a threshold theta
+    of 0). The rewrite reads no entry it does not rewrite, so it does not
+    scan the block for NaN or +inf: a NaN or +inf elsewhere passes through
+    unchanged for the step's selection to report. Every check runs before
+    the first write, in this order: the block has at most ``rows`` rows, its
+    rows have ``size`` entries, and the ids fit them (a mismatch found when
+    binding is raised here). Then, only if a rewritten value is not finite,
+    which a mask, a NaN or +inf at a topic id or in a threshold row's max,
+    or an overflow makes it: a block that holds NaN or +inf raises
+    ``NonFiniteLogitsError``, and a value that is not finite where its input
+    was not -inf raises ValueError.
     """
     mismatch = ""
     if ids.size and (ids[0] < 0 or ids[-1] >= size):
@@ -124,8 +124,6 @@ def _bind(ids: np.ndarray, config: ReweightConfig, rows: int, size: int) -> Call
     def rewrite(x: np.ndarray) -> np.ndarray:
         if len(x) > rows:
             raise ValueError(f"a block of {len(x)} rows, but the rewrite is bound for at most {rows}")
-        if not _all_finite(x):
-            raise ValueError("logit vector must be finite before reweighting")
         if x.shape[1] != size:
             raise VocabularyMismatchError(f"logit rows have {x.shape[1]} entries but the rewrite is bound for {size}")
         if mismatch:
@@ -139,30 +137,33 @@ def _bind(ids: np.ndarray, config: ReweightConfig, rows: int, size: int) -> Call
         elif config.method == "factor_scaling":
             values *= config.alpha
         else:
-            # Each row's softmax, divided only at the topic ids: the same quotients as ``softmax(x)``.
+            # Each row's softmax, divided only at the topic ids: the same quotients as ``softmax(x)``. At a theta
+            # of 0 every probability qualifies, so every topic id is raised but a masked (-inf) one.
             top = x.max(axis=1, keepdims=True)
             e = x - top
             np.exp(e, out=e)
-            raised = e.take(at) / e.sum(axis=1, keepdims=True) >= config.theta
+            raised = e.take(at) / e.sum(axis=1, keepdims=True) >= config.theta if config.theta else values > -np.inf
             np.copyto(values, top + config.beta, where=raised)
-        # An overflow must not mask tokens silently.
-        if not _all_finite(values):
-            raise ValueError(f"{config.method}: a rewritten topic logit is not finite")
+        if not math.isfinite(values.sum()):  # rare: a mask, a NaN or +inf, an overflow, or a sum that overflows
+            if not (x < np.inf).all():
+                raise NonFiniteLogitsError.in_block(x)
+            masked = x.take(at) == -np.inf
+            if not (masked | np.isfinite(values)).all():  # an overflow must not mask tokens silently
+                raise ValueError(f"{config.method}: a rewritten topic logit is not finite")
+            values[masked] = -np.inf
         x.put(at, values)
         return x
 
     return rewrite
 
 
-def _unchanged(block: np.ndarray) -> np.ndarray:
-    return block
-
-
 def _rewritten(scores: LogitVector, ids: np.ndarray, config: ReweightConfig) -> np.ndarray:
-    """A rewritten copy of the one-dimensional vector ``scores``: the one-row case of ``_bind``."""
+    """A rewritten copy of the one-dimensional, finite vector ``scores``: the one-row case of ``_bind``."""
     x = np.array(scores, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("logit vector must be one-dimensional")
+    if not np.isfinite(x).all():
+        raise ValueError("logit vector must be finite before reweighting")
     _bind(ids, config, 1, x.size)(x[None])
     return x
 
@@ -203,9 +204,9 @@ class ProcessorChain:
     def bind(self, rows: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
         """This step's in-place rewrite of float64 (n, size) blocks with n <= rows; ``_bind`` says what it checks when.
 
-        Method "none" binds the identity.
+        Method "none" has no ids: its rewrite checks the block's shape and leaves the block as it is.
         """
-        return _unchanged if self.config.method == "none" else _bind(self.ids, self.config, rows, size)
+        return _bind(self.ids, self.config, rows, size)
 
 
 def build_chain(config: ReweightConfig, topic: object) -> ProcessorChain:

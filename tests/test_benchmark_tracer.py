@@ -27,7 +27,7 @@ def test_patched_name_resolves(owner, attr, span):
 
 
 class CountingSteps:
-    """Drives a toy model incrementally and counts its provider steps (``logits`` calls)."""
+    """Drives a toy model incrementally and counts its provider steps (rows that ``logits_many`` returns)."""
 
     def __init__(self, model):
         self.model = model
@@ -40,12 +40,12 @@ class CountingSteps:
     def advance(self, state, token):
         return self.model.advance(state, token)
 
-    def logits(self, state):
-        self.steps += 1
-        return self.model.logits(state)
+    def logits_many(self, states):
+        self.steps += len(states)
+        return self.model.logits_many(states)
 
     def next_logits(self, prefix):
-        return self.logits(self.start(prefix))
+        return self.logits_many([self.start(prefix)])[0]
 
 
 def test_beam_step_selection_is_one_untraced_truncation(monkeypatch):

@@ -193,6 +193,23 @@ class TestSweep:
             "--max-tokens", "4", "--out-dir", str(tmp_path / "out"),
         )
         assert code == 2
+        with open(tmp_path / "out" / "report.csv") as handle:
+            errors = [row["error"] for row in csv.DictReader(handle) if row["error"]]
+        assert errors == ["unknown topic id 9"] * 2  # both rows of article "b"
+
+    @pytest.mark.parametrize("under", [False, True], ids=["a file", "a path under a file"])
+    def test_unusable_out_dir_is_config_error_before_any_row(self, tmp_path, capsys, monkeypatch, under):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out_dir = taken / "out" if under else taken
+        calls = []
+        monkeypatch.setattr(experiment, "generate", lambda *args: calls.append(args))
+        code, _out, err = run(capsys, "sweep", "--limit", "2", "--min-tokens", "2", "--max-tokens", "4",
+                               "--out-dir", str(out_dir))
+        reason = "Not a directory" if under else "File exists"
+        assert (code, err) == (1, f"topicsteer: cannot make output directory {out_dir}: {reason}\n")
+        assert calls == []
+        assert taken.read_text() == "not a directory\n"
 
 
 class TestSweepCardinality:
@@ -282,6 +299,7 @@ class TestExpandTopic:
     def test_unknown_topic_exits_1(self, capsys):
         code, _out, err = run(capsys, "expand-topic", "--topic", "77")
         assert code == 1
+        assert err == "topicsteer: unknown topic id 77\n"
 
 
 README_CONFIG = {

@@ -17,7 +17,7 @@ from topicsteer.decoding import (
     generate_sample,
     truncate_top_k_top_p,
 )
-from topicsteer.models import Vocabulary, log_softmax, softmax
+from topicsteer.models import NonFiniteLogitsError, Vocabulary, log_softmax, softmax
 from topicsteer.reweight import ProcessorChain, ReweightConfig, VocabularyMismatchError, build_chain
 
 from conftest import make_markov, make_vocab, random_markov
@@ -482,9 +482,8 @@ class TestSharedLoop:
 class FewRowsModel:
     """An order-1 provider over a large vocabulary with only a few distinct rows.
 
-    Token t's successors are scored by row t % len(rows). It has the
-    incremental half but no ``logits_many``, so the engine stacks its rows
-    into the decode's workspace block.
+    Token t's successors are scored by row t % len(rows). Its incremental
+    half gathers a step's rows with ``logits_many``.
     """
 
     def __init__(self, vocabulary, rows):
@@ -500,11 +499,11 @@ class FewRowsModel:
     def advance(self, state, token):
         return token
 
-    def logits(self, state):
-        return self.rows[state % len(self.rows)].copy()
+    def logits_many(self, states):
+        return self.rows.take([state % len(self.rows) for state in states], axis=0)
 
     def next_logits(self, prefix):
-        return self.logits(self.start(prefix))
+        return self.logits_many([self.start(prefix)])[0]
 
 
 @st.composite
@@ -657,6 +656,118 @@ class TestBlockWidth:
                 generate(provider, [model.vocabulary.bos_id], chain, config)
 
 
+class FaultAt:
+    """A toy model whose block of provider step ``step`` holds ``value`` at ``token`` in row ``row``.
+
+    The row is the block's last one if the block has fewer rows; ``hit``
+    records the (step, row) it wrote.
+    """
+
+    def __init__(self, model, step, row, token, value):
+        self.model, self.vocabulary = model, model.vocabulary
+        self.start, self.advance = model.start, model.advance
+        self.fault, self.calls, self.hit = (step, row, token, value), 0, None
+
+    def logits_many(self, states):
+        block = self.model.logits_many(states)
+        step, row, token, value = self.fault
+        if self.calls == step:
+            self.hit = (step, min(row, len(states) - 1))
+            block[self.hit[1], token] = value
+        self.calls += 1
+        return block
+
+    def next_logits(self, prefix):
+        return self.model.next_logits(prefix)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "+inf"])
+@pytest.mark.parametrize("method", ["none", "constant_shift", "threshold_selection"])
+@pytest.mark.parametrize("strategy", ["greedy", "sample", "beam"])
+@pytest.mark.parametrize("n_words", [4, 1_100], ids=["V=6", "V=1102"])
+def test_non_finite_provider_logits_fail_the_decode(n_words, strategy, method, value):
+    """A NaN or +inf fails every strategy under every method, with one error naming the step and the row.
+
+    The entry sits at a topic id, at another id, at the EOS column while it
+    is masked, or at the last id, which at V = 1,102 lies past the last
+    block of the block-max bound (V % top_k = 2). Beam search has it in row
+    2 of 3.
+    """
+    model = random_markov(7, n_words=n_words, eos_logit=-20.0)
+    vocab = model.vocabulary
+    chain = None if method == "none" else build_chain(ReweightConfig(method=method, c=2.0, theta=0.01), {2, 3})
+    config = GenerationConfig(strategy=strategy, top_k=50, top_p=1.0, num_beams=3, min_new_tokens=4,
+                              max_new_tokens=6, seed=3)
+    for token in (3, 4, vocab.eos_id, vocab.size - 1):
+        provider = FaultAt(model, 2, 2, token, value)
+        with pytest.raises(NonFiniteLogitsError) as error:
+            with np.errstate(invalid="ignore"):
+                generate(provider, [vocab.bos_id], chain, config)
+        step, row = provider.hit
+        assert row == (2 if strategy == "beam" else 0)
+        assert str(error.value) == f"provider logits hold NaN or +inf at step {step}, row {row}"
+        assert error.value.row == row
+
+
+class Masked:
+    """A toy model whose logits are -inf at the ``masked`` ids, through both of its halves."""
+
+    def __init__(self, model, masked):
+        self.model, self.vocabulary, self.masked = model, model.vocabulary, sorted(masked)
+        self.start, self.advance = model.start, model.advance
+
+    def logits_many(self, states):
+        block = self.model.logits_many(states)
+        block[:, self.masked] = -np.inf
+        return block
+
+    def next_logits(self, prefix):
+        return self.logits_many([self.start(prefix)])[0]
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "sample", "beam"])
+@pytest.mark.parametrize("reweight", [
+    ReweightConfig(),
+    ReweightConfig(method="constant_shift", c=3.0),
+    ReweightConfig(method="factor_scaling", alpha=-2.0),
+    ReweightConfig(method="factor_scaling", alpha=0.0),
+    ReweightConfig(method="threshold_selection", theta=0.0, beta=1.0),
+    ReweightConfig(method="threshold_selection", theta=0.01, beta=1.0),
+], ids=["none", "shift", "scale-2", "scale0", "threshold0", "threshold0.01"])
+def test_provider_minus_inf_stays_a_mask(strategy, reweight):
+    """A provider's -inf masks its token under every method, even one that would move it (alpha <= 0, theta = 0)."""
+    model = random_markov(2, n_words=6, eos_logit=-20.0)
+    masked = {3, 5, 6}
+    provider = Masked(model, masked)
+    chain = build_chain(reweight, {2, 3, 5})  # two of the three topic ids are masked
+    config = GenerationConfig(strategy=strategy, top_k=8, top_p=1.0, num_beams=3, min_new_tokens=0,
+                              max_new_tokens=6, seed=1)
+    result = generate(provider, [model.vocabulary.bos_id], chain, config)
+    assert not masked & set(result.tokens) and math.isfinite(result.log_prob)
+    if reweight.method == "none":  # the reference decoders take -inf as it comes
+        expected = REFERENCE[strategy](provider, [model.vocabulary.bos_id], None, config, False)
+        assert (result.tokens, result.log_prob.hex()) == (expected.tokens, expected.log_prob.hex())
+
+
+def test_provider_with_start_but_no_logits_many_is_rejected():
+    model = random_markov(1)
+    started = []
+
+    class Half:
+        vocabulary = model.vocabulary
+
+        def start(self, prefix):
+            started.append(prefix)
+            return model.start(prefix)
+
+        advance = staticmethod(model.advance)
+
+    for config in (greedy_config(), sample_config(), beam_config()):
+        with pytest.raises(TypeError, match="Half has start but no logits_many"):
+            generate(Half(), [model.vocabulary.bos_id], None, config)
+    assert not started
+
+
 def _truncation_outcome(truncate, scores, top_k, top_p):
     """Bytes of the truncated vector, or the type of the exception raised."""
     try:
@@ -673,6 +784,7 @@ def truncation_cases(draw):
     Small sizes take the full sort, sizes over 1024 with a small top_k the
     partial selection. Most ids share a background score, as in the shipped
     fixture, that may be -inf or NaN; -inf, +inf and NaN are also sprinkled.
+    In half the cases every NaN and +inf then becomes -inf, a mask.
     """
     size = draw(st.one_of(st.integers(1, 80), st.integers(1000, 4000)))
     top_k = draw(st.one_of(st.integers(1, 64), st.integers(1, size + 5)))
@@ -686,6 +798,8 @@ def truncation_cases(draw):
     scores[peaks] = rng.choice(pool, peaks.size)
     specials = rng.choice(size, int(rng.integers(0, min(size, 4) + 1)), replace=False)
     scores[specials] = rng.choice([-np.inf, np.inf, np.nan], specials.size)
+    if draw(st.booleans()):
+        scores[~(scores < np.inf)] = -np.inf
     top_p = draw(st.one_of(st.sampled_from([1.0, 0.95, 0.5, 1e-9]), st.floats(1e-9, 1.0)))
     return scores, top_k, top_p
 
@@ -693,10 +807,13 @@ def truncation_cases(draw):
 @settings(max_examples=500, deadline=None)
 @given(truncation_cases())
 def test_truncation_matches_full_sort_reference(case):
-    """Partial selection and the full sort keep the reference's ids, bit for bit."""
+    """Partial selection and the full sort keep the reference's ids, bit for bit; a NaN or +inf is the one error."""
     scores, top_k, top_p = case
-    expected = _truncation_outcome(reference_decoding.truncate_top_k_top_p, scores, top_k, top_p)
-    assert _truncation_outcome(truncate_top_k_top_p, scores, top_k, top_p) == expected
+    outcome = _truncation_outcome(truncate_top_k_top_p, scores, top_k, top_p)
+    if (scores < np.inf).all():  # finite entries and -inf masks
+        assert outcome == _truncation_outcome(reference_decoding.truncate_top_k_top_p, scores, top_k, top_p)
+    else:
+        assert outcome is NonFiniteLogitsError
 
 
 @st.composite
@@ -710,8 +827,8 @@ def block_truncation_cases(draw):
     5.0 over N(0, 1) logits, so more than 4 * top_k entries reach the
     bound; NaN only past the last block (V need not be a multiple of
     top_k); or one block all -inf (bound -inf). Some rows repeat an earlier
-    row (tied rows), and a row may be all NaN, which fails the whole block
-    as it fails its row.
+    row (tied rows), and a row may be all NaN. In half the blocks every NaN
+    and +inf then becomes -inf, a mask.
     """
     rows = draw(st.integers(1, 6))
     size = draw(st.one_of(st.integers(1025, 3000), st.integers(1, 80)))
@@ -746,14 +863,26 @@ def block_truncation_cases(draw):
             block[i] = block[draw(st.integers(0, i - 1))]
         elif kind == "nan":
             block[i] = np.nan
+    if draw(st.booleans()):
+        block[~(block < np.inf)] = -np.inf
     return block, top_k, top_p
 
 
 @settings(max_examples=300, deadline=None)
 @given(block_truncation_cases())
 def test_row_wise_truncation_matches_reference_row_by_row(case):
-    """Each row of a block truncates to the reference's vector for that row, bit for bit."""
+    """Each row of a block truncates to the reference's vector for that row, bit for bit.
+
+    A block that holds NaN or +inf fails with the one error, naming its
+    first row that holds one.
+    """
     block, top_k, top_p = case
+    faulty = ~(block < np.inf).all(axis=1)
+    if faulty.any():
+        with pytest.raises(NonFiniteLogitsError) as error:
+            decoding._truncate(block.copy(), top_k, top_p)
+        assert error.value.row == int(faulty.argmax())
+        return
     expected = [_truncation_outcome(reference_decoding.truncate_top_k_top_p, row, top_k, top_p) for row in block]
     failed = [outcome for outcome in expected if isinstance(outcome, type)]
 
@@ -798,18 +927,18 @@ class TestBlockMaxBound:
     """Each path of ``_truncate`` runs on a row built for it and keeps the stable sort's ids.
 
     V = 5,003 is not a multiple of top_k = 50, so ids 5,000-5,002 lie
-    outside every block of the bound.
+    outside every block of the bound. A row with a NaN takes no path: a NaN
+    in a block makes the bound NaN, and one past the blocks is looked for
+    there.
     """
 
     SIZE, TOP_K = 5_003, 50
     # a line that only the path of each case runs
     PATHS = {
-        "sort whole row": 'ids = (-x).argsort(axis=1, kind="stable")[:, :k]',
+        "sort whole row": 'order = (-x).argsort(axis=1, kind="stable")',
         "sorted candidates": 'out[:] = top[(-scores).argsort(kind="stable")[:k]]',
         "many boosted ids": "ranked.partition(k - 1)",
-        "nan past the blocks": 'out[:] = top[(-scores).argsort(kind="stable")[:k]]',
         "-inf block": "ranked.partition(k - 1)",
-        "nan bound": 'out[:] = (-row).argsort(kind="stable")[:k]',
     }
 
     def _row(self, case):
@@ -847,6 +976,22 @@ class TestBlockMaxBound:
         out = np.full_like(row, -np.inf)
         out[ids[0]] = kept[0]
         assert out.tobytes() == reference_decoding.truncate_top_k_top_p(row, k, top_p).tobytes()
+
+    @pytest.mark.parametrize("case", ["nan past the blocks", "nan bound"])
+    def test_nan_fails_the_block_naming_its_row(self, case):
+        block = np.vstack([np.zeros(self.SIZE), self._row(case), np.full(self.SIZE, np.nan)])
+        with pytest.raises(NonFiniteLogitsError, match="at row 1$"):
+            decoding._truncate(block, self.TOP_K, 1.0)
+
+
+def test_nan_outside_a_finite_top_k_below_the_size_rule_fails():
+    # A whole-row sort puts NaN last, so the NaN at id 3 is no survivor of the top 50 (ids 150-199).
+    row = np.arange(200.0)
+    row[3] = np.nan
+    assert np.isfinite(row[(-row).argsort(kind="stable")[:50]]).all()
+    for block in (row[None], np.vstack([np.zeros(200), row])):
+        with pytest.raises(NonFiniteLogitsError, match=f"at row {len(block) - 1}$"):
+            decoding._truncate(block, 50, 0.9)
 
 
 class FixedUniforms:
@@ -1057,10 +1202,10 @@ class TestBeamBoundary:
         ])
         tied = log_softmax(cut_at_once[0, :5])
         assert len(set(cut_at_once[0, :5].tolist())) == 4 and len(set(tied.tolist())) == 1
-        # a non-finite survivor: the block is cut row by row
+        # a masked survivor: the block is cut row by row
         row_by_row = np.array([
             [0.0, BELOW, 0.0, ABOVE, BELOW, -np.inf],
-            [np.inf, 1.0, np.inf, 0.5, 0.25, np.nan],  # dropped +inf survivors lead the row
+            [-np.inf, 1.0, -np.inf, 0.5, 0.25, 1.0],  # masks at low ids end the row's survivors
             [-np.inf, -np.inf, 2.0, -np.inf, -np.inf, -np.inf],
         ])
         live = [(-0.0,), (-0.5,), (-1.0,), (-0.75,)]
@@ -1076,19 +1221,20 @@ def beam_step_cases(draw):
 
     Scores come from a small pool: 0 and scores within 1e-16 of it (whose
     log probs round to one value), the two ``ABOVE``/``BELOW`` neighbours
-    and their neighbours, a few normal draws, -inf, +inf and NaN, so rows
-    hold exact ties, rounding ties, dropped survivors and nuclei of every
-    size. Rows are short, or now and then longer than the block-max bound's
-    threshold.
+    and their neighbours, a few normal draws and -inf, and in half the
+    blocks also +inf and NaN, so rows hold exact ties, rounding ties, masked
+    survivors and nuclei of every size. Rows are short, or now and then
+    longer than the block-max bound's threshold.
     """
     rows = draw(st.integers(1, 5))
     size = draw(st.one_of(st.integers(2, 40), st.integers(1025, 1500)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = [0.0, 1e-17, 2e-17, -1e-17, ABOVE, BELOW, ABOVE + 1.0, BELOW - 2.0, *rng.normal(0.0, 2.0, 3)]
     block = rng.choice(pool, (rows, size))
+    specials_pool = [-np.inf, np.inf, np.nan] if draw(st.booleans()) else [-np.inf]
     for row in block:
         specials = rng.choice(size, int(rng.integers(0, min(size, 5) + 1)), replace=False)
-        row[specials] = rng.choice([-np.inf, np.inf, np.nan], specials.size)
+        row[specials] = rng.choice(specials_pool, specials.size)
     config = beam_config(
         top_k=draw(st.integers(1, size + 3)),
         top_p=draw(st.one_of(st.sampled_from([1.0, 0.99, 0.9, 0.5]), st.floats(1e-3, 1.0))),
@@ -1102,10 +1248,13 @@ def beam_step_cases(draw):
 @settings(max_examples=400, deadline=None)
 @given(beam_step_cases())
 def test_beam_step_matches_reference_rows(case):
-    """A block's beam step keeps the reference's successors with bit-equal totals, or fails as it does."""
+    """A block's beam step keeps the reference's successors with bit-equal totals, or fails as it does.
+
+    A block that holds NaN or +inf fails with the one error instead.
+    """
     block, live, config = case
     kept, expected = _beam_step_outcomes(block, live, config)
-    assert kept == expected
+    assert kept == (expected if (block < np.inf).all() else NonFiniteLogitsError)
 
 
 def test_zero_workspace_is_all_zeros_again_after_each_selection():
@@ -1154,9 +1303,13 @@ def test_greedy_log_prob_is_log_softmax_entry(row, cumulative):
 @pytest.mark.parametrize("row", [[0.0, np.nan, 1.0], [np.nan, np.nan], [1.0, np.inf], [-np.inf, -np.inf], [np.inf, np.nan]],
                          ids=["nan", "all-nan", "+inf", "all-masked", "+inf-and-nan"])
 def test_greedy_rejects_what_log_softmax_rejects(row):
+    """Greedy fails where ``log_softmax`` does: NaN or +inf with the provider error, a masked row with its own."""
     row = np.array(row)
-    with pytest.raises(ValueError) as expected:
+    with pytest.raises(ValueError):
         log_softmax(row)
     with pytest.raises(ValueError) as got:
         decoding._greedy(row[None], [(0.0,)], _GREEDY, None, None)
-    assert str(got.value) == str(expected.value)
+    if (row < np.inf).all():
+        assert str(got.value) == "every token of a logit vector is masked"
+    else:
+        assert type(got.value) is NonFiniteLogitsError and str(got.value) == "provider logits hold NaN or +inf at row 0"

@@ -25,8 +25,9 @@ from topicsteer.experiment import (
     merge_external_scores,
     run_sweep,
 )
+from topicsteer.models import NonFiniteLogitsError, load_toy_model
 from topicsteer.reweight import ReweightConfig
-from topicsteer.topics import topic_token_set
+from topicsteer.topics import load_topic_model, topic_token_set
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:
@@ -170,6 +171,19 @@ class TestExperimentConfigTypes:
         assert [type(v) for v in (config.limit, config.top_n, config.master_seed)] == [int, int, int]
         assert run_sweep(config).rows_error == 0
 
+    def test_numpy_reals_stored_as_python_floats(self, tmp_path):
+        # A float32 strength or top_p used to decode every row, then fail to write manifest.json.
+        reweight = ReweightConfig(method="constant_shift", c=np.float32(5.0), alpha=np.float64(0.5),
+                                  theta=np.float32(0.25), beta=2)
+        generation = GenerationConfig(strategy="sample", top_p=np.float32(0.9), min_new_tokens=2, max_new_tokens=4)
+        values = (reweight.c, reweight.alpha, reweight.theta, reweight.beta, generation.top_p)
+        assert [type(v) for v in values] == [float] * 5
+        assert values == (5.0, 0.5, 0.25, 2.0, float(np.float32(0.9)))
+        result = run_sweep(make_config(tmp_path, [Condition("shift", reweight, generation)]))
+        assert result.rows_error == 0
+        condition = json.loads(result.manifest_path.read_text())["config"]["conditions"][0]
+        assert (condition["reweight"]["c"], condition["generation"]["top_p"]) == (5.0, float(np.float32(0.9)))
+
 
 class TestRunSweep:
     def test_row_cardinality(self, tmp_path):
@@ -246,7 +260,43 @@ class TestRunSweep:
         failed = [r for r in rows if r["error"]]
         assert len(failed) == 6
         assert all(r["article_id"] == "a1" for r in failed)
-        assert all("unknown topic" in r["error"] for r in failed)
+        assert all(r["error"] == "unknown topic id 7" for r in failed)
+
+    def test_nan_logits_fail_only_their_row(self, tmp_path, monkeypatch):
+        # The provider's logits hold a NaN whenever it continues article a1's prompt.
+        corpus = load_corpus(fixtures.corpus_path(), limit=3)
+        model = load_toy_model(fixtures.toy_model_path())
+        faulty = NaNAfterPrompt(model, corpus[1].prompt(model.vocabulary))
+        monkeypatch.setattr(experiment, "load_toy_model", lambda path: faulty)
+        result = run_sweep(make_config(tmp_path, three_conditions()[1:2], limit=3, steered_policy="tid1"))
+        assert (result.rows_total, result.rows_error) == (3, 1)
+        with open(result.report_path) as handle:
+            errors = {row["article_id"]: row["error"] for row in csv.DictReader(handle)}
+        assert errors == {corpus[0].article_id: "", corpus[1].article_id: "provider logits hold NaN or +inf at step 0, "
+                          "row 0", corpus[2].article_id: ""}
+
+
+class NaNAfterPrompt:
+    """A ``next_logits``-only provider: ``model``'s logits, with a NaN at id 5 after a prefix starting ``prompt``."""
+
+    def __init__(self, model, prompt):
+        self.model, self.vocabulary, self.prompt = model, model.vocabulary, list(prompt)
+
+    def next_logits(self, prefix):
+        row = self.model.next_logits(prefix)
+        if list(prefix[: len(self.prompt)]) == self.prompt:
+            row[5] = np.nan
+        return row
+
+
+@pytest.mark.parametrize("condition", three_conditions(), ids=lambda c: c.label)
+def test_run_row_raises_the_one_error_for_nan_logits(condition):
+    model = load_toy_model(fixtures.toy_model_path())
+    sample = load_corpus(fixtures.corpus_path())[0]
+    prefix = sample.prompt(model.vocabulary)
+    with pytest.raises(NonFiniteLogitsError, match=r"^provider logits hold NaN or \+inf at step 0, row 0$"):
+        experiment.run_row(NaNAfterPrompt(model, prefix), load_topic_model(fixtures.topic_model_path()), sample,
+                           prefix, condition, sample.tid1, master_seed=0, top_n=25, token_sets={}, decodes={})
 
     def test_aggregates_match_hand_computation(self, tmp_path):
         result = run_sweep(make_config(tmp_path, three_conditions()))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import reference_reweight as reference
 import topicsteer.reweight as reweight
-from topicsteer.models import softmax
+from topicsteer.models import NonFiniteLogitsError, softmax
 from topicsteer.reweight import (
     ProcessorChain,
     ReweightConfig,
@@ -346,13 +346,34 @@ def block_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(block_cases())
 def test_block_rewrite_matches_one_row_at_a_time(case):
-    """Rewriting an (n, V) block in place equals ``apply`` on each row; a block with a failing row fails."""
+    """Rewriting an (n, V) block in place equals each row rewritten alone; a block with a failing row fails.
+
+    A finite row alone is ``apply``'s; one with -inf masks, which ``apply``
+    rejects, is the one-row rewrite's. A block that holds NaN or +inf raises
+    the one error naming its first such row, or fails as a row alone does,
+    or passes every such row on still holding a NaN or +inf, for the step's
+    selection to report.
+    """
     block, topic, config = case
     try:
         chain = build_chain(config, topic)
     except (TypeError, ValueError):
         return  # a bad topic id fails when the chain is built, as ``test_one_rewrite_...`` checks
-    expected = [_outcome(lambda: chain.apply(row)) for row in block]
+    faulty = ~(block < np.inf).all(axis=1)
+    if faulty.any():
+        try:
+            with np.errstate(all="ignore"):
+                out = chain.bind(*block.shape)(block.copy())
+        except NonFiniteLogitsError as error:
+            assert error.row == int(faulty.argmax())
+        except ValueError:
+            pass  # a mismatch or an overflow, as a row alone fails
+        else:
+            assert not (out[faulty] < np.inf).all(axis=1).any()
+        return
+    alone = chain.bind(1, block.shape[1])
+    expected = [_outcome(lambda: chain.apply(row) if np.isfinite(row).all() else alone(row[None].copy())[0])
+                for row in block]
     outcome = _outcome(lambda: chain.bind(*block.shape)(block.copy()))
     failed = {e for e in expected if isinstance(e, type)}
     if failed:
@@ -363,10 +384,14 @@ def test_block_rewrite_matches_one_row_at_a_time(case):
 
 @st.composite
 def threshold_blocks(draw):
-    """(n, V) blocks, sorted topic ids and a theta that is often exactly one topic token's probability."""
+    """(n, V) blocks with -inf masks, sorted topic ids and a theta that is often exactly one topic token's probability.
+
+    A masked topic token has probability 0, so a theta of 0 is drawn often.
+    """
     rows, size = draw(st.integers(1, 4)), draw(st.integers(2, 60))
-    values = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, 1.0, 1e3, -1e3]))
+    values = st.one_of(st.floats(-20.0, 20.0), st.sampled_from([0.0, 1.0, 1e3, -1e3, -np.inf]))
     x = np.array(draw(st.lists(st.lists(values, min_size=size, max_size=size), min_size=rows, max_size=rows)))
+    x[:, -1] = np.where(x[:, -1] > -np.inf, x[:, -1], 0.0)  # no row is fully masked
     ids = np.array(sorted(draw(st.sets(st.integers(0, size - 1), min_size=1))), dtype=np.intp)
     at = float(softmax(x)[draw(st.integers(0, rows - 1)), draw(st.sampled_from(ids.tolist()))])
     theta = draw(st.sampled_from([at, at, float(np.nextafter(at, 1.0)), float(np.nextafter(at, 0.0))])
@@ -377,12 +402,35 @@ def threshold_blocks(draw):
 @settings(max_examples=300, deadline=None)
 @given(threshold_blocks())
 def test_threshold_raise_mask_is_full_softmax_comparison(case):
-    """The rewrite raises exactly where ``softmax(x).take(ids, axis=1) >= theta``, at theta itself too."""
+    """The rewrite raises exactly where ``softmax(x).take(ids, axis=1) >= theta`` (at theta too), but not a mask."""
     x, ids, config = case
-    raised = softmax(x).take(ids, axis=1) >= config.theta
+    raised = (softmax(x).take(ids, axis=1) >= config.theta) & (x[:, ids] > -np.inf)
     expected = x.copy()
     expected[:, ids] = np.where(raised, x.max(axis=1, keepdims=True) + config.beta, x[:, ids])
     assert reweight._bind(ids, config, *x.shape)(x.copy()).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("config", [
+    ReweightConfig(method="constant_shift", c=-3.0),
+    ReweightConfig(method="factor_scaling", alpha=-2.0),
+    ReweightConfig(method="factor_scaling", alpha=0.0),
+    ReweightConfig(method="factor_scaling", alpha=0.5),
+    ReweightConfig(method="threshold_selection", theta=0.0, beta=1.0),
+    ReweightConfig(method="threshold_selection", theta=0.3, beta=1.0),
+], ids=["shift", "scale-2", "scale0", "scale0.5", "threshold0", "threshold0.3"])
+def test_minus_inf_stays_a_mask_under_every_method(config):
+    """A -inf entry stays -inf, even where the method would move it (alpha <= 0, theta = 0); no other becomes one.
+
+    Every other entry is rewritten as if the mask were a finite score of
+    probability 0 (-1e300), which the rewrite does not see as a mask.
+    """
+    x = np.array([[0.5, -np.inf, 2.0, -np.inf, 1.0], [-np.inf, 3.0, -np.inf, 0.0, -np.inf], [-np.inf] * 5])
+    ids = np.array([1, 2, 3, 4])
+    with np.errstate(invalid="ignore"):  # -inf * 0, and the fully masked row's max subtracted from itself
+        out = reweight._bind(ids, config, *x.shape)(x.copy())
+    assert np.array_equal(out == -np.inf, x == -np.inf)
+    unlikely = reweight._bind(ids, config, *x.shape)(np.where(x > -np.inf, x, -1e300))
+    assert out[x > -np.inf].tobytes() == unlikely[x > -np.inf].tobytes()
 
 
 BOUND_CONFIGS = [
@@ -420,8 +468,8 @@ def _methods(configs):
 class TestBoundChain:
     """One ``bind`` per decode, then blocks of 1 to num_beams rows, as ``decoding._decode`` steps them.
 
-    Method "none" reads no ids and checks nothing, like the reference's empty
-    chain, so only the bit-identity tests bind it.
+    Method "none" reads no ids, like the reference's empty chain; its rewrite
+    checks only the block's shape.
     """
 
     @_methods(BOUND_CONFIGS)
@@ -434,7 +482,7 @@ class TestBoundChain:
             assert rewrite(block[:rows].copy()).tobytes() == want.tobytes()
             assert chain.bind(rows, size)(block[:rows].copy()).tobytes() == want.tobytes()
 
-    @_methods(BOUND_CONFIGS[1:])
+    @_methods(BOUND_CONFIGS)
     def test_blocks_that_do_not_fit_the_binding_are_rejected_unwritten(self, size, config):
         block, ids, _ = _bound_case(size, config)
         rewrite = build_chain(config, ids).bind(NUM_BEAMS, size)
@@ -456,19 +504,33 @@ class TestBoundChain:
             for rows in range(1, NUM_BEAMS + 1):
                 assert _raised(lambda: rewrite(block[:rows].copy())) == _raised(lambda: expected.apply(block[0]))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @_methods(BOUND_CONFIGS[1:])
-    def test_non_finite_input_raises_as_the_reference_does(self, size, config, bad):
-        block, ids, expected = _bound_case(size, config)
+    def test_nan_or_inf_at_a_topic_id_is_the_one_error(self, size, config, bad):
+        block, ids, _ = _bound_case(size, config)
         rewrite = build_chain(config, ids).bind(NUM_BEAMS, size)
+        mismatched = build_chain(config, [*ids, size]).bind(NUM_BEAMS, size)
         for rows in range(1, NUM_BEAMS + 1):
             faulty = block[:rows].copy()
             faulty[rows - 1, ids[rows - 1]] = bad
-            want = _raised(lambda: expected.apply(faulty[rows - 1]))
-            assert _raised(lambda: rewrite(faulty.copy())) == want
-            # with out-of-range ids as well, the non-finite input is still reported first
-            mismatched = build_chain(config, [*ids, size]).bind(NUM_BEAMS, size)
-            assert _raised(lambda: mismatched(faulty.copy())) == want
+            assert _raised(lambda: rewrite(faulty.copy())) == \
+                (NonFiniteLogitsError, f"provider logits hold NaN or +inf at row {rows - 1}")
+            # the rewrite reads no entry before its shape checks, so a mismatch is reported first
+            with pytest.raises(VocabularyMismatchError):
+                mismatched(faulty.copy())
+
+    @_methods(BOUND_CONFIGS[1:])
+    def test_minus_inf_at_a_topic_id_stays_a_mask(self, size, config):
+        block, ids, expected = _bound_case(size, config)
+        rewrite = build_chain(config, ids).bind(NUM_BEAMS, size)
+        for rows in range(1, NUM_BEAMS + 1):
+            masked = block[:rows].copy()
+            masked[rows - 1, ids[rows - 1]] = -np.inf
+            # -1e300 has probability 0 too, so the reference rewrites every other entry to the same bits
+            unlikely = np.where(masked > -np.inf, masked, -1e300)
+            want = np.array([expected.apply(row) for row in unlikely])
+            want[rows - 1, ids[rows - 1]] = -np.inf
+            assert rewrite(masked).tobytes() == want.tobytes()
 
     @_methods(BOUND_CONFIGS[1:3])
     def test_overflowing_rewrite_raises_as_the_reference_does(self, size, config):
