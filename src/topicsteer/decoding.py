@@ -1,41 +1,54 @@
 """Token generation from any logits provider: greedy, sampling, beam search.
 
 All strategies share one loop. It checks the prompt once; then each step
-works on one (n, V) block that holds the logits of the n live hypotheses (1
-for greedy and sampling, up to num_beams for beam search): one
-``logits_many`` call for the block -> one reweighting-chain rewrite of the
-block, in place, by the chain the decode bound once when it started -> EOS
-column masked while below the minimum length -> one selection. Only the
-selection differs: greedy takes the steered argmax; sampling and beam search
-first apply row-wise top-k/top-p truncation, the one survivor step. It hands
-over each row's surviving ids (at most top_k) in survivor order, their flat
-indices into the block, their scores and one exp(kept - top) per survivor;
-those weights give the nucleus mass, the sampling weights and the beam
-normaliser, so a step exponentiates each survivor once. Sampling then draws
-one token. Beam search keeps the global top num_beams of each row's
-num_beams best successors, which are the row's first num_beams survivors:
-log probabilities never increase along a row, and where rounding ties them
-across that boundary, the lowest ids of the tie run fill it. Both sum the
-normaliser over the full-length truncated row (the weights put into a zero
-row), so their probabilities are bit for bit those of a full-vector softmax
-of that row. Each decode call owns one workspace of (width, V) blocks,
-allocated when it starts and freed when it returns: the zero-filled rows
-those normalisers are summed over, and, for a provider with only
-``next_logits``, the block its rows are copied into, so no step allocates
-either. Nothing is cached across calls. Reweighting runs before truncation
-on purpose: a boosted token must be able to re-enter the candidate set even
-if the raw logits placed it outside the top-k. ``trace=True`` records
-per-step logits for all three strategies.
+looks up the provider states of the n live hypotheses (1 for greedy and
+sampling, up to num_beams for beam search) in a memo that lives for one
+decode. The states it has not met yet in the current EOS phase (masked while
+below the minimum length, then unmasked) go through one (n, V) block: one
+``logits_many`` call -> one reweighting-chain rewrite of the block, in place,
+by the chain the decode bound once when it started -> EOS column masked while
+below the minimum length -> each row's successors, which the memo keeps.
+A cheap pick over the live hypotheses' successors then ends the step. A
+row's successors are a function of that row alone, so a state that repeats
+(the shipped order-1 model's state is its last token) is stepped once per
+phase, bit for bit as if every step recomputed it.
+
+Only the successors and the pick differ: greedy takes the steered argmax
+and its log probability, and the pick adds the cumulative log prob;
+sampling and beam search first apply row-wise top-k/top-p truncation, the
+one survivor step. It hands over each row's surviving ids (at most top_k)
+in survivor order, their flat indices into the block, their scores and one
+exp(kept - top) per survivor; those weights give the nucleus mass, the
+sampling weights and the beam normaliser, so a step exponentiates each
+survivor once. Sampling keeps the survivors' probabilities and cumulative
+sum in token-id order, and its pick draws one token from them. Beam search
+keeps each row's num_beams best successors, which are the row's first
+num_beams survivors: log probabilities never increase along a row, and
+where rounding ties them across that boundary, the lowest ids of the tie run
+fill it; its pick is the global top num_beams. Both sum the normaliser over
+the full-length truncated row (the weights put into a zero row), so their
+probabilities are bit for bit those of a full-vector softmax of that row.
+Each decode call owns one workspace of (width, V) blocks, allocated when it
+starts and freed when it returns: the zero-filled rows those normalisers
+are summed over, and, for a provider with only ``next_logits``, the block
+its rows are copied into, so no step allocates either. The memo holds
+successors, never whole rows, and goes when the call returns: nothing is
+kept across calls. Reweighting runs before truncation on purpose: a boosted
+token must be able to re-enter the candidate set even if the raw logits
+placed it outside the top-k. ``trace=True`` records per-step logits for all
+three strategies; the memo then also keeps the raw and steered logit at
+each successor token.
 
 Non-finite logits: a provider's -inf masks a token under every method and
 strategy, like the engine's own EOS mask. A block holding NaN or +inf fails
-the decode with ``NonFiniteLogitsError``, naming the step and the row, and
-no step scans the block for it. The work each step already does finds it:
-greedy's argmax lands on the first NaN, else on a +inf; truncation's sort
-puts +inf first and NaN last, and above the size rule the block-max bound
-turns NaN, so only the entries past its last block need a look; the EOS mask
-subtracts inf, which keeps a NaN or +inf visible; and the chain's rewrite
-reports one that reaches a rewritten value (``reweight._bind``).
+the decode with ``NonFiniteLogitsError``, naming the step and the first live
+row whose state holds it, and no step scans the block for it. The work each
+step already does finds it: greedy's argmax lands on the first NaN, else on
+a +inf; truncation's sort puts +inf first and NaN last, and above the size
+rule the block-max bound turns NaN, so only the entries past its last block
+need a look; the EOS mask subtracts inf, which keeps a NaN or +inf visible;
+and the chain's rewrite reports one that reaches a rewritten value
+(``reweight._bind``).
 
 Determinism contract: greedy and beam search are fully deterministic; ties
 go to the lower token id, then the lower beam index. Sampling uses a PCG64
@@ -47,6 +60,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -273,13 +287,17 @@ def _normalisers(flat: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> np
     return sums
 
 
-# A selector maps the steered (n, V) block of a step and the live hypotheses
-# (row i is hypothesis i; entry 0 of each is its cumulative log prob) to the
-# kept successors, best first, as (cumulative log prob, token, source row):
-# one for greedy and sampling, at most num_beams for beam search. ``zeros``
-# is the decode's all-zero workspace block for ``_normalisers``.
-def _greedy(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros: np.ndarray) -> tuple:
-    """Argmax of the untruncated logits; truncation never changes the argmax.
+# A strategy is a successors function and a pick. The successors function
+# maps the steered, EOS-masked (n, V) block of the provider states that a
+# decode has not yet seen in this EOS phase to each row's successors, a
+# function of that row alone whose first entry lists its successor token ids;
+# ``zeros`` is the decode's all-zero workspace block for ``_normalisers``. The
+# pick maps the successors of the live hypotheses (row i is hypothesis i's;
+# entry 0 of each hypothesis is its cumulative log prob) to the kept ones,
+# best first, as (cumulative log prob, token, source row): one for greedy and
+# sampling, at most num_beams for beam search.
+def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
+    """The one row's argmax of the untruncated logits, as ([token], [log prob]); truncation never changes the argmax.
 
     Its log probability is ``log_softmax(row)[token]`` bit for bit, without
     the full-length row: the argmax entry is the row's max. The argmax is
@@ -290,34 +308,40 @@ def _greedy(steered: np.ndarray, live: list, config: GenerationConfig, rng, zero
     top = float(row[token])
     if not -math.inf < top < math.inf:
         raise ValueError(_MASKED) if top == -math.inf else NonFiniteLogitsError(0)
-    return ((live[0][0] + (top - (top + math.log(np.exp(row - top).sum()))), token, 0),)
+    return [([token], [top - (top + math.log(np.exp(row - top).sum()))])]
 
 
-def _sample(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros: np.ndarray) -> tuple:
-    """Inverse-CDF draw over the top-k ids in token-id order; zero-probability entries can't win.
+def _sample(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
+    """The one row's top-k ids in token-id order, with their probabilities and cumulative sum: three short arrays.
 
-    Bit for bit the draw over ``softmax`` of the whole truncated vector:
-    the truncation's weights are that softmax's exps, the masked entries
-    add exact zeros to the cumulative sum, and the normaliser is summed over
-    the full length.
+    Bit for bit the probabilities of ``softmax`` of the whole truncated
+    vector: the truncation's weights are that softmax's exps, the masked
+    entries add exact zeros to the cumulative sum, and the normaliser is
+    summed over the full length.
     """
     ids, _, _, weights = _truncate(steered, config.top_k, config.top_p)
     by_id = ids[0].argsort()
     ids, weights = ids[0][by_id], weights[0][by_id]
     probs = weights / _normalisers(ids, weights, zeros[0])
-    index = int(probs.cumsum().searchsorted(rng.random(), side="right"))
-    if index >= probs.size:
+    return [(ids, probs, probs.cumsum())]
+
+
+def _draw(successors: list, live: list, config: GenerationConfig, rng) -> tuple:
+    """Inverse-CDF draw of one uniform over the ids in token-id order; zero-probability entries can't win."""
+    ids, probs, cdf = successors[0]
+    index = int(cdf.searchsorted(rng.random(), side="right"))
+    if index >= probs.size:  # past the last sum, which rounding can leave below 1
         index = int((probs > 0.0).nonzero()[0][-1])
     return ((live[0][0] + math.log(probs[index]), int(ids[index]), 0),)
 
 
-def _beam(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros: np.ndarray) -> list:
-    """Each row's num_beams most likely truncated successors, then the global top num_beams.
+def _beam(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> Iterator[tuple]:
+    """Each row's num_beams most likely truncated successors, as (tokens, log probs), best first, row by row.
 
-    A row ranks its successors by log probability, lower id first on ties.
-    Log probabilities use each row's full-length normaliser, so they equal
-    ``log_softmax`` of the whole truncated row. The global rank is by
-    cumulative log probability, then the lower token id, then the lower row.
+    A row ranks its successors by log probability, lower id first on ties,
+    and drops those whose log probability is -inf. Log probabilities use
+    each row's full-length normaliser, so they equal ``log_softmax`` of the
+    whole truncated row.
 
     A row's finite survivors lead it in survivor order, and their log
     probabilities never increase, so its best num_beams come first. Ties are
@@ -327,57 +351,70 @@ def _beam(steered: np.ndarray, live: list, config: GenerationConfig, rng, zeros:
     ids, flat, kept, weights = _truncate(steered, config.top_k, config.top_p)
     beams = config.num_beams
     norms = _normalisers(flat, weights, zeros[: len(ids)]).tolist()
-    candidates = []  # (-cumulative log prob, token, source row)
-    heads = zip(live, kept[:, : beams + 1].tolist(), ids[:, : beams + 1].tolist(), norms)
-    for source, (hypothesis, head, head_ids, norm) in enumerate(heads):
+    heads = zip(kept[:, : beams + 1].tolist(), ids[:, : beams + 1].tolist(), norms)
+    for row, (head, head_ids, norm) in enumerate(heads):
         lse = head[0] + math.log(norm)
         # -inf where masked, or where a survivor far below the top overflows
         log_probs = [score - lse for score in head]
         if len(log_probs) > beams and log_probs[beams - 1] == log_probs[beams] > -math.inf:
             # a tie across the boundary: the whole tie run competes for its places, lowest ids first
             tie = log_probs[beams]
-            log_probs = [score - lse for score in kept[source].tolist()]
-            head_ids = ids[source].tolist()
+            log_probs = [score - lse for score in kept[row].tolist()]
+            head_ids = ids[row].tolist()
             first = log_probs.index(tie)
             head_ids[first:beams] = sorted(head_ids[first: first + log_probs.count(tie)])[: beams - first]
-        for log_prob, token in zip(log_probs[:beams], head_ids):
-            if log_prob > -math.inf:
-                candidates.append((-(hypothesis[0] + log_prob), token, source))
-    candidates.sort()
-    return [(-total, token, source) for total, token, source in candidates[:beams]]
+        count = sum(log_prob > -math.inf for log_prob in log_probs[:beams])  # the finite ones lead
+        yield head_ids[:count], log_probs[:count]
 
 
-_SELECTORS = {"greedy": _greedy, "sample": _sample, "beam": _beam}
+def _best(successors: list, live: list, config: GenerationConfig, rng) -> list:
+    """The global top num_beams of all rows' successors: by cumulative log prob, then lower token id, then lower row."""
+    candidates = sorted([(-(hypothesis[0] + log_prob), token, source)
+                         for source, (hypothesis, (tokens, log_probs)) in enumerate(zip(live, successors))
+                         for token, log_prob in zip(tokens, log_probs)])
+    return [(-total, token, source) for total, token, source in candidates[: config.num_beams]]
+
+
+def _extend(successors: list, live: list, config: GenerationConfig, rng) -> tuple:
+    """Greedy's pick: the one hypothesis extended by its one successor, ``successors[0] == ([token], [log prob])``."""
+    return ((live[0][0] + successors[0][1][0], successors[0][0][0], 0),)
+
+
+_SELECTORS = {"greedy": (_greedy, _extend), "sample": (_sample, _draw), "beam": (_beam, _best)}
 
 
 class _PrefixStates:
     """The incremental half for a provider that has only ``next_logits``.
 
-    A state is the whole prefix as a list; ``advance`` returns a longer copy.
-    ``logits_many`` copies each state's ``next_logits`` into the first n rows
-    of a (width, V) block that the adapter allocates once per decode, and
-    returns those rows; the step owns them until the next step overwrites
-    them. Each row is copied as soon as it is made, so at large V no more
-    than one of them is alive next to the block.
+    A state is the prefix as two tuples, the prompt's ids and the tokens
+    after it; ``advance`` returns a copy with one more token. No two live
+    hypotheses share a prefix, so a decode never finds a state it has seen,
+    and every state of a decode shares one prompt tuple: the states that its
+    memo keeps until the EOS phase ends hold the prompt once, not once per
+    state. ``logits_many`` copies each state's ``next_logits`` into the
+    first n rows of a (width, V) block that the adapter allocates once per
+    decode, and returns those rows; the step owns them until the next step
+    overwrites them. Each row is copied as soon as it is made, so at large V
+    no more than one of them is alive next to the block.
     """
 
     def __init__(self, model: LogitsProvider, width: int) -> None:
         self.model = model
         self.block = np.empty((width, model.vocabulary.size))
 
-    def start(self, prefix: TokenSequence) -> list[int]:
+    def start(self, prefix: TokenSequence) -> tuple[tuple[int, ...], tuple[int, ...]]:
         ids = self.model.vocabulary.validate_ids(prefix)
         if not ids:
             raise ValueError("prefix must be non-empty")
-        return ids
+        return tuple(ids), ()
 
-    def advance(self, state: list[int], token: int) -> list[int]:
-        return state + [token]
+    def advance(self, state: tuple, token: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return state[0], state[1] + (token,)
 
-    def logits_many(self, states: list[list[int]]) -> np.ndarray:
+    def logits_many(self, states: list[tuple]) -> np.ndarray:
         block = self.block[: len(states)]
-        for row, state in zip(block, states):
-            row[:] = self.model.next_logits(state)
+        for row, (prompt, tokens) in zip(block, states):
+            row[:] = self.model.next_logits(prompt + tokens)
         return block
 
 
@@ -393,28 +430,32 @@ def _tokens(chain: tuple) -> tuple[int, ...]:
 def _decode(
     model: LogitsProvider, prefix: TokenSequence, chain, config: GenerationConfig, trace: bool, strategy: str
 ) -> GenerationResult:
-    """The one decoding loop; ``strategy`` picks the selector and the width.
+    """The one decoding loop; ``strategy`` picks the successors, the pick and the width.
 
     The provider's incremental half checks the prompt once (``start``); each
     kept hypothesis then advances its own state by one token. A provider
     with only ``next_logits`` is driven through ``_PrefixStates``, whose
-    state is the whole prefix; one with ``start`` but no ``logits_many`` is
-    rejected (TypeError) before the prompt is read. A hypothesis holds its
-    state and its new tokens as a ``(token, parent)`` chain, so extending
-    one costs O(1) in the prefix length; the tokens are listed once, at the
-    end.
+    state is the prefix (prompt and new tokens); one with ``start`` but no
+    ``logits_many`` is rejected (TypeError) before the prompt is read. A
+    hypothesis holds its state and its new tokens as a ``(token, parent)``
+    chain, so extending one costs O(1) in the prefix length; the tokens are
+    listed once, at the end.
 
     The chain (method "none" when ``chain`` is None) is bound once, after
     the prompt check, for blocks of up to ``width`` rows
     (``ProcessorChain.bind``): its topic ids are checked against V and their
     flat indices laid out then, not on every step.
-    A step works on one (n, V) block, row i the logits of live hypothesis i:
-    one ``logits_many`` call, one rewrite by the bound chain in place (on a
-    copy when tracing, which keeps the raw logits; ``reweight._bind`` says
-    what the rewrite checks), the EOS column masked while below the minimum
-    length, and one selection. A NaN or +inf that the step meets fails the
-    decode with ``NonFiniteLogitsError`` naming the step and the row.
-    It keeps the global top ``width`` (1, or num_beams for beam search) of
+    A step looks up each live hypothesis's state in the decode's memo, which
+    is emptied when EOS stops being masked. The states it lacks, each once
+    and in live order, form one (n, V) block: one ``logits_many`` call, one
+    rewrite by the bound chain in place (on a copy when tracing, which keeps
+    the raw logits; ``reweight._bind`` says what the rewrite checks), the
+    EOS column masked while below the minimum length, and each row's
+    successors, which the memo keeps (with the raw and steered logit at each
+    successor token when tracing). A NaN or +inf that the step meets fails
+    the decode with ``NonFiniteLogitsError`` naming the step and the first
+    live row whose state holds it. The pick then keeps the global top
+    ``width`` (1, or num_beams for beam search) of
     all rows' candidates, ranked by cumulative log probability, ties to the
     lower token id, then the lower source row. A hypothesis that emits EOS
     is finished and never advanced, but it takes one of the ``width`` slots
@@ -425,7 +466,7 @@ def _decode(
     """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
-    select = _SELECTORS[strategy]
+    expand, pick = _SELECTORS[strategy]
     rng = np.random.Generator(np.random.PCG64(config.seed)) if strategy == "sample" else None
     width = config.num_beams if strategy == "beam" else 1
     provider = model if hasattr(model, "start") else _PrefixStates(model, width)
@@ -437,20 +478,29 @@ def _decode(
     # (cumulative log prob, provider state, (token, parent) chain, step records)
     live = [(0.0, provider.start(prefix), (), ())]
     rewrite = (chain or ProcessorChain()).bind(width, size)
-    done = []
+    # state -> (its successors, {token: (raw, steered logit)} when tracing), in this EOS phase
+    memo, done = {}, []
     try:
         for step in range(config.max_new_tokens):
-            raw = provider.logits_many([state for _, state, _, _ in live])
-            steered = raw.copy() if trace else raw
-            rewrite(steered)
-            if step < config.min_new_tokens:
-                for row in range(len(live)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
-                    steered[row, eos] -= math.inf
+            if step == config.min_new_tokens:
+                memo = {}  # EOS is no longer masked, which changes every state's successors
+            states = [state for _, state, _, _ in live]
+            fresh = [state for state in dict.fromkeys(states) if state not in memo]
+            if fresh:
+                raw = provider.logits_many(fresh)
+                steered = raw.copy() if trace else raw
+                rewrite(steered)
+                if step < config.min_new_tokens:
+                    for row in range(len(fresh)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
+                        steered[row, eos] -= math.inf
+                for row, (state, succ) in enumerate(zip(fresh, expand(steered, config, zeros))):
+                    at = succ[0]  # a trace keeps the raw and steered logits at the successor tokens, not the rows
+                    memo[state] = succ, trace and dict(zip(at, zip(raw[row, at].tolist(), steered[row, at].tolist())))
             extended = []
-            for total, token, source in select(steered, live, config, rng, zeros):
+            for total, token, source in pick([memo[state][0] for state in states], live, config, rng):
                 _, state, tokens, records = live[source]
                 if trace:
-                    records += (StepRecord(step, token, float(raw[source, token]), float(steered[source, token])),)
+                    records += (StepRecord(step, token, *memo[state][1][token]),)
                 if token == eos:
                     done.append((total, None, (token, tokens), records))
                 else:
@@ -458,8 +508,8 @@ def _decode(
             live = extended
             if not live:
                 break
-    except NonFiniteLogitsError as fault:
-        raise NonFiniteLogitsError(fault.row, step) from None
+    except NonFiniteLogitsError as fault:  # its row is one of ``fresh``; name the first live row of that state
+        raise NonFiniteLogitsError(states.index(fresh[fault.row]), step) from None
     total, _, tokens, records = max(done or live, key=lambda hypothesis: hypothesis[0])
     return GenerationResult(_tokens(tokens), total, records if trace else None)
 

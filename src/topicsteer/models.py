@@ -240,15 +240,22 @@ class LogitsProvider(Protocol):
     A decode rejects a provider with ``start`` but no ``logits_many``
     (TypeError). Every entry must be finite or -inf (a masked token); a
     block that holds NaN or +inf fails the decode with
-    ``NonFiniteLogitsError``, naming the step and the row.
+    ``NonFiniteLogitsError``, naming the step and the live row.
 
     A state is whatever the provider needs to continue: the last id for an
     order-1 table, a key/value cache for a neural model. ``advance`` must
     return a new state and leave the old one usable, because beams that
-    share a parent advance it with different tokens. The engine asks for
-    the logits of all live hypotheses of a step at once. Without the
-    incremental half, it calls ``next_logits`` on each whole prefix at every
-    step and copies the rows into a block of its own that each decode
+    share a parent advance it with different tokens. States must be
+    hashable, and equal states must stand for prefixes with equal logits:
+    a decode asks for each distinct state once per EOS phase (masked while
+    below the minimum length, then not), in one block for the live
+    hypotheses' states it has not met yet, and keeps that state's
+    successors, not its row, until it returns. A state hashed by identity,
+    such as a key/value cache object, simply never repeats. Without the
+    incremental half, the engine's state is the prefix (the prompt's tuple,
+    shared by all states of a decode, and a tuple of the tokens after it),
+    which never repeats; it calls ``next_logits`` on the whole prefix at
+    every step and copies the rows into a block of its own that each decode
     allocates once.
 
     Implementations must be safe for concurrent read-only queries and, for

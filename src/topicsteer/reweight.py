@@ -50,6 +50,7 @@ __all__ = [
 
 METHODS = ("none", "constant_shift", "factor_scaling", "threshold_selection")
 _NO_IDS = np.empty(0, dtype=np.intp)
+_LOWEST = np.finfo(np.float64).min
 
 
 class VocabularyMismatchError(ValueError):
@@ -135,14 +136,17 @@ def _bind(ids: np.ndarray, config: ReweightConfig, rows: int, size: int) -> Call
         if config.method == "constant_shift":
             values += config.c
         elif config.method == "factor_scaling":
-            values *= config.alpha
+            np.multiply(values, config.alpha, out=values, where=values > -np.inf)  # a mask times 0 is no NaN
         else:
             # Each row's softmax, divided only at the topic ids: the same quotients as ``softmax(x)``. At a theta
-            # of 0 every probability qualifies, so every topic id is raised but a masked (-inf) one.
-            top = x.max(axis=1, keepdims=True)
+            # of 0 every probability qualifies, so every topic id is raised but a masked (-inf) one. A fully
+            # masked row's max is the lowest double, not -inf, and its sum of 0 becomes 1 (a row's sum is at
+            # least the 1 at its max), so its quotients are 0 and nothing computes -inf - -inf or 0 / 0.
+            top = x.max(axis=1, keepdims=True, initial=_LOWEST)
             e = x - top
             np.exp(e, out=e)
-            raised = e.take(at) / e.sum(axis=1, keepdims=True) >= config.theta if config.theta else values > -np.inf
+            sums = np.maximum(e.sum(axis=1, keepdims=True), 1.0)
+            raised = e.take(at) / sums >= config.theta if config.theta else values > -np.inf
             np.copyto(values, top + config.beta, where=raised)
         if not math.isfinite(values.sum()):  # rare: a mask, a NaN or +inf, an overflow, or a sum that overflows
             if not (x < np.inf).all():

@@ -8,9 +8,11 @@ the shared loop against the loops (equal tokens, bit-equal log probabilities
 and equal step records) and the package's truncation against this copy (bit-
 equal output or the same exception). The beam loop records no step traces.
 
-``_sample`` and ``_beam`` are the shared loop's selectors as they were
-before selection ran over the truncation's survivors only: they normalise
-the whole V-length truncated vector with ``softmax``/``log_softmax``.
+``_sample`` and ``_beam`` (``SELECTORS``) are one row's selection under
+sampling and beam search as the shared loop made it before selection ran
+over the truncation's survivors only, and before a decode kept each
+state's successors: they normalise the whole V-length truncated vector with
+``softmax``/``log_softmax`` and return the row's (token, log prob) choices.
 """
 
 from __future__ import annotations

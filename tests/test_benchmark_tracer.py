@@ -49,14 +49,15 @@ class CountingSteps:
 
 
 def test_beam_step_selection_is_one_untraced_truncation(monkeypatch):
-    # A step works on one (n, V) block of all live beams: it truncates once
-    # per step, below decoding.generate_beam, and not once per hypothesis.
-    # That one truncation gives the nucleus mass, the weights and the beam
+    # A step works on one (n, V) block of the live beams' states that the
+    # decode has not met yet in this EOS phase: it truncates at most once per
+    # step, below decoding.generate_beam, and not once per hypothesis. That
+    # one truncation gives the nucleus mass, the weights and the beam
     # normalisers, so no step calls decoding.softmax or log_softmax and the
     # tracer sees no selection span. The 1-D truncate_top_k_top_p, which the
     # decoding.truncate span wraps, is not on the engine's path either.
     provider = CountingSteps(random_markov(5, eos_logit=-20.0))
-    config = GenerationConfig(strategy="beam", num_beams=3, top_p=0.9, min_new_tokens=0, max_new_tokens=4)
+    config = GenerationConfig(strategy="beam", num_beams=3, top_p=0.9, min_new_tokens=2, max_new_tokens=6)
     truncations = []
 
     def truncate(x, top_k, top_p, block=decoding._truncate):
@@ -71,4 +72,17 @@ def test_beam_step_selection_is_one_untraced_truncation(monkeypatch):
     assert len(result.tokens) == config.max_new_tokens
     assert "decoding.generate_beam" in names
     assert "decoding.softmax" not in names and "decoding.truncate" not in names
-    assert len(truncations) == config.max_new_tokens < sum(truncations) == provider.steps
+    # the (state, EOS masked) pair of every live beam of every step, from a path that asks for each of them
+    pairs = []
+
+    class Prefixes:
+        vocabulary = provider.vocabulary
+
+        def next_logits(self, prefix):
+            pairs.append((prefix[-1], len(prefix) - 1 < config.min_new_tokens))
+            return provider.model.next_logits(prefix)
+
+    monkeypatch.undo()
+    assert generate(Prefixes(), [provider.vocabulary.bos_id], None, config) == result
+    assert len(truncations) <= config.max_new_tokens
+    assert sum(truncations) == provider.steps == len(set(pairs)) < len(pairs)

@@ -656,57 +656,162 @@ class TestBlockWidth:
                 generate(provider, [model.vocabulary.bos_id], chain, config)
 
 
-class FaultAt:
-    """A toy model whose block of provider step ``step`` holds ``value`` at ``token`` in row ``row``.
+class LiveStates:
+    """A ``next_logits``-only view of a toy model that records each decode step's live states (last ids) in live order.
 
-    The row is the block's last one if the block has fewer rows; ``hit``
-    records the (step, row) it wrote.
+    The fallback path asks for every live hypothesis at every step, and its
+    prefixes never repeat, so it shows what a decode steps through.
     """
 
-    def __init__(self, model, step, row, token, value):
+    def __init__(self, model, prompt_length):
+        self.model, self.vocabulary, self.prompt_length = model, model.vocabulary, prompt_length
+        self.steps = []
+
+    def next_logits(self, prefix):
+        step = len(prefix) - self.prompt_length
+        if step == len(self.steps):
+            self.steps.append([])
+        self.steps[step].append(prefix[-1])
+        return self.model.next_logits(prefix)
+
+
+def live_states(model, prefix, chain, config):
+    """Each step's live states of the decode of ``prefix``, in live order."""
+    recorder = LiveStates(model, len(prefix))
+    generate(recorder, prefix, chain, config)
+    return recorder.steps
+
+
+class FaultAt:
+    """A toy model whose logits after state ``state`` hold ``value`` at ``token``: a pure provider."""
+
+    def __init__(self, model, state, token, value):
         self.model, self.vocabulary = model, model.vocabulary
         self.start, self.advance = model.start, model.advance
-        self.fault, self.calls, self.hit = (step, row, token, value), 0, None
+        self.state, self.token, self.value = state, token, value
 
     def logits_many(self, states):
         block = self.model.logits_many(states)
-        step, row, token, value = self.fault
-        if self.calls == step:
-            self.hit = (step, min(row, len(states) - 1))
-            block[self.hit[1], token] = value
-        self.calls += 1
+        block[[row for row, state in enumerate(states) if state == self.state], self.token] = self.value
         return block
-
-    def next_logits(self, prefix):
-        return self.model.next_logits(prefix)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "+inf"])
 @pytest.mark.parametrize("method", ["none", "constant_shift", "threshold_selection"])
 @pytest.mark.parametrize("strategy", ["greedy", "sample", "beam"])
-@pytest.mark.parametrize("n_words", [4, 1_100], ids=["V=6", "V=1102"])
+@pytest.mark.parametrize("n_words", [6, 1_100], ids=["V=8", "V=1102"])
 def test_non_finite_provider_logits_fail_the_decode(n_words, strategy, method, value):
-    """A NaN or +inf fails every strategy under every method, with one error naming the step and the row.
+    """A NaN or +inf fails every strategy under every method, with one error naming the step and the live row.
 
-    The entry sits at a topic id, at another id, at the EOS column while it
-    is masked, or at the last id, which at V = 1,102 lies past the last
-    block of the block-max bound (V % top_k = 2). Beam search has it in row
-    2 of 3.
+    The entry sits, for the state of live row 2 of 3 at step 2 under beam
+    search (row 0 otherwise), at a topic id, at another id, at the EOS column
+    while it is masked, or at the last id, which at V = 1,102 lies past the
+    last block of the block-max bound (V % top_k = 2). The error names the
+    first step and live row that hold the state. At V = 8, beam search met
+    the state of one of rows 0-1 at an earlier step, so the block of states
+    not yet seen holds the fault in a row other than 2.
     """
-    model = random_markov(7, n_words=n_words, eos_logit=-20.0)
+    model = random_markov(5, n_words=n_words, eos_logit=-20.0)
     vocab = model.vocabulary
     chain = None if method == "none" else build_chain(ReweightConfig(method=method, c=2.0, theta=0.01), {2, 3})
     config = GenerationConfig(strategy=strategy, top_k=50, top_p=1.0, num_beams=3, min_new_tokens=4,
                               max_new_tokens=6, seed=3)
+    steps = live_states(model, [vocab.bos_id], chain, config)
+    state = steps[2][2 if strategy == "beam" else 0]
+    step, row = min((step, states.index(state)) for step, states in enumerate(steps) if state in states)
+    if strategy == "beam":
+        assert (step, row) == (2, 2)
+        assert n_words > 6 or set(steps[2][:2]) & {*steps[0], *steps[1]}
     for token in (3, 4, vocab.eos_id, vocab.size - 1):
-        provider = FaultAt(model, 2, 2, token, value)
         with pytest.raises(NonFiniteLogitsError) as error:
             with np.errstate(invalid="ignore"):
-                generate(provider, [vocab.bos_id], chain, config)
-        step, row = provider.hit
-        assert row == (2 if strategy == "beam" else 0)
+                generate(FaultAt(model, state, token, value), [vocab.bos_id], chain, config)
         assert str(error.value) == f"provider logits hold NaN or +inf at step {step}, row {row}"
         assert error.value.row == row
+
+
+class Asked:
+    """A toy model whose ``logits_many`` records the states of each call."""
+
+    def __init__(self, model):
+        self.model, self.vocabulary = model, model.vocabulary
+        self.start, self.advance = model.start, model.advance
+        self.calls = []
+
+    def logits_many(self, states):
+        self.calls.append(list(states))
+        return self.model.logits_many(states)
+
+
+def _decode_memo(run):
+    """``run()`` and the memo of the last ``decoding._decode`` call it made, as that call returned it."""
+    memos = []
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is decoding._decode.__code__:
+            memos.append(dict(frame.f_locals["memo"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        return run(), memos[-1]
+    finally:
+        sys.setprofile(previous)
+
+
+@pytest.mark.parametrize("config", [greedy_config(min_new=3, max_new=10),
+                                    sample_config(min_new=3, max_new=10, seed=5, top_k=3),
+                                    beam_config(min_new=3, max_new=10, num_beams=3, top_k=4, top_p=0.9)],
+                         ids=lambda config: config.strategy)
+def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
+    """``logits_many`` gets each distinct (state, EOS masked) pair of a decode once, in the order the decode meets it.
+
+    The pairs come from the ``next_logits`` path, which asks for every live
+    hypothesis. A second decode asks again: nothing is kept across calls.
+    Traced step records are those of the reference decoders (of the
+    ``next_logits`` path for beam search, whose reference records none), and
+    the memo keeps at most top_k entries per state (V = 6 here) and the raw
+    and steered logit only at its successor tokens, as Python floats: no row
+    of the block outlives its step.
+    """
+    model = random_markov(3, n_words=4, eos_logit=-20.0)
+    prefix = [model.vocabulary.bos_id]
+    chain = build_chain(ReweightConfig(method="constant_shift", c=1.5), {2, 4})
+    steps = live_states(model, prefix, chain, config)
+    pairs = [(state, step < config.min_new_tokens) for step, states in enumerate(steps) for state in states]
+    distinct = list(dict.fromkeys(pairs))
+    assert len(distinct) < len(pairs)  # the decode meets some states again
+    provider = Asked(model)
+    first = generate(provider, prefix, chain, config)
+    assert [state for call in provider.calls for state in call] == [state for state, _ in distinct]
+    assert all(len(set(call)) == len(call) for call in provider.calls) and len(provider.calls) <= len(steps)
+    asked = provider.calls
+    provider.calls = []
+    assert generate(provider, prefix, chain, config) == first and provider.calls == asked
+
+    traced, memo = _decode_memo(lambda: generate(model, prefix, chain, config, trace=True))
+    if config.strategy == "beam":
+        expected = generate(NextLogitsOnly(model), prefix, chain, config, trace=True)
+    else:
+        expected = REFERENCE[config.strategy](model, prefix, chain, config, True)
+    assert (traced.tokens, traced.log_prob.hex(), traced.step_records) == \
+        (expected.tokens, expected.log_prob.hex(), expected.step_records)
+    assert traced.tokens == first.tokens and memo
+    most = 1 if config.strategy == "greedy" else config.top_k
+    for successors, logits in memo.values():
+        assert sorted(logits) == sorted(successors[0])
+        assert all(type(value) is float for pair in logits.values() for value in pair)
+        assert all(len(part) <= most < model.vocabulary.size for part in successors)
+
+
+def test_prefix_states_share_one_prompt_tuple():
+    """The memo keeps every state of the phase; the fallback path's states hold the prompt once between them."""
+    model = random_markov(2, eos_logit=-20.0)
+    prompt = [model.vocabulary.bos_id, *range(2, model.vocabulary.size)] * 50
+    config = beam_config(min_new=0, max_new=8, num_beams=3)
+    _, memo = _decode_memo(lambda: generate(NextLogitsOnly(model), prompt, None, config))
+    assert len(memo) > config.num_beams and len({id(prompt_ids) for prompt_ids, _ in memo}) == 1
+    assert all(list(prompt_ids) == prompt and len(tokens) < config.max_new_tokens for prompt_ids, tokens in memo)
 
 
 class Masked:
@@ -1052,8 +1157,14 @@ def _selections(selector, scores, config, uniforms):
                 for _ in uniforms]
 
 
+def selection(strategy, block, live, config, rng, zeros):
+    """The package's selection of a step on ``block``: the strategy's successors of each row, then its pick."""
+    successors, pick = decoding._SELECTORS[strategy]
+    return pick(successors(block, config, zeros), live, config, rng)
+
+
 def one_row_selector(strategy):
-    """The package's selector on a one-row block, as the reference's [(token, log prob)].
+    """The package's selection on a one-row block, as the reference's [(token, log prob)].
 
     The one hypothesis has cumulative log prob -0.0: added to any log prob,
     -0.0 included, it gives that log prob bit for bit. The zero workspace
@@ -1061,7 +1172,7 @@ def one_row_selector(strategy):
     """
     def select(scores, config, rng):
         block = np.array(scores, dtype=np.float64)[None]
-        kept = decoding._SELECTORS[strategy](block, [(-0.0,)], config, rng, np.zeros_like(block))
+        kept = selection(strategy, block, [(-0.0,)], config, rng, np.zeros_like(block))
         return [(token, total) for total, token, _ in kept]
 
     return select
@@ -1145,7 +1256,7 @@ def reference_beam_step(block, live, config):
 
 
 def _beam_step_outcomes(block, live, config):
-    """``_beam`` and the reference beam step on ``block``: each one's hex totals, or the type of what it raises."""
+    """The package's and the reference's beam step on ``block``: each one's hex totals, or the type it raises."""
     def outcome(step):
         try:
             with np.errstate(over="ignore"):
@@ -1153,7 +1264,7 @@ def _beam_step_outcomes(block, live, config):
         except ValueError as exc:
             return type(exc)
 
-    return (outcome(lambda: decoding._beam(block, live, config, None, np.zeros_like(block))),
+    return (outcome(lambda: selection("beam", block, live, config, None, np.zeros_like(block))),
             outcome(lambda: reference_beam_step(block, live, config)))
 
 
@@ -1270,15 +1381,15 @@ def test_zero_workspace_is_all_zeros_again_after_each_selection():
     for rows in (4, 3, 1):
         steered = rng.normal(0.0, 3.0, (rows, size))
         live = [(cumulative,) for cumulative in rng.normal(-5.0, 1.0, rows).tolist()]
-        kept = decoding._beam(steered, live, beam, None, zeros)
+        kept = selection("beam", steered, live, beam, None, zeros)
         assert zeros.tobytes() == bytes(zeros.nbytes)
-        assert _hex_kept(kept) == _hex_kept(decoding._beam(steered, live, beam, None, np.zeros((rows, size))))
+        assert _hex_kept(kept) == _hex_kept(selection("beam", steered, live, beam, None, np.zeros((rows, size))))
     sample = sample_config(top_k=50, top_p=0.95)
     for seed in range(3):
         steered = rng.normal(0.0, 3.0, (1, size))
-        kept = decoding._sample(steered, [(0.0,)], sample, np.random.default_rng(seed), zeros)
+        kept = selection("sample", steered, [(0.0,)], sample, np.random.default_rng(seed), zeros)
         assert zeros.tobytes() == bytes(zeros.nbytes)
-        fresh = decoding._sample(steered, [(0.0,)], sample, np.random.default_rng(seed), np.zeros((1, size)))
+        fresh = selection("sample", steered, [(0.0,)], sample, np.random.default_rng(seed), np.zeros((1, size)))
         assert _hex_kept(kept) == _hex_kept(fresh)
 
 
@@ -1295,7 +1406,7 @@ def test_greedy_log_prob_is_log_softmax_entry(row, cumulative):
     """Greedy's log prob equals ``log_softmax(row)[token]`` bit for bit, -inf masks and overflows included."""
     row = np.array(row)
     with np.errstate(over="ignore"):
-        (total, token, source), = decoding._greedy(row[None], [(cumulative,)], _GREEDY, None, None)
+        (total, token, source), = selection("greedy", row[None], [(cumulative,)], _GREEDY, None, None)
         expected = cumulative + float(log_softmax(row)[token])
     assert (float(total).hex(), token, source) == (expected.hex(), int(row.argmax()), 0)
 
@@ -1308,7 +1419,7 @@ def test_greedy_rejects_what_log_softmax_rejects(row):
     with pytest.raises(ValueError):
         log_softmax(row)
     with pytest.raises(ValueError) as got:
-        decoding._greedy(row[None], [(0.0,)], _GREEDY, None, None)
+        selection("greedy", row[None], [(0.0,)], _GREEDY, None, None)
     if (row < np.inf).all():
         assert str(got.value) == "every token of a logit vector is masked"
     else:
