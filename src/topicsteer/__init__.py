@@ -62,7 +62,6 @@ from .topics import (
     TopicModel,
     TopicModelFormatError,
     TopicTokenSet,
-    WordVariants,
     expand_word,
     load_topic_model,
     topic_token_set,

@@ -76,7 +76,7 @@ from .models import (
     log_softmax,  # noqa: F401  (no step calls it or softmax; tracers wrap both names)
     softmax,  # noqa: F401
 )
-from .reweight import ProcessorChain
+from .reweight import ProcessorChain, VocabularyMismatchError
 
 __all__ = [
     "GenerationConfig",
@@ -193,12 +193,11 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
     its first k * (V // k) entries form k blocks of V // k, and the bound is
     the smallest block maximum. Each block holds an entry at or above the
     bound, so at least k entries reach it; hence every top_k survivor is at
-    or above it, and every entry below it ranks after them. The candidates,
-    the entries at or above the bound in id order, are sorted stably. If
-    more than 4 * top_k reach the bound, a partition of the candidates finds
-    the top_k-th best score, only those strictly better are sorted, and the
-    lowest ids that tie with it fill the remaining places. Every path keeps
-    the same ids in the same order.
+    or above it, and every entry below it ranks after them. A partition of
+    the candidates, the entries at or above the bound in id order, finds the
+    top_k-th best score; only those strictly better are sorted stably, and
+    the lowest ids that tie with it fill the remaining places. Both paths
+    keep the same ids in the same order.
 
     A block holding NaN or +inf raises ``NonFiniteLogitsError``, found by
     work the cut does anyway: a +inf leads its row's survivors; a NaN sorts
@@ -236,9 +235,6 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
         for out, row, offset, start, end in zip(ids, x, offsets.tolist(), ends, ends[1:]):
             top = hits[start:end] - offset
             scores = row[top]
-            if top.size <= 4 * k:
-                out[:] = top[(-scores).argsort(kind="stable")[:k]]
-                continue
             ranked = -scores
             ranked.partition(k - 1)
             boundary = -ranked[k - 1]  # the top_k-th best score
@@ -394,8 +390,10 @@ class _PrefixStates:
     state. ``logits_many`` copies each state's ``next_logits`` into the
     first n rows of a (width, V) block that the adapter allocates once per
     decode, and returns those rows; the step owns them until the next step
-    overwrites them. Each row is copied as soon as it is made, so at large V
-    no more than one of them is alive next to the block.
+    overwrites them. A vector whose shape is not (V,) raises
+    ``VocabularyMismatchError`` instead of broadcasting. Each row is copied
+    as soon as it is made, so at large V no more than one of them is alive
+    next to the block.
     """
 
     def __init__(self, model: LogitsProvider, width: int) -> None:
@@ -414,7 +412,11 @@ class _PrefixStates:
     def logits_many(self, states: list[tuple]) -> np.ndarray:
         block = self.block[: len(states)]
         for row, (prompt, tokens) in zip(block, states):
-            row[:] = self.model.next_logits(prompt + tokens)
+            logits = np.asarray(self.model.next_logits(prompt + tokens))
+            if logits.shape != row.shape:  # numpy would broadcast a scalar or a 1-entry vector into the row
+                raise VocabularyMismatchError(f"next_logits gave logits of shape {logits.shape} "
+                                              f"but the vocabulary has {row.size} tokens")
+            row[:] = logits
         return block
 
 
@@ -447,7 +449,8 @@ def _decode(
     flat indices laid out then, not on every step.
     A step looks up each live hypothesis's state in the decode's memo, which
     is emptied when EOS stops being masked. The states it lacks, each once
-    and in live order, form one (n, V) block: one ``logits_many`` call, one
+    and in live order, form one (n, V) block: one ``logits_many`` call (a
+    block without one row per state raises ValueError), one
     rewrite by the bound chain in place (on a copy when tracing, which keeps
     the raw logits; ``reweight._bind`` says what the rewrite checks), the
     EOS column masked while below the minimum length, and each row's
@@ -488,6 +491,8 @@ def _decode(
             fresh = [state for state in dict.fromkeys(states) if state not in memo]
             if fresh:
                 raw = provider.logits_many(fresh)
+                if len(raw) != len(fresh):  # the memo pairs each state with its row
+                    raise ValueError(f"logits_many gave {len(raw)} rows for {len(fresh)} states")
                 steered = raw.copy() if trace else raw
                 rewrite(steered)
                 if step < config.min_new_tokens:

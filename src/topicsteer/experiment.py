@@ -374,6 +374,15 @@ def _row_key(row: dict[str, str]) -> tuple[str, ...]:
     return tuple(row[c] for c in KEY_COLUMNS)
 
 
+def _csv_rows(path: str | Path, columns: tuple[str, ...]) -> csv.DictReader:
+    """The rows of a CSV file whose header must name ``columns``; a file that lacks one is rejected, naming them."""
+    reader = csv.DictReader(io.StringIO(read_text(path, CorpusFormatError, "CSV"), newline=""))
+    missing = set(columns) - set(reader.fieldnames or [])
+    if missing:
+        raise CorpusFormatError(f"{path}: missing columns {sorted(missing)}")
+    return reader
+
+
 def merge_external_scores(
     report_path: str | Path,
     external_path: str | Path,
@@ -387,21 +396,17 @@ def merge_external_scores(
     (article_id, condition, steered_tid). External rows whose key matches no
     report row land in the rejects file. Two external rows for the same key
     and metric with different values are a conflict. A value that is not a
-    finite number is rejected with its line.
+    finite number is rejected with its line. Either file must name the
+    columns it is joined on.
     """
-    reader = csv.DictReader(io.StringIO(read_text(report_path, CorpusFormatError, "CSV"), newline=""))
-    report_columns = list(reader.fieldnames or [])
+    reader = _csv_rows(report_path, KEY_COLUMNS)
+    report_columns = list(reader.fieldnames)
     report_rows = list(reader)
-    if not report_columns:
-        raise CorpusFormatError(f"{report_path}: empty report")
     report_keys = {_row_key(row) for row in report_rows}
 
     values: dict[tuple[str, ...], str] = {}
     rejected: list[dict[str, str]] = []
-    reader = csv.DictReader(io.StringIO(read_text(external_path, CorpusFormatError, "CSV"), newline=""))
-    missing = set(EXTERNAL_COLUMNS) - set(reader.fieldnames or [])
-    if missing:
-        raise CorpusFormatError(f"{external_path}: missing columns {sorted(missing)}")
+    reader = _csv_rows(external_path, EXTERNAL_COLUMNS)
     for row in reader:
         key = (*_row_key(row), row["metric"])
         if not row["metric"]:

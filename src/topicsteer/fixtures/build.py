@@ -32,7 +32,7 @@ from ..models import ToyMarkovModel, Vocabulary, save_toy_model
 from ..reweight import ReweightConfig, build_chain
 from ..scoring import token_topic_score
 from ..stemmer import stem
-from ..topics import TopicModel, _capitalize, expand_word, topic_token_set
+from ..topics import TopicModel, expand_word, topic_token_set
 
 SEED = 20260809
 
@@ -80,26 +80,13 @@ ARTICLES = 25
 GENERATION = GenerationConfig(strategy="greedy", min_new_tokens=80, max_new_tokens=90)
 
 
-def _variant_candidates(word: str) -> list[str]:
-    """Deterministic preference order for a word's surface-form tokens."""
-    s = stem(word)
-    ordered = [
-        " " + word, word,
-        " " + _capitalize(word), _capitalize(word),
-        " " + s, s,
-        " " + _capitalize(s), _capitalize(s),
-    ]
-    seen: set[str] = set()
-    return [v for v in ordered if not (v in seen or seen.add(v))]
-
-
-def build_vocabulary() -> tuple[Vocabulary, dict[str, list[str]]]:
-    chosen: dict[str, list[str]] = {}
+def build_vocabulary() -> tuple[Vocabulary, dict[str, tuple[str, ...]]]:
+    chosen: dict[str, tuple[str, ...]] = {}
     tokens: list[str] = ["<s>", "</s>"] + [" " + f for f in FILLERS]
     for words in (TOPIC0_WORDS, TOPIC1_WORDS):
         for i, word in enumerate(words):
             count = _VARIANT_PATTERN[i % 3]
-            candidates = _variant_candidates(word)
+            candidates = expand_word(word)
             if len(candidates) < count:
                 raise AssertionError(f"{word!r} offers only {len(candidates)} variants, needs {count}")
             chosen[word] = candidates[:count]
@@ -117,7 +104,7 @@ def build_topic_model() -> TopicModel:
     return TopicModel(topics=topics)
 
 
-def build_markov_table(vocab: Vocabulary, chosen: dict[str, list[str]], rng: np.random.Generator) -> np.ndarray:
+def build_markov_table(vocab: Vocabulary, chosen: dict[str, tuple[str, ...]], rng: np.random.Generator) -> np.ndarray:
     """The logits table; ``chosen`` maps each topic word to its vocabulary variants."""
     size = vocab.size
     filler_ids = [vocab.lookup(" " + f) for f in FILLERS]
@@ -184,7 +171,7 @@ def verify(model: ToyMarkovModel, topic_model: TopicModel, samples: list[dict]) 
         if not 75 <= len(tset) <= 125:
             raise AssertionError(f"topic {tset.topic_id}: token set size {len(tset)} outside [75, 125]")
         for word in words:
-            matches = sum(1 for v in expand_word(word).variants if vocab.lookup(v) is not None)
+            matches = sum(1 for v in expand_word(word) if vocab.lookup(v) is not None)
             if not 3 <= matches <= 5:
                 raise AssertionError(f"{word!r} matches {matches} tokens, outside [3, 5]")
             if stem(stem(word)) != stem(word):

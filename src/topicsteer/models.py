@@ -238,8 +238,10 @@ class LogitsProvider(Protocol):
       in place).
 
     A decode rejects a provider with ``start`` but no ``logits_many``
-    (TypeError). Every entry must be finite or -inf (a masked token); a
-    block that holds NaN or +inf fails the decode with
+    (TypeError), a block that does not hold one row per state asked for
+    (ValueError), and rows or ``next_logits`` vectors that are not V wide
+    (``VocabularyMismatchError``). Every entry must be finite or -inf (a
+    masked token); a block that holds NaN or +inf fails the decode with
     ``NonFiniteLogitsError``, naming the step and the live row.
 
     A state is whatever the provider needs to continue: the last id for an
@@ -296,17 +298,13 @@ class ToyMarkovModel:
         """The state after ``token``: the token itself."""
         return token
 
-    def logits(self, state: int) -> LogitVector:
-        """A copy of the table row of the last id."""
-        return self.table[state].copy()
-
     def logits_many(self, states: Sequence[int]) -> np.ndarray:
         """The table rows of the states, gathered into one fresh (n, V) block."""
         return self.table.take(states, axis=0)
 
     def next_logits(self, prefix: TokenSequence) -> LogitVector:
-        """Logits for the token after ``prefix``; only the last id matters."""
-        return self.logits(self.start(prefix))
+        """Logits for the token after ``prefix``: a copy of the table row of its last id, the only one that matters."""
+        return self.table[self.start(prefix)].copy()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ToyMarkovModel):

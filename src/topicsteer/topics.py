@@ -24,7 +24,6 @@ __all__ = [
     "TopicModel",
     "TopicModelFormatError",
     "TopicTokenSet",
-    "WordVariants",
     "expand_word",
     "load_topic_model",
     "topic_token_set",
@@ -75,14 +74,6 @@ class TopicModel:
     def word_stems(self) -> dict[int, tuple[str, ...]]:
         """Per topic, the stem of each of its words, in the topic's order."""
         return {tid: tuple(stem(word) for word, _weight in words) for tid, words in self.topics.items()}
-
-
-@dataclass(frozen=True)
-class WordVariants:
-    """Surface forms of one topic word that may each be a vocabulary token."""
-
-    word: str
-    variants: frozenset[str]
 
 
 @dataclass(frozen=True)
@@ -147,25 +138,21 @@ def load_topic_model(path: str | Path) -> TopicModel:
     return TopicModel(topics=topics)
 
 
-def _capitalize(word: str) -> str:
-    return word[:1].upper() + word[1:]
+def expand_word(word: str) -> tuple[str, ...]:
+    """The surface forms of a word that could appear as vocabulary tokens, in preference order.
 
-
-def expand_word(word: str) -> WordVariants:
-    """All surface variants of a word that could appear as vocabulary tokens.
-
-    Base forms are the word itself and its stem. Each base form also
-    contributes a capitalized variant, and every variant additionally appears
-    with one leading space.
+    The word is lowercased; then come " word", "word", " Word", "Word" and
+    the same four forms of its stem, each form once, where it first occurs.
+    The fixture builder gives a word's tokens in this order.
     """
     if not word:
         raise ValueError("cannot expand an empty word")
     word = word.lower()
-    bases = {word, stem(word)}
-    forms = set(bases)
-    forms.update(_capitalize(b) for b in bases)
-    forms.update(" " + f for f in tuple(forms))
-    return WordVariants(word=word, variants=frozenset(forms))
+    forms = []
+    for base in (word, stem(word)):
+        capital = base[:1].upper() + base[1:]
+        forms += (" " + base, base, " " + capital, capital)
+    return tuple(dict.fromkeys(forms))
 
 
 def topic_token_set(
@@ -183,7 +170,7 @@ def topic_token_set(
     ids: set[int] = set()
     provenance: dict[int, str] = {}
     for word, _weight in model.top_words(topic_id, top_n):
-        for variant in sorted(expand_word(word).variants):
+        for variant in sorted(expand_word(word)):
             tid = vocab.lookup(variant)
             if tid is not None and tid not in ids:
                 ids.add(tid)

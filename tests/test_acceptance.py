@@ -348,7 +348,7 @@ def test_10_topic_expansion_bound():
         assert len(top) == 25
         total = 0
         for word, _weight in top:
-            matches = sum(1 for v in expand_word(word).variants if vocab.lookup(v) is not None)
+            matches = sum(1 for v in expand_word(word) if vocab.lookup(v) is not None)
             assert 3 <= matches <= 5, f"{word!r} matches {matches} tokens"
             total += matches
         tset = topic_token_set(tid, topic_model, vocab, top_n=25)

@@ -3,7 +3,7 @@
 Deselected by default; run with ``PYTHONPATH=src python -m pytest -m bench
 tests/test_bench_beam_step.py``. A step takes four live beams from their
 provider states to the global top four successors. It is timed two ways:
-as the loop ran it before steps were batched (per hypothesis: ``logits``,
+as the loop ran it before steps were batched (per hypothesis: its row of ``logits_many``,
 ``ProcessorChain.apply``, the reference beam selector over the package's 1-D
 ``truncate_top_k_top_p``, then a sort of all candidates), and as the package
 runs it (``logits_many``, one in-place chain rewrite, each row's
@@ -34,9 +34,6 @@ class Rows:
     def __init__(self, table):
         self.table = table
 
-    def logits(self, state):
-        return self.table[state].copy()
-
     def logits_many(self, states):
         return self.table.take(states, axis=0)
 
@@ -58,7 +55,7 @@ def _inputs(size):
 def per_hypothesis_step(model, states, chain):
     candidates = []
     for source, (state, cumulative) in enumerate(zip(states, CUMULATIVE)):
-        steered = chain.apply(model.logits(state))
+        steered = chain.apply(model.logits_many([state])[0])
         for token, log_prob in reference_decoding.SELECTORS["beam"](steered, CONFIG, None):
             candidates.append((-(cumulative + log_prob), token, source))
     candidates.sort()

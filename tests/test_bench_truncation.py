@@ -7,8 +7,9 @@ bound (the package, with the size rule lowered so that it bounds even the
 small vector). The full sort is faster on the shipped 226-token fixture
 row, the bound on the 50,000-entry vectors. The vectors are that fixture
 row, N(0, 3) logits at V=50,000, and the same logits with 1,000 ids shifted
-by 5, where more than 4 * top_k entries reach the bound, so the candidates
-are partitioned before they are sorted.
+by 5, where more than 4 * top_k entries reach the bound. On either 50,000
+vector a partition of the candidates that reach the bound finds the top_k-th
+best score, and only the entries above it are sorted.
 """
 
 import numpy as np
@@ -32,7 +33,7 @@ def _scores(vector):
     if vector == "normal-50000-shift":
         scores[rng.choice(scores.size, 1_000, replace=False)] += 5.0
         bound = scores.reshape(TOP_K, -1).max(axis=1).min()
-        assert (scores >= bound).sum() > 4 * TOP_K  # the candidate partition runs
+        assert (scores >= bound).sum() > 4 * TOP_K  # many more candidates than top_k reach the bound
     return scores
 
 

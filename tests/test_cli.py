@@ -286,6 +286,17 @@ class TestMerge:
         assert code == 1
         assert "steered_tid" in err
 
+    def test_report_without_a_key_column_exits_1_naming_it(self, tmp_path, capsys):
+        # the join read the missing column and printed a bare KeyError: "topicsteer: article_id"
+        report = self.make_report(tmp_path, capsys)
+        lines = report.read_text().splitlines(keepends=True)
+        report.write_text("".join(line.split(",", 1)[1] for line in lines))  # drop the article_id column
+        external = tmp_path / "ext.csv"
+        external.write_text("article_id,condition,steered_tid,metric,value\na000,baseline,0,m,1\n")
+        code, _out, err = run(capsys, "merge", "--report", str(report), "--external", str(external))
+        assert code == 1
+        assert err == f"topicsteer: {report}: missing columns ['article_id']\n"
+
 
 class TestExpandTopic:
     def test_lists_tokens_with_provenance(self, capsys):

@@ -1,6 +1,7 @@
 import itertools
 import linecache
 import math
+import re
 import sys
 
 import numpy as np
@@ -656,6 +657,65 @@ class TestBlockWidth:
                 generate(provider, [model.vocabulary.bos_id], chain, config)
 
 
+class FixedNextLogits:
+    """A ``next_logits``-only provider that gives ``logits`` for every prefix."""
+
+    def __init__(self, vocabulary, logits):
+        self.vocabulary, self.logits = vocabulary, logits
+
+    def next_logits(self, prefix):
+        return self.logits
+
+
+class RowCount:
+    """A toy model whose ``logits_many`` blocks have ``extra`` rows more than the states asked for: leading zero
+    rows when ``extra`` > 0, the last rows dropped when it is < 0."""
+
+    def __init__(self, model, extra):
+        self.model, self.vocabulary, self.extra = model, model.vocabulary, extra
+        self.start, self.advance = model.start, model.advance
+
+    def logits_many(self, states):
+        block = self.model.logits_many(states)
+        if self.extra < 0:
+            return block[: self.extra]
+        return np.vstack([np.zeros((self.extra, self.vocabulary.size)), block])
+
+
+STRATEGY_CONFIGS = [greedy_config(), sample_config(), beam_config(num_beams=3)]
+
+
+class TestProviderShapes:
+    @pytest.mark.parametrize("config", STRATEGY_CONFIGS, ids=lambda c: c.strategy)
+    @pytest.mark.parametrize("logits", [np.array([1.0]), np.float64(1.0), 1.0, np.zeros(4), [0.0] * 6, np.zeros((1, 5))],
+                             ids=["1-entry", "numpy-scalar", "float", "4-wide", "6-wide-list", "one-row-block"])
+    def test_next_logits_of_another_shape_is_a_mismatch(self, config, logits):
+        # numpy broadcast the first three into the row, which decoded BOS, BOS, BOS
+        vocab = make_vocab(3)
+        assert vocab.size == 5
+        shape = np.shape(logits)
+        with pytest.raises(VocabularyMismatchError, match=re.escape(f"shape {shape} but the vocabulary has 5 tokens")):
+            generate(FixedNextLogits(vocab, logits), [vocab.bos_id], None, config)
+
+    @pytest.mark.parametrize("config", STRATEGY_CONFIGS, ids=lambda c: c.strategy)
+    def test_next_logits_of_the_vocabulary_width_decodes(self, config):
+        vocab = make_vocab(3)
+        logits = [0.0, 1.0, 2.0, 5.0, 3.0]  # a list works: only its shape is checked
+        assert generate(FixedNextLogits(vocab, logits), [vocab.bos_id], None, config).tokens[0] in (3, 4)
+
+    @pytest.mark.parametrize("config", STRATEGY_CONFIGS, ids=lambda c: c.strategy)
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_block_without_one_row_per_state_fails_naming_both_counts(self, config, extra):
+        # one row fewer failed beam search with a bare KeyError; one extra leading row decoded the wrong tokens
+        model = random_markov(5, n_words=4)
+        prefix = [model.vocabulary.bos_id]
+        assert generate(RowCount(model, 0), prefix, None, config) == generate(model, prefix, None, config)
+        with pytest.raises(ValueError) as caught:
+            generate(RowCount(model, extra), prefix, None, config)
+        given, asked = map(int, re.fullmatch(r"logits_many gave (\d+) rows for (\d+) states", str(caught.value)).groups())
+        assert given == asked + extra
+
+
 class LiveStates:
     """A ``next_logits``-only view of a toy model that records each decode step's live states (last ids) in live order.
 
@@ -1041,7 +1101,7 @@ class TestBlockMaxBound:
     # a line that only the path of each case runs
     PATHS = {
         "sort whole row": 'order = (-x).argsort(axis=1, kind="stable")',
-        "sorted candidates": 'out[:] = top[(-scores).argsort(kind="stable")[:k]]',
+        "sorted candidates": "ranked.partition(k - 1)",
         "many boosted ids": "ranked.partition(k - 1)",
         "-inf block": "ranked.partition(k - 1)",
     }

@@ -109,13 +109,13 @@ class TestToyMarkovModel:
         model = random_markov(4, n_words=4)
         prefix = [0, 3, 5, 2]
         state = model.start(prefix)
-        assert np.array_equal(model.logits(state), model.next_logits(prefix))
+        assert np.array_equal(model.logits_many([state])[0], model.next_logits(prefix))
         for token in (4, 1, 2):
             before = state
             state = model.advance(state, token)
             prefix = prefix + [token]
-            assert np.array_equal(model.logits(state), model.next_logits(prefix))
-            assert np.array_equal(model.logits(before), model.next_logits(prefix[:-1]))
+            assert np.array_equal(model.logits_many([state])[0], model.next_logits(prefix))
+            assert np.array_equal(model.logits_many([before])[0], model.next_logits(prefix[:-1]))
 
     def test_deterministic_and_shaped(self):
         for seed in range(10):

@@ -75,16 +75,24 @@ class TestLoadTopicModel:
 
 class TestExpandWord:
     def test_running_variants(self):
-        variants = expand_word("running").variants
+        variants = set(expand_word("running"))
         assert {"running", "run", "Running", " running", " run", " Running"} <= variants
         assert {"Run", " Run"} <= variants
 
     def test_stem_equals_word(self):
-        variants = expand_word("court").variants
+        variants = set(expand_word("court"))
         assert variants == {"court", "Court", " court", " Court"}
 
     def test_single_letter(self):
-        assert expand_word("a").variants == {"a", "A", " a", " A"}
+        assert set(expand_word("a")) == {"a", "A", " a", " A"}
+
+    @pytest.mark.parametrize("word, forms", [
+        ("running", (" running", "running", " Running", "Running", " run", "run", " Run", "Run")),
+        ("a", (" a", "a", " A", "A")),  # its stem is itself, so the stem's four forms collapse into the word's
+        ("Court", (" court", "court", " Court", "Court")),
+    ])
+    def test_forms_in_preference_order_each_once(self, word, forms):
+        assert expand_word(word) == forms
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -92,8 +100,7 @@ class TestExpandWord:
 
     def test_original_word_always_included(self):
         for word in ("court", "running", "a", "xyzzy"):
-            v = expand_word(word)
-            assert word in v.variants
+            assert word in expand_word(word)
 
     def test_stem_expansion_is_idempotent(self):
         # expanding a stem yields a set whose stem variant is itself
@@ -102,7 +109,7 @@ class TestExpandWord:
         for word in ("running", "hearing", "evidence", "gravity", "telescope"):
             s = stem(word)
             assert stem(s) == s
-            assert s in expand_word(s).variants
+            assert s in expand_word(s)
 
 
 class TestTopicTokenSet:
@@ -159,7 +166,7 @@ class TestTopicTokenSet:
         model = self.make_model()
         tset = topic_token_set(0, model, vocab, top_n=2)
         for word, _w in model.top_words(0, 2):
-            for variant in expand_word(word).variants:
+            for variant in expand_word(word):
                 tid = vocab.lookup(variant)
                 if tid is not None:
                     assert tid in tset.token_ids
