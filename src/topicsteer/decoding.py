@@ -48,7 +48,7 @@ a +inf; truncation's sort puts +inf first and NaN last, and above the size
 rule the block-max bound turns NaN, so only the entries past its last block
 need a look; the EOS mask subtracts inf, which keeps a NaN or +inf visible;
 and the chain's rewrite reports one that reaches a rewritten value
-(``reweight._bind``).
+(``ProcessorChain.bind``).
 
 Determinism contract: greedy and beam search are fully deterministic; ties
 go to the lower token id, then the lower beam index. Sampling uses a PCG64
@@ -450,12 +450,13 @@ def _decode(
     A step looks up each live hypothesis's state in the decode's memo, which
     is emptied when EOS stops being masked. The states it lacks, each once
     and in live order, form one (n, V) block: one ``logits_many`` call (a
-    block without one row per state raises ValueError), one
-    rewrite by the bound chain in place (on a copy when tracing, which keeps
-    the raw logits; ``reweight._bind`` says what the rewrite checks), the
-    EOS column masked while below the minimum length, and each row's
-    successors, which the memo keeps (with the raw and steered logit at each
-    successor token when tracing). A NaN or +inf that the step meets fails
+    block that is not a float64 numpy array raises TypeError, one without
+    one row per state ValueError), one rewrite by the bound chain in place
+    (on a copy when tracing, which keeps the raw logits;
+    ``ProcessorChain.bind`` says what the rewrite checks), the EOS column
+    masked while below the minimum length, and each row's successors, which
+    the memo keeps (with the raw and steered logit at each successor token
+    when tracing). A NaN or +inf that the step meets fails
     the decode with ``NonFiniteLogitsError`` naming the step and the first
     live row whose state holds it. The pick then keeps the global top
     ``width`` (1, or num_beams for beam search) of
@@ -491,6 +492,8 @@ def _decode(
             fresh = [state for state in dict.fromkeys(states) if state not in memo]
             if fresh:
                 raw = provider.logits_many(fresh)
+                if not isinstance(raw, np.ndarray) or raw.dtype != np.float64:
+                    raise TypeError(f"logits_many gave {getattr(raw, 'dtype', type(raw).__name__)}, not a float64 array")
                 if len(raw) != len(fresh):  # the memo pairs each state with its row
                     raise ValueError(f"logits_many gave {len(raw)} rows for {len(fresh)} states")
                 steered = raw.copy() if trace else raw

@@ -270,7 +270,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     except OSError as exc:
         raise ValueError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
     token_sets: dict[int, TopicTokenSet] = {}
-    columns = list(REPORT_COLUMNS) + ["error"]
+    columns = list(SWEEP_COLUMNS)
     rows: list[dict[str, str]] = []
     ok_rows = []
     per_condition: dict[str, int] = {c.label: 0 for c in config.conditions}
@@ -368,6 +368,7 @@ class MergeResult:
 
 
 EXTERNAL_COLUMNS = (*KEY_COLUMNS, "metric", "value")
+SWEEP_COLUMNS = (*REPORT_COLUMNS, "error")  # what a sweep writes; merge adds a metric under no such name
 
 
 def _row_key(row: dict[str, str]) -> tuple[str, ...]:
@@ -396,8 +397,9 @@ def merge_external_scores(
     (article_id, condition, steered_tid). External rows whose key matches no
     report row land in the rejects file. Two external rows for the same key
     and metric with different values are a conflict. A value that is not a
-    finite number is rejected with its line. Either file must name the
-    columns it is joined on.
+    finite number is rejected with its line, and so is a metric named like
+    a column a sweep writes (``REPORT_COLUMNS`` or ``error``). Either file
+    must name the columns it is joined on.
     """
     reader = _csv_rows(report_path, KEY_COLUMNS)
     report_columns = list(reader.fieldnames)
@@ -411,6 +413,8 @@ def merge_external_scores(
         key = (*_row_key(row), row["metric"])
         if not row["metric"]:
             raise CorpusFormatError(f"{external_path}: empty metric name for {key}")
+        if key[-1] in SWEEP_COLUMNS:
+            raise CorpusFormatError(f"{external_path}:{reader.line_num}: metric {key[-1]!r} is a column a sweep writes")
         try:
             as_real(float(row["value"]), "value")  # a short line leaves the value None
         except (TypeError, ValueError):

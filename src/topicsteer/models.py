@@ -238,8 +238,9 @@ class LogitsProvider(Protocol):
       in place).
 
     A decode rejects a provider with ``start`` but no ``logits_many``
-    (TypeError), a block that does not hold one row per state asked for
-    (ValueError), and rows or ``next_logits`` vectors that are not V wide
+    (TypeError), a block that is not a float64 numpy array (TypeError, naming
+    its dtype or type), a block that does not hold one row per state asked
+    for (ValueError), and rows or ``next_logits`` vectors that are not V wide
     (``VocabularyMismatchError``). Every entry must be finite or -inf (a
     masked token); a block that holds NaN or +inf fails the decode with
     ``NonFiniteLogitsError``, naming the step and the live row.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,13 @@ def pytest_terminal_summary(terminalreporter):
     for name in sorted(_acceptance_outcomes):
         outcome = _acceptance_outcomes[name].upper()
         terminalreporter.write_line(f"{'PASS' if outcome == 'PASSED' else outcome:>6s}  {name}")
+
+
+def readme_block(language: str, after: str) -> str:
+    """The first fenced ``language`` block of README.md after the text ``after``, so its examples run as tests."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    start = text.index(f"```{language}\n", text.index(after)) + len(language) + 4
+    return text[start:text.index("```", start)]
 
 
 def make_vocab(n_words: int = 4) -> Vocabulary:

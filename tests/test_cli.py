@@ -19,6 +19,8 @@ from topicsteer.cli import main
 from topicsteer.experiment import SweepResult, derive_seed
 from topicsteer.scoring import METRIC_COLUMNS
 
+from conftest import readme_block
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -269,6 +271,17 @@ class TestMerge:
         assert code == 3
         assert "merge failed" in err
 
+    def test_metric_named_like_a_sweep_column_exits_1_writing_nothing(self, tmp_path, capsys):
+        # the merge exited 0 with the row's condition read as 7 and its computed rouge_l_f1 replaced by 0.5
+        report = self.make_report(tmp_path, capsys)
+        external = tmp_path / "ext.csv"
+        external.write_text("article_id,condition,steered_tid,metric,value\n"
+                            "a000,baseline,0,rouge_l_f1,0.5\na000,baseline,0,condition,7\n")
+        code, _out, err = run(capsys, "merge", "--report", str(report), "--external", str(external))
+        assert code == 1
+        assert err == f"topicsteer: {external}:2: metric 'rouge_l_f1' is a column a sweep writes\n"
+        assert not report.with_suffix(".merged.csv").exists() and not report.with_suffix(".rejects.csv").exists()
+
     def test_short_external_line_exits_1(self, tmp_path, capsys):
         # the missing value is None, on which float() used to raise TypeError: exit 3, "unexpected failure"
         report = self.make_report(tmp_path, capsys)
@@ -313,15 +326,14 @@ class TestExpandTopic:
         assert err == "topicsteer: unknown topic id 77\n"
 
 
-README_CONFIG = {
-    "limit": 25,
-    "steered": "both",
-    "conditions": [
-        {"label": "baseline", "method": "none"},
-        {"label": "shift5", "method": "shift", "c": 5},
-        {"label": "thresh", "method": "threshold", "theta": 0.005, "beta": 1, "strategy": "beam"},
-    ],
-}
+README_CONFIG = json.loads(readme_block("json", "A sweep config file is a JSON object"))
+
+
+def test_readme_python_api_block_runs():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(readme_block("python", "## Python API"), "README.md", "exec"), {})
+    assert out.getvalue().count("\n") == 1 and len(out.getvalue().split()) >= 80
 
 
 def captured_config(*argv):

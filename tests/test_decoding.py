@@ -682,6 +682,17 @@ class RowCount:
         return np.vstack([np.zeros((self.extra, self.vocabulary.size)), block])
 
 
+class CastBlocks:
+    """A toy model whose ``logits_many`` blocks come through ``cast``: another dtype, or a plain list."""
+
+    def __init__(self, model, cast):
+        self.model, self.vocabulary, self.cast = model, model.vocabulary, cast
+        self.start, self.advance = model.start, model.advance
+
+    def logits_many(self, states):
+        return self.cast(self.model.logits_many(states))
+
+
 STRATEGY_CONFIGS = [greedy_config(), sample_config(), beam_config(num_beams=3)]
 
 
@@ -714,6 +725,23 @@ class TestProviderShapes:
             generate(RowCount(model, extra), prefix, None, config)
         given, asked = map(int, re.fullmatch(r"logits_many gave (\d+) rows for (\d+) states", str(caught.value)).groups())
         assert given == asked + extra
+
+    @pytest.mark.parametrize("config", [greedy_config(min_new=2), sample_config(min_new=2),
+                                        beam_config(min_new=2, num_beams=3)], ids=lambda c: c.strategy)
+    @pytest.mark.parametrize("method", ["none", "constant_shift"])
+    @pytest.mark.parametrize("cast, name", [(lambda b: b.astype(np.int64), "int64"),
+                                            (lambda b: b.astype(np.float32), "float32"),
+                                            (lambda b: b.astype(np.float16), "float16"), (np.ndarray.tolist, "list")],
+                             ids=["int64", "float32", "float16", "list"])
+    def test_block_that_is_not_float64_fails_naming_its_dtype(self, config, method, cast, name):
+        # an int64 block failed with numpy's own OverflowError or UFuncTypeError; a float32 one decoded the same
+        # tokens with another log prob
+        model = random_markov(5, n_words=4)
+        prefix = [model.vocabulary.bos_id]
+        chain = build_chain(ReweightConfig(method=method, c=2.0), [1, 2])
+        assert generate(CastBlocks(model, np.asarray), prefix, chain, config) == generate(model, prefix, chain, config)
+        with pytest.raises(TypeError, match=f"^logits_many gave {name}, not a float64 array$"):
+            generate(CastBlocks(model, cast), prefix, chain, config)
 
 
 class LiveStates:

@@ -526,6 +526,28 @@ class TestMerge:
         assert rows[("a000", "baseline", "1")]["mauve"] == ""
         assert sum(1 for r in rows.values() if r["mauve"]) == 1
 
+    @pytest.mark.parametrize("metric", ["condition", "rouge_l_f1", "error"])
+    def test_metric_named_like_a_sweep_column_is_rejected(self, tmp_path, metric):
+        # "condition" overwrote the row's key and "rouge_l_f1" the computed score, and the merge succeeded
+        report = self.run_small_sweep(tmp_path)
+        external = self.write_external(
+            tmp_path / "ext.csv", [["a000", "baseline", "0", "mauve", "0.4"], ["a000", "baseline", "0", metric, "7"]],
+        )
+        with pytest.raises(CorpusFormatError, match=rf"ext\.csv:3: metric '{metric}' is a column a sweep writes$"):
+            merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
+        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "r.csv").exists()
+
+    def test_metric_of_an_earlier_merge_merges_again(self, tmp_path):
+        report = self.run_small_sweep(tmp_path)
+        one = self.write_external(tmp_path / "one.csv", [["a000", "baseline", "0", "mauve", "0.4"],
+                                                         ["a001", "baseline", "0", "mauve", "0.3"]])
+        two = self.write_external(tmp_path / "two.csv", [["a000", "baseline", "0", "mauve", "0.6"]])
+        first = merge_external_scores(report, one, tmp_path / "m1.csv", tmp_path / "r1.csv")
+        second = merge_external_scores(first.out_path, two, tmp_path / "m2.csv", tmp_path / "r2.csv")
+        with open(second.out_path) as handle:
+            rows = {(r["article_id"], r["condition"], r["steered_tid"]): r for r in csv.DictReader(handle)}
+        assert rows[("a000", "baseline", "0")]["mauve"] == "0.6" and rows[("a001", "baseline", "0")]["mauve"] == "0.3"
+
     def test_missing_steered_tid_column_is_named(self, tmp_path):
         report = self.run_small_sweep(tmp_path)
         external = tmp_path / "ext.csv"

@@ -302,26 +302,87 @@ def oracle_cases(draw):
     return np.array(scores), topic, config
 
 
+def _entry_points(module, config, topic):
+    """The one-vector entry points of ``module`` (reweight or the reference) for ``config`` and ``topic``.
+
+    "function" is the method's own public function, or the identity chain's
+    ``apply`` for method "none".
+    """
+    function = {
+        "none": lambda x: module.ProcessorChain().apply(x),
+        "constant_shift": lambda x: module.constant_shift(x, topic, config.c),
+        "factor_scaling": lambda x: module.factor_scaling(x, topic, config.alpha),
+        "threshold_selection": lambda x: module.threshold_selection(x, topic, config.theta, config.beta),
+    }[config.method]
+    return {"chain.apply": lambda x: module.build_chain(config, topic).apply(x),
+            "apply_reweight": lambda x: module.apply_reweight(x, topic, config), "function": function}
+
+
 @settings(max_examples=400, deadline=None)
 @given(oracle_cases())
 def test_one_rewrite_matches_reference_reweighting(case):
-    """build_chain/apply and every public function equal the per-method reference bit for bit."""
+    """Every one-vector entry point equals the per-method reference bit for bit on a finite vector.
+
+    The reference rejects every non-finite vector; here NaN or +inf raises
+    ``NonFiniteLogitsError``, and a vector with -inf is its one-row block's
+    rewrite. That equals the reference run with each -inf as the lowest
+    double, which has probability 0 too, and put back: every -inf stays a
+    mask. Where the reference overflows only at such a stand-in, the mask
+    keeps the rewrite from raising.
+    """
     scores, topic, config = case
-    steps = () if config.method == "none" else ((config, topic),)
-    expected = _outcome(lambda: reference.ProcessorChain(steps=steps).apply(scores))
-    assert _outcome(lambda: build_chain(config, topic).apply(scores)) == expected
-    assert _outcome(lambda: apply_reweight(scores, topic, config)) == \
-        _outcome(lambda: reference.apply_reweight(scores, topic, config))
-    public = {
-        "constant_shift": lambda module: module.constant_shift(scores, topic, config.c),
-        "factor_scaling": lambda module: module.factor_scaling(scores, topic, config.alpha),
-        "threshold_selection": lambda module: module.threshold_selection(scores, topic, config.theta, config.beta),
-    }
-    if config.method in public:
-        run = public[config.method]
-        assert _outcome(lambda: run(reweight)) == _outcome(lambda: run(reference))
+    ours, theirs = _entry_points(reweight, config, topic), _entry_points(reference, config, topic)
+    masks = scores == -np.inf
+    stand_in = np.where(masks, np.finfo(np.float64).min, scores)
+    block = _outcome(lambda: build_chain(config, topic).bind(1, scores.size)(scores[None].copy())[0])
+    for name, run in ours.items():
+        got = _outcome(lambda: run(scores))
+        if np.isfinite(scores).all():
+            assert got == _outcome(lambda: theirs[name](scores)), name
+        elif not (scores < np.inf).all():
+            assert got is NonFiniteLogitsError, name
+        else:
+            assert got == block, name
+            want = _outcome(lambda: theirs[name](stand_in))
+            if isinstance(got, type):
+                assert want is got, name
+            elif not isinstance(want, type):
+                assert got[2] == np.where(masks, -np.inf, np.frombuffer(want[2])).tobytes(), name
     if isinstance(topic, list):
-        assert _outcome(lambda: build_chain(config, topic[::-1]).apply(scores)) == expected
+        assert _outcome(lambda: build_chain(config, topic[::-1]).apply(scores)) == \
+            _outcome(lambda: ours["chain.apply"](scores))
+
+
+ONE_RULE_CONFIGS = [
+    ReweightConfig(),
+    ReweightConfig(method="constant_shift", c=-3.0),
+    ReweightConfig(method="factor_scaling", alpha=0.0),
+    ReweightConfig(method="threshold_selection", theta=0.0, beta=1.0),
+]
+
+
+@pytest.mark.parametrize("entry", ["chain.apply", "apply_reweight", "function"])
+@pytest.mark.parametrize("config", ONE_RULE_CONFIGS, ids=lambda c: c.method)
+def test_one_vector_entry_points_keep_one_rule(config, entry):
+    """-inf is the one-row block's mask; NaN or +inf raises ``NonFiniteLogitsError``; 2-D input raises ValueError.
+
+    Method "none"'s function is the identity chain's ``apply``.
+    """
+    topic = [0, 1, 3]
+    run = _entry_points(reweight, config, topic)[entry]
+    x = np.array([1.0, -np.inf, 2.0, -np.inf, 0.5])
+    expected = build_chain(config, topic).bind(1, x.size)(x[None].copy())[0]
+    given = x.tobytes()
+    assert run(x).tobytes() == expected.tobytes() and x.tobytes() == given
+    assert run(x.tolist()).tobytes() == expected.tobytes()
+    for bad in (np.nan, np.inf):
+        faulty = x.copy()
+        faulty[4] = bad  # not a topic id
+        with pytest.raises(NonFiniteLogitsError, match=r"NaN or \+inf"):
+            run(faulty)
+    for shape in ((2, x.size), ()):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            run(np.zeros(shape))
 
 
 class TestNonFiniteStrength:
@@ -346,10 +407,9 @@ def block_cases(draw):
 @settings(max_examples=300, deadline=None)
 @given(block_cases())
 def test_block_rewrite_matches_one_row_at_a_time(case):
-    """Rewriting an (n, V) block in place equals each row rewritten alone; a block with a failing row fails.
+    """Rewriting an (n, V) block in place equals ``chain.apply`` of each row; a block with a failing row fails.
 
-    A finite row alone is ``apply``'s; one with -inf masks, which ``apply``
-    rejects, is the one-row rewrite's. A block that holds NaN or +inf raises
+    A block that holds NaN or +inf, which ``apply`` rejects in a row, raises
     the one error naming its first such row, or fails as a row alone does,
     or passes every such row on still holding a NaN or +inf, for the step's
     selection to report.
@@ -371,9 +431,7 @@ def test_block_rewrite_matches_one_row_at_a_time(case):
         else:
             assert not (out[faulty] < np.inf).all(axis=1).any()
         return
-    alone = chain.bind(1, block.shape[1])
-    expected = [_outcome(lambda: chain.apply(row) if np.isfinite(row).all() else alone(row[None].copy())[0])
-                for row in block]
+    expected = [_outcome(lambda: chain.apply(row)) for row in block]
     outcome = _outcome(lambda: chain.bind(*block.shape)(block.copy()))
     failed = {e for e in expected if isinstance(e, type)}
     if failed:
@@ -407,7 +465,7 @@ def test_threshold_raise_mask_is_full_softmax_comparison(case):
     raised = (softmax(x).take(ids, axis=1) >= config.theta) & (x[:, ids] > -np.inf)
     expected = x.copy()
     expected[:, ids] = np.where(raised, x.max(axis=1, keepdims=True) + config.beta, x[:, ids])
-    assert reweight._bind(ids, config, *x.shape)(x.copy()).tobytes() == expected.tobytes()
+    assert ProcessorChain(config, ids).bind(*x.shape)(x.copy()).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("config", [
@@ -418,17 +476,27 @@ def test_threshold_raise_mask_is_full_softmax_comparison(case):
     ReweightConfig(method="threshold_selection", theta=0.0, beta=1.0),
     ReweightConfig(method="threshold_selection", theta=0.3, beta=1.0),
 ], ids=["shift", "scale-2", "scale0", "scale0.5", "threshold0", "threshold0.3"])
-def test_minus_inf_stays_a_mask_under_every_method(config):
+@pytest.mark.parametrize("entry", ["bind", "chain.apply", "function"])
+def test_minus_inf_stays_a_mask_under_every_method(config, entry):
     """A -inf entry stays -inf, even where the method would move it (alpha <= 0, theta = 0); no other becomes one.
 
     Every other entry is rewritten as if the mask were a finite score of
-    probability 0 (-1e300), which the rewrite does not see as a mask.
+    probability 0 (-1e300), which the rewrite does not see as a mask. The
+    rows go through one bound block rewrite, or one at a time through
+    ``chain.apply`` or the method's public function.
     """
     x = np.array([[0.5, -np.inf, 2.0, -np.inf, 1.0], [-np.inf, 3.0, -np.inf, 0.0, -np.inf], [-np.inf] * 5])
     ids = np.array([1, 2, 3, 4])
-    out = reweight._bind(ids, config, *x.shape)(x.copy())  # no numpy warning either: the RuntimeWarning filter fails it
+    one = _entry_points(reweight, config, ids).get(entry)
+
+    def rewrite(block):
+        if entry == "bind":
+            return ProcessorChain(config, ids).bind(*block.shape)(block.copy())
+        return np.array([one(row) for row in block])
+
+    out = rewrite(x)  # no numpy warning either: the RuntimeWarning filter fails it
     assert np.array_equal(out == -np.inf, x == -np.inf)
-    unlikely = reweight._bind(ids, config, *x.shape)(np.where(x > -np.inf, x, -1e300))
+    unlikely = rewrite(np.where(x > -np.inf, x, -1e300))
     assert out[x > -np.inf].tobytes() == unlikely[x > -np.inf].tobytes()
 
 
