@@ -212,7 +212,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     condition = _condition(values, None)
     master_seed = values["seed"]
     result, row = run_row(model, topic_model, sample, sample.prompt(model.vocabulary), condition, steered_tid,
-                          master_seed=master_seed, top_n=values["top_n"], token_sets={}, decodes={})
+                          master_seed=master_seed, top_n=values["top_n"], token_sets={}, decodes={}, chains={})
     record = result.to_record(model.vocabulary, condition.generation_for(master_seed, sample.article_id, steered_tid))
     record.update(
         article_id=sample.article_id,

@@ -2,16 +2,18 @@
 
 All strategies share one loop. It checks the prompt once; then each step
 looks up the provider states of the n live hypotheses (1 for greedy and
-sampling, up to num_beams for beam search) in a memo that lives for one
-decode. The states it has not met yet in the current EOS phase (masked while
-below the minimum length, then unmasked) go through one (n, V) block: one
-``logits_many`` call -> one reweighting-chain rewrite of the block, in place,
-by the chain the decode bound once when it started -> EOS column masked while
-below the minimum length -> each row's successors, which the memo keeps.
-A cheap pick over the live hypotheses' successors then ends the step. A
-row's successors are a function of that row alone, so a state that repeats
-(the shipped order-1 model's state is its last token) is stepped once per
-phase, bit for bit as if every step recomputed it.
+sampling, up to num_beams for beam search) in a memo that the reweighting
+chain keeps. The states it has not met yet in the current EOS phase (masked
+while below the minimum length, then unmasked) go through one (n, V) block:
+one ``logits_many`` call -> one reweighting-chain rewrite of the block, in
+place, by the chain the decode bound once when it started -> EOS column
+masked while below the minimum length -> each row's successors, which the
+memo keeps. A cheap pick over the live hypotheses' successors then ends the
+step. A row's successors are a function of that row alone, so a state that
+repeats (the shipped order-1 model's state is its last token) is stepped
+once per phase, bit for bit as if every step recomputed it, and so is a
+state that an earlier decode through the same chain, provider object and
+successor settings met.
 
 Only the successors and the pick differ: greedy takes the steered argmax
 and its log probability, and the pick adds the cumulative log prob;
@@ -32,8 +34,13 @@ Each decode call owns one workspace of (width, V) blocks, allocated when it
 starts and freed when it returns: the zero-filled rows those normalisers
 are summed over, and, for a provider with only ``next_logits``, the block
 its rows are copied into, so no step allocates either. The memo holds
-successors, never whole rows, and goes when the call returns: nothing is
-kept across calls. Reweighting runs before truncation on purpose: a boosted
+successors, never whole rows. It is kept on the chain, per provider object
+and successor settings (strategy, top_k, top_p, num_beams, trace), until the
+chain is dropped, so equal states must stand for equal logits for as long as
+a chain is reused with a provider; a decode without a chain starts an empty
+one. Where states are heavy (a key/value cache), one chain per prompt, as
+``cli generate`` builds, keeps no more alive than one decode does.
+Reweighting runs before truncation on purpose: a boosted
 token must be able to re-enter the candidate set even if the raw logits
 placed it outside the top-k. ``trace=True`` records per-step logits for all
 three strategies; the memo then also keeps the raw and steered logit at
@@ -166,13 +173,16 @@ def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.nd
     ``scores`` must be one-dimensional, ``top_k`` an integer and ``top_p`` a
     real number, checked as ``GenerationConfig`` checks them. Masked entries
     are set to -inf; a NaN or +inf in ``scores`` raises
-    ``NonFiniteLogitsError``.
+    ``NonFiniteLogitsError`` about the vector, naming no row.
     """
     config = GenerationConfig("sample", top_k, top_p)
     x = np.asarray(scores, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError("logit vector must be one-dimensional")
-    ids, _, kept, _ = _truncate(x[None], config.top_k, config.top_p)
+    try:
+        ids, _, kept, _ = _truncate(x[None], config.top_k, config.top_p)
+    except NonFiniteLogitsError:
+        raise NonFiniteLogitsError() from None
     out = np.full_like(x, -np.inf)
     out[ids[0]] = kept[0]
     return out
@@ -384,10 +394,13 @@ class _PrefixStates:
 
     A state is the prefix as two tuples, the prompt's ids and the tokens
     after it; ``advance`` returns a copy with one more token. No two live
-    hypotheses share a prefix, so a decode never finds a state it has seen,
-    and every state of a decode shares one prompt tuple: the states that its
-    memo keeps until the EOS phase ends hold the prompt once, not once per
-    state. ``logits_many`` copies each state's ``next_logits`` into the
+    hypotheses share a prefix, so a decode never finds a state it has seen
+    (a later decode of the same prompt through the same chain does), and
+    every state of a decode shares one prompt tuple: the states that the
+    chain keeps hold each decode's prompt once, not once per state. The
+    chain's memo is keyed by the provider the caller passed, never by this
+    adapter, so no block outlives its decode.
+    ``logits_many`` copies each state's ``next_logits`` into the
     first n rows of a (width, V) block that the adapter allocates once per
     decode, and returns those rows; the step owns them until the next step
     overwrites them. A vector whose shape is not (V,) raises
@@ -447,19 +460,28 @@ def _decode(
     the prompt check, for blocks of up to ``width`` rows
     (``ProcessorChain.bind``): its topic ids are checked against V and their
     flat indices laid out then, not on every step.
-    A step looks up each live hypothesis's state in the decode's memo, which
-    is emptied when EOS stops being masked. The states it lacks, each once
-    and in live order, form one (n, V) block: one ``logits_many`` call (a
-    block that is not a float64 numpy array raises TypeError, one without
-    one row per state ValueError), one rewrite by the bound chain in place
-    (on a copy when tracing, which keeps the raw logits;
+    A step looks up each live hypothesis's state in the memo of the current
+    EOS phase. The chain keeps one per phase for each provider object and
+    successor settings (strategy, top_k, top_p, num_beams, trace), and holds
+    the provider, so its id is not reused while the entry lives; the seed
+    and the length window are not in the key, since successors do not read
+    the seed and the phase is what the window changes. The states it lacks,
+    each once and in live order, form one (n, V) block: one ``logits_many``
+    call (a block that is not a float64 numpy array raises TypeError, one
+    without one row per state ValueError), one rewrite by the bound chain in
+    place (on a copy when tracing, which keeps the raw logits;
     ``ProcessorChain.bind`` says what the rewrite checks), the EOS column
     masked while below the minimum length, and each row's successors, which
     the memo keeps (with the raw and steered logit at each successor token
-    when tracing). A NaN or +inf that the step meets fails
-    the decode with ``NonFiniteLogitsError`` naming the step and the first
-    live row whose state holds it. The pick then keeps the global top
-    ``width`` (1, or num_beams for beam search) of
+    when tracing). A block that raises keeps nothing, since the rewrite and
+    the successors functions raise before their first row, so every decode
+    that meets its state fails alike. The chain keeps the memo until it is
+    dropped: equal states must stand for equal logits for as long as the
+    chain is reused with the provider, and heavy states (a key/value cache)
+    call for one chain per prompt. A NaN or +inf
+    that the step meets fails the decode with ``NonFiniteLogitsError``
+    naming the step and the first live row whose state holds it. The pick
+    then keeps the global top ``width`` (1, or num_beams for beam search) of
     all rows' candidates, ranked by cumulative log probability, ties to the
     lower token id, then the lower source row. A hypothesis that emits EOS
     is finished and never advanced, but it takes one of the ``width`` slots
@@ -481,13 +503,17 @@ def _decode(
     eos = model.vocabulary.eos_id
     # (cumulative log prob, provider state, (token, parent) chain, step records)
     live = [(0.0, provider.start(prefix), (), ())]
-    rewrite = (chain or ProcessorChain()).bind(width, size)
-    # state -> (its successors, {token: (raw, steered logit)} when tracing), in this EOS phase
-    memo, done = {}, []
+    chain = chain or ProcessorChain()
+    rewrite = chain.bind(width, size)
+    # Per EOS phase, state -> (its successors, {token: (raw, steered logit)} when tracing, else False). The
+    # chain keeps both across decodes; its key holds the provider, whose id the entry keeps from being reused.
+    _, masked, unmasked = chain._memo.setdefault(
+        (id(model), strategy, config.top_k, config.top_p, config.num_beams, trace), (model, {}, {}))
+    memo, done = masked, []
     try:
         for step in range(config.max_new_tokens):
             if step == config.min_new_tokens:
-                memo = {}  # EOS is no longer masked, which changes every state's successors
+                memo = unmasked  # EOS is no longer masked, which changes every state's successors
             states = [state for _, state, _, _ in live]
             fresh = [state for state in dict.fromkeys(states) if state not in memo]
             if fresh:

@@ -23,7 +23,7 @@ from statistics import mean, stdev
 
 from .decoding import GenerationConfig, GenerationResult, generate
 from .models import LogitsProvider, Vocabulary, as_int, as_real, error_text, load_toy_model, read_text
-from .reweight import ReweightConfig, build_chain
+from .reweight import ProcessorChain, ReweightConfig, build_chain
 from .scoring import KEY_COLUMNS, METRIC_COLUMNS, REPORT_COLUMNS, format_score, report_row, score_summary, write_report_csv
 from .topics import DEFAULT_TOP_N, TopicModel, TopicTokenSet, load_topic_model, topic_token_set
 
@@ -222,6 +222,7 @@ def run_row(
     top_n: int,
     token_sets: dict[int, TopicTokenSet],
     decodes: dict[tuple, GenerationResult],
+    chains: dict[tuple, ProcessorChain],
 ) -> tuple[GenerationResult, dict[str, str]]:
     """Generate and score one (sample, condition, steered topic) row; return the result and its CSV row.
 
@@ -232,7 +233,12 @@ def run_row(
     call fills, keyed by ``_decode_key``: a row whose decode is already in
     it is scored on that result without calling ``generate``. A decode that
     raises is not cached, so the next row that needs it runs it again and
-    records its own error. ``cli generate`` passes an empty one.
+    records its own error. ``chains`` is a cache of reweighting chains that
+    this call fills, keyed by the first two entries of ``_decode_key``: rows
+    that share a chain share the successors its decodes have computed
+    (``ProcessorChain``), so one shared across articles steps each
+    (state, EOS phase) of a chain and generation settings once. ``cli
+    generate`` passes empty ones.
     """
     vocab = model.vocabulary
     for t in (tid, sample.tid1, sample.tid2):
@@ -242,8 +248,9 @@ def run_row(
     key = _decode_key(condition.reweight, tid, generation)
     result = decodes.get(key)
     if result is None:
-        chain = build_chain(condition.reweight, token_sets[tid])
-        result = decodes[key] = generate(model, prefix, chain, generation)
+        if key[:2] not in chains:
+            chains[key[:2]] = build_chain(condition.reweight, token_sets[tid])
+        result = decodes[key] = generate(model, prefix, chains[key[:2]], generation)
     scores = score_summary(result, article_id=sample.article_id, condition=condition.label, steered_tid=tid,
                            topics=(sample.tid1, sample.tid2), references=(sample.ref1, sample.ref2),
                            model=topic_model, vocab=vocab, top_n=top_n, token_sets=token_sets)
@@ -257,7 +264,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     stop the sweep. Rows are generated in corpus order, then condition order,
     then steered-topic order, with per-row seeds derived from the master seed
     and the row identity. Within an article, rows with the same decode
-    (``_decode_key``) share the first successful one. The output directory
+    (``_decode_key``) share the first successful one, and rows with the
+    same chain share it across the whole sweep. The output directory
     is made once the inputs have loaded and before the first row; a path
     that cannot be one raises ValueError.
     """
@@ -270,6 +278,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     except OSError as exc:
         raise ValueError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
     token_sets: dict[int, TopicTokenSet] = {}
+    chains: dict[tuple, ProcessorChain] = {}
     columns = list(SWEEP_COLUMNS)
     rows: list[dict[str, str]] = []
     ok_rows = []
@@ -284,7 +293,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                 try:
                     _result, row = run_row(model, topic_model, sample, prefix, condition, tid,
                                            master_seed=config.master_seed, top_n=config.top_n,
-                                           token_sets=token_sets, decodes=shared)
+                                           token_sets=token_sets, decodes=shared, chains=chains)
                 except Exception as exc:  # recorded per row; the sweep continues
                     error = " ".join(error_text(exc).split())
                     logger.warning("row failed: article=%s condition=%s tid=%s: %s",
@@ -412,7 +421,7 @@ def merge_external_scores(
     for row in reader:
         key = (*_row_key(row), row["metric"])
         if not row["metric"]:
-            raise CorpusFormatError(f"{external_path}: empty metric name for {key}")
+            raise CorpusFormatError(f"{external_path}:{reader.line_num}: empty metric name for {key}")
         if key[-1] in SWEEP_COLUMNS:
             raise CorpusFormatError(f"{external_path}:{reader.line_num}: metric {key[-1]!r} is a column a sweep writes")
         try:

@@ -58,14 +58,19 @@ class ToyModelFormatError(ValueError):
 
 
 class NonFiniteLogitsError(ValueError):
-    """A provider's logits hold NaN or +inf: the one error for them, under every strategy and method.
+    """Logits hold NaN or +inf: the one error for them, under every strategy and method.
 
     ``row`` is the block row that holds one; a decode adds the ``step``.
+    Without a row, the caller's own logit vector holds one (the one-vector
+    functions), and the message names no provider and no row.
     """
 
-    def __init__(self, row: int, step: int | None = None) -> None:
-        where = f"row {row}" if step is None else f"step {step}, row {row}"
-        super().__init__(f"provider logits hold NaN or +inf at {where}")
+    def __init__(self, row: int | None = None, step: int | None = None) -> None:
+        if row is None:
+            super().__init__("logit vector holds NaN or +inf")
+        else:
+            where = f"row {row}" if step is None else f"step {step}, row {row}"
+            super().__init__(f"provider logits hold NaN or +inf at {where}")
         self.row = row
 
     @classmethod
@@ -249,17 +254,21 @@ class LogitsProvider(Protocol):
     order-1 table, a key/value cache for a neural model. ``advance`` must
     return a new state and leave the old one usable, because beams that
     share a parent advance it with different tokens. States must be
-    hashable, and equal states must stand for prefixes with equal logits:
-    a decode asks for each distinct state once per EOS phase (masked while
+    hashable, and equal states must stand for prefixes with equal logits
+    for as long as a reweighting chain is reused with the provider: a
+    decode asks for each distinct state once per EOS phase (masked while
     below the minimum length, then not), in one block for the live
-    hypotheses' states it has not met yet, and keeps that state's
-    successors, not its row, until it returns. A state hashed by identity,
-    such as a key/value cache object, simply never repeats. Without the
-    incremental half, the engine's state is the prefix (the prompt's tuple,
-    shared by all states of a decode, and a tuple of the tokens after it),
-    which never repeats; it calls ``next_logits`` on the whole prefix at
-    every step and copies the rows into a block of its own that each decode
-    allocates once.
+    hypotheses' states it has not met yet, and the chain keeps that
+    state's successors, not its row, per provider object and successor
+    settings, until the chain is dropped. Decodes through the same chain
+    and provider share them. A state hashed by identity, such as a
+    key/value cache object, simply never repeats; to keep no more of them
+    alive than one decode does, build one chain per prompt, as ``cli
+    generate`` does. Without the incremental half, the engine's state is
+    the prefix (the prompt's tuple, shared by all states of a decode, and a
+    tuple of the tokens after it); it calls ``next_logits`` on the whole
+    prefix at every step and copies the rows into a block of its own that
+    each decode allocates once.
 
     Implementations must be safe for concurrent read-only queries and, for
     toy models, pure: the same prefix always yields the same vector. Real

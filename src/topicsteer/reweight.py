@@ -114,10 +114,20 @@ def apply_reweight(scores: LogitVector, topic: Iterable[int], config: ReweightCo
 
 @dataclass(frozen=True, eq=False)
 class ProcessorChain:
-    """One compiled reweighting step and its sorted, unique topic ids; the default, method "none", has none."""
+    """One compiled reweighting step and its sorted, unique topic ids; the default, method "none", has none.
+
+    A chain also keeps the successors that the decodes made through it have
+    computed, per provider object and successor settings, until the chain is
+    dropped (``decoding._decode`` says what it keeps); a new chain keeps
+    none. Equal provider states must therefore stand for equal logits for as
+    long as a chain is reused with that provider. Where states are heavy (a
+    key/value cache), build one chain per prompt, as ``cli generate`` does,
+    to keep no more alive than one decode.
+    """
 
     config: ReweightConfig = ReweightConfig()
     ids: np.ndarray = field(default_factory=lambda: _NO_IDS)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def apply(self, scores: LogitVector) -> np.ndarray:
         """A rewritten float64 copy of one logit vector: the one-row case of ``bind``.
@@ -130,7 +140,7 @@ class ProcessorChain:
         if x.ndim != 1:
             raise ValueError("logit vector must be one-dimensional")
         if not (x < np.inf).all():
-            raise NonFiniteLogitsError(0)
+            raise NonFiniteLogitsError()
         return self.bind(1, x.size)(x[None])[0]
 
     def bind(self, rows: int, size: int) -> Callable[[np.ndarray], np.ndarray]:

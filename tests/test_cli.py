@@ -282,6 +282,16 @@ class TestMerge:
         assert err == f"topicsteer: {external}:2: metric 'rouge_l_f1' is a column a sweep writes\n"
         assert not report.with_suffix(".merged.csv").exists() and not report.with_suffix(".rejects.csv").exists()
 
+    def test_empty_metric_name_exits_1_writing_nothing(self, tmp_path, capsys):
+        report = self.make_report(tmp_path, capsys)
+        external = tmp_path / "ext.csv"
+        external.write_text("article_id,condition,steered_tid,metric,value\n"
+                            "a000,baseline,0,mauve,0.5\na000,baseline,0,,7\n")
+        code, _out, err = run(capsys, "merge", "--report", str(report), "--external", str(external))
+        assert code == 1
+        assert err == f"topicsteer: {external}:3: empty metric name for ('a000', 'baseline', '0', '')\n"
+        assert not report.with_suffix(".merged.csv").exists() and not report.with_suffix(".rejects.csv").exists()
+
     def test_short_external_line_exits_1(self, tmp_path, capsys):
         # the missing value is None, on which float() used to raise TypeError: exit 3, "unexpected failure"
         report = self.make_report(tmp_path, capsys)

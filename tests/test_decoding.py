@@ -3,6 +3,7 @@ import linecache
 import math
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import topicsteer.decoding as decoding
 from topicsteer.decoding import (
+    STRATEGIES,
     GenerationConfig,
     generate,
     generate_beam,
@@ -75,6 +77,12 @@ class TestTruncation:
     def test_ties_keep_lower_ids(self):
         out = truncate_top_k_top_p(np.array([1.0, 1.0, 1.0]), top_k=2, top_p=1.0)
         assert out.tolist() == [1.0, 1.0, -np.inf]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_inf_names_the_vector_not_a_provider(self, bad):
+        with pytest.raises(NonFiniteLogitsError) as error:
+            truncate_top_k_top_p([bad, 1.0], 5, 0.9)
+        assert str(error.value) == "logit vector holds NaN or +inf" and error.value.row is None
 
     def test_bool_top_k_is_named(self):
         with pytest.raises(TypeError, match=r"^top_k True is not an integer$"):
@@ -831,20 +839,9 @@ class Asked:
         return self.model.logits_many(states)
 
 
-def _decode_memo(run):
-    """``run()`` and the memo of the last ``decoding._decode`` call it made, as that call returned it."""
-    memos = []
-
-    def profile(frame, event, arg):
-        if event == "return" and frame.f_code is decoding._decode.__code__:
-            memos.append(dict(frame.f_locals["memo"]))
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        return run(), memos[-1]
-    finally:
-        sys.setprofile(previous)
+def _kept(chain):
+    """Every (state, (successors, trace logits)) entry the chain keeps, over its providers, settings and EOS phases."""
+    return [entry for _, *phases in chain._memo.values() for phase in phases for entry in phase.items()]
 
 
 @pytest.mark.parametrize("config", [greedy_config(min_new=3, max_new=10),
@@ -852,54 +849,144 @@ def _decode_memo(run):
                                     beam_config(min_new=3, max_new=10, num_beams=3, top_k=4, top_p=0.9)],
                          ids=lambda config: config.strategy)
 def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
-    """``logits_many`` gets each distinct (state, EOS masked) pair of a decode once, in the order the decode meets it.
+    """``logits_many`` gets each distinct (state, EOS masked) pair once, in the order the decode meets it.
 
     The pairs come from the ``next_logits`` path, which asks for every live
-    hypothesis. A second decode asks again: nothing is kept across calls.
+    hypothesis. The chain keeps what a decode computed: another decode
+    through the same chain, provider object and successor settings asks
+    nothing, another sampling seed asks only for the pairs that no decode
+    through them met yet, and a new chain, another provider object or
+    another top_k, top_p or num_beams asks again.
     Traced step records are those of the reference decoders (of the
     ``next_logits`` path for beam search, whose reference records none), and
-    the memo keeps at most top_k entries per state (V = 6 here) and the raw
+    the chain keeps at most top_k entries per state (V = 6 here) and the raw
     and steered logit only at its successor tokens, as Python floats: no row
     of the block outlives its step.
     """
     model = random_markov(3, n_words=4, eos_logit=-20.0)
     prefix = [model.vocabulary.bos_id]
-    chain = build_chain(ReweightConfig(method="constant_shift", c=1.5), {2, 4})
-    steps = live_states(model, prefix, chain, config)
-    pairs = [(state, step < config.min_new_tokens) for step, states in enumerate(steps) for state in states]
-    distinct = list(dict.fromkeys(pairs))
-    assert len(distinct) < len(pairs)  # the decode meets some states again
-    provider = Asked(model)
-    first = generate(provider, prefix, chain, config)
-    assert [state for call in provider.calls for state in call] == [state for state, _ in distinct]
-    assert all(len(set(call)) == len(call) for call in provider.calls) and len(provider.calls) <= len(steps)
-    asked = provider.calls
-    provider.calls = []
-    assert generate(provider, prefix, chain, config) == first and provider.calls == asked
+    method = ReweightConfig(method="constant_shift", c=1.5)
+    chain = build_chain(method, {2, 4})
 
-    traced, memo = _decode_memo(lambda: generate(model, prefix, chain, config, trace=True))
+    def distinct(config):
+        steps = live_states(model, prefix, build_chain(method, {2, 4}), config)
+        pairs = [(state, step < config.min_new_tokens) for step, states in enumerate(steps) for state in states]
+        return list(dict.fromkeys(pairs)), len(pairs)
+
+    def asked(provider, chain, config):
+        provider.calls = []
+        result = generate(provider, prefix, chain, config)
+        assert all(len(set(call)) == len(call) for call in provider.calls)
+        return result, [state for call in provider.calls for state in call]
+
+    provider = Asked(model)
+    first, states = asked(provider, chain, config)
+    met, live = distinct(config)
+    assert states == [state for state, _ in met] and len(met) < live  # the decode meets some states again
+    assert len(provider.calls) <= config.max_new_tokens
+    assert asked(provider, chain, config) == (first, [])
+    for seed in range(config.seed + 1, config.seed + 4):  # another seed asks only for the pairs no decode met yet
+        pairs = distinct(replace(config, seed=seed))[0]
+        assert asked(provider, chain, replace(config, seed=seed))[1] == [state for state, m in pairs if (state, m) not in met]
+        met += [pair for pair in pairs if pair not in met]
+    assert asked(provider, build_chain(method, {2, 4}), config) == (first, states)
+    assert asked(Asked(model), chain, config) == (first, states)
+    for change in (dict(top_k=config.top_k + 1), dict(top_p=0.5), dict(num_beams=config.num_beams + 1)):
+        changed = replace(config, **change)
+        expected = generate(model, prefix, build_chain(method, {2, 4}), changed)
+        assert asked(provider, chain, changed) == (expected, [state for state, _ in distinct(changed)[0]])
+
+    traced = generate(model, prefix, chain, config, trace=True)
     if config.strategy == "beam":
         expected = generate(NextLogitsOnly(model), prefix, chain, config, trace=True)
     else:
         expected = REFERENCE[config.strategy](model, prefix, chain, config, True)
     assert (traced.tokens, traced.log_prob.hex(), traced.step_records) == \
         (expected.tokens, expected.log_prob.hex(), expected.step_records)
-    assert traced.tokens == first.tokens and memo
+    assert traced.tokens == first.tokens
+    memo = chain._memo[id(model), config.strategy, config.top_k, config.top_p, config.num_beams, True]
+    assert memo[0] is model and memo[1] and memo[2]
     most = 1 if config.strategy == "greedy" else config.top_k
-    for successors, logits in memo.values():
-        assert sorted(logits) == sorted(successors[0])
-        assert all(type(value) is float for pair in logits.values() for value in pair)
-        assert all(len(part) <= most < model.vocabulary.size for part in successors)
+    for phase in memo[1:]:
+        for successors, logits in phase.values():
+            assert sorted(logits) == sorted(successors[0])
+            assert all(type(value) is float for pair in logits.values() for value in pair)
+            assert all(len(part) <= most < model.vocabulary.size for part in successors)
+    untraced = chain._memo[id(provider), config.strategy, config.top_k, config.top_p, config.num_beams, False]
+    assert untraced[0] is provider and all(logits is False for phase in untraced[1:] for _, logits in phase.values())
+
+
+@st.composite
+def shared_chain_cases(draw):
+    """A chain and a mixed sequence of decodes through it: prompts, seeds, strategies, length windows, trace, providers."""
+    model = random_markov(draw(st.integers(0, 3)), n_words=draw(st.sampled_from([3, 5])), eos_logit=draw(st.sampled_from([-1.0, 1.0])))
+    method = draw(st.sampled_from([ReweightConfig(), ReweightConfig(method="constant_shift", c=2.0),
+                                   ReweightConfig(method="factor_scaling", alpha=0.5),
+                                   ReweightConfig(method="threshold_selection", theta=0.05, beta=1.0)]))
+    topic = draw(st.sets(st.integers(0, model.vocabulary.size - 1), max_size=3))
+    prompts = st.lists(st.integers(0, model.vocabulary.size - 1), min_size=1, max_size=4)
+    # two successor settings that differ in one field, so decodes often share a chain's entries or just miss them
+    base = dict(strategy=draw(st.sampled_from(STRATEGIES)), top_k=4, top_p=0.8, num_beams=2)
+    other = draw(st.sampled_from([dict(strategy="sample"), dict(strategy="beam"), dict(top_k=2), dict(top_p=1.0),
+                                  dict(num_beams=3)]))
+    decodes = []
+    for _ in range(draw(st.integers(2, 8))):
+        max_new = draw(st.integers(0, 8))
+        config = GenerationConfig(**draw(st.sampled_from([base, {**base, **other}])), max_new_tokens=max_new,
+                                  min_new_tokens=draw(st.integers(0, max_new)), seed=draw(st.integers(0, 3)))
+        decodes.append((draw(st.integers(0, 1)), draw(prompts), config, draw(st.booleans())))
+    return model, method, topic, decodes
+
+
+@settings(max_examples=150, deadline=None)
+@given(shared_chain_cases())
+def test_decodes_through_a_shared_chain_equal_decodes_through_fresh_ones(case):
+    """Whatever a chain kept from earlier decodes, each decode through it is the decode through a fresh chain, bit for bit.
+
+    Two providers share the chain: the toy model and a ``next_logits``-only
+    view of it, whose states are prefixes.
+    """
+    model, method, topic, decodes = case
+    providers = (model, NextLogitsOnly(model))
+    chain = build_chain(method, topic)
+    for which, prompt, config, trace in decodes:
+        shared = generate(providers[which], prompt, chain, config, trace)
+        fresh = generate(providers[which], prompt, build_chain(method, topic), config, trace)
+        assert (shared.tokens, shared.log_prob.hex(), shared.step_records) == \
+            (fresh.tokens, fresh.log_prob.hex(), fresh.step_records)
+
+
+def test_a_state_that_fails_is_not_kept():
+    """A block that raises leaves nothing on the chain, so every decode that meets its state fails with the same error."""
+    model = random_markov(5, n_words=4, eos_logit=-20.0)
+    prefix = [model.vocabulary.bos_id]
+    chain = build_chain(ReweightConfig(method="constant_shift", c=2.0), {2, 3})
+    for config in (greedy_config(min_new=2, max_new=6), sample_config(min_new=2, max_new=6, seed=1),
+                   beam_config(min_new=2, max_new=6, num_beams=3)):
+        state = live_states(model, prefix, chain, config)[2][-1]
+        faulty = FaultAt(model, state, 4, np.nan)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(NonFiniteLogitsError) as error:
+                generate(faulty, prefix, chain, config)
+            messages.append(str(error.value))
+        with pytest.raises(NonFiniteLogitsError) as error:
+            generate(faulty, prefix, build_chain(chain.config, chain.ids), config)
+        assert messages == [str(error.value)] * 2
+        _, *phases = chain._memo[id(faulty), config.strategy, config.top_k, config.top_p, config.num_beams, False]
+        assert any(phases) and all(state not in phase for phase in phases)  # what came before the fault is kept
 
 
 def test_prefix_states_share_one_prompt_tuple():
-    """The memo keeps every state of the phase; the fallback path's states hold the prompt once between them."""
+    """The chain keeps every state its decode met; the fallback path's states hold the prompt once between them."""
     model = random_markov(2, eos_logit=-20.0)
     prompt = [model.vocabulary.bos_id, *range(2, model.vocabulary.size)] * 50
     config = beam_config(min_new=0, max_new=8, num_beams=3)
-    _, memo = _decode_memo(lambda: generate(NextLogitsOnly(model), prompt, None, config))
-    assert len(memo) > config.num_beams and len({id(prompt_ids) for prompt_ids, _ in memo}) == 1
-    assert all(list(prompt_ids) == prompt and len(tokens) < config.max_new_tokens for prompt_ids, tokens in memo)
+    chain = ProcessorChain()
+    generate(NextLogitsOnly(model), prompt, chain, config)
+    states = [state for state, _ in _kept(chain)]
+    assert len(states) > config.num_beams and len({id(prompt_ids) for prompt_ids, _ in states}) == 1
+    assert all(list(prompt_ids) == prompt and len(tokens) < config.max_new_tokens for prompt_ids, tokens in states)
 
 
 class Masked:

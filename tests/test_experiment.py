@@ -26,7 +26,7 @@ from topicsteer.experiment import (
     run_sweep,
 )
 from topicsteer.models import NonFiniteLogitsError, load_toy_model
-from topicsteer.reweight import ReweightConfig
+from topicsteer.reweight import ProcessorChain, ReweightConfig
 from topicsteer.topics import load_topic_model, topic_token_set
 
 
@@ -296,7 +296,7 @@ def test_run_row_raises_the_one_error_for_nan_logits(condition):
     prefix = sample.prompt(model.vocabulary)
     with pytest.raises(NonFiniteLogitsError, match=r"^provider logits hold NaN or \+inf at step 0, row 0$"):
         experiment.run_row(NaNAfterPrompt(model, prefix), load_topic_model(fixtures.topic_model_path()), sample,
-                           prefix, condition, sample.tid1, master_seed=0, top_n=25, token_sets={}, decodes={})
+                           prefix, condition, sample.tid1, master_seed=0, top_n=25, token_sets={}, decodes={}, chains={})
 
     def test_aggregates_match_hand_computation(self, tmp_path):
         result = run_sweep(make_config(tmp_path, three_conditions()))
@@ -382,8 +382,8 @@ class TestSharedDecodes:
         inner_row, inner_generate = experiment.run_row, experiment.generate
         generated = []
 
-        def memo_free(*args, decodes, **kwargs):
-            return inner_row(*args, decodes={}, **kwargs)
+        def memo_free(*args, decodes, chains, **kwargs):
+            return inner_row(*args, decodes={}, chains={}, **kwargs)
 
         def counting(*args):
             generated.append(args[3])
@@ -422,6 +422,79 @@ class TestSharedDecodes:
             [("baseline", "0", "provider failed"), ("baseline", "1", "provider failed")] * 2
         assert len(calls) == 12
         assert json.loads(result.manifest_path.read_text())["decodes"] == 8
+
+
+class CountingRows:
+    """A toy model that counts the rows its ``logits_many`` is asked for."""
+
+    def __init__(self, model):
+        self.model, self.vocabulary = model, model.vocabulary
+        self.start, self.advance = model.start, model.advance
+        self.rows = 0
+
+    def logits_many(self, states):
+        self.rows += len(states)
+        return self.model.logits_many(states)
+
+
+class EveryStep:
+    """A toy model whose states never repeat across steps, which records the (step, last id) pairs of each step it asks for."""
+
+    def __init__(self, model):
+        self.model, self.vocabulary = model, model.vocabulary
+        self.asked = []
+
+    def start(self, prefix):
+        return 0, self.model.start(prefix)
+
+    def advance(self, state, token):
+        return state[0] + 1, token
+
+    def logits_many(self, states):
+        self.asked += states
+        return self.model.logits_many([token for _, token in states])
+
+
+class TestSharedChains:
+    def test_sweep_asks_each_chain_settings_state_and_phase_once(self, tmp_path, monkeypatch):
+        """Over the fixture grid, the model is asked for each distinct (chain, successor settings, state, EOS phase) once.
+
+        Each decode is replayed on a fresh chain through ``EveryStep`` to list
+        the pairs it meets. ``run_sweep`` calls ``generate`` once per decode it
+        computes, with exactly four positional arguments, as the benchmark's
+        per-row timing wraps it; a second sweep asks again, so nothing is kept
+        outside the sweep.
+        """
+        providers, calls = [], []
+        inner_load, inner_generate = experiment.load_toy_model, experiment.generate
+
+        def load(path):
+            providers.append(CountingRows(inner_load(path)))
+            return providers[-1]
+
+        def four_arguments(model, prefix, chain, config, /):
+            calls.append((prefix, chain, config))
+            return inner_generate(model, prefix, chain, config)
+
+        monkeypatch.setattr(experiment, "load_toy_model", load)
+        monkeypatch.setattr(experiment, "generate", four_arguments)
+        config = make_config(tmp_path, benchmark_grid(), limit=None, steered_policy="both", master_seed=1)
+        result = run_sweep(config)
+        assert (result.rows_total, result.rows_error) == (450, 0)
+        assert len(calls) == json.loads(result.manifest_path.read_text())["decodes"] == 400
+        assert len({id(chain) for _, chain, _ in calls}) == 5  # none, and shift and threshold per topic
+        pairs, per_decode = set(), 0
+        for prefix, chain, generation in calls:
+            stepper = EveryStep(providers[0].model)
+            inner_generate(stepper, prefix, ProcessorChain(chain.config, chain.ids), generation)
+            settings = (id(chain), generation.strategy, generation.top_k, generation.top_p, generation.num_beams)
+            met = {(settings, token, step < generation.min_new_tokens) for step, token in stepper.asked}
+            pairs |= met
+            per_decode += len(met)  # what a decode asks through a chain of its own
+        assert providers[0].rows == len(pairs) < per_decode / 5
+        again = run_sweep(dataclasses.replace(config, out_dir=tmp_path / "again"))
+        assert providers[1].rows == providers[0].rows
+        assert again.report_path.read_bytes() == result.report_path.read_bytes()
 
 
 class TestDeriveSeed:
@@ -535,6 +608,16 @@ class TestMerge:
         )
         with pytest.raises(CorpusFormatError, match=rf"ext\.csv:3: metric '{metric}' is a column a sweep writes$"):
             merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
+        assert not (tmp_path / "m.csv").exists() and not (tmp_path / "r.csv").exists()
+
+    def test_empty_metric_name_names_its_line(self, tmp_path):
+        report = self.run_small_sweep(tmp_path)
+        external = self.write_external(
+            tmp_path / "ext.csv", [["a000", "baseline", "0", "mauve", "0.4"], ["a000", "baseline", "1", "", "7"]],
+        )
+        with pytest.raises(CorpusFormatError) as error:
+            merge_external_scores(report, external, tmp_path / "m.csv", tmp_path / "r.csv")
+        assert str(error.value) == f"{external}:3: empty metric name for ('a000', 'baseline', '1', '')"
         assert not (tmp_path / "m.csv").exists() and not (tmp_path / "r.csv").exists()
 
     def test_metric_of_an_earlier_merge_merges_again(self, tmp_path):

@@ -378,11 +378,17 @@ def test_one_vector_entry_points_keep_one_rule(config, entry):
     for bad in (np.nan, np.inf):
         faulty = x.copy()
         faulty[4] = bad  # not a topic id
-        with pytest.raises(NonFiniteLogitsError, match=r"NaN or \+inf"):
+        with pytest.raises(NonFiniteLogitsError, match=r"^logit vector holds NaN or \+inf$"):  # no provider, no row
             run(faulty)
     for shape in ((2, x.size), ()):
         with pytest.raises(ValueError, match="one-dimensional"):
             run(np.zeros(shape))
+
+
+def test_a_caller_vector_with_nan_names_no_provider():
+    with pytest.raises(NonFiniteLogitsError) as error:
+        constant_shift([1.0, np.nan], [0], 1.0)
+    assert str(error.value) == "logit vector holds NaN or +inf" and error.value.row is None
 
 
 class TestNonFiniteStrength:
