@@ -1,10 +1,9 @@
 """topicsteer: steer text generation toward a topic by reweighting logits.
 
-The engine is model-agnostic: anything satisfying
-:class:`~topicsteer.models.LogitsProvider` can be decoded with greedy search,
-seeded top-k/top-p sampling, or beam search, while a processor chain rewrites
-the logits of topic-relevant tokens at every step. Scoring and a sweep
-harness measure the resulting topical focus and summary quality.
+Any ``models.LogitsProvider`` can be decoded with greedy search, seeded
+top-k/top-p sampling, or beam search, while a processor chain rewrites the
+logits of topic-relevant tokens at every step. Scoring and a sweep harness
+measure the resulting topical focus and summary quality.
 """
 
 from .decoding import (

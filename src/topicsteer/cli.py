@@ -1,10 +1,4 @@
-"""Command-line harness: single-article generation, sweeps, merges, debugging.
-
-Subcommands:
-  generate      decode one article and print the summary with its scores
-  sweep         run a full (method x strength x decoding) experiment to CSV
-  merge         join externally computed quality metrics into a report CSV
-  expand-topic  print the vocabulary token set a topic expands to
+"""Command-line harness: ``generate`` one article, ``sweep`` an experiment, ``merge`` external scores, ``expand-topic``.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 sweep completed
 with per-row errors, 3 total failure.

@@ -1,61 +1,14 @@
 """Token generation from any logits provider: greedy, sampling, beam search.
 
-All strategies share one loop. It checks the prompt once; then each step
-looks up the provider states of the n live hypotheses (1 for greedy and
-sampling, up to num_beams for beam search) in a memo that the reweighting
-chain keeps. The states it has not met yet in the current EOS phase (masked
-while below the minimum length, then unmasked) go through one (n, V) block:
-one ``logits_many`` call -> one reweighting-chain rewrite of the block, in
-place, by the chain the decode bound once when it started -> EOS column
-masked while below the minimum length -> each row's successors, which the
-memo keeps. A cheap pick over the live hypotheses' successors then ends the
-step. A row's successors are a function of that row alone, so a state that
-repeats (the shipped order-1 model's state is its last token) is stepped
-once per phase, bit for bit as if every step recomputed it, and so is a
-state that an earlier decode through the same chain, provider object and
-successor settings met.
-
-Only the successors and the pick differ: greedy takes the steered argmax
-and its log probability, and the pick adds the cumulative log prob;
-sampling and beam search first apply row-wise top-k/top-p truncation, the
-one survivor step. It hands over each row's surviving ids (at most top_k)
-in survivor order, their flat indices into the block, their scores and one
-exp(kept - top) per survivor; those weights give the nucleus mass, the
-sampling weights and the beam normaliser, so a step exponentiates each
-survivor once. Sampling keeps the survivors' probabilities and cumulative
-sum in token-id order, and its pick draws one token from them. Beam search
-keeps each row's num_beams best successors, which are the row's first
-num_beams survivors: log probabilities never increase along a row, and
-where rounding ties them across that boundary, the lowest ids of the tie run
-fill it; its pick is the global top num_beams. Both sum the normaliser over
-the full-length truncated row (the weights put into a zero row), so their
-probabilities are bit for bit those of a full-vector softmax of that row.
-Each decode call owns one workspace of (width, V) blocks, allocated when it
-starts and freed when it returns: the zero-filled rows those normalisers
-are summed over, and, for a provider with only ``next_logits``, the block
-its rows are copied into, so no step allocates either. The memo holds
-successors, never whole rows. It is kept on the chain, per provider object
-and successor settings (strategy, top_k, top_p, num_beams, trace), until the
-chain is dropped, so equal states must stand for equal logits for as long as
-a chain is reused with a provider; a decode without a chain starts an empty
-one. Where states are heavy (a key/value cache), one chain per prompt, as
-``cli generate`` builds, keeps no more alive than one decode does.
-Reweighting runs before truncation on purpose: a boosted
-token must be able to re-enter the candidate set even if the raw logits
-placed it outside the top-k. ``trace=True`` records per-step logits for all
-three strategies; the memo then also keeps the raw and steered logit at
-each successor token.
-
-Non-finite logits: a provider's -inf masks a token under every method and
-strategy, like the engine's own EOS mask. A block holding NaN or +inf fails
-the decode with ``NonFiniteLogitsError``, naming the step and the first live
-row whose state holds it, and no step scans the block for it. The work each
-step already does finds it: greedy's argmax lands on the first NaN, else on
-a +inf; truncation's sort puts +inf first and NaN last, and above the size
-rule the block-max bound turns NaN, so only the entries past its last block
-need a look; the EOS mask subtracts inf, which keeps a NaN or +inf visible;
-and the chain's rewrite reports one that reaches a rewritten value
-(``ProcessorChain.bind``).
+All strategies share one loop, ``_decode``, which also owns the successor
+memo. Only the successors and the pick differ: greedy takes the steered
+argmax (``_greedy``); sampling (``_sample``) and beam search (``_beam``) first
+cut each row to its top-k/top-p survivors (``_truncate``) and normalise over
+the full truncated row (``_normalisers``). Reweighting runs before
+truncation on purpose: a boosted token must be able to re-enter the
+candidate set even if the raw logits placed it outside the top-k.
+``models.LogitsProvider`` states the provider contract and
+``models.NonFiniteLogitsError`` the rule for non-finite logits.
 
 Determinism contract: greedy and beam search are fully deterministic; ties
 go to the lower token id, then the lower beam index. Sampling uses a PCG64
@@ -78,6 +31,7 @@ from .models import (
     TokenSequence,
     Vocabulary,
     as_int,
+    as_logit_vector,
     as_real,
     flat_ids,
     log_softmax,  # noqa: F401  (no step calls it or softmax; tracers wrap both names)
@@ -167,22 +121,15 @@ class GenerationResult:
 
 
 def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.ndarray:
-    """Mask everything outside the top-k, then outside the top-p nucleus.
+    """Mask everything outside the top-k, then the top-p nucleus, with -inf: the one-row case of ``_truncate``.
 
-    The one-row case of ``_truncate``, which states the survivor rules.
-    ``scores`` must be one-dimensional, ``top_k`` an integer and ``top_p`` a
-    real number, checked as ``GenerationConfig`` checks them. Masked entries
-    are set to -inf; a NaN or +inf in ``scores`` raises
-    ``NonFiniteLogitsError`` about the vector, naming no row.
+    ``scores`` passes ``models.as_logit_vector``; ``top_k`` and ``top_p`` pass ``GenerationConfig``.
     """
     config = GenerationConfig("sample", top_k, top_p)
-    x = np.asarray(scores, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("logit vector must be one-dimensional")
-    try:
-        ids, _, kept, _ = _truncate(x[None], config.top_k, config.top_p)
-    except NonFiniteLogitsError:
-        raise NonFiniteLogitsError() from None
+    x = as_logit_vector(scores)
+    if not x.size:
+        raise ValueError(_MASKED)
+    ids, _, kept, _ = _truncate(x[None], config.top_k, config.top_p)
     out = np.full_like(x, -np.inf)
     out[ids[0]] = kept[0]
     return out
@@ -191,40 +138,32 @@ def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.nd
 def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise top-k/top-p truncation of a float64 (n, V) block: the one survivor step of sampling and beam search.
 
-    Returns ``(ids, flat, kept, weights)``, each (n, min(top_k, V)): each
-    row's top-k ids in survivor order, the same ids as indices into the
-    flattened block, their scores (-inf where an id does not survive) and
-    their weights ``exp(kept - top)`` (0 where an id does not survive), with
-    ``top`` the row's highest surviving score.
-    Survivor order is descending score with ties kept in token-id order: the
-    first top_k ids of a stable descending sort, of which the masked (-inf)
-    ones are then dropped. Rows of at most max(1024, 4 * top_k) entries are
-    cheaper to sort whole. A longer row is first cut by a block-max bound:
-    its first k * (V // k) entries form k blocks of V // k, and the bound is
-    the smallest block maximum. Each block holds an entry at or above the
-    bound, so at least k entries reach it; hence every top_k survivor is at
-    or above it, and every entry below it ranks after them. A partition of
-    the candidates, the entries at or above the bound in id order, finds the
-    top_k-th best score; only those strictly better are sorted stably, and
-    the lowest ids that tie with it fill the remaining places. Both paths
-    keep the same ids in the same order.
+    Returns ``(ids, flat, kept, weights)``, each (n, min(top_k, V)): each row's
+    top-k ids in survivor order, those ids as indices into the flat block,
+    their scores (-inf where an id does not survive) and their weights
+    ``exp(kept - top)`` (0 where it does not), ``top`` being the row's best.
 
-    A block holding NaN or +inf raises ``NonFiniteLogitsError``, found by
-    work the cut does anyway: a +inf leads its row's survivors; a NaN sorts
-    last in a whole-row sort, and above the size rule it makes the bound NaN
-    unless it lies past the last block, where the V % k entries are looked
-    at.
+    Survivor order is descending score, ties in token-id order, with masked
+    (-inf) ids dropped. Rows of at most max(1024, 4 * top_k) entries get one
+    stable sort. A longer row is first cut by a block-max bound: its first
+    k * (V // k) entries form k blocks, whose smallest maximum at least k
+    entries reach, so every entry below it ranks after the survivors. A
+    partition of the entries that reach it, in id order, finds the top_k-th
+    best score; those strictly better are sorted stably and the lowest ids that
+    tie with it fill the rest. Both paths give the same ids in the same order.
 
-    The nucleus is the smallest prefix of a row's survivors whose
-    renormalized mass reaches top_p: entry j survives if the mass strictly
-    before it is < top_p, so the highest-scoring token always survives. The
-    mass is the cumulative sum of the weights over their sum: the
-    subtraction, exp, sum, division and cumsum of a ``softmax`` of the
-    survivors, so the weights that sampling and beam search normalise are
-    the ones the nucleus was cut by. When every row keeps all k survivors
-    finite, the whole block is cut at once; a block with a masked survivor
-    is cut row by row, each row over its finite survivors only, which lead
-    it.
+    The nucleus is the shortest prefix of a row's survivors whose mass reaches
+    top_p: entry j survives if the mass strictly before it is < top_p, so the
+    top token always does. The mass is the cumsum of the weights over their
+    sum, the same operations as a ``softmax`` of the survivors, so sampling and
+    beam search normalise the weights the nucleus was cut by. A block whose
+    survivors are all finite is cut at once; one with a masked survivor is cut
+    row by row, over each row's finite survivors, which lead it.
+
+    The cut finds a NaN or +inf itself: a +inf leads its row's survivors, and a
+    NaN sorts last in a whole-row sort or, above the size rule, turns the bound
+    NaN, unless it lies in the V % k entries past the last block, which are
+    looked at.
     """
     rows, size = x.shape
     k = min(top_k, size)
@@ -279,13 +218,12 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
 def _normalisers(flat: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> np.ndarray:
     """Per row of ``zeros``, the sum of ``weights`` placed at the flat indices ``flat`` in its all-zero rows.
 
-    ``zeros`` is a view of the decode's zero workspace block: (V,) for the
-    ids of one row, which gives a scalar, or the first n rows for the (n, k)
-    flat indices of ``_truncate``, which gives n sums. The weights are put
-    in, each row is summed and zeros are put back, so the block is all zeros
-    again on return. Summed over the full length, numpy's pairwise sum
-    groups the weights exactly as a softmax of the whole truncated row does;
-    a sum over the survivors alone can differ in the last bit.
+    ``zeros`` is a view of the decode's zero block, all zeros again on return:
+    (V,) for one row's ids, giving a scalar, or the first n rows for
+    ``_truncate``'s (n, k) flat indices, giving n sums. Summed over the full
+    length, numpy's pairwise sum groups the weights as a ``softmax`` of the
+    whole truncated row does, so the probabilities are bit for bit that
+    softmax's; a sum over the survivors alone can differ in the last bit.
     """
     zeros.put(flat, weights)
     sums = zeros.sum(axis=-1)
@@ -293,21 +231,17 @@ def _normalisers(flat: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> np
     return sums
 
 
-# A strategy is a successors function and a pick. The successors function
-# maps the steered, EOS-masked (n, V) block of the provider states that a
-# decode has not yet seen in this EOS phase to each row's successors, a
-# function of that row alone whose first entry lists its successor token ids;
-# ``zeros`` is the decode's all-zero workspace block for ``_normalisers``. The
-# pick maps the successors of the live hypotheses (row i is hypothesis i's;
-# entry 0 of each hypothesis is its cumulative log prob) to the kept ones,
-# best first, as (cumulative log prob, token, source row): one for greedy and
-# sampling, at most num_beams for beam search.
+# A strategy is a successors function and a pick. The successors function maps
+# a step's steered, EOS-masked (n, V) block to each row's successors, whose
+# first entry lists their token ids; ``zeros`` is the decode's all-zero block
+# for ``_normalisers``. The pick maps the live hypotheses' successors to the
+# kept ones, best first, as (cumulative log prob, token, source row).
 def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
     """The one row's argmax of the untruncated logits, as ([token], [log prob]); truncation never changes the argmax.
 
-    Its log probability is ``log_softmax(row)[token]`` bit for bit, without
-    the full-length row: the argmax entry is the row's max. The argmax is
-    also the step's check: it lands on the row's first NaN, else on a +inf.
+    Its log probability is ``log_softmax(row)[token]`` bit for bit, since the
+    argmax entry is the row's max. The argmax is also the step's check: it
+    lands on the row's first NaN, else on a +inf.
     """
     row = steered[0]
     token = int(row.argmax())
@@ -318,13 +252,7 @@ def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) ->
 
 
 def _sample(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
-    """The one row's top-k ids in token-id order, with their probabilities and cumulative sum: three short arrays.
-
-    Bit for bit the probabilities of ``softmax`` of the whole truncated
-    vector: the truncation's weights are that softmax's exps, the masked
-    entries add exact zeros to the cumulative sum, and the normaliser is
-    summed over the full length.
-    """
+    """The one row's top-k ids in token-id order, with their probabilities and cumulative sum: three short arrays."""
     ids, _, _, weights = _truncate(steered, config.top_k, config.top_p)
     by_id = ids[0].argsort()
     ids, weights = ids[0][by_id], weights[0][by_id]
@@ -344,15 +272,11 @@ def _draw(successors: list, live: list, config: GenerationConfig, rng) -> tuple:
 def _beam(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> Iterator[tuple]:
     """Each row's num_beams most likely truncated successors, as (tokens, log probs), best first, row by row.
 
-    A row ranks its successors by log probability, lower id first on ties,
-    and drops those whose log probability is -inf. Log probabilities use
-    each row's full-length normaliser, so they equal ``log_softmax`` of the
-    whole truncated row.
-
-    A row's finite survivors lead it in survivor order, and their log
-    probabilities never increase, so its best num_beams come first. Ties are
-    contiguous; where rounding ties log probabilities across the num_beams
-    boundary, the lowest ids of that tie run fill it.
+    A row ranks its successors by log probability, lower id first on ties, and
+    drops those at -inf. Its finite survivors lead it in survivor order with
+    log probabilities that never increase, so its best num_beams come first;
+    where rounding ties log probabilities across the num_beams boundary, the
+    lowest ids of that tie run fill it.
     """
     ids, flat, kept, weights = _truncate(steered, config.top_k, config.top_p)
     beams = config.num_beams
@@ -392,21 +316,12 @@ _SELECTORS = {"greedy": (_greedy, _extend), "sample": (_sample, _draw), "beam": 
 class _PrefixStates:
     """The incremental half for a provider that has only ``next_logits``.
 
-    A state is the prefix as two tuples, the prompt's ids and the tokens
-    after it; ``advance`` returns a copy with one more token. No two live
-    hypotheses share a prefix, so a decode never finds a state it has seen
-    (a later decode of the same prompt through the same chain does), and
-    every state of a decode shares one prompt tuple: the states that the
-    chain keeps hold each decode's prompt once, not once per state. The
-    chain's memo is keyed by the provider the caller passed, never by this
-    adapter, so no block outlives its decode.
-    ``logits_many`` copies each state's ``next_logits`` into the
-    first n rows of a (width, V) block that the adapter allocates once per
-    decode, and returns those rows; the step owns them until the next step
-    overwrites them. A vector whose shape is not (V,) raises
-    ``VocabularyMismatchError`` instead of broadcasting. Each row is copied
-    as soon as it is made, so at large V no more than one of them is alive
-    next to the block.
+    A state is the prefix as two tuples, the prompt's ids (one per decode,
+    shared by its states) and the tokens after it. ``logits_many`` copies each
+    state's ``next_logits`` into the first n rows of a (width, V) block that
+    the adapter allocates once per decode, as soon as it is made, so at large V
+    no more than one row is alive next to the block; a vector whose shape is
+    not (V,) raises ``VocabularyMismatchError`` instead of broadcasting.
     """
 
     def __init__(self, model: LogitsProvider, width: int) -> None:
@@ -447,48 +362,37 @@ def _decode(
 ) -> GenerationResult:
     """The one decoding loop; ``strategy`` picks the successors, the pick and the width.
 
-    The provider's incremental half checks the prompt once (``start``); each
-    kept hypothesis then advances its own state by one token. A provider
-    with only ``next_logits`` is driven through ``_PrefixStates``, whose
-    state is the prefix (prompt and new tokens); one with ``start`` but no
-    ``logits_many`` is rejected (TypeError) before the prompt is read. A
-    hypothesis holds its state and its new tokens as a ``(token, parent)``
-    chain, so extending one costs O(1) in the prefix length; the tokens are
-    listed once, at the end.
+    The provider (``models.LogitsProvider``) checks the prompt once; each kept
+    hypothesis then advances its own state and keeps its new tokens as a
+    ``(token, parent)`` chain, so extending one costs O(1). The reweighting
+    chain (method "none" when None) is bound once (``ProcessorChain.bind``).
 
-    The chain (method "none" when ``chain`` is None) is bound once, after
-    the prompt check, for blocks of up to ``width`` rows
-    (``ProcessorChain.bind``): its topic ids are checked against V and their
-    flat indices laid out then, not on every step.
-    A step looks up each live hypothesis's state in the memo of the current
-    EOS phase. The chain keeps one per phase for each provider object and
-    successor settings (strategy, top_k, top_p, num_beams, trace), and holds
-    the provider, so its id is not reused while the entry lives; the seed
-    and the length window are not in the key, since successors do not read
-    the seed and the phase is what the window changes. The states it lacks,
+    The successor memo. A row's successors are a function of that row alone, so
+    a step looks up the live hypotheses' states in a memo, one per EOS phase
+    (EOS masked while below the minimum length, then not). The states it lacks,
     each once and in live order, form one (n, V) block: one ``logits_many``
-    call (a block that is not a float64 numpy array raises TypeError, one
-    without one row per state ValueError), one rewrite by the bound chain in
-    place (on a copy when tracing, which keeps the raw logits;
-    ``ProcessorChain.bind`` says what the rewrite checks), the EOS column
-    masked while below the minimum length, and each row's successors, which
-    the memo keeps (with the raw and steered logit at each successor token
-    when tracing). A block that raises keeps nothing, since the rewrite and
-    the successors functions raise before their first row, so every decode
-    that meets its state fails alike. The chain keeps the memo until it is
-    dropped: equal states must stand for equal logits for as long as the
-    chain is reused with the provider, and heavy states (a key/value cache)
-    call for one chain per prompt. A NaN or +inf
-    that the step meets fails the decode with ``NonFiniteLogitsError``
-    naming the step and the first live row whose state holds it. The pick
-    then keeps the global top ``width`` (1, or num_beams for beam search) of
-    all rows' candidates, ranked by cumulative log probability, ties to the
-    lower token id, then the lower source row. A hypothesis that emits EOS
-    is finished and never advanced, but it takes one of the ``width`` slots
-    of the step it ends in: the next step extends one fewer live hypothesis
-    per hypothesis just finished, and no extra candidates refill those
-    slots. Returns the best finished hypothesis (the earliest on ties), or
-    the best live one if max_new_tokens cuts it off.
+    call, the bound rewrite in place (on a copy when tracing), the EOS mask,
+    and each row's successors, which the memo keeps (with the raw and steered
+    logit at each successor token when tracing). The memo lives on the chain
+    until the chain is dropped, keyed by the caller's provider object (never
+    the ``_PrefixStates`` adapter, whose block must not outlive the decode) and
+    the successor settings: strategy, top_k, top_p, num_beams and trace, but
+    not the seed, which successors do not read, nor the length window, which
+    only sets the phase. A decode without a chain starts an empty one. A later
+    decode through the same chain, provider and settings steps only the states
+    that no earlier one met, so equal states must stand for equal logits for as
+    long as a chain is reused with a provider. The entry holds the provider, so
+    its id is not reused. Where states are heavy (a key/value cache), one chain
+    per prompt, as ``cli generate`` builds, keeps no more alive than one decode
+    does. A block that raises keeps nothing: the rewrite and the successors
+    functions raise before their first row.
+
+    The pick keeps the global top ``width`` (1, or num_beams) of all rows'
+    candidates by cumulative log probability, ties to the lower token id, then
+    the lower source row. A hypothesis that emits EOS is finished and never
+    advanced, but takes one of the ``width`` slots of its step, and no extra
+    candidate refills it. Returns the best finished hypothesis (the earliest on
+    ties), or the best live one if max_new_tokens cuts it off.
     """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
@@ -505,8 +409,7 @@ def _decode(
     live = [(0.0, provider.start(prefix), (), ())]
     chain = chain or ProcessorChain()
     rewrite = chain.bind(width, size)
-    # Per EOS phase, state -> (its successors, {token: (raw, steered logit)} when tracing, else False). The
-    # chain keeps both across decodes; its key holds the provider, whose id the entry keeps from being reused.
+    # Per EOS phase, state -> (its successors, {token: (raw, steered logit)} when tracing, else False)
     _, masked, unmasked = chain._memo.setdefault(
         (id(model), strategy, config.top_k, config.top_p, config.num_beams, trace), (model, {}, {}))
     memo, done = masked, []
@@ -555,11 +458,7 @@ def generate_greedy(
     config: GenerationConfig | None = None,
     trace: bool = False,
 ) -> GenerationResult:
-    """Deterministic argmax decoding over post-chain logits.
-
-    Truncation is skipped: the argmax is invariant under it. Ties resolve to
-    the lowest token id.
-    """
+    """Deterministic argmax decoding over post-chain logits; ties resolve to the lowest token id."""
     return _decode(model, prefix, chain, config or GenerationConfig(strategy="greedy"), trace, "greedy")
 
 
@@ -581,13 +480,7 @@ def generate_beam(
     config: GenerationConfig | None = None,
     trace: bool = False,
 ) -> GenerationResult:
-    """Beam search over post-chain, post-truncation log probabilities.
-
-    Each live beam proposes its top num_beams successors and the global top
-    num_beams candidates are retained; a beam that emits EOS is finished and
-    uses up its slot. No length normalization is applied. ``_decode`` states
-    the ranking, tie and width rules.
-    """
+    """Beam search over post-chain, post-truncation log probabilities, without length normalization (``_decode``)."""
     return _decode(model, prefix, chain, config or GenerationConfig(strategy="beam"), trace, "beam")
 
 

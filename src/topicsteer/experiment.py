@@ -2,11 +2,10 @@
 
 Each corpus sample carries two topic ids with one reference summary each.
 A sweep generates one summary per (sample, condition, steered topic), scores
-it, and writes a report CSV, a per-condition aggregate CSV, and a manifest.
-Rows of one article that would decode the same text (the unsteered 'none'
-rows of greedy and beam search, for both topics) share one decode; each row
-is still scored on its own. Given the same config and master seed, outputs
-are byte-identical; only the manifest carries a timestamp.
+it, and writes a report CSV, a per-condition aggregate CSV, and a manifest;
+rows that would decode the same text share one decode (``run_row``). Given
+the same config and master seed, outputs are byte-identical; only the
+manifest carries a timestamp.
 """
 
 from __future__ import annotations
@@ -226,19 +225,14 @@ def run_row(
 ) -> tuple[GenerationResult, dict[str, str]]:
     """Generate and score one (sample, condition, steered topic) row; return the result and its CSV row.
 
-    ``token_sets`` is a cache of topic token sets that this call fills, the
-    steered topic first, so a cache shared across rows expands each topic
-    once and an unknown topic id fails only the rows that need it.
-    ``decodes`` is a cache of this article's successful decodes that this
-    call fills, keyed by ``_decode_key``: a row whose decode is already in
-    it is scored on that result without calling ``generate``. A decode that
-    raises is not cached, so the next row that needs it runs it again and
-    records its own error. ``chains`` is a cache of reweighting chains that
-    this call fills, keyed by the first two entries of ``_decode_key``: rows
-    that share a chain share the successors its decodes have computed
-    (``ProcessorChain``), so one shared across articles steps each
-    (state, EOS phase) of a chain and generation settings once. ``cli
-    generate`` passes empty ones.
+    Each keyword cache is filled by this call. ``token_sets`` expands each
+    topic once, steered topic first, so an unknown topic id fails only the rows
+    that need it. ``decodes`` holds this article's successful decodes by
+    ``_decode_key``: a row whose decode is in it is scored on that result
+    without calling ``generate``, and a decode that raises is not kept, so the
+    next row that needs it records its own error. ``chains`` holds reweighting
+    chains by the first two entries of ``_decode_key``; rows that share a chain
+    share its successor memo (``decoding._decode``).
     """
     vocab = model.vocabulary
     for t in (tid, sample.tid1, sample.tid2):
@@ -261,13 +255,11 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     """Run every (sample, condition, steered topic) cell and write CSV outputs.
 
     Per-row failures are recorded in the report's "error" column and do not
-    stop the sweep. Rows are generated in corpus order, then condition order,
-    then steered-topic order, with per-row seeds derived from the master seed
-    and the row identity. Within an article, rows with the same decode
-    (``_decode_key``) share the first successful one, and rows with the
-    same chain share it across the whole sweep. The output directory
-    is made once the inputs have loaded and before the first row; a path
-    that cannot be one raises ValueError.
+    stop the sweep. Rows run in corpus, then condition, then steered-topic
+    order, each seeded from the master seed and its identity; ``run_row`` gets
+    one decode cache per article and one chain cache for the sweep. The output
+    directory is made once the inputs have loaded and before the first row; a
+    path that cannot be one raises ValueError.
     """
     model = load_toy_model(config.model_path)
     topic_model = load_topic_model(config.topics_path)

@@ -1,14 +1,9 @@
 """Next-token logits providers and the deterministic toy Markov model.
 
-A provider is anything that satisfies :class:`LogitsProvider`: a
-``vocabulary`` and ``next_logits(prefix)``. A provider may also have the
-optional incremental half, ``start``/``advance``/``logits_many``, which lets
-the decoding engine check a prompt once and then pay one token per step
-instead of the whole prefix. The shipped provider is an order-1 Markov table
-over a small vocabulary with both halves; its decoding state is the last
-token id.
-It keeps every decoding path exactly reproducible and cheap enough for
-brute-force oracles.
+A provider is anything that satisfies ``LogitsProvider``, which states the
+contract. The shipped provider is an order-1 Markov table over a small
+vocabulary whose decoding state is the last token id; it keeps every decoding
+path exactly reproducible and cheap enough for brute-force oracles.
 """
 
 from __future__ import annotations
@@ -33,6 +28,7 @@ __all__ = [
     "ToyModelFormatError",
     "Vocabulary",
     "as_int",
+    "as_logit_vector",
     "as_real",
     "error_text",
     "flat_ids",
@@ -44,10 +40,7 @@ __all__ = [
     "softmax",
 ]
 
-# A logit vector is a float64 array of per-token scores, one entry per
-# vocabulary token. A provider's entries are finite or -inf, which masks a
-# token under every method and strategy. A NaN or +inf fails the decode with
-# NonFiniteLogitsError; the step's own work finds it (see decoding).
+# A float64 array of per-token scores, one per vocabulary token; ``NonFiniteLogitsError`` says which values may occur.
 LogitVector = np.ndarray
 
 TokenSequence = Sequence[int]
@@ -58,11 +51,17 @@ class ToyModelFormatError(ValueError):
 
 
 class NonFiniteLogitsError(ValueError):
-    """Logits hold NaN or +inf: the one error for them, under every strategy and method.
+    """The one rule for non-finite logits, under every strategy and method.
 
-    ``row`` is the block row that holds one; a decode adds the ``step``.
-    Without a row, the caller's own logit vector holds one (the one-vector
-    functions), and the message names no provider and no row.
+    A logit is finite or -inf. A -inf masks its token like the engine's own EOS
+    mask: every method keeps it -inf, even one that would move it (alpha <= 0,
+    theta = 0). A NaN or +inf raises this error, found by work a step already
+    does, as each finder notes; no step scans its block. For a block, ``row``
+    is the first row that holds one ("provider logits hold NaN or +inf at row
+    R"), and a decode names the step and the first live hypothesis whose state
+    holds it ("... at step S, row R"). For a caller's own vector
+    (``as_logit_vector``), ``row`` is None and the message names no provider
+    and no row: "logit vector holds NaN or +inf".
     """
 
     def __init__(self, row: int | None = None, step: int | None = None) -> None:
@@ -90,6 +89,20 @@ def as_int(value: object, name: str) -> int:
         except TypeError:
             pass
     raise TypeError(f"{name} {value!r} is not an integer")
+
+
+def as_logit_vector(scores: object) -> np.ndarray:
+    """A float64 copy of one logit vector: the input rule of every one-vector function.
+
+    Input that is not one-dimensional raises ValueError, and a NaN or +inf
+    anywhere raises ``NonFiniteLogitsError``. An empty vector passes.
+    """
+    x = np.array(scores, dtype=np.float64)
+    if x.ndim != 1:
+        raise ValueError("logit vector must be one-dimensional")
+    if not (x < np.inf).all():
+        raise NonFiniteLogitsError()
+    return x
 
 
 def as_real(value: object, name: str) -> float:
@@ -227,52 +240,35 @@ class Vocabulary:
 
 @runtime_checkable
 class LogitsProvider(Protocol):
-    """Anything that maps a token prefix to one logit vector.
+    """Anything that maps a token prefix to one logit vector: the provider contract.
 
-    ``vocabulary`` and ``next_logits`` are all a provider needs. It may also
-    have an optional incremental half, which the decoding engine then uses:
+    ``vocabulary`` and ``next_logits`` are all a provider needs. One that also
+    has ``start`` is driven through its incremental half, all three of:
 
-    * ``start(prefix) -> state`` checks the prompt once and returns the
-      decoding state after it;
-    * ``advance(state, token) -> state`` returns the state after one more
-      token, an id the engine chose from that state's logits;
-    * ``logits_many(states) -> ndarray`` returns one C-contiguous float64
-      (n, V) block whose row i is ``next_logits`` of the prefix that
-      ``states[i]`` stands for. The block must be a fresh array: the engine
-      owns it and may write into it (it rewrites topic logits and masks EOS
-      in place).
-
-    A decode rejects a provider with ``start`` but no ``logits_many``
-    (TypeError), a block that is not a float64 numpy array (TypeError, naming
-    its dtype or type), a block that does not hold one row per state asked
-    for (ValueError), and rows or ``next_logits`` vectors that are not V wide
-    (``VocabularyMismatchError``). Every entry must be finite or -inf (a
-    masked token); a block that holds NaN or +inf fails the decode with
-    ``NonFiniteLogitsError``, naming the step and the live row.
+    * ``start(prefix) -> state`` checks the prompt once and returns the state
+      after it;
+    * ``advance(state, token) -> state`` returns the state after one more token
+      and leaves the old one usable, since beams that share a parent advance it
+      with different tokens;
+    * ``logits_many(states) -> ndarray`` returns a fresh C-contiguous float64
+      (n, V) block whose row i is ``next_logits`` of the prefix ``states[i]``
+      stands for. The engine owns the block and rewrites it in place.
 
     A state is whatever the provider needs to continue: the last id for an
-    order-1 table, a key/value cache for a neural model. ``advance`` must
-    return a new state and leave the old one usable, because beams that
-    share a parent advance it with different tokens. States must be
-    hashable, and equal states must stand for prefixes with equal logits
-    for as long as a reweighting chain is reused with the provider: a
-    decode asks for each distinct state once per EOS phase (masked while
-    below the minimum length, then not), in one block for the live
-    hypotheses' states it has not met yet, and the chain keeps that
-    state's successors, not its row, per provider object and successor
-    settings, until the chain is dropped. Decodes through the same chain
-    and provider share them. A state hashed by identity, such as a
-    key/value cache object, simply never repeats; to keep no more of them
-    alive than one decode does, build one chain per prompt, as ``cli
-    generate`` does. Without the incremental half, the engine's state is
-    the prefix (the prompt's tuple, shared by all states of a decode, and a
-    tuple of the tokens after it); it calls ``next_logits`` on the whole
-    prefix at every step and copies the rows into a block of its own that
-    each decode allocates once.
+    order-1 table, a key/value cache for a neural model. States must be
+    hashable; ``decoding._decode`` says how long equal states must stand for
+    equal logits. Without ``start``, the state is the prefix, and the engine
+    calls ``next_logits`` on the whole prefix at every step.
 
-    Implementations must be safe for concurrent read-only queries and, for
-    toy models, pure: the same prefix always yields the same vector. Real
-    neural backends would adapt to this protocol; none ship here.
+    A decode rejects a provider with ``start`` but no ``logits_many``
+    (TypeError, before the prompt is read), a block that is not a float64 numpy
+    array (TypeError, naming its dtype or type), one without a row per state
+    asked for (ValueError, naming both counts), and rows or ``next_logits``
+    vectors that are not V wide (``VocabularyMismatchError``).
+    ``NonFiniteLogitsError`` says which values the entries may take.
+    Implementations must be safe for concurrent read-only queries and, for toy
+    models, pure. Real neural backends would adapt to this protocol; none ship
+    here.
     """
 
     @property

@@ -1,29 +1,17 @@
 """Reweighting of topic-relevant token logits, applied before sampling.
 
 Three methods rewrite the scores of a chosen token set and leave every other
-entry bit-identical:
-
-* constant shift: add c to each topic logit. Uniform push regardless of the
-  original score; negative c suppresses the tokens instead.
-* factor scaling: multiply each topic logit by alpha. The effect direction
-  depends on the logit's sign: alpha in (0, 1) raises negative logits and
-  lowers positive ones, alpha > 1 does the reverse. Applied verbatim, with
-  no sign-adaptive correction.
-* threshold selection: convert the original vector to probabilities; every
-  topic token at or above the probability threshold theta is raised to the
-  original maximum logit plus an encouragement factor beta. Tokens the model
-  already considered plausible jump to the front; the rest are untouched.
+entry bit-identical. Constant shift adds c to each topic logit (a negative c
+suppresses them). Factor scaling multiplies each by alpha, verbatim: alpha
+in (0, 1) raises negative logits and lowers positive ones, alpha > 1 does
+the reverse. Threshold selection raises every topic token whose original
+probability is at least theta to the original maximum logit plus beta.
 
 ``build_chain`` compiles a method and its sorted topic ids into a
-``ProcessorChain``, whose ``bind`` is the one rewrite: it rewrites an (n, V)
-block, one logit vector per row, in place. A decode binds its chain once, so
-the id range check and the ids' flat indices are paid once, not per step.
-``ProcessorChain.apply`` is its one-row case, and ``apply_reweight`` and the
-three method functions go through it; they copy the vector they are given
-and never mutate it. Every entry point keeps one rule for non-finite logits:
--inf is a mask, which every method keeps, and NaN or +inf raises
-``NonFiniteLogitsError``. ``apply`` checks the whole vector for them; a bound
-rewrite reports one where it meets it (``bind`` says where).
+``ProcessorChain``, whose ``bind`` is the one rewrite, of an (n, V) block in
+place. ``ProcessorChain.apply`` is its one-row case, on a copy; the three
+method functions and ``apply_reweight`` go through it.
+``models.NonFiniteLogitsError`` states the rule for non-finite logits.
 """
 
 from __future__ import annotations
@@ -34,7 +22,8 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .models import LogitVector, NonFiniteLogitsError, as_int, as_real, flat_ids, softmax  # noqa: F401  (tracers wrap softmax)
+# softmax is imported for tracers to wrap; no code here calls it
+from .models import LogitVector, NonFiniteLogitsError, as_int, as_logit_vector, as_real, flat_ids, softmax  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -116,13 +105,7 @@ def apply_reweight(scores: LogitVector, topic: Iterable[int], config: ReweightCo
 class ProcessorChain:
     """One compiled reweighting step and its sorted, unique topic ids; the default, method "none", has none.
 
-    A chain also keeps the successors that the decodes made through it have
-    computed, per provider object and successor settings, until the chain is
-    dropped (``decoding._decode`` says what it keeps); a new chain keeps
-    none. Equal provider states must therefore stand for equal logits for as
-    long as a chain is reused with that provider. Where states are heavy (a
-    key/value cache), build one chain per prompt, as ``cli generate`` does,
-    to keep no more alive than one decode.
+    A chain also keeps the successor memo of the decodes made through it (``decoding._decode``).
     """
 
     config: ReweightConfig = ReweightConfig()
@@ -130,40 +113,25 @@ class ProcessorChain:
     _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def apply(self, scores: LogitVector) -> np.ndarray:
-        """A rewritten float64 copy of one logit vector: the one-row case of ``bind``.
-
-        A vector that is not one-dimensional raises ValueError, and one that
-        holds NaN or +inf anywhere raises ``NonFiniteLogitsError``; a -inf is
-        a mask, as in a decode.
-        """
-        x = np.array(scores, dtype=np.float64)
-        if x.ndim != 1:
-            raise ValueError("logit vector must be one-dimensional")
-        if not (x < np.inf).all():
-            raise NonFiniteLogitsError()
+        """A rewritten copy of one logit vector (``models.as_logit_vector``): the one-row case of ``bind``."""
+        x = as_logit_vector(scores)
         return self.bind(1, x.size)(x[None])[0]
 
     def bind(self, rows: int, size: int) -> Callable[[np.ndarray], np.ndarray]:
         """This step's rewrite, bound to blocks of at most ``rows`` rows of ``size`` logits.
 
-        Binding checks the ids against ``size`` and lays out their flat
-        indices for ``rows`` rows, once. The rewrite takes a float64 (n, size)
-        block with n <= rows that the caller owns, rewrites the topic ids of
-        every row in place, as if each row were alone (method "none" has no
-        ids), and returns it. Values come from the original rows: threshold
-        selection compares each row's own softmax with theta by an exact >=.
-
-        A -inf entry is a mask and stays -inf under every method, even where
-        the method would move it (alpha <= 0, theta = 0). The rewrite does
-        not scan the block for NaN or +inf: one that no rewritten value reads
-        passes through for the step's selection to report. Every check runs
-        before the first write: the block has at most ``rows`` rows, its rows
-        have ``size`` entries, and the ids fit them (a mismatch found when
-        binding is raised here). Then, only if a rewritten value is not finite
-        (a mask, a NaN or +inf at a topic id or in a threshold row's max, or
-        an overflow): a block that holds NaN or +inf raises
-        ``NonFiniteLogitsError``, and a value that is not finite where its
-        input was not -inf raises ValueError.
+        Binding checks the ids against ``size`` and lays out their flat indices
+        once. The rewrite takes a float64 (n, size) block with n <= rows that
+        the caller owns, rewrites every row's topic ids in place as if the row
+        were alone (method "none" has no ids), and returns it. Values come from
+        the original rows: threshold selection compares each row's own softmax
+        with theta by an exact >=. Its checks run before the first write: at
+        most ``rows`` rows, ``size`` entries each, and ids that fit (a mismatch
+        found when binding is raised here). It does not scan for NaN or +inf:
+        only when a rewritten value is not finite (a mask, a NaN or +inf at a
+        topic id or in a threshold row's max, or an overflow) does it look, and
+        then it raises ``NonFiniteLogitsError`` for a block that holds one and
+        ValueError for a non-finite value whose input was not -inf.
         """
         ids, config = self.ids, self.config
         mismatch = ""

@@ -2,17 +2,11 @@
 
 Three topical scores measure how much of a topic's vocabulary a summary
 uses (stem overlap, token-id overlap, and per-word topic posterior), and
-ROUGE-L F1 measures overlap with a reference summary; its longest common
-subsequence length is exact and computed bit-parallel. ``score_summary``
-returns one flat mapping per (article, condition, steered topic) cell, keyed
-in ``REPORT_COLUMNS`` order: the three key columns, then the three topical
-scores for each of the article's two topics and ROUGE-L F1 as floats. It
-stems each text once: the summary per row, a reference once for all of its
-rows, a topic's words once per topic model. The public per-metric scorers
-wrap the same helpers and return the same values.
-``report_row`` formats that mapping into the strings of one CSV row.
-Embedding-based quality metrics are out of native scope; ``topicsteer
-merge`` (:func:`topicsteer.experiment.merge_external_scores`) joins
+ROUGE-L F1 measures overlap with a reference summary. ``score_summary``
+scores one report row, stemming each text once, and ``report_row`` formats
+it into the strings of one CSV row; the public per-metric scorers return
+the same values. Embedding-based quality metrics are out of native scope:
+``experiment.merge_external_scores`` (``topicsteer merge``) joins
 externally computed values into a report CSV.
 """
 

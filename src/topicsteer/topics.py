@@ -3,10 +3,7 @@
 A topic is an ordered list of (word, weight) pairs. To steer generation the
 top N words of a topic are expanded into every surface variant (stem,
 capitalization, leading space) that exactly matches a vocabulary token; the
-resulting id set is what the reweighting methods act on. For the dictionary
-score, a model also holds each word's topic shares: per topic listing the
-word, its weight over the word's total weight in all topics; for the lemma
-score, the stem of each topic word.
+resulting id set is what the reweighting methods act on.
 """
 
 from __future__ import annotations

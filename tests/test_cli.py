@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import math
+import shlex
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -344,6 +345,42 @@ def test_readme_python_api_block_runs():
     with redirect_stdout(out):
         exec(compile(readme_block("python", "## Python API"), "README.md", "exec"), {})
     assert out.getvalue().count("\n") == 1 and len(out.getvalue().split()) >= 80
+
+
+def test_readme_run_row_block_runs():
+    """README's ``run_row`` call runs as written, after the Python API block it continues."""
+    namespace: dict = {}
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(readme_block("python", "## Python API"), "README.md", "exec"), namespace)
+        exec(compile(readme_block("python", "`run_row` generates and scores"), "README.md", "exec"), namespace)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 2 and 0.0 <= float(lines[1]) <= 1.0
+    assert namespace["row"]["condition"] == "shift5" and namespace["result"].tokens
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    """Each README command exits 0 and writes the files it names, given README's config and a matching score file."""
+    monkeypatch.chdir(tmp_path)
+    Path("sweep.json").write_text(json.dumps(README_CONFIG))
+    sample = experiment.load_corpus(fixtures.corpus_path(), limit=1)[0]
+    Path("mauve.csv").write_text("article_id,condition,steered_tid,metric,value\n"
+                                 f"{sample.article_id},shift5,{sample.tid1},mauve,0.5\n")
+    text = readme_block("sh", "## Command line").replace("\\\n", " ")  # join continued lines
+    commands = [shlex.split(line) for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    assert [argv[:2] for argv in commands] == [["topicsteer", name] for name in
+                                              ("generate", "expand-topic", "sweep", "sweep", "merge")]
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+        assert capsys.readouterr().out, argv
+        if "--out-dir" in argv:
+            out_dir = Path(argv[argv.index("--out-dir") + 1])
+            assert all((out_dir / name).is_file() for name in ("report.csv", "aggregates.csv", "manifest.json"))
+        if "--report" in argv:
+            report = Path(argv[argv.index("--report") + 1])
+            merged = csv.DictReader(io.StringIO(report.with_suffix(".merged.csv").read_text()))
+            assert [row["mauve"] for row in merged if row["mauve"]] == ["0.5"]
+            assert report.with_suffix(".rejects.csv").read_text().count("\n") == 1  # the header only
 
 
 def captured_config(*argv):

@@ -100,6 +100,11 @@ class TestTruncation:
         with pytest.raises(ValueError, match=r"^logit vector must be one-dimensional$"):
             truncate_top_k_top_p(np.zeros((2, 3)), top_k=2, top_p=1.0)
 
+    @pytest.mark.parametrize("scores", [[], [-np.inf, -np.inf]], ids=["empty", "all-masked"])
+    def test_a_vector_without_an_unmasked_token_is_rejected(self, scores):
+        with pytest.raises(ValueError, match=r"^every token of a logit vector is masked$"):
+            truncate_top_k_top_p(np.array(scores), 5, 0.9)
+
 
 class TestGreedy:
     def test_first_token_is_argmax(self):

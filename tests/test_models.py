@@ -9,16 +9,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from topicsteer.decoding import truncate_top_k_top_p
 from topicsteer.models import (
+    NonFiniteLogitsError,
     ToyMarkovModel,
     ToyModelFormatError,
     Vocabulary,
+    as_logit_vector,
     as_real,
     load_toy_model,
     log_softmax,
     save_toy_model,
     softmax,
 )
+
+from topicsteer.reweight import ProcessorChain
 
 import reference_models
 from conftest import make_markov, make_vocab, random_markov
@@ -306,6 +311,28 @@ class TestAsReal:
     def test_non_number_is_a_type_error_naming_it(self, bad):
         with pytest.raises(TypeError, match=r"^x .* is not a real number"):
             as_real(bad, "x")
+
+
+class TestAsLogitVector:
+    def test_returns_a_float64_copy(self):
+        given = np.array([1, -3, 2])
+        out = as_logit_vector(given)
+        assert out.dtype == np.float64 and out.tolist() == [1.0, -3.0, 2.0]
+        out[0] = 9.0
+        assert given[0] == 1
+        assert as_logit_vector([-np.inf, 0.5]).tolist() == [-np.inf, 0.5]  # a mask passes
+        assert as_logit_vector([]).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.zeros((2, 3)), np.float64(1.0), [np.nan, 1.0], [1.0, np.inf]],
+                             ids=["block", "scalar", "nan", "+inf"])
+    def test_every_one_vector_entry_point_shares_its_rule(self, bad):
+        with pytest.raises(ValueError) as expected:
+            as_logit_vector(bad)
+        for entry in (ProcessorChain().apply, lambda x: truncate_top_k_top_p(x, 5, 0.9)):
+            with pytest.raises(type(expected.value)) as error:
+                entry(bad)
+            assert str(error.value) == str(expected.value)
+            assert isinstance(error.value, NonFiniteLogitsError) == isinstance(expected.value, NonFiniteLogitsError)
 
 
 class TestSoftmax:

@@ -385,6 +385,12 @@ def test_one_vector_entry_points_keep_one_rule(config, entry):
             run(np.zeros(shape))
 
 
+def test_an_empty_vector_passes_the_identity_chain():
+    for chain in (ProcessorChain(), build_chain(ReweightConfig(), [0])):
+        out = chain.apply([])
+        assert out.dtype == np.float64 and out.shape == (0,)
+
+
 def test_a_caller_vector_with_nan_names_no_provider():
     with pytest.raises(NonFiniteLogitsError) as error:
         constant_shift([1.0, np.nan], [0], 1.0)
