@@ -9,7 +9,6 @@ measure the resulting topical focus and summary quality.
 from .decoding import (
     GenerationConfig,
     GenerationResult,
-    StepRecord,
     generate,
     generate_beam,
     generate_greedy,

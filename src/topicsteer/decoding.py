@@ -42,7 +42,6 @@ from .reweight import ProcessorChain, VocabularyMismatchError
 __all__ = [
     "GenerationConfig",
     "GenerationResult",
-    "StepRecord",
     "generate",
     "generate_beam",
     "generate_greedy",
@@ -93,22 +92,11 @@ class GenerationConfig:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Logit of the chosen token before and after reweighting, one per step."""
-
-    step: int
-    token_id: int
-    raw_logit: float
-    steered_logit: float
-
-
-@dataclass(frozen=True)
 class GenerationResult:
     """Generated continuation (new tokens only) and its cumulative log prob."""
 
     tokens: tuple[int, ...]
     log_prob: float
-    step_records: tuple[StepRecord, ...] | None = None
 
     def to_record(self, vocab: Vocabulary, config: GenerationConfig) -> dict:
         """JSON-serializable record: tokens, decoded text, log prob, config."""
@@ -357,9 +345,8 @@ def _tokens(chain: tuple) -> tuple[int, ...]:
     return tuple(reversed(tokens))
 
 
-def _decode(
-    model: LogitsProvider, prefix: TokenSequence, chain, config: GenerationConfig, trace: bool, strategy: str
-) -> GenerationResult:
+def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: GenerationConfig,
+            strategy: str) -> GenerationResult:
     """The one decoding loop; ``strategy`` picks the successors, the pick and the width.
 
     The provider (``models.LogitsProvider``) checks the prompt once; each kept
@@ -371,21 +358,20 @@ def _decode(
     a step looks up the live hypotheses' states in a memo, one per EOS phase
     (EOS masked while below the minimum length, then not). The states it lacks,
     each once and in live order, form one (n, V) block: one ``logits_many``
-    call, the bound rewrite in place (on a copy when tracing), the EOS mask,
-    and each row's successors, which the memo keeps (with the raw and steered
-    logit at each successor token when tracing). The memo lives on the chain
-    until the chain is dropped, keyed by the caller's provider object (never
-    the ``_PrefixStates`` adapter, whose block must not outlive the decode) and
-    the successor settings: strategy, top_k, top_p, num_beams and trace, but
-    not the seed, which successors do not read, nor the length window, which
-    only sets the phase. A decode without a chain starts an empty one. A later
-    decode through the same chain, provider and settings steps only the states
-    that no earlier one met, so equal states must stand for equal logits for as
-    long as a chain is reused with a provider. The entry holds the provider, so
-    its id is not reused. Where states are heavy (a key/value cache), one chain
-    per prompt, as ``cli generate`` builds, keeps no more alive than one decode
-    does. A block that raises keeps nothing: the rewrite and the successors
-    functions raise before their first row.
+    call, the bound rewrite in place, the EOS mask, and each row's successors,
+    which the memo keeps. The memo lives on the chain until the chain is
+    dropped, keyed by the caller's provider object (never the ``_PrefixStates``
+    adapter, whose block must not outlive the decode) and the successor
+    settings: strategy, top_k, top_p and num_beams, but not the seed, which
+    successors do not read, nor the length window, which only sets the phase. A
+    decode without a chain starts an empty one. A later decode through the same
+    chain, provider and settings steps only the states that no earlier one met,
+    so equal states must stand for equal logits for as long as a chain is
+    reused with a provider. The entry holds the provider, so its id is not
+    reused. Where states are heavy (a key/value cache), one chain per prompt,
+    as ``cli generate`` builds, keeps no more alive than one decode does. A
+    block that raises keeps nothing: the rewrite and the successors functions
+    raise before their first row.
 
     The pick keeps the global top ``width`` (1, or num_beams) of all rows'
     candidates by cumulative log probability, ties to the lower token id, then
@@ -405,19 +391,19 @@ def _decode(
     size = model.vocabulary.size
     zeros = np.zeros((width, size))  # the call's zero workspace block for the normalisers
     eos = model.vocabulary.eos_id
-    # (cumulative log prob, provider state, (token, parent) chain, step records)
-    live = [(0.0, provider.start(prefix), (), ())]
+    # (cumulative log prob, provider state, (token, parent) chain)
+    live = [(0.0, provider.start(prefix), ())]
     chain = chain or ProcessorChain()
     rewrite = chain.bind(width, size)
-    # Per EOS phase, state -> (its successors, {token: (raw, steered logit)} when tracing, else False)
+    # Per EOS phase, state -> its successors
     _, masked, unmasked = chain._memo.setdefault(
-        (id(model), strategy, config.top_k, config.top_p, config.num_beams, trace), (model, {}, {}))
+        (id(model), strategy, config.top_k, config.top_p, config.num_beams), (model, {}, {}))
     memo, done = masked, []
     try:
         for step in range(config.max_new_tokens):
             if step == config.min_new_tokens:
                 memo = unmasked  # EOS is no longer masked, which changes every state's successors
-            states = [state for _, state, _, _ in live]
+            states = [state for _, state, _ in live]
             fresh = [state for state in dict.fromkeys(states) if state not in memo]
             if fresh:
                 raw = provider.logits_many(fresh)
@@ -425,30 +411,27 @@ def _decode(
                     raise TypeError(f"logits_many gave {getattr(raw, 'dtype', type(raw).__name__)}, not a float64 array")
                 if len(raw) != len(fresh):  # the memo pairs each state with its row
                     raise ValueError(f"logits_many gave {len(raw)} rows for {len(fresh)} states")
-                steered = raw.copy() if trace else raw
-                rewrite(steered)
+                steered = rewrite(raw)
                 if step < config.min_new_tokens:
                     for row in range(len(fresh)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
                         steered[row, eos] -= math.inf
-                for row, (state, succ) in enumerate(zip(fresh, expand(steered, config, zeros))):
-                    at = succ[0]  # a trace keeps the raw and steered logits at the successor tokens, not the rows
-                    memo[state] = succ, trace and dict(zip(at, zip(raw[row, at].tolist(), steered[row, at].tolist())))
+                memo.update(zip(fresh, expand(steered, config, zeros)))
             extended = []
-            for total, token, source in pick([memo[state][0] for state in states], live, config, rng):
-                _, state, tokens, records = live[source]
-                if trace:
-                    records += (StepRecord(step, token, *memo[state][1][token]),)
+            for total, token, source in pick([memo[state] for state in states], live, config, rng):
+                _, state, tokens = live[source]
                 if token == eos:
-                    done.append((total, None, (token, tokens), records))
+                    done.append((total, None, (token, tokens)))
                 else:
-                    extended.append((total, provider.advance(state, token), (token, tokens), records))
+                    extended.append((total, provider.advance(state, token), (token, tokens)))
             live = extended
             if not live:
                 break
-    except NonFiniteLogitsError as fault:  # its row is one of ``fresh``; name the first live row of that state
+    except NonFiniteLogitsError as fault:  # a block's row is one of ``fresh``; name the first live row of that state
+        if fault.row is None:  # the provider checked a vector of its own (``models.as_logit_vector``)
+            raise
         raise NonFiniteLogitsError(states.index(fresh[fault.row]), step) from None
-    total, _, tokens, records = max(done or live, key=lambda hypothesis: hypothesis[0])
-    return GenerationResult(_tokens(tokens), total, records if trace else None)
+    total, _, tokens = max(done or live, key=lambda hypothesis: hypothesis[0])
+    return GenerationResult(_tokens(tokens), total)
 
 
 def generate_greedy(
@@ -456,10 +439,9 @@ def generate_greedy(
     prefix: TokenSequence,
     chain=None,
     config: GenerationConfig | None = None,
-    trace: bool = False,
 ) -> GenerationResult:
     """Deterministic argmax decoding over post-chain logits; ties resolve to the lowest token id."""
-    return _decode(model, prefix, chain, config or GenerationConfig(strategy="greedy"), trace, "greedy")
+    return _decode(model, prefix, chain, config or GenerationConfig(strategy="greedy"), "greedy")
 
 
 def generate_sample(
@@ -467,10 +449,9 @@ def generate_sample(
     prefix: TokenSequence,
     chain=None,
     config: GenerationConfig | None = None,
-    trace: bool = False,
 ) -> GenerationResult:
     """Seeded top-k/top-p sampling; reproducible for a fixed seed."""
-    return _decode(model, prefix, chain, config or GenerationConfig(strategy="sample"), trace, "sample")
+    return _decode(model, prefix, chain, config or GenerationConfig(strategy="sample"), "sample")
 
 
 def generate_beam(
@@ -478,10 +459,9 @@ def generate_beam(
     prefix: TokenSequence,
     chain=None,
     config: GenerationConfig | None = None,
-    trace: bool = False,
 ) -> GenerationResult:
     """Beam search over post-chain, post-truncation log probabilities, without length normalization (``_decode``)."""
-    return _decode(model, prefix, chain, config or GenerationConfig(strategy="beam"), trace, "beam")
+    return _decode(model, prefix, chain, config or GenerationConfig(strategy="beam"), "beam")
 
 
 def generate(
@@ -489,12 +469,11 @@ def generate(
     prefix: TokenSequence,
     chain=None,
     config: GenerationConfig | None = None,
-    trace: bool = False,
 ) -> GenerationResult:
     """Dispatch to the generator selected by config.strategy."""
     config = config or GenerationConfig()
     if config.strategy == "greedy":
-        return generate_greedy(model, prefix, chain, config, trace)
+        return generate_greedy(model, prefix, chain, config)
     if config.strategy == "sample":
-        return generate_sample(model, prefix, chain, config, trace)
-    return generate_beam(model, prefix, chain, config, trace)
+        return generate_sample(model, prefix, chain, config)
+    return generate_beam(model, prefix, chain, config)

@@ -60,8 +60,8 @@ class NonFiniteLogitsError(ValueError):
     is the first row that holds one ("provider logits hold NaN or +inf at row
     R"), and a decode names the step and the first live hypothesis whose state
     holds it ("... at step S, row R"). For a caller's own vector
-    (``as_logit_vector``), ``row`` is None and the message names no provider
-    and no row: "logit vector holds NaN or +inf".
+    (``as_logit_vector``), ``row`` is None, the message names no provider and
+    no row ("logit vector holds NaN or +inf"), and a decode passes it on as is.
     """
 
     def __init__(self, row: int | None = None, step: int | None = None) -> None:
@@ -172,7 +172,9 @@ class Vocabulary:
             raise ValueError("token strings must be non-empty strings")
         if len(set(self.tokens)) != len(self.tokens):
             raise ValueError("token strings must be unique")
-        for name, tid in (("bos", self.bos_id), ("eos", self.eos_id)):
+        for name in ("bos", "eos"):
+            tid = as_int(getattr(self, f"{name}_id"), f"{name} id")
+            object.__setattr__(self, f"{name}_id", tid)
             if not 0 <= tid < len(self.tokens):
                 raise ValueError(f"{name} id {tid} out of range for size {len(self.tokens)}")
         if self.bos_id == self.eos_id:

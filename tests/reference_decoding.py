@@ -4,9 +4,9 @@ These are the three loops topicsteer.decoding had before all strategies
 shared one loop, copied unchanged, and the top-k/top-p truncation that ran a
 full stable sort of the vocabulary on every call, also unchanged. The loops
 call this copy, not the package's truncation. tests/test_decoding.py checks
-the shared loop against the loops (equal tokens, bit-equal log probabilities
-and equal step records) and the package's truncation against this copy (bit-
-equal output or the same exception). The beam loop records no step traces.
+the shared loop against the loops (equal tokens and bit-equal log
+probabilities) and the package's truncation against this copy (bit-equal
+output or the same exception).
 
 ``_sample`` and ``_beam`` (``SELECTORS``) are one row's selection under
 sampling and beam search as the shared loop made it before selection ran
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from topicsteer.decoding import GenerationConfig, GenerationResult, StepRecord
+from topicsteer.decoding import GenerationConfig, GenerationResult
 from topicsteer.models import LogitsProvider, LogitVector, TokenSequence, log_softmax, softmax
 
 
@@ -98,7 +98,6 @@ def generate_greedy(
     prefix: TokenSequence,
     chain=None,
     config: GenerationConfig | None = None,
-    trace: bool = False,
 ) -> GenerationResult:
     """Deterministic argmax decoding over post-chain logits.
 
@@ -109,7 +108,6 @@ def generate_greedy(
     seq = _validated_prefix(model, prefix)
     eos = model.vocabulary.eos_id
     tokens: list[int] = []
-    records: list[StepRecord] = []
     log_prob = 0.0
     while len(tokens) < config.max_new_tokens:
         raw = model.next_logits(seq)
@@ -118,17 +116,11 @@ def generate_greedy(
             steered[eos] = -np.inf
         token = int(np.argmax(steered))
         log_prob += float(log_softmax(steered)[token])
-        if trace:
-            records.append(StepRecord(len(tokens), token, float(raw[token]), float(steered[token])))
         tokens.append(token)
         seq.append(token)
         if token == eos:
             break
-    return GenerationResult(
-        tokens=tuple(tokens),
-        log_prob=log_prob,
-        step_records=tuple(records) if trace else None,
-    )
+    return GenerationResult(tokens=tuple(tokens), log_prob=log_prob)
 
 
 def generate_sample(
@@ -136,7 +128,6 @@ def generate_sample(
     prefix: TokenSequence,
     chain=None,
     config: GenerationConfig | None = None,
-    trace: bool = False,
 ) -> GenerationResult:
     """Seeded top-k/top-p sampling; reproducible for a fixed seed."""
     config = _require(config or GenerationConfig(strategy="sample"), "sample")
@@ -144,7 +135,6 @@ def generate_sample(
     eos = model.vocabulary.eos_id
     rng = np.random.Generator(np.random.PCG64(config.seed))
     tokens: list[int] = []
-    records: list[StepRecord] = []
     log_prob = 0.0
     while len(tokens) < config.max_new_tokens:
         raw = model.next_logits(seq)
@@ -155,17 +145,11 @@ def generate_sample(
         probs = softmax(truncated)
         token = _sample_index(probs, rng.random())
         log_prob += math.log(probs[token])
-        if trace:
-            records.append(StepRecord(len(tokens), token, float(raw[token]), float(steered[token])))
         tokens.append(token)
         seq.append(token)
         if token == eos:
             break
-    return GenerationResult(
-        tokens=tuple(tokens),
-        log_prob=log_prob,
-        step_records=tuple(records) if trace else None,
-    )
+    return GenerationResult(tokens=tuple(tokens), log_prob=log_prob)
 
 
 def generate_beam(
@@ -173,7 +157,6 @@ def generate_beam(
     prefix: TokenSequence,
     chain=None,
     config: GenerationConfig | None = None,
-    trace: bool = False,
 ) -> GenerationResult:
     """Beam search over post-chain, post-truncation log probabilities.
 
@@ -182,10 +165,8 @@ def generate_beam(
     with ties broken by lower token id then lower beam index. A beam that
     emits EOS is finished and never extended. No length normalization is
     applied. Returns the best finished beam, or the best live one when the
-    length limit cuts the search off. Step traces are not recorded for beam
-    search.
+    length limit cuts the search off.
     """
-    del trace  # per-beam traces are not supported
     config = _require(config or GenerationConfig(strategy="beam"), "beam")
     base = _validated_prefix(model, prefix)
     eos = model.vocabulary.eos_id

@@ -20,7 +20,7 @@ from topicsteer.decoding import (
     generate_sample,
     truncate_top_k_top_p,
 )
-from topicsteer.models import NonFiniteLogitsError, Vocabulary, log_softmax, softmax
+from topicsteer.models import NonFiniteLogitsError, Vocabulary, as_logit_vector, log_softmax, softmax
 from topicsteer.reweight import ProcessorChain, ReweightConfig, VocabularyMismatchError, build_chain
 
 from conftest import make_markov, make_vocab, random_markov
@@ -148,21 +148,6 @@ class TestGreedy:
         assert len(result.tokens) == 4
         assert result.tokens[-1] == vocab.eos_id
         assert vocab.eos_id not in result.tokens[:-1]
-
-    def test_trace_records_pre_and_post_chain(self):
-        vocab = make_vocab(2)
-        table = np.zeros((4, 4))
-        table[:, vocab.bos_id] = -5.0
-        table[:, vocab.eos_id] = -5.0
-        table[:, 2] = 1.0
-        model = make_markov(vocab, table)
-        chain = build_chain(ReweightConfig(method="constant_shift", c=2.0), {2})
-        result = generate_greedy(model, [vocab.bos_id], chain, greedy_config(max_new=3), trace=True)
-        assert result.step_records is not None and len(result.step_records) == 3
-        for record in result.step_records:
-            assert record.token_id == 2
-            assert record.raw_logit == 1.0
-            assert record.steered_logit == 3.0
 
     def test_wrong_strategy_rejected(self):
         model = random_markov(0)
@@ -470,28 +455,6 @@ class TestSharedLoop:
         calls_per_step = [provider.lengths.count(1 + step) for step in range(3)]
         assert calls_per_step == [1, config.num_beams - 1, config.num_beams]
 
-    def test_single_beam_trace_equals_greedy(self):
-        for seed in range(10):
-            model = random_markov(seed, n_words=3 + seed % 3)
-            prefix = [model.vocabulary.bos_id]
-            chain = build_chain(ReweightConfig(method="constant_shift", c=1.5), {2, 4})
-            config = beam_config(max_new=6, num_beams=1, top_k=model.vocabulary.size, top_p=1.0)
-            beam = generate_beam(model, prefix, chain, config, trace=True)
-            greedy = generate_greedy(model, prefix, chain, greedy_config(max_new=6), trace=True)
-            assert beam.step_records == greedy.step_records
-            assert [r.step for r in beam.step_records] == list(range(len(beam.tokens)))
-
-    def test_sample_trace_follows_tokens(self):
-        model = random_markov(3, eos_logit=-20.0)
-        config = sample_config(max_new=8, seed=4)
-        result = generate_sample(model, [model.vocabulary.bos_id], None, config, trace=True)
-        assert [r.token_id for r in result.step_records] == list(result.tokens)
-
-    def test_trace_off_records_nothing(self):
-        model = random_markov(2)
-        for config in (greedy_config(), sample_config(), beam_config()):
-            assert generate(model, [model.vocabulary.bos_id], None, config).step_records is None
-
 
 class FewRowsModel:
     """An order-1 provider over a large vocabulary with only a few distinct rows.
@@ -583,12 +546,10 @@ def decoding_cases(draw):
 def test_shared_loop_matches_reference_decoders(case):
     model, chain, config = case
     prefix = [model.vocabulary.bos_id]
-    trace = config.strategy != "beam"  # the reference beam loop records no traces
-    expected = REFERENCE[config.strategy](model, prefix, chain, config, trace)
-    result = generate(model, prefix, chain, config, trace)
+    expected = REFERENCE[config.strategy](model, prefix, chain, config)
+    result = generate(model, prefix, chain, config)
     assert result.tokens == expected.tokens
     assert result.log_prob.hex() == expected.log_prob.hex()
-    assert result.step_records == expected.step_records
 
 
 class NextLogitsOnly:
@@ -611,11 +572,10 @@ def prompted_decoding_cases(draw):
 def test_incremental_path_matches_next_logits_fallback(case):
     model, chain, config, prefix = case
     assert hasattr(model, "start") and not hasattr(NextLogitsOnly(model), "start")
-    expected = generate(NextLogitsOnly(model), prefix, chain, config, trace=True)
-    result = generate(model, prefix, chain, config, trace=True)
+    expected = generate(NextLogitsOnly(model), prefix, chain, config)
+    result = generate(model, prefix, chain, config)
     assert result.tokens == expected.tokens
     assert result.log_prob.hex() == expected.log_prob.hex()
-    assert result.step_records == expected.step_records
 
 
 class TestPromptChecks:
@@ -831,6 +791,22 @@ def test_non_finite_provider_logits_fail_the_decode(n_words, strategy, method, v
         assert error.value.row == row
 
 
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_providers_own_non_finite_error_passes_through(strategy):
+    """A ``NonFiniteLogitsError`` the provider raises itself (``as_logit_vector``, row None) reaches the caller as it is."""
+    vocab = make_vocab(2)
+
+    class Checked:
+        vocabulary = vocab
+
+        def next_logits(self, prefix):
+            return as_logit_vector([0.0, 0.0, math.nan, 0.0])
+
+    with pytest.raises(NonFiniteLogitsError, match="^logit vector holds NaN or \\+inf$") as error:
+        generate(Checked(), [vocab.bos_id], None, GenerationConfig(strategy=strategy))
+    assert error.value.row is None
+
+
 class Asked:
     """A toy model whose ``logits_many`` records the states of each call."""
 
@@ -845,7 +821,7 @@ class Asked:
 
 
 def _kept(chain):
-    """Every (state, (successors, trace logits)) entry the chain keeps, over its providers, settings and EOS phases."""
+    """Every (state, successors) entry the chain keeps, over its providers, settings and EOS phases."""
     return [entry for _, *phases in chain._memo.values() for phase in phases for entry in phase.items()]
 
 
@@ -862,11 +838,9 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
     nothing, another sampling seed asks only for the pairs that no decode
     through them met yet, and a new chain, another provider object or
     another top_k, top_p or num_beams asks again.
-    Traced step records are those of the reference decoders (of the
-    ``next_logits`` path for beam search, whose reference records none), and
-    the chain keeps at most top_k entries per state (V = 6 here) and the raw
-    and steered logit only at its successor tokens, as Python floats: no row
-    of the block outlives its step.
+    The decode equals the reference decoder's, and the chain keeps at most
+    top_k entries per state (V = 6 here): no row of the block outlives its
+    step.
     """
     model = random_markov(3, n_words=4, eos_logit=-20.0)
     prefix = [model.vocabulary.bos_id]
@@ -901,29 +875,23 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
         expected = generate(model, prefix, build_chain(method, {2, 4}), changed)
         assert asked(provider, chain, changed) == (expected, [state for state, _ in distinct(changed)[0]])
 
-    traced = generate(model, prefix, chain, config, trace=True)
-    if config.strategy == "beam":
-        expected = generate(NextLogitsOnly(model), prefix, chain, config, trace=True)
-    else:
-        expected = REFERENCE[config.strategy](model, prefix, chain, config, True)
-    assert (traced.tokens, traced.log_prob.hex(), traced.step_records) == \
-        (expected.tokens, expected.log_prob.hex(), expected.step_records)
-    assert traced.tokens == first.tokens
-    memo = chain._memo[id(model), config.strategy, config.top_k, config.top_p, config.num_beams, True]
+    result = generate(model, prefix, chain, config)
+    expected = REFERENCE[config.strategy](model, prefix, chain, config)
+    assert (result.tokens, result.log_prob.hex()) == (expected.tokens, expected.log_prob.hex())
+    assert result.tokens == first.tokens
+    successor_settings = (config.strategy, config.top_k, config.top_p, config.num_beams)
+    memo = chain._memo[(id(model), *successor_settings)]
     assert memo[0] is model and memo[1] and memo[2]
     most = 1 if config.strategy == "greedy" else config.top_k
     for phase in memo[1:]:
-        for successors, logits in phase.values():
-            assert sorted(logits) == sorted(successors[0])
-            assert all(type(value) is float for pair in logits.values() for value in pair)
+        for successors in phase.values():
             assert all(len(part) <= most < model.vocabulary.size for part in successors)
-    untraced = chain._memo[id(provider), config.strategy, config.top_k, config.top_p, config.num_beams, False]
-    assert untraced[0] is provider and all(logits is False for phase in untraced[1:] for _, logits in phase.values())
+    assert chain._memo[(id(provider), *successor_settings)][0] is provider
 
 
 @st.composite
 def shared_chain_cases(draw):
-    """A chain and a mixed sequence of decodes through it: prompts, seeds, strategies, length windows, trace, providers."""
+    """A chain and a mixed sequence of decodes through it: prompts, seeds, strategies, length windows, providers."""
     model = random_markov(draw(st.integers(0, 3)), n_words=draw(st.sampled_from([3, 5])), eos_logit=draw(st.sampled_from([-1.0, 1.0])))
     method = draw(st.sampled_from([ReweightConfig(), ReweightConfig(method="constant_shift", c=2.0),
                                    ReweightConfig(method="factor_scaling", alpha=0.5),
@@ -939,7 +907,7 @@ def shared_chain_cases(draw):
         max_new = draw(st.integers(0, 8))
         config = GenerationConfig(**draw(st.sampled_from([base, {**base, **other}])), max_new_tokens=max_new,
                                   min_new_tokens=draw(st.integers(0, max_new)), seed=draw(st.integers(0, 3)))
-        decodes.append((draw(st.integers(0, 1)), draw(prompts), config, draw(st.booleans())))
+        decodes.append((draw(st.integers(0, 1)), draw(prompts), config))
     return model, method, topic, decodes
 
 
@@ -954,11 +922,10 @@ def test_decodes_through_a_shared_chain_equal_decodes_through_fresh_ones(case):
     model, method, topic, decodes = case
     providers = (model, NextLogitsOnly(model))
     chain = build_chain(method, topic)
-    for which, prompt, config, trace in decodes:
-        shared = generate(providers[which], prompt, chain, config, trace)
-        fresh = generate(providers[which], prompt, build_chain(method, topic), config, trace)
-        assert (shared.tokens, shared.log_prob.hex(), shared.step_records) == \
-            (fresh.tokens, fresh.log_prob.hex(), fresh.step_records)
+    for which, prompt, config in decodes:
+        shared = generate(providers[which], prompt, chain, config)
+        fresh = generate(providers[which], prompt, build_chain(method, topic), config)
+        assert (shared.tokens, shared.log_prob.hex()) == (fresh.tokens, fresh.log_prob.hex())
 
 
 def test_a_state_that_fails_is_not_kept():
@@ -978,7 +945,7 @@ def test_a_state_that_fails_is_not_kept():
         with pytest.raises(NonFiniteLogitsError) as error:
             generate(faulty, prefix, build_chain(chain.config, chain.ids), config)
         assert messages == [str(error.value)] * 2
-        _, *phases = chain._memo[id(faulty), config.strategy, config.top_k, config.top_p, config.num_beams, False]
+        _, *phases = chain._memo[id(faulty), config.strategy, config.top_k, config.top_p, config.num_beams]
         assert any(phases) and all(state not in phase for phase in phases)  # what came before the fault is kept
 
 
@@ -1030,7 +997,7 @@ def test_provider_minus_inf_stays_a_mask(strategy, reweight):
     result = generate(provider, [model.vocabulary.bos_id], chain, config)
     assert not masked & set(result.tokens) and math.isfinite(result.log_prob)
     if reweight.method == "none":  # the reference decoders take -inf as it comes
-        expected = REFERENCE[strategy](provider, [model.vocabulary.bos_id], None, config, False)
+        expected = REFERENCE[strategy](provider, [model.vocabulary.bos_id], None, config)
         assert (result.tokens, result.log_prob.hex()) == (expected.tokens, expected.log_prob.hex())
 
 

@@ -45,6 +45,15 @@ class TestVocabulary:
         with pytest.raises(ValueError):
             Vocabulary(tokens=("x", "y"), bos_id=0, eos_id=0)
 
+    @pytest.mark.parametrize("bad", [1.0, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("name", ["bos", "eos"])
+    def test_special_ids_must_be_integers(self, name, bad):
+        """A float or bool id is rejected by ``as_int``, not used to index (1.0) or mask every token (True)."""
+        with pytest.raises(TypeError, match=f"^{name} id {bad!r} is not an integer$"):
+            Vocabulary(tokens=("x", "y", "z"), **{"bos_id": 0, "eos_id": 0, f"{name}_id": bad})
+        vocab = Vocabulary(tokens=("x", "y", "z"), **{"bos_id": 0, "eos_id": 0, f"{name}_id": np.int64(1)})
+        assert type(getattr(vocab, f"{name}_id")) is int
+
     def test_decode_joins_and_strips_specials(self):
         vocab = Vocabulary.from_tokens(["<s>", "</s>", " the", " court", "court"], bos="<s>", eos="</s>")
         assert vocab.decode([0, 2, 3, 1]) == "the court"
