@@ -11,14 +11,15 @@ candidate set even if the raw logits placed it outside the top-k.
 ``models.NonFiniteLogitsError`` the rule for non-finite logits.
 
 Determinism contract: greedy and beam search are fully deterministic; ties
-go to the lower token id, then the lower beam index. Sampling uses a PCG64
-generator seeded from the config and consumes exactly one uniform double per
-emitted token, mapped through the inverse CDF in token-id order.
+go to the lower token id, then the lower beam index. Sampling maps one uniform
+per emitted token, taken in order from a PCG64 stream seeded from the config,
+through the inverse CDF in token-id order; draws past the last go unused.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from typing import Iterator
 
@@ -219,13 +220,12 @@ def _normalisers(flat: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> np
     return sums
 
 
-# A strategy is a successors function and a pick. The successors function maps
-# a step's steered, EOS-masked (n, V) block to each row's successors, whose
-# first entry lists their token ids; ``zeros`` is the decode's all-zero block
-# for ``_normalisers``. The pick maps the live hypotheses' successors to the
-# kept ones, best first, as (cumulative log prob, token, source row).
+# A strategy is a successors function and a pick. The first maps a step's
+# steered, EOS-masked (n, V) block to each row's successors, in the form
+# ``_decode`` keeps. The pick maps the live rows' successors to the kept ones,
+# best first, as sort keys (-cumulative log prob, token, source row).
 def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
-    """The one row's argmax of the untruncated logits, as ([token], [log prob]); truncation never changes the argmax.
+    """The one row's argmax of the untruncated logits with its log prob; truncation never changes the argmax.
 
     Its log probability is ``log_softmax(row)[token]`` bit for bit, since the
     argmax entry is the row's max. The argmax is also the step's check: it
@@ -236,29 +236,35 @@ def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) ->
     top = float(row[token])
     if not -math.inf < top < math.inf:
         raise ValueError(_MASKED) if top == -math.inf else NonFiniteLogitsError(0)
-    return [([token], [top - (top + math.log(np.exp(row - top).sum()))])]
+    return [(top - (top + math.log(np.exp(row - top).sum())), token)]
 
 
 def _sample(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
-    """The one row's top-k ids in token-id order, with their probabilities and cumulative sum: three short arrays."""
+    """The one row's top-k ids in token-id order, with their probabilities and cumulative sum."""
     ids, _, _, weights = _truncate(steered, config.top_k, config.top_p)
     by_id = ids[0].argsort()
     ids, weights = ids[0][by_id], weights[0][by_id]
     probs = weights / _normalisers(ids, weights, zeros[0])
-    return [(ids, probs, probs.cumsum())]
+    return [(ids.tolist(), probs.tolist(), probs.cumsum().tolist())]
 
 
-def _draw(successors: list, live: list, config: GenerationConfig, rng) -> tuple:
-    """Inverse-CDF draw of one uniform over the ids in token-id order; zero-probability entries can't win."""
-    ids, probs, cdf = successors[0]
-    index = int(cdf.searchsorted(rng.random(), side="right"))
-    if index >= probs.size:  # past the last sum, which rounding can leave below 1
-        index = int((probs > 0.0).nonzero()[0][-1])
-    return ((live[0][0] + math.log(probs[index]), int(ids[index]), 0),)
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """The generator's uniform doubles in stream order, 64 to a call: ``random(n)`` gives those of n ``random()`` calls."""
+    while True:
+        yield from rng.random(64).tolist()
 
 
-def _beam(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> Iterator[tuple]:
-    """Each row's num_beams most likely truncated successors, as (tokens, log probs), best first, row by row.
+def _draw(successors: list, live: list, config: GenerationConfig, uniforms: Iterator[float]) -> tuple:
+    """Inverse-CDF draw of the next uniform over the ids in token-id order; zero-probability entries can't win."""
+    (ids, probs, cdf), = successors
+    index = bisect_right(cdf, next(uniforms))
+    if index == len(probs):  # past the last sum, which rounding can leave below 1
+        index = max(i for i, prob in enumerate(probs) if prob > 0.0)
+    return ((-(live[0][0] + math.log(probs[index])), ids[index], 0),)
+
+
+def _beam(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> Iterator[list]:
+    """Each row's num_beams most likely truncated successors with their log probs, best first, row by row.
 
     A row ranks its successors by log probability, lower id first on ties, and
     drops those at -inf. Its finite survivors lead it in survivor order with
@@ -282,20 +288,22 @@ def _beam(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> I
             first = log_probs.index(tie)
             head_ids[first:beams] = sorted(head_ids[first: first + log_probs.count(tie)])[: beams - first]
         count = sum(log_prob > -math.inf for log_prob in log_probs[:beams])  # the finite ones lead
-        yield head_ids[:count], log_probs[:count]
+        yield list(zip(log_probs[:count], head_ids[:count]))
 
 
-def _best(successors: list, live: list, config: GenerationConfig, rng) -> list:
+def _best(successors: list, live: list, config: GenerationConfig, uniforms: None) -> list:
     """The global top num_beams of all rows' successors: by cumulative log prob, then lower token id, then lower row."""
-    candidates = sorted([(-(hypothesis[0] + log_prob), token, source)
-                         for source, (hypothesis, (tokens, log_probs)) in enumerate(zip(live, successors))
-                         for token, log_prob in zip(tokens, log_probs)])
-    return [(-total, token, source) for total, token, source in candidates[: config.num_beams]]
+    candidates = [(-(hypothesis[0] + log_prob), token, source)
+                  for source, (hypothesis, pairs) in enumerate(zip(live, successors)) for log_prob, token in pairs]
+    candidates.sort()
+    del candidates[config.num_beams:]
+    return candidates
 
 
-def _extend(successors: list, live: list, config: GenerationConfig, rng) -> tuple:
-    """Greedy's pick: the one hypothesis extended by its one successor, ``successors[0] == ([token], [log prob])``."""
-    return ((live[0][0] + successors[0][1][0], successors[0][0][0], 0),)
+def _extend(successors: list, live: list, config: GenerationConfig, uniforms: None) -> tuple:
+    """Greedy's pick: the one hypothesis extended by its one successor."""
+    (log_prob, token), = successors
+    return ((-(live[0][0] + log_prob), token, 0),)
 
 
 _SELECTORS = {"greedy": (_greedy, _extend), "sample": (_sample, _draw), "beam": (_beam, _best)}
@@ -359,15 +367,18 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     (EOS masked while below the minimum length, then not). The states it lacks,
     each once and in live order, form one (n, V) block: one ``logits_many``
     call, the bound rewrite in place, the EOS mask, and each row's successors,
-    which the memo keeps. The memo lives on the chain until the chain is
-    dropped, keyed by the caller's provider object (never the ``_PrefixStates``
-    adapter, whose block must not outlive the decode) and the successor
-    settings: strategy, top_k, top_p and num_beams, but not the seed, which
-    successors do not read, nor the length window, which only sets the phase. A
-    decode without a chain starts an empty one. A later decode through the same
-    chain, provider and settings steps only the states that no earlier one met,
-    so equal states must stand for equal logits for as long as a chain is
-    reused with a provider. The entry holds the provider, so its id is not
+    which the memo keeps in the plain Python form the pick reads, so a step
+    that meets only kept states is one lookup per state and one pick: greedy's
+    (log prob, token), sampling's (ids, probs, cumulative probs), beam search's
+    (log prob, token) pairs, best first. The memo lives on the chain until the
+    chain is dropped, keyed by the caller's provider object (never the
+    ``_PrefixStates`` adapter, whose block must not outlive the decode) and the
+    successor settings: strategy, top_k, top_p and num_beams, but not the seed,
+    which successors do not read, nor the length window, which only sets the
+    phase. A decode without a chain starts an empty one. A later decode through
+    the same chain, provider and settings steps only the states that no earlier
+    one met, so equal states must stand for equal logits for as long as a chain
+    is reused with a provider. The entry holds the provider, so its id is not
     reused. Where states are heavy (a key/value cache), one chain per prompt,
     as ``cli generate`` builds, keeps no more alive than one decode does. A
     block that raises keeps nothing: the rewrite and the successors functions
@@ -383,7 +394,7 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
     expand, pick = _SELECTORS[strategy]
-    rng = np.random.Generator(np.random.PCG64(config.seed)) if strategy == "sample" else None
+    uniforms = _uniforms(np.random.Generator(np.random.PCG64(config.seed))) if strategy == "sample" else None
     width = config.num_beams if strategy == "beam" else 1
     provider = model if hasattr(model, "start") else _PrefixStates(model, width)
     if not hasattr(provider, "logits_many"):
@@ -403,9 +414,10 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
         for step in range(config.max_new_tokens):
             if step == config.min_new_tokens:
                 memo = unmasked  # EOS is no longer masked, which changes every state's successors
-            states = [state for _, state, _ in live]
-            fresh = [state for state in dict.fromkeys(states) if state not in memo]
-            if fresh:
+            successors = [memo.get(state) for _, state, _ in live]
+            if None in successors:  # step the states the memo lacks
+                states = [state for _, state, _ in live]
+                fresh = list(dict.fromkeys(state for state, found in zip(states, successors) if found is None))
                 raw = provider.logits_many(fresh)
                 if not isinstance(raw, np.ndarray) or raw.dtype != np.float64:
                     raise TypeError(f"logits_many gave {getattr(raw, 'dtype', type(raw).__name__)}, not a float64 array")
@@ -416,13 +428,14 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
                     for row in range(len(fresh)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
                         steered[row, eos] -= math.inf
                 memo.update(zip(fresh, expand(steered, config, zeros)))
+                successors = [memo[state] for state in states]
             extended = []
-            for total, token, source in pick([memo[state] for state in states], live, config, rng):
+            for key, token, source in pick(successors, live, config, uniforms):
                 _, state, tokens = live[source]
                 if token == eos:
-                    done.append((total, None, (token, tokens)))
+                    done.append((-key, None, (token, tokens)))
                 else:
-                    extended.append((total, provider.advance(state, token), (token, tokens)))
+                    extended.append((-key, provider.advance(state, token), (token, tokens)))
             live = extended
             if not live:
                 break

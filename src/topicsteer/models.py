@@ -235,8 +235,8 @@ class Vocabulary:
 
     def decode(self, ids: TokenSequence) -> str:
         """Concatenate the token strings of all but BOS and EOS (leading spaces separate words)."""
-        ids = self.validate_ids(ids)
-        parts = [self.tokens[i] for i in ids if not self.is_special(i)]
+        special = (self.bos_id, self.eos_id)
+        parts = [self.tokens[i] for i in self.validate_ids(ids) if i not in special]
         return "".join(parts).lstrip(" ")
 
 

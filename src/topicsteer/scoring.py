@@ -188,7 +188,8 @@ def score_summary(
     words = tokenize_words(vocab.decode(result.tokens))
     stems = [stem(w) for w in words]
     present = set(stems)
-    content_ids = [t for t in result.tokens if not vocab.is_special(t)]
+    special = (vocab.bos_id, vocab.eos_id)
+    content_ids = [t for t in result.tokens if t not in special]
     scores: dict[str, str | int | float] = dict(article_id=article_id, condition=condition, steered_tid=steered_tid)
     for suffix, tid in (("t1", tid1), ("t2", tid2)):
         if token_sets is not None and tid in token_sets:

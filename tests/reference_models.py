@@ -1,8 +1,11 @@
-"""Reference toy-model loader: one type and finiteness test per table entry.
+"""Reference toy-model loader and id check: one test per table entry, one per id.
 
 ``load_toy_model`` as it was before each table row was checked and converted
-in bulk, copied unchanged. tests/test_models.py checks the package's loader
-against this copy: a bit-equal table, or the same exception type and message.
+in bulk, copied unchanged, and ``Vocabulary.validate_ids`` (here
+``validate_ids``), which checks one id at a time, copied as the oracle for
+any check of a whole list that replaces it. tests/test_models.py checks the
+package's loader and id check against these copies: a bit-equal table or
+equal ids, or the same exception type and message.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from topicsteer.models import ToyMarkovModel, ToyModelFormatError, Vocabulary
+from topicsteer.models import ToyMarkovModel, ToyModelFormatError, TokenSequence, Vocabulary, as_int
 
 
 def load_toy_model(path: str | Path) -> ToyMarkovModel:
@@ -58,3 +61,15 @@ def load_toy_model(path: str | Path) -> ToyMarkovModel:
                 raise ToyModelFormatError(f"{path}: non-finite or non-numeric score for {token!r}[{j}]")
             table[tid, j] = float(value)
     return ToyMarkovModel(vocabulary=vocab, table=table)
+
+
+def validate_ids(vocabulary: Vocabulary, ids: TokenSequence) -> list[int]:
+    """The ids as Python ints: TypeError for a bool, float or string, ValueError out of [0, size)."""
+    size = vocabulary.size
+    out = []
+    for tid in ids:
+        i = tid if type(tid) is int else as_int(tid, "token id")
+        if not 0 <= i < size:
+            raise ValueError(f"token id {tid} out of range for vocabulary of size {size}")
+        out.append(i)
+    return out

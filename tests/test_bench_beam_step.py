@@ -8,7 +8,8 @@ as the loop ran it before steps were batched (per hypothesis: its row of ``logit
 ``truncate_top_k_top_p``, then a sort of all candidates), and as the package
 runs it (``logits_many``, one in-place chain rewrite, each row's
 successors, whose normalisers use a zero workspace block made once, as a
-decode makes one per call, and one pick over them). Both must keep the same successors with
+decode makes one per call, and one pick over them, whose sort keys hold the
+negated totals). Both must keep the same successors with
 bit-equal cumulative log probabilities. The inputs are the shipped fixture
 (V=226) with a shift of topic 0, and four N(0, 3) rows at V=50,000 with
 threshold selection over 1,000 ids.
@@ -83,7 +84,8 @@ def test_beam_step(benchmark, monkeypatch, size, path):
         kept = benchmark(per_hypothesis_step, model, states, chain)
     else:
         zeros = np.zeros((CONFIG.num_beams, size))
-        kept = benchmark(block_step, model, states, chain, zeros)
+        keys = benchmark(block_step, model, states, chain, zeros)
         assert zeros.tobytes() == bytes(zeros.nbytes)
+        kept = [(-key, token, source) for key, token, source in keys]
     assert len(kept) == CONFIG.num_beams
     assert _hex(kept) == _hex(per_hypothesis_step(model, states, chain))

@@ -4,8 +4,11 @@ import functools
 import io
 import json
 import math
+import os
 import shlex
 import shutil
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -151,6 +154,28 @@ class TestSweep:
             rows = list(csv.DictReader(handle))
         assert len(rows) == 4  # 2 articles x 1 condition x 2 steered tids
         assert {row["condition"] for row in rows} == {"shift"}
+
+    def test_outputs_are_byte_identical_across_processes_and_hash_seeds(self, tmp_path):
+        # String hashes, and so set and dict orders built from them, change with
+        # PYTHONHASHSEED; none of those orders may reach an output. The grid is
+        # every strategy under every method kind, over two articles.
+        methods = {"none": {}, "shift": {"c": 5}, "threshold": {"theta": 0.005, "beta": 1}}
+        config = {"limit": 2, "steered": "both", "seed": 1, "conditions": [
+            {"label": f"{strategy}-{method}", "method": method, "strategy": strategy, **params}
+            for strategy in ("greedy", "sample", "beam") for method, params in methods.items()]}
+        config_path = tmp_path / "sweep.json"
+        config_path.write_text(json.dumps(config))
+        package_root = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for hash_seed in ("0", "4242"):
+            out_dir = tmp_path / f"hash-seed-{hash_seed}"
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+                   "PYTHONPATH": os.pathsep.join([package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+            subprocess.run([sys.executable, "-m", "topicsteer.cli", "sweep", "--config", str(config_path),
+                            "--out-dir", str(out_dir)], env=env, check=True, capture_output=True, timeout=600)
+            outputs.append([(out_dir / name).read_bytes() for name in ("report.csv", "aggregates.csv")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].decode().splitlines()) == 1 + 2 * 9 * 2  # header + articles x conditions x topics
 
     def test_config_file_conditions_with_flag_override(self, tmp_path, capsys):
         config = {

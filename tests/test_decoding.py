@@ -20,8 +20,10 @@ from topicsteer.decoding import (
     generate_sample,
     truncate_top_k_top_p,
 )
-from topicsteer.models import NonFiniteLogitsError, Vocabulary, as_logit_vector, log_softmax, softmax
+from topicsteer.fixtures import topic_model_path, toy_model_path
+from topicsteer.models import NonFiniteLogitsError, Vocabulary, as_logit_vector, load_toy_model, log_softmax, softmax
 from topicsteer.reweight import ProcessorChain, ReweightConfig, VocabularyMismatchError, build_chain
+from topicsteer.topics import load_topic_model, topic_token_set
 
 from conftest import make_markov, make_vocab, random_markov
 import reference_decoding
@@ -885,7 +887,15 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
     most = 1 if config.strategy == "greedy" else config.top_k
     for phase in memo[1:]:
         for successors in phase.values():
-            assert all(len(part) <= most < model.vocabulary.size for part in successors)
+            if config.strategy == "greedy":  # one (log prob, token) pair
+                parts, pairs = [[successors]], [successors]
+            elif config.strategy == "sample":  # ids, probs and cumulative probs
+                parts, pairs = successors, list(zip(*successors[1:], successors[0]))
+            else:  # (log prob, token) pairs, best first
+                parts, pairs = [successors], successors
+            assert all(len(part) <= most < model.vocabulary.size for part in parts)
+            assert all(type(value) is float for pair in pairs for value in pair[:-1])  # plain Python, made once
+            assert all(type(pair[-1]) is int for pair in pairs)
     assert chain._memo[(id(provider), *successor_settings)][0] is provider
 
 
@@ -926,6 +936,36 @@ def test_decodes_through_a_shared_chain_equal_decodes_through_fresh_ones(case):
         shared = generate(providers[which], prompt, chain, config)
         fresh = generate(providers[which], prompt, build_chain(method, topic), config)
         assert (shared.tokens, shared.log_prob.hex()) == (fresh.tokens, fresh.log_prob.hex())
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("method", [ReweightConfig(method="constant_shift", c=2.0),
+                                    ReweightConfig(method="threshold_selection", theta=0.005, beta=1.0)],
+                         ids=lambda method: method.method)
+def test_a_long_decode_equals_the_reference_and_repeats_on_memo_hits_alone(strategy, method):
+    """200 new tokens through the shipped fixture (V=226), steered toward topic 0.
+
+    Sampling takes its uniforms from the stream 64 at a time, so the decode
+    crosses several of those draws; it equals the reference decoder, which
+    calls ``random()`` once per token, in its tokens and bit for bit in its
+    log prob. A second decode through the same chain finds every live state
+    in the memo: it asks the provider nothing and equals the first bit for bit.
+    """
+    model = load_toy_model(toy_model_path())
+    token_set = topic_token_set(0, load_topic_model(topic_model_path()), model.vocabulary, 25)
+    prefix = [model.vocabulary.bos_id]
+    for seed in (0, 1, 2) if strategy == "sample" else (0,):
+        chain = build_chain(method, token_set)
+        config = GenerationConfig(strategy=strategy, min_new_tokens=200, max_new_tokens=200, seed=seed)
+        provider = Asked(model)
+        first = generate(provider, prefix, chain, config)
+        expected = REFERENCE[strategy](model, prefix, chain, config)
+        assert len(first.tokens) == 200 and provider.calls
+        assert (first.tokens, first.log_prob.hex()) == (expected.tokens, expected.log_prob.hex())
+        provider.calls = []
+        second = generate(provider, prefix, chain, config)
+        assert provider.calls == []
+        assert (second.tokens, second.log_prob.hex()) == (first.tokens, first.log_prob.hex())
 
 
 def test_a_state_that_fails_is_not_kept():
@@ -1305,9 +1345,15 @@ def _selections(selector, scores, config, uniforms):
 
 
 def selection(strategy, block, live, config, rng, zeros):
-    """The package's selection of a step on ``block``: the strategy's successors of each row, then its pick."""
+    """The package's selection of a step on ``block``: the strategy's successors of each row, then its pick.
+
+    Returns the kept (cumulative log prob, token, source row), best first,
+    each total negated back from the pick's sort key. A sampling pick draws
+    its uniform from ``rng.random()``.
+    """
     successors, pick = decoding._SELECTORS[strategy]
-    return pick(successors(block, config, zeros), live, config, rng)
+    uniforms = None if rng is None else iter(rng.random, None)
+    return [(-key, token, source) for key, token, source in pick(successors(block, config, zeros), live, config, uniforms)]
 
 
 def one_row_selector(strategy):

@@ -84,6 +84,26 @@ class TestVocabulary:
         assert all(type(i) is int for i in vocab.validate_ids(ids))
         assert vocab.decode(np.array([0, 2, 3, 1])) == "the court"
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(0, 6), st.one_of(
+        st.lists(st.integers(-2, 9), max_size=12),  # Python ints only: the whole-list check, or one out of range
+        st.lists(st.one_of(st.integers(-2, 9), st.integers(-2, 9).map(np.int64), st.booleans(), st.just(2**70),
+                           st.floats(-2.0, 9.0), st.sampled_from([1.0, np.float64(2.0), np.True_, "1", "", None])),
+                 max_size=12),
+    ))
+    def test_validate_ids_matches_the_one_by_one_reference(self, n_words, ids):
+        """The ids, as Python ints, or the same exception type and message as a check of one id at a time."""
+        vocab = make_vocab(n_words)
+
+        def outcome(check):
+            try:
+                checked = check(list(ids))
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+            return checked, [type(i) for i in checked]
+
+        assert outcome(vocab.validate_ids) == outcome(lambda given: reference_models.validate_ids(vocab, given))
+
 
 class TestToyMarkovModel:
     def test_next_logits_is_table_lookup(self):
