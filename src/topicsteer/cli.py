@@ -80,7 +80,7 @@ SETTINGS = {
     "top_p": Setting(GenerationConfig, "top_p", float, "nucleus (top-p) truncation"),
     "min_tokens": Setting(GenerationConfig, "min_new_tokens", int, "minimum new tokens"),
     "max_tokens": Setting(GenerationConfig, "max_new_tokens", int, "maximum new tokens"),
-    "seed": Setting(GenerationConfig, "seed", int, "master seed; each row's sampling seed derives from it and the row"),
+    "seed": Setting(ExperimentConfig, "master_seed", int, "master seed; a sampling row's seed derives from it"),
     "top_n": Setting(ExperimentConfig, "top_n", int, "topic words to expand"),
     "limit": Setting(ExperimentConfig, "limit", int, "articles limit"),
     "steered": Setting(ExperimentConfig, "steered_policy", str, "steered topics", STEERED_POLICIES),
@@ -119,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p_gen = sub.add_parser("generate", help="decode one article and print summary + scores")
-    _add_flags(p_gen, *INPUTS, *CONDITION_SETTINGS, "top_n")
+    _add_flags(p_gen, *INPUTS, *CONDITION_SETTINGS, "seed", "top_n")
     p_gen.add_argument("--article-id", default=None, help="article to use (default: first in corpus)")
     p_gen.add_argument("--topic", type=int, default=None, help="steered topic id (default: the article's tid1)")
 
@@ -187,9 +187,11 @@ def _condition(values: dict, label: str | None) -> Condition:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     values = _settings(args, {})
-    corpus = load_corpus(values["corpus"])
-    topic_model = load_topic_model(values["topics_file"])
-    model = load_toy_model(values["model"])
+    condition = _condition(values, None)
+    config = ExperimentConfig(conditions=(condition,), **_owned(ExperimentConfig, values))
+    corpus = load_corpus(config.corpus_path)
+    topic_model = load_topic_model(config.topics_path)
+    model = load_toy_model(config.model_path)
     if args.article_id is None:
         sample = corpus[0]
     else:
@@ -203,18 +205,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"--topic {steered_tid} is not one of article {sample.article_id!r}'s topics "
             f"({sample.tid1}, {sample.tid2})"
         )
-    condition = _condition(values, None)
-    master_seed = values["seed"]
     result, row = run_row(model, topic_model, sample, sample.prompt(model.vocabulary), condition, steered_tid,
-                          master_seed=master_seed, top_n=values["top_n"], token_sets={}, decodes={}, chains={})
-    record = result.to_record(model.vocabulary, condition.generation_for(master_seed, sample.article_id, steered_tid))
-    record.update(
-        article_id=sample.article_id,
-        condition=condition.label,
-        steered_tid=steered_tid,
-        reweight=asdict(condition.reweight),
-        scores={k: v for k, v in row.items() if k not in KEY_COLUMNS},
-    )
+                          master_seed=config.master_seed, top_n=config.top_n, token_sets={}, decodes={}, chains={})
+    record = {
+        "tokens": list(result.tokens),
+        "text": model.vocabulary.decode(result.tokens),
+        "log_prob": result.log_prob,
+        "config": asdict(condition.generation_for(config.master_seed, sample.article_id, steered_tid)),
+        "article_id": sample.article_id,
+        "condition": condition.label,
+        "steered_tid": steered_tid,
+        "reweight": asdict(condition.reweight),
+        "scores": {k: v for k, v in row.items() if k not in KEY_COLUMNS},
+    }
     print(json.dumps(record, indent=2))
     return 0
 
@@ -235,15 +238,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for i, entry in enumerate(entries):
             if not isinstance(entry, dict):
                 raise ValueError(f"conditions[{i}] must be an object")
-            # no "seed": a row's sampling seed derives from the master seed, not from its condition
-            own = _file_values(entry, {"label", *CONDITION_SETTINGS} - {"seed"}, f"conditions[{i}]")
+            own = _file_values(entry, {"label", *CONDITION_SETTINGS}, f"conditions[{i}]")
             conditions.append(_condition({**values, **own}, own.get("label")))
 
-    config = ExperimentConfig(
-        conditions=tuple(conditions),
-        master_seed=values["seed"],
-        **_owned(ExperimentConfig, values),
-    )
+    config = ExperimentConfig(conditions=tuple(conditions), **_owned(ExperimentConfig, values))
     result = run_sweep(config)
     print(f"report:     {result.report_path}")
     print(f"aggregates: {result.aggregate_path}")

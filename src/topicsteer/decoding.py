@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -30,7 +30,6 @@ from .models import (
     LogitVector,
     NonFiniteLogitsError,
     TokenSequence,
-    Vocabulary,
     as_int,
     as_logit_vector,
     as_real,
@@ -98,15 +97,6 @@ class GenerationResult:
 
     tokens: tuple[int, ...]
     log_prob: float
-
-    def to_record(self, vocab: Vocabulary, config: GenerationConfig) -> dict:
-        """JSON-serializable record: tokens, decoded text, log prob, config."""
-        return {
-            "tokens": list(self.tokens),
-            "text": vocab.decode(self.tokens),
-            "log_prob": self.log_prob,
-            "config": asdict(config),
-        }
 
 
 def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.ndarray:

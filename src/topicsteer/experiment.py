@@ -128,7 +128,12 @@ class Condition:
             raise ValueError("condition label must be non-empty")
 
     def generation_for(self, master_seed: int, article_id: str, tid: int) -> GenerationConfig:
-        """The generation setting of one row: its sampling seed derives from the master seed and the row."""
+        """The generation setting of one row: a sampling row's seed derives from the master seed and the row.
+
+        A greedy or beam row reads no seed, so it gets the condition's setting unchanged.
+        """
+        if self.generation.strategy != "sample":
+            return self.generation
         return replace(self.generation, seed=derive_seed(master_seed, article_id, self.label, tid))
 
 
@@ -199,14 +204,10 @@ def _steered_tids(sample: CorpusSample, policy: str) -> list[int]:
     return [sample.tid1, sample.tid2]
 
 
-def _decode_key(reweight: ReweightConfig, tid: int, generation: GenerationConfig) -> tuple:
-    """Everything a row's decode of its article's prompt depends on.
-
-    The steered topic counts only under a method that reads it, and the
-    seed only when sampling.
-    """
-    return (reweight, None if reweight.method == "none" else tid,
-            generation if generation.strategy == "sample" else replace(generation, seed=0))
+def _decode_key(reweight: ReweightConfig, tid: int, generation: GenerationConfig, prefix: list[int]) -> tuple:
+    """What a row's decode reads besides the provider and token sets: the method, the
+    steered topic if the method reads it, the generation setting and the prompt's ids."""
+    return (reweight, None if reweight.method == "none" else tid, generation, tuple(prefix))
 
 
 def run_row(
@@ -227,19 +228,22 @@ def run_row(
 
     Each keyword cache is filled by this call. ``token_sets`` expands each
     topic once, steered topic first, so an unknown topic id fails only the rows
-    that need it. ``decodes`` holds this article's successful decodes by
-    ``_decode_key``: a row whose decode is in it is scored on that result
-    without calling ``generate``, and a decode that raises is not kept, so the
-    next row that needs it records its own error. ``chains`` holds reweighting
-    chains by the first two entries of ``_decode_key``; rows that share a chain
-    share its successor memo (``decoding._decode``).
+    that need it. ``decodes`` holds successful decodes by ``_decode_key``,
+    which includes the prompt, so one dict may serve any set of articles: a
+    row whose decode is in it is scored on that result without calling
+    ``generate``, and a decode that raises is not kept, so the next row that
+    needs it records its own error. ``chains`` holds reweighting chains by the
+    first two entries of ``_decode_key``; rows that share a chain share its
+    successor memo (``decoding._decode``). The three caches hold for one
+    provider, ``topic_model`` and ``top_n``: ``token_sets`` and ``chains`` are
+    keyed by topic id and method alone.
     """
     vocab = model.vocabulary
     for t in (tid, sample.tid1, sample.tid2):
         if t not in token_sets:
             token_sets[t] = topic_token_set(t, topic_model, vocab, top_n)
     generation = condition.generation_for(master_seed, sample.article_id, tid)
-    key = _decode_key(condition.reweight, tid, generation)
+    key = _decode_key(condition.reweight, tid, generation, prefix)
     result = decodes.get(key)
     if result is None:
         if key[:2] not in chains:
@@ -256,8 +260,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     Per-row failures are recorded in the report's "error" column and do not
     stop the sweep. Rows run in corpus, then condition, then steered-topic
-    order, each seeded from the master seed and its identity; ``run_row`` gets
-    one decode cache per article and one chain cache for the sweep. The output
+    order, each sampling row seeded from the master seed and its identity;
+    ``run_row`` gets one chain cache for the sweep and one decode cache per
+    article, so that no decode outlives its article's rows. The output
     directory is made once the inputs have loaded and before the first row; a
     path that cannot be one raises ValueError.
     """

@@ -314,11 +314,6 @@ class ToyMarkovModel:
         """Logits for the token after ``prefix``: a copy of the table row of its last id, the only one that matters."""
         return self.table[self.start(prefix)].copy()
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ToyMarkovModel):
-            return NotImplemented
-        return self.vocabulary == other.vocabulary and np.array_equal(self.table, other.table)
-
 
 def flat_ids(ids: np.ndarray, rows: int, size: int) -> np.ndarray:
     """Token ids as indices into a flattened (rows, size) block: row i's ids offset by i * size.

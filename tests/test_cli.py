@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from topicsteer import cli, experiment, fixtures
 from topicsteer.cli import main
 from topicsteer.experiment import SweepResult, derive_seed
+from topicsteer.models import load_toy_model
 from topicsteer.scoring import METRIC_COLUMNS
 
 from conftest import readme_block
@@ -113,6 +114,25 @@ class TestGenerate:
         assert row != rows["a003", record["condition"], str(sample.tid1)]  # scored against its own topic
         assert record["tokens"] == list(sweep_tokens["a003", sample.tid2]) == list(sweep_tokens["a003", sample.tid1])
 
+    def test_record_round_trips_json(self, capsys):
+        code, out, _err = run(capsys, "generate", "--min-tokens", "2", "--max-tokens", "4")
+        assert code == 0
+        record = json.loads(out)
+        assert json.loads(json.dumps(record)) == record
+        assert list(record) == ["tokens", "text", "log_prob", "config", "article_id", "condition", "steered_tid",
+                                "reweight", "scores"]
+        assert 2 <= len(record["tokens"]) <= 4
+        vocabulary = load_toy_model(fixtures.toy_model_path()).vocabulary
+        assert record["text"] == vocabulary.decode(record["tokens"])
+        assert record["config"]["strategy"] == "greedy"
+
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_a_row_that_does_not_sample_prints_the_condition_seed(self, capsys, strategy):
+        code, out, _err = run(capsys, "generate", "--strategy", strategy, "--seed", "7",
+                              "--min-tokens", "2", "--max-tokens", "4")
+        assert code == 0
+        assert json.loads(out)["config"]["seed"] == 0
+
     def test_unknown_article_is_config_error(self, capsys):
         code, _out, err = run(capsys, "generate", "--article-id", "nope")
         assert code == 1
@@ -173,8 +193,11 @@ class TestSweep:
                    "PYTHONPATH": os.pathsep.join([package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
             subprocess.run([sys.executable, "-m", "topicsteer.cli", "sweep", "--config", str(config_path),
                             "--out-dir", str(out_dir)], env=env, check=True, capture_output=True, timeout=600)
-            outputs.append([(out_dir / name).read_bytes() for name in ("report.csv", "aggregates.csv")])
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            del manifest["created_at"]
+            outputs.append([(out_dir / name).read_bytes() for name in ("report.csv", "aggregates.csv")] + [manifest])
         assert outputs[0] == outputs[1]
+        assert outputs[0][2]["decodes"] == 2 * (9 * 2 - 2)  # greedy and beam 'none' decode once per article
         assert len(outputs[0][0].decode().splitlines()) == 1 + 2 * 9 * 2  # header + articles x conditions x topics
 
     def test_config_file_conditions_with_flag_override(self, tmp_path, capsys):
@@ -380,8 +403,9 @@ def test_readme_run_row_block_runs():
         exec(compile(readme_block("python", "## Python API"), "README.md", "exec"), namespace)
         exec(compile(readme_block("python", "`run_row` generates and scores"), "README.md", "exec"), namespace)
     lines = out.getvalue().splitlines()
-    assert len(lines) == 2 and 0.0 <= float(lines[1]) <= 1.0
+    assert len(lines) == 3 and all(0.0 <= float(line) <= 1.0 for line in lines[1:])
     assert namespace["row"]["condition"] == "shift5" and namespace["result"].tokens
+    assert len(namespace["caches"]["decodes"]) == 2  # one dict, one decode per article
 
 
 def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
@@ -445,7 +469,8 @@ def reweight_with(method="none", **overrides):
 
 class TestSweepConfigIdentity:
     """Literal ExperimentConfig.to_dict() values, as the resolution produced them before
-    flags and config keys shared one settings table."""
+    flags and config keys shared one settings table. The seed sets only ``master_seed``:
+    conditions keep ``GenerationConfig``'s default seed."""
 
     def test_flags_only(self):
         config = captured_config(
@@ -458,7 +483,7 @@ class TestSweepConfigIdentity:
                 "label": "threshold",
                 "reweight": reweight_with("threshold_selection", theta=0.01, beta=2.0),
                 "generation": {"strategy": "beam", "top_k": 40, "top_p": 0.9, "num_beams": 3,
-                               "max_new_tokens": 9, "min_new_tokens": 5, "seed": 7},
+                               "max_new_tokens": 9, "min_new_tokens": 5, "seed": 0},
             }],
             "limit": 3, "steered_policy": "tid2", "master_seed": 7, "top_n": 20,
         }
@@ -491,11 +516,11 @@ class TestSweepConfigIdentity:
         assert identity(config) == {
             "conditions": [
                 {"label": "baseline", "reweight": reweight_with(),
-                 "generation": generation_with(min_new_tokens=85, seed=3)},
+                 "generation": generation_with(min_new_tokens=85)},
                 {"label": "shift5", "reweight": reweight_with("constant_shift", c=5.0),
-                 "generation": generation_with(min_new_tokens=85, seed=3)},
+                 "generation": generation_with(min_new_tokens=85)},
                 {"label": "thresh", "reweight": reweight_with("threshold_selection", beta=1.0),
-                 "generation": generation_with(strategy="beam", min_new_tokens=85, seed=3)},
+                 "generation": generation_with(strategy="beam", min_new_tokens=85)},
             ],
             "limit": 25, "steered_policy": "tid1", "master_seed": 3, "top_n": 25,
         }

@@ -378,17 +378,6 @@ class TestDispatcherAndRecords:
         assert generate(model, prefix, None, sample_config(max_new=3, seed=2)).tokens == \
             generate_sample(model, prefix, None, sample_config(max_new=3, seed=2)).tokens
 
-    def test_result_record_round_trips_json(self):
-        import json
-
-        model = random_markov(21, eos_logit=-20.0)
-        config = greedy_config(max_new=4)
-        result = generate_greedy(model, [model.vocabulary.bos_id], None, config)
-        record = json.loads(json.dumps(result.to_record(model.vocabulary, config)))
-        assert record["tokens"] == list(result.tokens)
-        assert record["config"]["strategy"] == "greedy"
-        assert isinstance(record["text"], str)
-
     def test_invalid_config_values(self):
         with pytest.raises(ValueError):
             GenerationConfig(top_k=0)

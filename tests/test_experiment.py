@@ -403,6 +403,23 @@ class TestSharedDecodes:
             del manifest["created_at"], manifest["decodes"]
         assert manifests[0] == manifests[1]
 
+    def test_one_decodes_dict_shared_across_articles_gives_each_row_its_own_decode(self):
+        """The decode key holds the prompt, so a row never gets another article's decode."""
+        model = load_toy_model(fixtures.toy_model_path())
+        topic_model = load_topic_model(fixtures.topic_model_path())
+        conditions = [c for c in benchmark_grid() if c.generation.strategy != "sample"]
+        decodes, token_sets, chains = {}, {}, {}
+        for sample in load_corpus(fixtures.corpus_path(), limit=3):
+            prefix = sample.prompt(model.vocabulary)
+            for condition in conditions:
+                for tid in (sample.tid1, sample.tid2):
+                    shared = experiment.run_row(model, topic_model, sample, prefix, condition, tid, master_seed=1,
+                                                top_n=25, token_sets=token_sets, decodes=decodes, chains=chains)
+                    alone = experiment.run_row(model, topic_model, sample, prefix, condition, tid, master_seed=1,
+                                               top_n=25, token_sets={}, decodes={}, chains={})
+                    assert shared == alone, (sample.article_id, condition.label, tid)
+        assert len(decodes) == 3 * 2 * (1 + 2 * 2)  # article x strategy x (none once, two methods per topic)
+
     def test_failing_shared_decode_records_its_error_on_each_row(self, tmp_path, monkeypatch):
         calls = []
         inner = experiment.generate

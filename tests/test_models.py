@@ -182,7 +182,9 @@ class TestToyModelFile:
             model = random_markov(seed)
             path = tmp_path / f"m{seed}.json"
             save_toy_model(model, path)
-            assert load_toy_model(path) == model
+            loaded = load_toy_model(path)
+            assert loaded.vocabulary == model.vocabulary
+            assert np.array_equal(loaded.table, model.table)
 
     def test_parse_fixture(self, tmp_path):
         path = tmp_path / "m.json"
