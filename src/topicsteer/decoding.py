@@ -1,12 +1,13 @@
 """Token generation from any logits provider: greedy, sampling, beam search.
 
-All strategies share one loop, ``_decode``, which also owns the successor
-memo. Only the successors and the pick differ: greedy takes the steered
-argmax (``_greedy``); sampling (``_sample``) and beam search (``_beam``) first
-cut each row to its top-k/top-p survivors (``_truncate``) and normalise over
-the full truncated row (``_normalisers``). Reweighting runs before
-truncation on purpose: a boosted token must be able to re-enter the
-candidate set even if the raw logits placed it outside the top-k.
+All strategies share one loop, ``_decode``, which also owns the memos. Only
+the successors and the pick differ: greedy takes the steered argmax
+(``_greedy``); sampling (``_sample``) and beam search (``_beam``) build theirs
+from each row's survivors record (``_survivors``): its top-k/top-p cut
+(``_truncate``) and normaliser over the full truncated row (``_normalisers``).
+Reweighting runs before truncation on purpose: a boosted token must be able
+to re-enter the candidate set even if the raw logits placed it outside the
+top-k.
 ``models.LogitsProvider`` states the provider contract and
 ``models.NonFiniteLogitsError`` the rule for non-finite logits.
 
@@ -33,7 +34,6 @@ from .models import (
     as_int,
     as_logit_vector,
     as_real,
-    flat_ids,
     log_softmax,  # noqa: F401  (no step calls it or softmax; tracers wrap both names)
     softmax,  # noqa: F401
 )
@@ -108,19 +108,23 @@ def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.nd
     x = as_logit_vector(scores)
     if not x.size:
         raise ValueError(_MASKED)
-    ids, _, kept, _ = _truncate(x[None], config.top_k, config.top_p)
+    [(ids, kept, _)] = _truncate(x[None], config.top_k, config.top_p)
     out = np.full_like(x, -np.inf)
-    out[ids[0]] = kept[0]
+    out[ids] = kept
     return out
 
 
-def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise top-k/top-p truncation of a float64 (n, V) block: the one survivor step of sampling and beam search.
+def _truncate(x: np.ndarray, top_k: int, top_p: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Top-k/top-p truncation of each row of a float64 (n, V) block: the one survivor step of sampling and beam search.
 
-    Returns ``(ids, flat, kept, weights)``, each (n, min(top_k, V)): each row's
-    top-k ids in survivor order, those ids as indices into the flat block,
-    their scores (-inf where an id does not survive) and their weights
-    ``exp(kept - top)`` (0 where it does not), ``top`` being the row's best.
+    Returns one ``(ids, kept, weights)`` per row, each of min(top_k, V)
+    entries: the row's top-k ids in survivor order, their scores (-inf where
+    an id does not survive) and their weights ``exp(kept - top)`` (0 where it
+    does not), ``top`` being the row's best. Each row is cut alone, by 1-D
+    operations, into arrays of its own, so the survivors record that
+    ``_decode`` keeps per provider, top_k, top_p, EOS phase and state holds no
+    V-long row and is the same whatever block its row came in. Sampling and
+    beam search share those records; greedy search keeps its own successors.
 
     Survivor order is descending score, ties in token-id order, with masked
     (-inf) ids dropped. Rows of at most max(1024, 4 * top_k) entries get one
@@ -135,85 +139,72 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> tuple[np.ndarray, np.n
     top_p: entry j survives if the mass strictly before it is < top_p, so the
     top token always does. The mass is the cumsum of the weights over their
     sum, the same operations as a ``softmax`` of the survivors, so sampling and
-    beam search normalise the weights the nucleus was cut by. A block whose
-    survivors are all finite is cut at once; one with a masked survivor is cut
-    row by row, over each row's finite survivors, which lead it.
+    beam search normalise the weights the nucleus was cut by.
 
     The cut finds a NaN or +inf itself: a +inf leads its row's survivors, and a
     NaN sorts last in a whole-row sort or, above the size rule, turns the bound
     NaN, unless it lies in the V % k entries past the last block, which are
-    looked at.
+    looked at. Any NaN or +inf in the block outranks a masked row.
     """
-    rows, size = x.shape
+    size = x.shape[1]
     k = min(top_k, size)
-    if size <= max(_BOUND_MIN_SIZE, 4 * k):
-        order = (-x).argsort(axis=1, kind="stable")
-        ids = order[:, :k]
-        if any(math.isnan(x[row, last]) for row, last in enumerate(order[:, -1].tolist())):
-            raise NonFiniteLogitsError.in_block(x)
-    else:
-        ids = np.empty((rows, k), dtype=np.intp)
-        blocks_end = size - size % k
-        bound = x[:, :blocks_end].reshape(rows, k, -1).max(axis=2).min(axis=1)
-        if np.isnan(bound).any() or np.isnan(x[:, blocks_end:]).any():
-            raise NonFiniteLogitsError.in_block(x)
-        offsets = np.arange(0, (rows + 1) * size, size)
-        hits = (x >= bound[:, None]).ravel().nonzero()[0]  # flat indices, in id order per row
-        ends = hits.searchsorted(offsets)
-        for out, row, offset, start, end in zip(ids, x, offsets.tolist(), ends, ends[1:]):
-            top = hits[start:end] - offset
+    cuts = []
+    for row in x:
+        if size <= max(_BOUND_MIN_SIZE, 4 * k):
+            order = (-row).argsort(kind="stable")
+            if math.isnan(row[order[-1]]):
+                raise NonFiniteLogitsError.in_block(x)
+            ids = order[:k].copy()
+        else:
+            blocks_end = size - size % k
+            bound = row[:blocks_end].reshape(k, -1).max(axis=1).min()
+            if math.isnan(bound) or np.isnan(row[blocks_end:]).any():
+                raise NonFiniteLogitsError.in_block(x)
+            top = (row >= bound).nonzero()[0]  # in id order
             scores = row[top]
             ranked = -scores
             ranked.partition(k - 1)
             boundary = -ranked[k - 1]  # the top_k-th best score
             better = top[scores > boundary]
-            out[: better.size] = better[(-row[better]).argsort(kind="stable")]
-            out[better.size:] = top[scores == boundary][: k - better.size]
-    flat = flat_ids(ids, rows, size)
-    kept = x.take(flat)
-    finite = np.isfinite(kept)
-    if k and finite.all():  # the usual case: each row's first survivor is its top
-        weights = kept - kept[:, :1]
-        np.exp(weights, out=weights)
+            ties = top[scores == boundary][: k - better.size]
+            ids = np.concatenate([better[(-row[better]).argsort(kind="stable")], ties])
+        kept = row.take(ids)
+        count = k if k and kept[-1] > -math.inf else int(np.isfinite(kept).sum())  # the finite survivors lead
+        if not count or kept[0] == math.inf:  # a masked row, or a +inf top
+            raise ValueError(_MASKED) if (x < np.inf).all() else NonFiniteLogitsError.in_block(x)
+        weights = np.zeros(k)
+        mass = weights[:count]
+        np.subtract(kept[:count], kept[0], out=mass)
+        np.exp(mass, out=mass)
         if top_p < 1.0:
-            cut = (weights / weights.sum(axis=1, keepdims=True)).cumsum(axis=1)[:, :-1] >= top_p
-            weights[:, 1:][cut] = 0.0
-            kept[:, 1:][cut] = -np.inf
-        return ids, flat, kept, weights
-    if not (kept[:, :1] < np.inf).all():
-        raise NonFiniteLogitsError.in_block(x)
-    weights = np.zeros_like(kept)
-    for row, out, count in zip(kept, weights, finite.sum(axis=1).tolist()):
-        if not count:
-            raise ValueError(_MASKED)
-        exps = np.exp(row[:count] - row[0])
-        if top_p < 1.0:
-            count = 1 + int((exps / exps.sum()).cumsum()[:-1].searchsorted(top_p))
-            row[count:] = -np.inf
-        out[:count] = exps[:count]
-    return ids, flat, kept, weights
+            count = 1 + int((mass / mass.sum()).cumsum()[:-1].searchsorted(top_p))
+            kept[count:] = -np.inf
+            weights[count:] = 0.0
+        cuts.append((ids, kept, weights))
+    return cuts
 
 
-def _normalisers(flat: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> np.ndarray:
-    """Per row of ``zeros``, the sum of ``weights`` placed at the flat indices ``flat`` in its all-zero rows.
+def _normalisers(ids: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> float:
+    """The sum of ``weights`` placed at ``ids`` in ``zeros``, a row of the decode's zero block, all zeros again on return.
 
-    ``zeros`` is a view of the decode's zero block, all zeros again on return:
-    (V,) for one row's ids, giving a scalar, or the first n rows for
-    ``_truncate``'s (n, k) flat indices, giving n sums. Summed over the full
+    One sum per survivors record (per provider, top_k, top_p, EOS phase and
+    state, ``_decode``), which sampling and beam search both divide by; greedy
+    search, which keeps its own successors, needs none. Summed over the full
     length, numpy's pairwise sum groups the weights as a ``softmax`` of the
     whole truncated row does, so the probabilities are bit for bit that
     softmax's; a sum over the survivors alone can differ in the last bit.
     """
-    zeros.put(flat, weights)
-    sums = zeros.sum(axis=-1)
-    zeros.put(flat, 0.0)
-    return sums
+    zeros.put(ids, weights)
+    total = float(zeros.sum())
+    zeros.put(ids, 0.0)
+    return total
 
 
-# A strategy is a successors function and a pick. The first maps a step's
-# steered, EOS-masked (n, V) block to each row's successors, in the form
-# ``_decode`` keeps. The pick maps the live rows' successors to the kept ones,
-# best first, as sort keys (-cumulative log prob, token, source row).
+# A strategy is a cut, a build and a pick: the cut maps a steered, EOS-masked
+# (n, V) block to each row's record (greedy's is its successors), the build one
+# record to the successors ``_decode`` keeps, and the pick the live rows'
+# successors to the kept ones, best first, as sort keys (-cumulative log prob,
+# token, source row).
 def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
     """The one row's argmax of the untruncated logits with its log prob; truncation never changes the argmax.
 
@@ -229,13 +220,18 @@ def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) ->
     return [(top - (top + math.log(np.exp(row - top).sum())), token)]
 
 
-def _sample(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
-    """The one row's top-k ids in token-id order, with their probabilities and cumulative sum."""
-    ids, _, _, weights = _truncate(steered, config.top_k, config.top_p)
-    by_id = ids[0].argsort()
-    ids, weights = ids[0][by_id], weights[0][by_id]
-    probs = weights / _normalisers(ids, weights, zeros[0])
-    return [(ids.tolist(), probs.tolist(), probs.cumsum().tolist())]
+def _survivors(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
+    """Each row's survivors record ``(ids, kept, weights, norm)``: its ``_truncate`` cut and ``_normalisers`` sum."""
+    cuts = _truncate(steered, config.top_k, config.top_p)
+    return [(ids, kept, weights, _normalisers(ids, weights, row)) for (ids, kept, weights), row in zip(cuts, zeros)]
+
+
+def _sample(record: tuple, config: GenerationConfig) -> tuple:
+    """The row's ids of positive weight, which lead it, in id order, with their probabilities and cumulative sum."""
+    ids, _, weights, norm = record
+    by_id = ids[: np.count_nonzero(weights)].argsort()
+    probs = weights.take(by_id) / norm
+    return ids.take(by_id).tolist(), probs.tolist(), probs.cumsum().tolist()
 
 
 def _uniforms(rng: np.random.Generator) -> Iterator[float]:
@@ -253,8 +249,8 @@ def _draw(successors: list, live: list, config: GenerationConfig, uniforms: Iter
     return ((-(live[0][0] + math.log(probs[index])), ids[index], 0),)
 
 
-def _beam(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> Iterator[list]:
-    """Each row's num_beams most likely truncated successors with their log probs, best first, row by row.
+def _beam(record: tuple, config: GenerationConfig) -> list:
+    """A row's num_beams most likely truncated successors with their log probs, best first.
 
     A row ranks its successors by log probability, lower id first on ties, and
     drops those at -inf. Its finite survivors lead it in survivor order with
@@ -262,23 +258,22 @@ def _beam(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> I
     where rounding ties log probabilities across the num_beams boundary, the
     lowest ids of that tie run fill it.
     """
-    ids, flat, kept, weights = _truncate(steered, config.top_k, config.top_p)
+    ids, kept, _, norm = record
     beams = config.num_beams
-    norms = _normalisers(flat, weights, zeros[: len(ids)]).tolist()
-    heads = zip(kept[:, : beams + 1].tolist(), ids[:, : beams + 1].tolist(), norms)
-    for row, (head, head_ids, norm) in enumerate(heads):
-        lse = head[0] + math.log(norm)
-        # -inf where masked, or where a survivor far below the top overflows
-        log_probs = [score - lse for score in head]
-        if len(log_probs) > beams and log_probs[beams - 1] == log_probs[beams] > -math.inf:
-            # a tie across the boundary: the whole tie run competes for its places, lowest ids first
-            tie = log_probs[beams]
-            log_probs = [score - lse for score in kept[row].tolist()]
-            head_ids = ids[row].tolist()
-            first = log_probs.index(tie)
-            head_ids[first:beams] = sorted(head_ids[first: first + log_probs.count(tie)])[: beams - first]
-        count = sum(log_prob > -math.inf for log_prob in log_probs[:beams])  # the finite ones lead
-        yield list(zip(log_probs[:count], head_ids[:count]))
+    head = kept[: beams + 1].tolist()
+    head_ids = ids[: beams + 1].tolist()
+    lse = head[0] + math.log(norm)
+    # -inf where masked, or where a survivor far below the top overflows
+    log_probs = [score - lse for score in head]
+    if len(log_probs) > beams and log_probs[beams - 1] == log_probs[beams] > -math.inf:
+        # a tie across the boundary: the whole tie run competes for its places, lowest ids first
+        tie = log_probs[beams]
+        log_probs = [score - lse for score in kept.tolist()]
+        head_ids = ids.tolist()
+        first = log_probs.index(tie)
+        head_ids[first:beams] = sorted(head_ids[first: first + log_probs.count(tie)])[: beams - first]
+    count = sum(log_prob > -math.inf for log_prob in log_probs[:beams])  # the finite ones lead
+    return list(zip(log_probs[:count], head_ids[:count]))
 
 
 def _best(successors: list, live: list, config: GenerationConfig, uniforms: None) -> list:
@@ -296,7 +291,7 @@ def _extend(successors: list, live: list, config: GenerationConfig, uniforms: No
     return ((-(live[0][0] + log_prob), token, 0),)
 
 
-_SELECTORS = {"greedy": (_greedy, _extend), "sample": (_sample, _draw), "beam": (_beam, _best)}
+_SELECTORS = dict(greedy=(_greedy, None, _extend), sample=(_survivors, _sample, _draw), beam=(_survivors, _beam, _best))
 
 
 class _PrefixStates:
@@ -352,27 +347,27 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     ``(token, parent)`` chain, so extending one costs O(1). The reweighting
     chain (method "none" when None) is bound once (``ProcessorChain.bind``).
 
-    The successor memo. A row's successors are a function of that row alone, so
-    a step looks up the live hypotheses' states in a memo, one per EOS phase
-    (EOS masked while below the minimum length, then not). The states it lacks,
-    each once and in live order, form one (n, V) block: one ``logits_many``
-    call, the bound rewrite in place, the EOS mask, and each row's successors,
-    which the memo keeps in the plain Python form the pick reads, so a step
-    that meets only kept states is one lookup per state and one pick: greedy's
-    (log prob, token), sampling's (ids, probs, cumulative probs), beam search's
-    (log prob, token) pairs, best first. The memo lives on the chain until the
-    chain is dropped, keyed by the caller's provider object (never the
-    ``_PrefixStates`` adapter, whose block must not outlive the decode) and the
-    successor settings: strategy, top_k, top_p and num_beams, but not the seed,
-    which successors do not read, nor the length window, which only sets the
-    phase. A decode without a chain starts an empty one. A later decode through
-    the same chain, provider and settings steps only the states that no earlier
-    one met, so equal states must stand for equal logits for as long as a chain
-    is reused with a provider. The entry holds the provider, so its id is not
-    reused. Where states are heavy (a key/value cache), one chain per prompt,
-    as ``cli generate`` builds, keeps no more alive than one decode does. A
-    block that raises keeps nothing: the rewrite and the successors functions
-    raise before their first row.
+    The memos. A row's successors are a function of that row alone, so a step
+    looks up the live hypotheses' states in a memo, one per EOS phase (EOS
+    masked while below the minimum length, then not), which keeps them in the
+    plain Python form the pick reads: greedy's (log prob, token), sampling's
+    (ids, probs, cumulative probs), beam search's (log prob, token) pairs, best
+    first. Sampling and beam search build theirs from the state's survivors
+    record, kept in a survivor memo per EOS phase; greedy keeps none, as its
+    log prob needs the untruncated row. Only the states that lack both, each
+    once and in live order, form one (n, V) block: one ``logits_many`` call,
+    the bound rewrite in place, the EOS mask and the cut. Both memos live on
+    the chain until it is dropped, keyed by the caller's provider object (not
+    the ``_PrefixStates`` adapter, whose block must not outlive the decode) and
+    by what shapes their entries: strategy, top_k, top_p and num_beams, or
+    top_k and top_p alone for survivors, which sampling and beam search thus
+    share. A later decode through the chain and provider steps only the states
+    no earlier one met, so equal states must stand for equal logits for as
+    long as a chain is reused with a provider; each entry holds its provider,
+    so the id is not reused. A decode without a chain starts an empty one;
+    one chain per prompt, as ``cli generate`` builds, keeps no more heavy
+    states (a key/value cache) alive than one decode does. A block that raises
+    keeps nothing: the rewrite and the cut raise before any state is kept.
 
     The pick keeps the global top ``width`` (1, or num_beams) of all rows'
     candidates by cumulative log probability, ties to the lower token id, then
@@ -383,7 +378,7 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
-    expand, pick = _SELECTORS[strategy]
+    cut, build, pick = _SELECTORS[strategy]
     uniforms = _uniforms(np.random.Generator(np.random.PCG64(config.seed))) if strategy == "sample" else None
     width = config.num_beams if strategy == "beam" else 1
     provider = model if hasattr(model, "start") else _PrefixStates(model, width)
@@ -396,29 +391,40 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     live = [(0.0, provider.start(prefix), ())]
     chain = chain or ProcessorChain()
     rewrite = chain.bind(width, size)
-    # Per EOS phase, state -> its successors
+    # Per EOS phase, state -> its successors, and (sampling and beam search) state -> its survivors record
     _, masked, unmasked = chain._memo.setdefault(
         (id(model), strategy, config.top_k, config.top_p, config.num_beams), (model, {}, {}))
-    memo, done = masked, []
+    _, cut_masked, cut_unmasked = (None, None, None) if build is None else chain._memo.setdefault(
+        (id(model), config.top_k, config.top_p), (model, {}, {}))
+    memo, cuts, done = masked, cut_masked, []
     try:
         for step in range(config.max_new_tokens):
             if step == config.min_new_tokens:
-                memo = unmasked  # EOS is no longer masked, which changes every state's successors
+                memo, cuts = unmasked, cut_unmasked  # EOS is no longer masked, which changes every state's row
             successors = [memo.get(state) for _, state, _ in live]
-            if None in successors:  # step the states the memo lacks
-                states = [state for _, state, _ in live]
-                fresh = list(dict.fromkeys(state for state, found in zip(states, successors) if found is None))
-                raw = provider.logits_many(fresh)
-                if not isinstance(raw, np.ndarray) or raw.dtype != np.float64:
-                    raise TypeError(f"logits_many gave {getattr(raw, 'dtype', type(raw).__name__)}, not a float64 array")
-                if len(raw) != len(fresh):  # the memo pairs each state with its row
-                    raise ValueError(f"logits_many gave {len(raw)} rows for {len(fresh)} states")
-                steered = rewrite(raw)
-                if step < config.min_new_tokens:
-                    for row in range(len(fresh)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
-                        steered[row, eos] -= math.inf
-                memo.update(zip(fresh, expand(steered, config, zeros)))
-                successors = [memo[state] for state in states]
+            if None in successors:  # build the states the memo lacks, stepping those that have no record
+                fresh = list(dict.fromkeys([state for (_, state, _), found in zip(live, successors) if found is None]))
+                records = () if cuts is None else list(map(cuts.get, fresh))  # greedy keeps none
+                asked = fresh if cuts is None else [state for state, record in zip(fresh, records) if record is None]
+                if asked:
+                    raw = provider.logits_many(asked)
+                    if not isinstance(raw, np.ndarray) or raw.dtype != np.float64:
+                        kind = getattr(raw, "dtype", type(raw).__name__)
+                        raise TypeError(f"logits_many gave {kind}, not a float64 array")
+                    if len(raw) != len(asked):  # the memo pairs each state with its row
+                        raise ValueError(f"logits_many gave {len(raw)} rows for {len(asked)} states")
+                    steered = rewrite(raw)
+                    if step < config.min_new_tokens:
+                        for row in range(len(asked)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
+                            steered[row, eos] -= math.inf
+                    made = iter(cut(steered, config, zeros))
+                if cuts is None:
+                    memo.update(zip(fresh, made))
+                for state, record in zip(fresh, records):  # each state's record and successors in one pass
+                    if record is None:
+                        record = cuts[state] = next(made)
+                    memo[state] = build(record, config)
+                successors = [memo[state] for _, state, _ in live]
             extended = []
             for key, token, source in pick(successors, live, config, uniforms):
                 _, state, tokens = live[source]
@@ -429,10 +435,10 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
             live = extended
             if not live:
                 break
-    except NonFiniteLogitsError as fault:  # a block's row is one of ``fresh``; name the first live row of that state
+    except NonFiniteLogitsError as fault:  # a block's row is one of ``asked``; name the first live row of that state
         if fault.row is None:  # the provider checked a vector of its own (``models.as_logit_vector``)
             raise
-        raise NonFiniteLogitsError(states.index(fresh[fault.row]), step) from None
+        raise NonFiniteLogitsError([state for _, state, _ in live].index(asked[fault.row]), step) from None
     total, _, tokens = max(done or live, key=lambda hypothesis: hypothesis[0])
     return GenerationResult(_tokens(tokens), total)
 

@@ -117,7 +117,7 @@ def load_corpus(path: str | Path, limit: int | None = None) -> list[CorpusSample
 
 @dataclass(frozen=True)
 class Condition:
-    """One experimental cell: a reweighting setting plus a decoding setting."""
+    """One experimental cell: a reweighting setting plus a decoding setting, kept with seed 0 unless it samples."""
 
     label: str
     reweight: ReweightConfig
@@ -126,6 +126,8 @@ class Condition:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("condition label must be non-empty")
+        if self.generation.strategy != "sample":
+            object.__setattr__(self, "generation", replace(self.generation, seed=0))
 
     def generation_for(self, master_seed: int, article_id: str, tid: int) -> GenerationConfig:
         """The generation setting of one row: a sampling row's seed derives from the master seed and the row.

@@ -105,7 +105,8 @@ def apply_reweight(scores: LogitVector, topic: Iterable[int], config: ReweightCo
 class ProcessorChain:
     """One compiled reweighting step and its sorted, unique topic ids; the default, method "none", has none.
 
-    A chain also keeps the successor memo of the decodes made through it (``decoding._decode``).
+    A chain also keeps the memos of the decodes made through it (``decoding._decode``): successors per provider and
+    strategy settings, and survivors per provider, top_k and top_p, which sampling and beam search share, not greedy.
     """
 
     config: ReweightConfig = ReweightConfig()

@@ -6,11 +6,11 @@ provider states to the global top four successors. It is timed two ways:
 as the loop ran it before steps were batched (per hypothesis: its row of ``logits_many``,
 ``ProcessorChain.apply``, the reference beam selector over the package's 1-D
 ``truncate_top_k_top_p``, then a sort of all candidates), and as the package
-runs it (``logits_many``, one in-place chain rewrite, each row's
-successors, whose normalisers use a zero workspace block made once, as a
-decode makes one per call, and one pick over them, whose sort keys hold the
-negated totals). Both must keep the same successors with
-bit-equal cumulative log probabilities. The inputs are the shipped fixture
+runs it (``logits_many``, one in-place chain rewrite, each row's survivors
+record, whose normalisers use a zero workspace block made once, as a decode
+makes one per call, each row's successors built from its record, and one
+pick over them, whose sort keys hold the negated totals). Both must keep the
+same successors with bit-equal cumulative log probabilities. The inputs are the shipped fixture
 (V=226) with a shift of topic 0, and four N(0, 3) rows at V=50,000 with
 threshold selection over 1,000 ids.
 """
@@ -67,7 +67,8 @@ def block_step(model, states, chain, zeros):
     block = model.logits_many(states)
     steered = chain.bind(*block.shape)(block)
     live = [(cumulative,) for cumulative in CUMULATIVE]
-    return decoding._best(decoding._beam(steered, CONFIG, zeros), live, CONFIG, None)
+    successors = [decoding._beam(record, CONFIG) for record in decoding._survivors(steered, CONFIG, zeros)]
+    return decoding._best(successors, live, CONFIG, None)
 
 
 def _hex(kept):

@@ -828,10 +828,12 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
     through the same chain, provider object and successor settings asks
     nothing, another sampling seed asks only for the pairs that no decode
     through them met yet, and a new chain, another provider object or
-    another top_k, top_p or num_beams asks again.
+    another top_k or top_p asks again. Another num_beams asks again under
+    greedy search, which keeps no survivors; under sampling and beam search
+    it asks only for the pairs that no decode with that top_k and top_p met.
     The decode equals the reference decoder's, and the chain keeps at most
     top_k entries per state (V = 6 here): no row of the block outlives its
-    step.
+    step, and a survivors record holds no row wider than top_k.
     """
     model = random_markov(3, n_words=4, eos_logit=-20.0)
     prefix = [model.vocabulary.bos_id]
@@ -864,7 +866,10 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
     for change in (dict(top_k=config.top_k + 1), dict(top_p=0.5), dict(num_beams=config.num_beams + 1)):
         changed = replace(config, **change)
         expected = generate(model, prefix, build_chain(method, {2, 4}), changed)
-        assert asked(provider, chain, changed) == (expected, [state for state, _ in distinct(changed)[0]])
+        pairs = distinct(changed)[0]
+        if "num_beams" in change and config.strategy != "greedy":  # the survivors of this top_k and top_p are kept
+            pairs = [pair for pair in pairs if pair not in met]
+        assert asked(provider, chain, changed) == (expected, [state for state, _ in pairs])
 
     result = generate(model, prefix, chain, config)
     expected = REFERENCE[config.strategy](model, prefix, chain, config)
@@ -886,26 +891,74 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
             assert all(type(value) is float for pair in pairs for value in pair[:-1])  # plain Python, made once
             assert all(type(pair[-1]) is int for pair in pairs)
     assert chain._memo[(id(provider), *successor_settings)][0] is provider
+    survivors = chain._memo.get((id(model), config.top_k, config.top_p))
+    if config.strategy == "greedy":
+        assert survivors is None
+        return
+    assert survivors[0] is model and survivors[1] and survivors[2]
+    for phase in survivors[1:]:
+        for ids, kept, weights, norm in phase.values():
+            assert len(ids) == len(kept) == len(weights) == config.top_k and type(norm) is float
+            assert all(part.base is None or part.base.shape[-1] == config.top_k for part in (ids, kept, weights))
+
+
+@pytest.mark.parametrize("order", [("sample", "beam"), ("beam", "sample")], ids=["sample-first", "beam-first"])
+def test_sampling_and_beam_search_share_each_states_survivors(order):
+    """A decode asks only for the pairs that no sampling or beam decode through the chain with its top_k and top_p met.
+
+    The second decode of ``order`` finds the survivors records of the pairs
+    the first one met, so it asks the provider for fewer pairs than a decode
+    through a fresh chain does, and equals that decode bit for bit. Another
+    top_k or top_p shares nothing: such a decode asks for every pair it meets.
+    """
+    model = random_markov(3, n_words=4, eos_logit=-20.0)
+    prefix = [model.vocabulary.bos_id]
+    method = ReweightConfig(method="constant_shift", c=1.5)
+    configs = {"sample": sample_config(min_new=3, max_new=10, seed=5, top_k=4, top_p=0.9),
+               "beam": beam_config(min_new=3, max_new=10, num_beams=3, top_k=4, top_p=0.9)}
+
+    def pairs(config):
+        steps = live_states(model, prefix, build_chain(method, {2, 4}), config)
+        met = [(state, step < config.min_new_tokens) for step, states in enumerate(steps) for state in states]
+        return list(dict.fromkeys(met))
+
+    def asked(config):
+        provider.calls = []
+        result = generate(provider, prefix, chain, config)
+        fresh = generate(model, prefix, build_chain(method, {2, 4}), config)
+        assert (result.tokens, result.log_prob.hex()) == (fresh.tokens, fresh.log_prob.hex())
+        return [state for call in provider.calls for state in call]
+
+    chain, provider = build_chain(method, {2, 4}), Asked(model)
+    first, second = (configs[strategy] for strategy in order)
+    met = pairs(first)
+    assert asked(first) == [state for state, _ in met]
+    shared = [pair for pair in pairs(second) if pair in met]
+    assert shared and asked(second) == [state for state, masked in pairs(second) if (state, masked) not in met]
+    for change in (dict(top_k=3), dict(top_p=0.8)):
+        changed = replace(second, **change)
+        assert asked(changed) == [state for state, _ in pairs(changed)]
 
 
 @st.composite
 def shared_chain_cases(draw):
-    """A chain and a mixed sequence of decodes through it: prompts, seeds, strategies, length windows, providers."""
+    """A chain and a mixed sequence of decodes through it: prompts, seeds, strategies, cuts, beams, windows, providers."""
     model = random_markov(draw(st.integers(0, 3)), n_words=draw(st.sampled_from([3, 5])), eos_logit=draw(st.sampled_from([-1.0, 1.0])))
     method = draw(st.sampled_from([ReweightConfig(), ReweightConfig(method="constant_shift", c=2.0),
                                    ReweightConfig(method="factor_scaling", alpha=0.5),
                                    ReweightConfig(method="threshold_selection", theta=0.05, beta=1.0)]))
     topic = draw(st.sets(st.integers(0, model.vocabulary.size - 1), max_size=3))
     prompts = st.lists(st.integers(0, model.vocabulary.size - 1), min_size=1, max_size=4)
-    # two successor settings that differ in one field, so decodes often share a chain's entries or just miss them
-    base = dict(strategy=draw(st.sampled_from(STRATEGIES)), top_k=4, top_p=0.8, num_beams=2)
-    other = draw(st.sampled_from([dict(strategy="sample"), dict(strategy="beam"), dict(top_k=2), dict(top_p=1.0),
-                                  dict(num_beams=3)]))
+    # Settings from small pools, so decodes often share a chain's entries or just miss them. Sampling and beam search,
+    # in either order, share the survivors of a top_k and top_p whatever their num_beams; greedy keeps its own.
+    strategies = draw(st.sampled_from([STRATEGIES, ("sample", "beam")]))
+    cuts = draw(st.lists(st.sampled_from([(4, 0.8), (2, 0.8), (4, 1.0)]), min_size=1, max_size=2))
     decodes = []
     for _ in range(draw(st.integers(2, 8))):
         max_new = draw(st.integers(0, 8))
-        config = GenerationConfig(**draw(st.sampled_from([base, {**base, **other}])), max_new_tokens=max_new,
-                                  min_new_tokens=draw(st.integers(0, max_new)), seed=draw(st.integers(0, 3)))
+        top_k, top_p = draw(st.sampled_from(cuts))
+        config = GenerationConfig(draw(st.sampled_from(strategies)), top_k, top_p, draw(st.integers(1, 3)), max_new,
+                                  draw(st.integers(0, max_new)), draw(st.integers(0, 3)))
         decodes.append((draw(st.integers(0, 1)), draw(prompts), config))
     return model, method, topic, decodes
 
@@ -958,7 +1011,7 @@ def test_a_long_decode_equals_the_reference_and_repeats_on_memo_hits_alone(strat
 
 
 def test_a_state_that_fails_is_not_kept():
-    """A block that raises leaves nothing on the chain, so every decode that meets its state fails with the same error."""
+    """A block that raises leaves no successors or survivors on the chain, so every decode meeting its state fails alike."""
     model = random_markov(5, n_words=4, eos_logit=-20.0)
     prefix = [model.vocabulary.bos_id]
     chain = build_chain(ReweightConfig(method="constant_shift", c=2.0), {2, 3})
@@ -976,6 +1029,9 @@ def test_a_state_that_fails_is_not_kept():
         assert messages == [str(error.value)] * 2
         _, *phases = chain._memo[id(faulty), config.strategy, config.top_k, config.top_p, config.num_beams]
         assert any(phases) and all(state not in phase for phase in phases)  # what came before the fault is kept
+        if config.strategy != "greedy":  # nor is the state's survivors record
+            _, *records = chain._memo[id(faulty), config.top_k, config.top_p]
+            assert any(records) and all(state not in phase for phase in records)
 
 
 def test_prefix_states_share_one_prompt_tuple():
@@ -1168,9 +1224,9 @@ def test_row_wise_truncation_matches_reference_row_by_row(case):
     failed = [outcome for outcome in expected if isinstance(outcome, type)]
 
     def truncate(scores, top_k, top_p):
-        ids, _, kept, _ = decoding._truncate(scores, top_k, top_p)
         out = np.full_like(scores, -np.inf)
-        out[np.arange(scores.shape[0])[:, None], ids] = kept
+        for row, (ids, kept, _) in zip(out, decoding._truncate(scores, top_k, top_p)):
+            row[ids] = kept
         return out
 
     outcome = _truncation_outcome(truncate, block.copy(), top_k, top_p)
@@ -1178,7 +1234,7 @@ def test_row_wise_truncation_matches_reference_row_by_row(case):
         assert outcome == failed[0]
     else:
         assert outcome == b"".join(expected)
-        ids = decoding._truncate(block, top_k, top_p)[0]
+        ids = [ids for ids, _, _ in decoding._truncate(block, top_k, top_p)]
         assert np.array_equal(ids, (-block).argsort(axis=1, kind="stable")[:, : min(top_k, block.shape[1])])
 
 
@@ -1216,7 +1272,7 @@ class TestBlockMaxBound:
     SIZE, TOP_K = 5_003, 50
     # a line that only the path of each case runs
     PATHS = {
-        "sort whole row": 'order = (-x).argsort(axis=1, kind="stable")',
+        "sort whole row": 'order = (-row).argsort(kind="stable")',
         "sorted candidates": "ranked.partition(k - 1)",
         "many boosted ids": "ranked.partition(k - 1)",
         "-inf block": "ranked.partition(k - 1)",
@@ -1251,11 +1307,11 @@ class TestBlockMaxBound:
     @pytest.mark.parametrize("top_p", [1.0, 0.9])
     def test_path_runs_and_keeps_the_stable_sort_ids(self, case, top_p):
         row, k = self._row(case), self.TOP_K
-        (ids, _, kept, _), lines = _lines_run(decoding._truncate, row[None], k, top_p)
+        [(ids, kept, _)], lines = _lines_run(decoding._truncate, row[None], k, top_p)
         assert {line for line in self.PATHS.values() if line in lines} == {self.PATHS[case]}
-        assert ids[0].tolist() == (-row).argsort(kind="stable")[:k].tolist()
+        assert ids.tolist() == (-row).argsort(kind="stable")[:k].tolist()
         out = np.full_like(row, -np.inf)
-        out[ids[0]] = kept[0]
+        out[ids] = kept
         assert out.tobytes() == reference_decoding.truncate_top_k_top_p(row, k, top_p).tobytes()
 
     @pytest.mark.parametrize("case", ["nan past the blocks", "nan bound"])
@@ -1334,15 +1390,18 @@ def _selections(selector, scores, config, uniforms):
 
 
 def selection(strategy, block, live, config, rng, zeros):
-    """The package's selection of a step on ``block``: the strategy's successors of each row, then its pick.
+    """The package's selection of a step on ``block``: the strategy's cut, each row's successors, then its pick.
 
-    Returns the kept (cumulative log prob, token, source row), best first,
-    each total negated back from the pick's sort key. A sampling pick draws
-    its uniform from ``rng.random()``.
+    Sampling and beam search build each row's successors from its survivors
+    record; greedy's record is its successors. Returns the kept (cumulative
+    log prob, token, source row), best first, each total negated back from
+    the pick's sort key. A sampling pick draws its uniform from ``rng.random()``.
     """
-    successors, pick = decoding._SELECTORS[strategy]
+    cut, build, pick = decoding._SELECTORS[strategy]
+    records = cut(block, config, zeros)
+    successors = list(records) if build is None else [build(record, config) for record in records]
     uniforms = None if rng is None else iter(rng.random, None)
-    return [(-key, token, source) for key, token, source in pick(successors(block, config, zeros), live, config, uniforms)]
+    return [(-key, token, source) for key, token, source in pick(successors, live, config, uniforms)]
 
 
 def one_row_selector(strategy):
@@ -1389,8 +1448,8 @@ class TestSelectionOverSurvivors:
     def test_no_normalisation_over_the_whole_vocabulary(self, monkeypatch, strategy):
         # Apart from the full-length zero-row sum of ``_normalisers``, a step
         # exponentiates and normalises at most top_k entries per hypothesis:
-        # one exp(kept - top) of the survivors gives the nucleus mass and the
-        # weights that the selector normalises.
+        # one exp(kept - top) of each stepped row's survivors gives the nucleus
+        # mass and the weights that the selector normalises.
         sizes, normalised = [], []  # entries per hypothesis
         monkeypatch.setattr(decoding, "np", CountingExp(sizes))
         for name in ("softmax", "log_softmax"):
@@ -1400,17 +1459,19 @@ class TestSelectionOverSurvivors:
 
             monkeypatch.setattr(decoding, name, counting)
 
-        def normalisers(flat, weights, zeros, full_length=decoding._normalisers):
+        def normalisers(ids, weights, zeros, full_length=decoding._normalisers):
             normalised.append(np.shape(weights)[-1])
-            return full_length(flat, weights, zeros)
+            return full_length(ids, weights, zeros)
 
         monkeypatch.setattr(decoding, "_normalisers", normalisers)
         model = make_markov(make_vocab(1_000), seed=3)
+        provider = Asked(model)
         config = GenerationConfig(strategy=strategy, top_k=20, top_p=0.9, num_beams=3,
                                   min_new_tokens=6, max_new_tokens=6, seed=1)
-        result = generate(model, [model.vocabulary.bos_id], None, config)
+        result = generate(provider, [model.vocabulary.bos_id], None, config)
         assert len(result.tokens) == 6
-        assert len(sizes) == len(normalised) == 6  # one exp and one normaliser per step
+        assert len(provider.calls) == 6  # each step asks
+        assert len(sizes) == len(normalised) == sum(map(len, provider.calls))  # one exp and one normaliser per row asked
         assert max(sizes + normalised) <= config.top_k
 
     def test_survivor_whose_log_prob_overflows_is_dropped(self):

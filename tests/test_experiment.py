@@ -374,6 +374,21 @@ def small_grids(draw):
     return conditions, overrides
 
 
+class TestConditionSeed:
+    @pytest.mark.parametrize("strategy", ["greedy", "beam"])
+    def test_a_seed_that_no_decode_reads_does_not_split_the_decode(self, tmp_path, strategy):
+        """Two conditions that differ only in a greedy or beam seed share one decode, and both keep seed 0."""
+        conditions = [Condition(f"{strategy}-{seed}", ReweightConfig(), fast_generation(strategy, seed=seed))
+                      for seed in (0, 5)]
+        assert [condition.generation.seed for condition in conditions] == [0, 0]
+        result = run_sweep(make_config(tmp_path, conditions, limit=1, steered_policy="tid1"))
+        assert (result.rows_total, result.rows_error) == (2, 0)
+        assert json.loads(result.manifest_path.read_text())["decodes"] == 1
+
+    def test_a_sampling_seed_is_kept(self):
+        assert Condition("sample", ReweightConfig(), fast_generation("sample", seed=5)).generation.seed == 5
+
+
 class TestSharedDecodes:
     @settings(max_examples=25, deadline=None)
     @given(small_grids())
@@ -474,10 +489,12 @@ class EveryStep:
 
 class TestSharedChains:
     def test_sweep_asks_each_chain_settings_state_and_phase_once(self, tmp_path, monkeypatch):
-        """Over the fixture grid, the model is asked for each distinct (chain, successor settings, state, EOS phase) once.
+        """Over the fixture grid, the model is asked for each distinct (chain, kept settings, state, EOS phase) once.
 
-        Each decode is replayed on a fresh chain through ``EveryStep`` to list
-        the pairs it meets. ``run_sweep`` calls ``generate`` once per decode it
+        Sampling and beam search share a state's survivors, so their kept
+        settings are top_k and top_p; greedy search keeps its own successors,
+        under its successor settings. Each decode is replayed on a fresh chain
+        through ``EveryStep`` to list the pairs it meets. ``run_sweep`` calls ``generate`` once per decode it
         computes, with exactly four positional arguments, as the benchmark's
         per-row timing wraps it; a second sweep asks again, so nothing is kept
         outside the sweep.
@@ -504,11 +521,12 @@ class TestSharedChains:
         for prefix, chain, generation in calls:
             stepper = EveryStep(providers[0].model)
             inner_generate(stepper, prefix, ProcessorChain(chain.config, chain.ids), generation)
-            settings = (id(chain), generation.strategy, generation.top_k, generation.top_p, generation.num_beams)
+            kept = ("greedy", generation.num_beams) if generation.strategy == "greedy" else ("survivors",)
+            settings = (id(chain), generation.top_k, generation.top_p, *kept)
             met = {(settings, token, step < generation.min_new_tokens) for step, token in stepper.asked}
             pairs |= met
             per_decode += len(met)  # what a decode asks through a chain of its own
-        assert providers[0].rows == len(pairs) < per_decode / 5
+        assert providers[0].rows == len(pairs) == 722 < per_decode / 5
         again = run_sweep(dataclasses.replace(config, out_dir=tmp_path / "again"))
         assert providers[1].rows == providers[0].rows
         assert again.report_path.read_bytes() == result.report_path.read_bytes()
