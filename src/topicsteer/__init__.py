@@ -21,10 +21,10 @@ from .experiment import (
     CorpusSample,
     ExperimentConfig,
     MergeConflictError,
+    RowContext,
     derive_seed,
     load_corpus,
     merge_external_scores,
-    run_row,
     run_sweep,
 )
 from .models import (

@@ -23,9 +23,9 @@ from .experiment import (
     CorpusFormatError,
     ExperimentConfig,
     MergeConflictError,
+    RowContext,
     load_corpus,
     merge_external_scores,
-    run_row,
     run_sweep,
 )
 from .models import as_real, error_text, load_toy_model, read_json
@@ -205,8 +205,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             f"--topic {steered_tid} is not one of article {sample.article_id!r}'s topics "
             f"({sample.tid1}, {sample.tid2})"
         )
-    result, row = run_row(model, topic_model, sample, sample.prompt(model.vocabulary), condition, steered_tid,
-                          master_seed=config.master_seed, top_n=config.top_n, token_sets={}, decodes={}, chains={})
+    result, row = RowContext(model, topic_model, config.top_n, config.master_seed).run_row(sample, condition, steered_tid)
     record = {
         "tokens": list(result.tokens),
         "text": model.vocabulary.decode(result.tokens),

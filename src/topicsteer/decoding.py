@@ -364,10 +364,11 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     share. A later decode through the chain and provider steps only the states
     no earlier one met, so equal states must stand for equal logits for as
     long as a chain is reused with a provider; each entry holds its provider,
-    so the id is not reused. A decode without a chain starts an empty one;
-    one chain per prompt, as ``cli generate`` builds, keeps no more heavy
-    states (a key/value cache) alive than one decode does. A block that raises
-    keeps nothing: the rewrite and the cut raise before any state is kept.
+    so the id is not reused. A decode without a chain starts an empty one. A
+    chain used for one decode (``cli generate``) keeps no more heavy states (a
+    key/value cache) alive than that decode; one kept for a sweep
+    (``experiment.RowContext``) keeps every state its decodes met. A block that
+    raises keeps nothing: the rewrite and the cut raise before any state is kept.
 
     The pick keeps the global top ``width`` (1, or num_beams) of all rows'
     candidates by cumulative log probability, ties to the lower token id, then

@@ -3,7 +3,7 @@
 Each corpus sample carries two topic ids with one reference summary each.
 A sweep generates one summary per (sample, condition, steered topic), scores
 it, and writes a report CSV, a per-condition aggregate CSV, and a manifest;
-rows that would decode the same text share one decode (``run_row``). Given
+rows that would decode the same text share one decode (``RowContext``). Given
 the same config and master seed, outputs are byte-identical; only the
 manifest carries a timestamp.
 """
@@ -33,11 +33,11 @@ __all__ = [
     "ExperimentConfig",
     "MergeConflictError",
     "MergeResult",
+    "RowContext",
     "SweepResult",
     "derive_seed",
     "load_corpus",
     "merge_external_scores",
-    "run_row",
     "run_sweep",
 ]
 
@@ -206,55 +206,50 @@ def _steered_tids(sample: CorpusSample, policy: str) -> list[int]:
     return [sample.tid1, sample.tid2]
 
 
-def _decode_key(reweight: ReweightConfig, tid: int, generation: GenerationConfig, prefix: list[int]) -> tuple:
-    """What a row's decode reads besides the provider and token sets: the method, the
-    steered topic if the method reads it, the generation setting and the prompt's ids."""
-    return (reweight, None if reweight.method == "none" else tid, generation, tuple(prefix))
+class RowContext:
+    """Generates and scores report rows for one provider, topic model, ``top_n`` and master seed.
 
-
-def run_row(
-    model: LogitsProvider,
-    topic_model: TopicModel,
-    sample: CorpusSample,
-    prefix: list[int],
-    condition: Condition,
-    tid: int,
-    *,
-    master_seed: int,
-    top_n: int,
-    token_sets: dict[int, TopicTokenSet],
-    decodes: dict[tuple, GenerationResult],
-    chains: dict[tuple, ProcessorChain],
-) -> tuple[GenerationResult, dict[str, str]]:
-    """Generate and score one (sample, condition, steered topic) row; return the result and its CSV row.
-
-    Each keyword cache is filled by this call. ``token_sets`` expands each
-    topic once, steered topic first, so an unknown topic id fails only the rows
-    that need it. ``decodes`` holds successful decodes by ``_decode_key``,
-    which includes the prompt, so one dict may serve any set of articles: a
-    row whose decode is in it is scored on that result without calling
-    ``generate``, and a decode that raises is not kept, so the next row that
-    needs it records its own error. ``chains`` holds reweighting chains by the
-    first two entries of ``_decode_key``; rows that share a chain share its
-    successor memo (``decoding._decode``). The three caches hold for one
-    provider, ``topic_model`` and ``top_n``: ``token_sets`` and ``chains`` are
-    keyed by topic id and method alone.
+    It expands each topic once, steered topic first, so an unknown topic id
+    fails only the rows that need it. It keeps one reweighting chain per method
+    and steered topic (none for method ``none``, which reads no topic) for its
+    whole life, so later rows step only the states no earlier row met
+    (``decoding._decode``). It keeps the successful decodes of the latest
+    article by method, that topic and the row's generation setting: a row
+    whose decode is kept is scored on it without calling ``generate``, and a
+    decode that raises is not kept, so the next row that needs it records its
+    own error. ``decodes`` counts the decodes it kept.
     """
-    vocab = model.vocabulary
-    for t in (tid, sample.tid1, sample.tid2):
-        if t not in token_sets:
-            token_sets[t] = topic_token_set(t, topic_model, vocab, top_n)
-    generation = condition.generation_for(master_seed, sample.article_id, tid)
-    key = _decode_key(condition.reweight, tid, generation, prefix)
-    result = decodes.get(key)
-    if result is None:
-        if key[:2] not in chains:
-            chains[key[:2]] = build_chain(condition.reweight, token_sets[tid])
-        result = decodes[key] = generate(model, prefix, chains[key[:2]], generation)
-    scores = score_summary(result, article_id=sample.article_id, condition=condition.label, steered_tid=tid,
-                           topics=(sample.tid1, sample.tid2), references=(sample.ref1, sample.ref2),
-                           model=topic_model, vocab=vocab, top_n=top_n, token_sets=token_sets)
-    return result, report_row(scores)
+
+    def __init__(self, model: LogitsProvider, topic_model: TopicModel, top_n: int, master_seed: int) -> None:
+        self.model, self.topic_model, self.top_n, self.master_seed = model, topic_model, top_n, master_seed
+        self.decodes = 0
+        self._token_sets: dict[int, TopicTokenSet] = {}
+        self._chains: dict[tuple, ProcessorChain] = {}
+        self._sample: CorpusSample | None = None
+        self._prompt: list[int] = []
+        self._results: dict[tuple, GenerationResult] = {}
+
+    def run_row(self, sample: CorpusSample, condition: Condition, tid: int) -> tuple[GenerationResult, dict[str, str]]:
+        """Generate and score one (sample, condition, steered topic) row; return the result and its CSV row."""
+        vocab = self.model.vocabulary
+        if sample != self._sample:
+            self._sample, self._prompt, self._results = sample, sample.prompt(vocab), {}
+        for t in (tid, sample.tid1, sample.tid2):
+            if t not in self._token_sets:
+                self._token_sets[t] = topic_token_set(t, self.topic_model, vocab, self.top_n)
+        generation = condition.generation_for(self.master_seed, sample.article_id, tid)
+        steer = (condition.reweight, None if condition.reweight.method == "none" else tid)
+        key = (*steer, generation)
+        result = self._results.get(key)
+        if result is None:
+            if steer not in self._chains:
+                self._chains[steer] = build_chain(condition.reweight, self._token_sets[tid])
+            result = self._results[key] = generate(self.model, self._prompt, self._chains[steer], generation)
+            self.decodes += 1
+        scores = score_summary(result, article_id=sample.article_id, condition=condition.label, steered_tid=tid,
+                               topics=(sample.tid1, sample.tid2), references=(sample.ref1, sample.ref2),
+                               model=self.topic_model, vocab=vocab, top_n=self.top_n, token_sets=self._token_sets)
+        return result, report_row(scores)
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:
@@ -262,11 +257,10 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
 
     Per-row failures are recorded in the report's "error" column and do not
     stop the sweep. Rows run in corpus, then condition, then steered-topic
-    order, each sampling row seeded from the master seed and its identity;
-    ``run_row`` gets one chain cache for the sweep and one decode cache per
-    article, so that no decode outlives its article's rows. The output
-    directory is made once the inputs have loaded and before the first row; a
-    path that cannot be one raises ValueError.
+    order, each sampling row seeded from the master seed and its identity,
+    all through one ``RowContext``. The output directory is made once the
+    inputs have loaded and before the first row; a path that cannot be one
+    raises ValueError.
     """
     model = load_toy_model(config.model_path)
     topic_model = load_topic_model(config.topics_path)
@@ -276,23 +270,17 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ValueError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
-    token_sets: dict[int, TopicTokenSet] = {}
-    chains: dict[tuple, ProcessorChain] = {}
+    context = RowContext(model, topic_model, config.top_n, config.master_seed)
     columns = list(SWEEP_COLUMNS)
     rows: list[dict[str, str]] = []
     ok_rows = []
     per_condition: dict[str, int] = {c.label: 0 for c in config.conditions}
-    decode_count = 0
     for sample in corpus:
-        prefix = sample.prompt(model.vocabulary)
-        shared: dict[tuple, GenerationResult] = {}
         for condition in config.conditions:
             for tid in _steered_tids(sample, config.steered_policy):
                 per_condition[condition.label] += 1
                 try:
-                    _result, row = run_row(model, topic_model, sample, prefix, condition, tid,
-                                           master_seed=config.master_seed, top_n=config.top_n,
-                                           token_sets=token_sets, decodes=shared, chains=chains)
+                    _result, row = context.run_row(sample, condition, tid)
                 except Exception as exc:  # recorded per row; the sweep continues
                     error = " ".join(error_text(exc).split())
                     logger.warning("row failed: article=%s condition=%s tid=%s: %s",
@@ -303,7 +291,6 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
                     row["error"] = ""
                     ok_rows.append(row)
                 rows.append(row)
-        decode_count += len(shared)
 
     report_path = out_dir / "report.csv"
     aggregate_path = out_dir / "aggregates.csv"
@@ -330,7 +317,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         "rows_ok": len(rows) - rows_error,
         "rows_error": rows_error,
         "rows_per_condition": per_condition,
-        "decodes": decode_count,
+        "decodes": context.decodes,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return SweepResult(

@@ -13,6 +13,11 @@ pick over them, whose sort keys hold the negated totals). Both must keep the
 same successors with bit-equal cumulative log probabilities. The inputs are the shipped fixture
 (V=226) with a shift of topic 0, and four N(0, 3) rows at V=50,000 with
 threshold selection over 1,000 ids.
+
+A second benchmark times the step's cut and build alone (``_survivors`` then
+``_beam``) on four N(0, 3) rows at V=226, as one 4-row block and as four 1-row
+blocks. Each row is cut alone, so numpy's per-call cost is paid per row either
+way, and the two should take about the same time.
 """
 
 import numpy as np
@@ -90,3 +95,18 @@ def test_beam_step(benchmark, monkeypatch, size, path):
         kept = [(-key, token, source) for key, token, source in keys]
     assert len(kept) == CONFIG.num_beams
     assert _hex(kept) == _hex(per_hypothesis_step(model, states, chain))
+
+
+def cut_and_build(blocks, zeros):
+    return [decoding._beam(record, CONFIG) for block in blocks for record in decoding._survivors(block, CONFIG, zeros)]
+
+
+@pytest.mark.bench
+@pytest.mark.parametrize("rows_per_block", [4, 1])
+def test_beam_cut_and_build(benchmark, rows_per_block):
+    rows = np.random.default_rng(0).normal(0.0, 3.0, (4, 226))
+    blocks = [rows[i: i + rows_per_block] for i in range(0, 4, rows_per_block)]
+    zeros = np.zeros((rows_per_block, 226))
+    built = benchmark(cut_and_build, blocks, zeros)
+    assert zeros.tobytes() == bytes(zeros.nbytes)
+    assert built == cut_and_build([rows], np.zeros((4, 226)))

@@ -67,14 +67,14 @@ class TestGenerate:
         assert record["config"]["seed"] == derive_seed(7, "a003", record["condition"], 1)
 
         sweep_tokens = {}
-        inner = experiment.run_row
+        inner = experiment.RowContext.run_row
 
-        def recording_run_row(model, topic_model, sample, prefix, condition, tid, **kwargs):
-            result, row = inner(model, topic_model, sample, prefix, condition, tid, **kwargs)
+        def recording_run_row(context, sample, condition, tid):
+            result, row = inner(context, sample, condition, tid)
             sweep_tokens[sample.article_id, condition.label, tid] = result.tokens
             return result, row
 
-        monkeypatch.setattr(experiment, "run_row", recording_run_row)
+        monkeypatch.setattr(experiment.RowContext, "run_row", recording_run_row)
         out_dir = tmp_path / "out"
         code, _out, _err = run(capsys, "sweep", "--limit", "4", "--out-dir", str(out_dir), *flags)
         assert code == 0
@@ -94,15 +94,15 @@ class TestGenerate:
         record = json.loads(out)
 
         calls, sweep_tokens = [], {}
-        inner, inner_row = experiment.generate, experiment.run_row
+        inner, inner_row = experiment.generate, experiment.RowContext.run_row
 
-        def recording_run_row(model, topic_model, sample, prefix, condition, tid, **kwargs):
-            result, row = inner_row(model, topic_model, sample, prefix, condition, tid, **kwargs)
+        def recording_run_row(context, sample, condition, tid):
+            result, row = inner_row(context, sample, condition, tid)
             sweep_tokens[sample.article_id, tid] = result.tokens
             return result, row
 
         monkeypatch.setattr(experiment, "generate", lambda *args: calls.append(args[3]) or inner(*args))
-        monkeypatch.setattr(experiment, "run_row", recording_run_row)
+        monkeypatch.setattr(experiment.RowContext, "run_row", recording_run_row)
         out_dir = tmp_path / "out"
         code, _out, _err = run(capsys, "sweep", "--limit", "4", "--out-dir", str(out_dir), *flags)
         assert code == 0
@@ -396,16 +396,16 @@ def test_readme_python_api_block_runs():
 
 
 def test_readme_run_row_block_runs():
-    """README's ``run_row`` call runs as written, after the Python API block it continues."""
+    """README's ``RowContext.run_row`` call runs as written, after the Python API block it continues."""
     namespace: dict = {}
     out = io.StringIO()
     with redirect_stdout(out):
         exec(compile(readme_block("python", "## Python API"), "README.md", "exec"), namespace)
-        exec(compile(readme_block("python", "`run_row` generates and scores"), "README.md", "exec"), namespace)
+        exec(compile(readme_block("python", "`RowContext` generates and scores"), "README.md", "exec"), namespace)
     lines = out.getvalue().splitlines()
     assert len(lines) == 3 and all(0.0 <= float(line) <= 1.0 for line in lines[1:])
     assert namespace["row"]["condition"] == "shift5" and namespace["result"].tokens
-    assert len(namespace["caches"]["decodes"]) == 2  # one dict, one decode per article
+    assert namespace["rows"].decodes == 2  # one context, one decode per article
 
 
 def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):

@@ -22,7 +22,7 @@ from topicsteer.decoding import (
 )
 from topicsteer.fixtures import topic_model_path, toy_model_path
 from topicsteer.models import NonFiniteLogitsError, Vocabulary, as_logit_vector, load_toy_model, log_softmax, softmax
-from topicsteer.reweight import ProcessorChain, ReweightConfig, VocabularyMismatchError, build_chain
+from topicsteer.reweight import ProcessorChain, ReweightConfig, VocabularyMismatchError, build_chain, threshold_selection
 from topicsteer.topics import load_topic_model, topic_token_set
 
 from conftest import make_markov, make_vocab, random_markov
@@ -365,6 +365,21 @@ class TestChainBeforeTruncation:
             model, [vocab.bos_id], chain, sample_config(max_new=1, top_k=1, top_p=0.5, seed=0)
         )
         assert sampled.tokens == (5,)
+
+    def test_qualifying_tokens_tie_and_the_lower_id_wins(self):
+        # tokens 2 and 4 clear theta (token 1, at p 0.0496, does not), and both become max + beta
+        row = [3.0, 1.0, 2.5, 0.5, 2.9]
+        assert threshold_selection(row, {1, 2, 4}, theta=0.05, beta=1).tolist() == [3.0, 1.0, 4.0, 0.5, 4.0]
+        vocab = make_vocab(3)
+        model = make_markov(vocab, np.tile(row, (vocab.size, 1)))
+        chain = build_chain(ReweightConfig(method="threshold_selection", theta=0.05, beta=1.0), {1, 2, 4})
+        assert generate(model, [vocab.bos_id], chain, greedy_config(max_new=1)).tokens == (2,)
+        beam = beam_config(max_new=1, num_beams=2)
+        assert generate(model, [vocab.bos_id], chain, beam).tokens == (2,)
+        steered = chain.bind(1, vocab.size)(np.array([row]))
+        successors = [decoding._beam(record, beam) for record in decoding._survivors(steered, beam, np.zeros((1, 5)))]
+        (first, token, _), (second, other, _) = decoding._best(successors, [(0.0,)], beam, None)
+        assert (token, other) == (2, 4) and first == second
 
 
 class TestDispatcherAndRecords:

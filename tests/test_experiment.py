@@ -20,6 +20,7 @@ from topicsteer.experiment import (
     CorpusSample,
     ExperimentConfig,
     MergeConflictError,
+    RowContext,
     derive_seed,
     load_corpus,
     merge_external_scores,
@@ -27,7 +28,7 @@ from topicsteer.experiment import (
 )
 from topicsteer.models import NonFiniteLogitsError, load_toy_model
 from topicsteer.reweight import ProcessorChain, ReweightConfig
-from topicsteer.topics import load_topic_model, topic_token_set
+from topicsteer.topics import TopicModel, load_topic_model, topic_token_set
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:
@@ -294,9 +295,9 @@ def test_run_row_raises_the_one_error_for_nan_logits(condition):
     model = load_toy_model(fixtures.toy_model_path())
     sample = load_corpus(fixtures.corpus_path())[0]
     prefix = sample.prompt(model.vocabulary)
+    context = RowContext(NaNAfterPrompt(model, prefix), load_topic_model(fixtures.topic_model_path()), 25, 0)
     with pytest.raises(NonFiniteLogitsError, match=r"^provider logits hold NaN or \+inf at step 0, row 0$"):
-        experiment.run_row(NaNAfterPrompt(model, prefix), load_topic_model(fixtures.topic_model_path()), sample,
-                           prefix, condition, sample.tid1, master_seed=0, top_n=25, token_sets={}, decodes={}, chains={})
+        context.run_row(sample, condition, sample.tid1)
 
     def test_aggregates_match_hand_computation(self, tmp_path):
         result = run_sweep(make_config(tmp_path, three_conditions()))
@@ -394,11 +395,12 @@ class TestSharedDecodes:
     @given(small_grids())
     def test_sweep_equals_a_row_loop_without_shared_decodes(self, grid):
         conditions, overrides = grid
-        inner_row, inner_generate = experiment.run_row, experiment.generate
+        inner_row, inner_generate = RowContext.run_row, experiment.generate
         generated = []
 
-        def memo_free(*args, decodes, chains, **kwargs):
-            return inner_row(*args, decodes={}, chains={}, **kwargs)
+        def memo_free(context, sample, condition, tid):
+            fresh = RowContext(context.model, context.topic_model, context.top_n, context.master_seed)
+            return inner_row(fresh, sample, condition, tid)
 
         def counting(*args):
             generated.append(args[3])
@@ -408,7 +410,7 @@ class TestSharedDecodes:
             config = make_config(Path(root), conditions, **overrides)
             with mock.patch.object(experiment, "generate", counting):
                 shared = run_sweep(config)
-            with mock.patch.object(experiment, "run_row", memo_free):
+            with mock.patch.object(RowContext, "run_row", memo_free):
                 alone = run_sweep(dataclasses.replace(config, out_dir=Path(root) / "alone"))
             for name in ("report_path", "aggregate_path"):
                 assert getattr(shared, name).read_bytes() == getattr(alone, name).read_bytes()
@@ -418,22 +420,20 @@ class TestSharedDecodes:
             del manifest["created_at"], manifest["decodes"]
         assert manifests[0] == manifests[1]
 
-    def test_one_decodes_dict_shared_across_articles_gives_each_row_its_own_decode(self):
-        """The decode key holds the prompt, so a row never gets another article's decode."""
+    def test_one_context_across_articles_gives_each_row_its_own_decode(self):
+        """A context keeps the latest article's decodes only, so a row never gets another article's decode."""
         model = load_toy_model(fixtures.toy_model_path())
         topic_model = load_topic_model(fixtures.topic_model_path())
         conditions = [c for c in benchmark_grid() if c.generation.strategy != "sample"]
-        decodes, token_sets, chains = {}, {}, {}
-        for sample in load_corpus(fixtures.corpus_path(), limit=3):
-            prefix = sample.prompt(model.vocabulary)
+        samples = load_corpus(fixtures.corpus_path(), limit=3)
+        context = RowContext(model, topic_model, 25, 1)
+        for sample in [*samples, samples[0]]:  # back to the first article: its decodes run again
             for condition in conditions:
                 for tid in (sample.tid1, sample.tid2):
-                    shared = experiment.run_row(model, topic_model, sample, prefix, condition, tid, master_seed=1,
-                                                top_n=25, token_sets=token_sets, decodes=decodes, chains=chains)
-                    alone = experiment.run_row(model, topic_model, sample, prefix, condition, tid, master_seed=1,
-                                               top_n=25, token_sets={}, decodes={}, chains={})
+                    shared = context.run_row(sample, condition, tid)
+                    alone = RowContext(model, topic_model, 25, 1).run_row(sample, condition, tid)
                     assert shared == alone, (sample.article_id, condition.label, tid)
-        assert len(decodes) == 3 * 2 * (1 + 2 * 2)  # article x strategy x (none once, two methods per topic)
+        assert context.decodes == 4 * 2 * (1 + 2 * 2)  # article x strategy x (none once, two methods per topic)
 
     def test_failing_shared_decode_records_its_error_on_each_row(self, tmp_path, monkeypatch):
         calls = []
@@ -454,6 +454,36 @@ class TestSharedDecodes:
             [("baseline", "0", "provider failed"), ("baseline", "1", "provider failed")] * 2
         assert len(calls) == 12
         assert json.loads(result.manifest_path.read_text())["decodes"] == 8
+
+
+class TestRowContext:
+    def test_each_context_is_bound_to_its_top_n_and_topic_model(self):
+        """Rows through contexts for top_n 25 and 3, over two topic models, each equal a fresh context's row.
+
+        The rows run in turn through four long-lived contexts, so each one's
+        topic sets, chains and decodes meet the rows of the others. The four
+        bindings give four different rows for some row key, so a context that
+        served a row from another binding's caches would fail.
+        """
+        model = load_toy_model(fixtures.toy_model_path())
+        fixture = load_topic_model(fixtures.topic_model_path())
+        swapped = TopicModel(topics={**fixture.topics, 0: fixture.topics[1], 1: fixture.topics[0]})
+        bindings = [(fixture, 25), (fixture, 3), (swapped, 25), (swapped, 3)]
+        contexts = [RowContext(model, topic_model, top_n, 1) for topic_model, top_n in bindings]
+        conditions = [Condition("shift5", ReweightConfig(method="constant_shift", c=5.0), GenerationConfig()),
+                      Condition("threshold", ReweightConfig(method="threshold_selection", theta=0.005, beta=1.0),
+                                GenerationConfig(strategy="beam"))]
+        distinct = set()
+        for sample in load_corpus(fixtures.corpus_path(), limit=2):
+            for condition in conditions:
+                for tid in (sample.tid1, sample.tid2):
+                    rows = []
+                    for context, (topic_model, top_n) in zip(contexts, bindings):
+                        result, row = context.run_row(sample, condition, tid)
+                        assert (result, row) == RowContext(model, topic_model, top_n, 1).run_row(sample, condition, tid)
+                        rows.append(tuple(row.items()))
+                    distinct.add(len(set(rows)))
+        assert 4 in distinct
 
 
 class CountingRows:
