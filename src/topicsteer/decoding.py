@@ -122,9 +122,9 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> list[tuple[np.ndarray,
     an id does not survive) and their weights ``exp(kept - top)`` (0 where it
     does not), ``top`` being the row's best. Each row is cut alone, by 1-D
     operations, into arrays of its own, so the survivors record that
-    ``_decode`` keeps per provider, top_k, top_p, EOS phase and state holds no
-    V-long row and is the same whatever block its row came in. Sampling and
-    beam search share those records; greedy search keeps its own successors.
+    ``_decode`` keeps (``_survivors``) holds no V-long row and is the same
+    whatever block its row came in. Sampling and beam search share those
+    records; greedy search keeps its own successors.
 
     Survivor order is descending score, ties in token-id order, with masked
     (-inf) ids dropped. Rows of at most max(1024, 4 * top_k) entries get one
@@ -187,12 +187,12 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> list[tuple[np.ndarray,
 def _normalisers(ids: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> float:
     """The sum of ``weights`` placed at ``ids`` in ``zeros``, a row of the decode's zero block, all zeros again on return.
 
-    One sum per survivors record (per provider, top_k, top_p, EOS phase and
-    state, ``_decode``), which sampling and beam search both divide by; greedy
-    search, which keeps its own successors, needs none. Summed over the full
-    length, numpy's pairwise sum groups the weights as a ``softmax`` of the
-    whole truncated row does, so the probabilities are bit for bit that
-    softmax's; a sum over the survivors alone can differ in the last bit.
+    One sum per survivors record (``_survivors``), which sampling and beam
+    search both divide by; greedy search, which keeps its own successors,
+    needs none. Summed over the full length, numpy's pairwise sum groups the
+    weights as a ``softmax`` of the whole truncated row does, so the
+    probabilities are bit for bit that softmax's; a sum over the survivors
+    alone can differ in the last bit.
     """
     zeros.put(ids, weights)
     total = float(zeros.sum())
@@ -221,7 +221,10 @@ def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) ->
 
 
 def _survivors(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
-    """Each row's survivors record ``(ids, kept, weights, norm)``: its ``_truncate`` cut and ``_normalisers`` sum."""
+    """Each row's survivors record ``(ids, kept, weights, norm)``: its ``_truncate`` cut and ``_normalisers`` sum.
+
+    ``_decode`` keeps one per provider, top_k, top_p, state and EOS phase, or one for both phases.
+    """
     cuts = _truncate(steered, config.top_k, config.top_p)
     return [(ids, kept, weights, _normalisers(ids, weights, row)) for (ids, kept, weights), row in zip(cuts, zeros)]
 
@@ -351,24 +354,33 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     looks up the live hypotheses' states in a memo, one per EOS phase (EOS
     masked while below the minimum length, then not), which keeps them in the
     plain Python form the pick reads: greedy's (log prob, token), sampling's
-    (ids, probs, cumulative probs), beam search's (log prob, token) pairs, best
-    first. Sampling and beam search build theirs from the state's survivors
-    record, kept in a survivor memo per EOS phase; greedy keeps none, as its
-    log prob needs the untruncated row. Only the states that lack both, each
-    once and in live order, form one (n, V) block: one ``logits_many`` call,
-    the bound rewrite in place, the EOS mask and the cut. Both memos live on
-    the chain until it is dropped, keyed by the caller's provider object (not
-    the ``_PrefixStates`` adapter, whose block must not outlive the decode) and
-    by what shapes their entries: strategy, top_k, top_p and num_beams, or
-    top_k and top_p alone for survivors, which sampling and beam search thus
-    share. A later decode through the chain and provider steps only the states
-    no earlier one met, so equal states must stand for equal logits for as
-    long as a chain is reused with a provider; each entry holds its provider,
-    so the id is not reused. A decode without a chain starts an empty one. A
+    (ids, probs, cumulative probs), beam search's (log prob, token) pairs,
+    best first. Sampling and beam search build theirs from the state's
+    survivors record. One record serves both phases when the row's EOS score,
+    read before the mask, is strictly below its k-th survivor's, k being
+    min(top_k, V): EOS then ranks after every survivor, masked or not, so the
+    cut is the same bits. A tie at that score, or fewer than k finite scores,
+    does not count. Such a record and its successors are kept for both phases,
+    so a state that recurs across the switch (an order-1 table; prefix states
+    and key/value caches never do) is asked for once; other records are kept
+    per phase. Greedy keeps no record and its successors per phase, as its log
+    prob is normalised over the untruncated row, which the EOS mask changes
+    wherever EOS ranks. Only the states that lack both, each once and in live
+    order, form one (n, V) block: one ``logits_many`` call, the bound rewrite
+    in place, the EOS mask and the cut. Both memos live on the chain until it
+    is dropped, keyed by the caller's provider object (not the
+    ``_PrefixStates`` adapter, whose block must not outlive the decode) and by
+    what shapes their entries: strategy, top_k, top_p and num_beams, or top_k
+    and top_p alone for survivors, which sampling and beam search thus share.
+    A later decode through the chain and provider steps only the states no
+    earlier one met, so equal states must stand for equal logits for as long
+    as a chain is reused with a provider; each entry holds its provider, so
+    the id is not reused. A decode without a chain starts an empty one. A
     chain used for one decode (``cli generate``) keeps no more heavy states (a
     key/value cache) alive than that decode; one kept for a sweep
-    (``experiment.RowContext``) keeps every state its decodes met. A block that
-    raises keeps nothing: the rewrite and the cut raise before any state is kept.
+    (``experiment.RowContext``) keeps every state its decodes met. A block
+    that raises keeps nothing: the rewrite and the cut raise before any state
+    is kept.
 
     The pick keeps the global top ``width`` (1, or num_beams) of all rows'
     candidates by cumulative log probability, ties to the lower token id, then
@@ -392,11 +404,12 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     live = [(0.0, provider.start(prefix), ())]
     chain = chain or ProcessorChain()
     rewrite = chain.bind(width, size)
-    # Per EOS phase, state -> its successors, and (sampling and beam search) state -> its survivors record
+    # Per EOS phase, state -> its successors, and (sampling and beam search) state -> its survivors record, per EOS
+    # phase and for both
     _, masked, unmasked = chain._memo.setdefault(
         (id(model), strategy, config.top_k, config.top_p, config.num_beams), (model, {}, {}))
-    _, cut_masked, cut_unmasked = (None, None, None) if build is None else chain._memo.setdefault(
-        (id(model), config.top_k, config.top_p), (model, {}, {}))
+    _, cut_masked, cut_unmasked, free = (None,) * 4 if build is None else chain._memo.setdefault(
+        (id(model), config.top_k, config.top_p), (model, {}, {}, {}))
     memo, cuts, done = masked, cut_masked, []
     try:
         for step in range(config.max_new_tokens):
@@ -405,7 +418,7 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
             successors = [memo.get(state) for _, state, _ in live]
             if None in successors:  # build the states the memo lacks, stepping those that have no record
                 fresh = list(dict.fromkeys([state for (_, state, _), found in zip(live, successors) if found is None]))
-                records = () if cuts is None else list(map(cuts.get, fresh))  # greedy keeps none
+                records = () if cuts is None else [free.get(state) or cuts.get(state) for state in fresh]
                 asked = fresh if cuts is None else [state for state, record in zip(fresh, records) if record is None]
                 if asked:
                     raw = provider.logits_many(asked)
@@ -415,16 +428,22 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
                     if len(raw) != len(asked):  # the memo pairs each state with its row
                         raise ValueError(f"logits_many gave {len(raw)} rows for {len(asked)} states")
                     steered = rewrite(raw)
+                    eos_scores = () if cuts is None else steered[:, eos].tolist()  # read before the mask
                     if step < config.min_new_tokens:
                         for row in range(len(asked)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
                             steered[row, eos] -= math.inf
-                    made = iter(cut(steered, config, zeros))
-                if cuts is None:
-                    memo.update(zip(fresh, made))
+                    made = cut(steered, config, zeros)
+                    if cuts is None:
+                        memo.update(zip(fresh, made))
+                    made = enumerate(made)
                 for state, record in zip(fresh, records):  # each state's record and successors in one pass
                     if record is None:
-                        record = cuts[state] = next(made)
+                        row, record = next(made)
+                        # EOS below the k-th survivor: masking it moves no survivor, so both phases share the record
+                        (free if eos_scores[row] < steered[row, record[0][-1]] else cuts)[state] = record
                     memo[state] = build(record, config)
+                    if state in free:  # and so do its successors
+                        masked[state] = unmasked[state] = memo[state]
                 successors = [memo[state] for _, state, _ in live]
             extended = []
             for key, token, source in pick(successors, live, config, uniforms):

@@ -231,6 +231,9 @@ class RowContext:
 
     def run_row(self, sample: CorpusSample, condition: Condition, tid: int) -> tuple[GenerationResult, dict[str, str]]:
         """Generate and score one (sample, condition, steered topic) row; return the result and its CSV row."""
+        if tid not in (sample.tid1, sample.tid2):  # before any expansion or decode
+            raise ValueError(f"steered topic {tid} is not a topic of article {sample.article_id!r} "
+                             f"({sample.tid1}, {sample.tid2})")
         vocab = self.model.vocabulary
         if sample != self._sample:
             self._sample, self._prompt, self._results = sample, sample.prompt(vocab), {}

@@ -106,7 +106,8 @@ class ProcessorChain:
     """One compiled reweighting step and its sorted, unique topic ids; the default, method "none", has none.
 
     A chain also keeps the memos of the decodes made through it (``decoding._decode``): successors per provider and
-    strategy settings, and survivors per provider, top_k and top_p, which sampling and beam search share, not greedy.
+    strategy settings, and survivors per provider, top_k and top_p, which sampling and beam search share, not greedy,
+    each per EOS phase or, where masking EOS moves no survivor, once for both.
     """
 
     config: ReweightConfig = ReweightConfig()

@@ -8,8 +8,11 @@ of the same prompt, top_k and top_p went through the chain first, untimed, so
 the beam decode builds the successors of the states sampling met from their
 survivors records and asks the provider only for the others. With ``fresh``
 the chain is new and the decode asks for every state it meets. Both must give
-the same tokens and log prob, and the warmed decode must ask for fewer rows;
-``extra_info["rows"]`` holds the rows the timed decode asked for.
+the same tokens and log prob, and the warmed decode must ask for fewer rows.
+Neither asks for a state whose survivors record serves both EOS phases
+twice, and the warmed one asks for none that the sampling decode kept such a
+record for (``decoding._decode``). ``extra_info["rows"]`` holds the rows the
+timed decode asked for.
 """
 
 import numpy as np
@@ -47,7 +50,14 @@ def test_cold_beam_decode(benchmark, chain):
 
     def rows(warmed):
         args, _ = setup(warmed)
-        return generate(*args), sum(map(len, providers[-1].calls))
+        key = (id(args[0]), BEAM.top_k, BEAM.top_p)
+        kept = set(args[2]._memo[key][3]) if warmed else set()  # the records sampling kept for both phases
+        result = generate(*args)
+        asked = [state for call in providers[-1].calls for state in call]
+        both = args[2]._memo[key][3]
+        assert both and not kept & set(asked)
+        assert all(asked.count(state) == 1 for state in asked if state in both)
+        return result, len(asked)
 
     (fresh, fresh_rows), (warm, warm_rows) = rows(False), rows(True)
     assert (warm.tokens, warm.log_prob.hex()) == (fresh.tokens, fresh.log_prob.hex())

@@ -831,15 +831,35 @@ def _kept(chain):
     return [entry for _, *phases in chain._memo.values() for phase in phases for entry in phase.items()]
 
 
+def phase_of(model, chain, config, state, step):
+    """The EOS phase under which a decode keeps ``state``'s record at ``step``: masked (True) or not, or None for both.
+
+    Sampling and beam search keep one survivors record for both phases where
+    EOS, read before its mask, ranks strictly below the k-th best score of the
+    state's steered row with EOS masked (``_decode``); greedy search keeps its
+    successors per phase.
+    """
+    masked = step < config.min_new_tokens
+    if config.strategy == "greedy":
+        return masked
+    row = chain.apply(model.logits_many([state])[0])
+    eos = model.vocabulary.eos_id
+    score, row[eos] = row[eos], -math.inf
+    return None if score < np.sort(row)[-min(config.top_k, row.size)] else masked
+
+
 @pytest.mark.parametrize("config", [greedy_config(min_new=3, max_new=10),
                                     sample_config(min_new=3, max_new=10, seed=5, top_k=3),
                                     beam_config(min_new=3, max_new=10, num_beams=3, top_k=4, top_p=0.9)],
                          ids=lambda config: config.strategy)
 def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
-    """``logits_many`` gets each distinct (state, EOS masked) pair once, in the order the decode meets it.
+    """``logits_many`` gets each distinct (state, EOS phase) pair once, in the order the decode meets it.
 
     The pairs come from the ``next_logits`` path, which asks for every live
-    hypothesis. The chain keeps what a decode computed: another decode
+    hypothesis, and the phase from ``phase_of``: at top_k 3 and 4 every
+    state's EOS (-20) ranks below its k-th survivor, so sampling and beam
+    search ask for each state once across the phase switch, and greedy search
+    once per phase. The chain keeps what a decode computed: another decode
     through the same chain, provider object and successor settings asks
     nothing, another sampling seed asks only for the pairs that no decode
     through them met yet, and a new chain, another provider object or
@@ -857,7 +877,8 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
 
     def distinct(config):
         steps = live_states(model, prefix, build_chain(method, {2, 4}), config)
-        pairs = [(state, step < config.min_new_tokens) for step, states in enumerate(steps) for state in states]
+        pairs = [(state, phase_of(model, chain, config, state, step)) for step, states in enumerate(steps)
+                 for state in states]
         return list(dict.fromkeys(pairs)), len(pairs)
 
     def asked(provider, chain, config):
@@ -884,6 +905,7 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
         pairs = distinct(changed)[0]
         if "num_beams" in change and config.strategy != "greedy":  # the survivors of this top_k and top_p are kept
             pairs = [pair for pair in pairs if pair not in met]
+            met += pairs
         assert asked(provider, chain, changed) == (expected, [state for state, _ in pairs])
 
     result = generate(model, prefix, chain, config)
@@ -910,7 +932,10 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
     if config.strategy == "greedy":
         assert survivors is None
         return
-    assert survivors[0] is model and survivors[1] and survivors[2]
+    assert survivors[0] is model and survivors[3]  # the records both phases share
+    records = chain._memo[(id(provider), config.top_k, config.top_p)]  # masked, unmasked and shared (``phase_of``)
+    assert [set(phase) for phase in records[1:]] == [{state for state, p in met if p is phase}
+                                                      for phase in (True, False, None)]
     for phase in survivors[1:]:
         for ids, kept, weights, norm in phase.values():
             assert len(ids) == len(kept) == len(weights) == config.top_k and type(norm) is float
@@ -923,8 +948,9 @@ def test_sampling_and_beam_search_share_each_states_survivors(order):
 
     The second decode of ``order`` finds the survivors records of the pairs
     the first one met, so it asks the provider for fewer pairs than a decode
-    through a fresh chain does, and equals that decode bit for bit. Another
-    top_k or top_p shares nothing: such a decode asks for every pair it meets.
+    through a fresh chain does, and equals that decode bit for bit. A pair's
+    phase is ``phase_of``'s. Another top_k or top_p shares nothing: such a
+    decode asks for every pair it meets.
     """
     model = random_markov(3, n_words=4, eos_logit=-20.0)
     prefix = [model.vocabulary.bos_id]
@@ -934,7 +960,8 @@ def test_sampling_and_beam_search_share_each_states_survivors(order):
 
     def pairs(config):
         steps = live_states(model, prefix, build_chain(method, {2, 4}), config)
-        met = [(state, step < config.min_new_tokens) for step, states in enumerate(steps) for state in states]
+        met = [(state, phase_of(model, chain, config, state, step)) for step, states in enumerate(steps)
+               for state in states]
         return list(dict.fromkeys(met))
 
     def asked(config):
@@ -993,6 +1020,62 @@ def test_decodes_through_a_shared_chain_equal_decodes_through_fresh_ones(case):
         shared = generate(providers[which], prompt, chain, config)
         fresh = generate(providers[which], prompt, build_chain(method, topic), config)
         assert (shared.tokens, shared.log_prob.hex()) == (fresh.tokens, fresh.log_prob.hex())
+
+
+@st.composite
+def phase_boundary_cases(draw):
+    """An order-1 table whose EOS ranks above, below or exactly at each state's k-th survivor, and decodes through it.
+
+    Rows hold small values and -inf, so scores tie and some rows have fewer
+    than k finite entries; each state's EOS logit is then set against the
+    k-th best score of its steered row with EOS masked. The topic leaves EOS
+    alone, so its steered score is the one drawn. EOS is id 1 and wins every
+    tie but BOS's.
+    """
+    vocab = make_vocab(draw(st.integers(2, 5)))
+    size, eos = vocab.size, vocab.eos_id
+    top_k = draw(st.integers(1, size))
+    table = np.array(draw(st.lists(st.lists(st.sampled_from([-math.inf, -1.0, 0.0, 0.5, 1.0, 2.0]), min_size=size,
+                                                      max_size=size), min_size=size, max_size=size)))
+    table[:, 2] = np.nan_to_num(table[:, 2], neginf=0.0)  # no row is masked whole
+    method = draw(st.sampled_from([ReweightConfig(), ReweightConfig(method="constant_shift", c=1.0),
+                                   ReweightConfig(method="factor_scaling", alpha=0.5)]))
+    topic = draw(st.sets(st.integers(2, size - 1), max_size=2))
+    chain = build_chain(method, topic)
+    for state in range(size):
+        row = chain.apply(table[state])
+        row[eos] = -math.inf
+        kth = np.sort(row)[-top_k]
+        place = draw(st.sampled_from([-1.0, 0.0, 1.0]))  # below, at or above
+        table[state, eos] = kth + place if kth > -math.inf else (0.0 if place > 0 else -math.inf)
+    max_new = draw(st.integers(1, 6))
+    top_p, num_beams = draw(st.sampled_from([1.0, 0.9, 0.6])), draw(st.integers(1, 3))
+    decodes = [(draw(st.lists(st.integers(0, size - 1), min_size=1, max_size=3)),
+                GenerationConfig(draw(st.sampled_from(["sample", "beam"])), top_k, top_p, num_beams, max_new,
+                                 draw(st.integers(0, max_new)), draw(st.integers(0, 3))))
+               for _ in range(draw(st.integers(2, 5)))]
+    return FewRowsModel(vocab, table), method, topic, decodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase_boundary_cases())
+def test_a_record_both_eos_phases_share_gives_the_decode_of_a_fresh_chain(case):
+    """Sampling and beam decodes through one chain, with any min_new_tokens, equal fresh-chain and reference decodes.
+
+    The chain shares a state's survivors record between the EOS phases only
+    where EOS ranks strictly below the k-th survivor (``_decode``), so a
+    record kept in one phase serves the other only where masking EOS moves no
+    survivor: not on a tie at the k-th score, and not in a row with fewer than
+    k finite entries.
+    """
+    model, method, topic, decodes = case
+    chain = build_chain(method, topic)
+    for prompt, config in decodes:
+        shared = generate(model, prompt, chain, config)
+        fresh = generate(model, prompt, build_chain(method, topic), config)
+        expected = REFERENCE[config.strategy](model, prompt, build_chain(method, topic), config)
+        assert (shared.tokens, shared.log_prob.hex()) == (fresh.tokens, fresh.log_prob.hex())
+        assert (shared.tokens, shared.log_prob.hex()) == (expected.tokens, expected.log_prob.hex())
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -29,6 +30,8 @@ from topicsteer.experiment import (
 from topicsteer.models import NonFiniteLogitsError, load_toy_model
 from topicsteer.reweight import ProcessorChain, ReweightConfig
 from topicsteer.topics import TopicModel, load_topic_model, topic_token_set
+
+from test_decoding import phase_of
 
 
 def write_jsonl(path: Path, rows: list[dict]) -> Path:
@@ -485,6 +488,21 @@ class TestRowContext:
                     distinct.add(len(set(rows)))
         assert 4 in distinct
 
+    def test_a_steered_topic_that_is_not_the_articles_fails_before_any_decode(self):
+        """A topic the topic model knows but the article does not name fails the row before expansion or decode."""
+        model = load_toy_model(fixtures.toy_model_path())
+        fixture = load_topic_model(fixtures.topic_model_path())
+        context = RowContext(model, TopicModel(topics={**fixture.topics, 2: fixture.topics[0]}), 25, 1)
+        sample = load_corpus(fixtures.corpus_path(), limit=1)[0]
+        assert (sample.tid1, sample.tid2) == (0, 1)
+        greedy = Condition("shift5", ReweightConfig(method="constant_shift", c=5.0), GenerationConfig())
+        message = f"steered topic 2 is not a topic of article {sample.article_id!r} (0, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            context.run_row(sample, greedy, 2)
+        assert context.decodes == 0 and not context._token_sets
+        context.run_row(sample, greedy, 1)
+        assert context.decodes == 1
+
 
 class CountingRows:
     """A toy model that counts the rows its ``logits_many`` is asked for."""
@@ -522,8 +540,9 @@ class TestSharedChains:
         """Over the fixture grid, the model is asked for each distinct (chain, kept settings, state, EOS phase) once.
 
         Sampling and beam search share a state's survivors, so their kept
-        settings are top_k and top_p; greedy search keeps its own successors,
-        under its successor settings. Each decode is replayed on a fresh chain
+        settings are top_k and top_p, and a record that both EOS phases share
+        has phase None (``test_decoding.phase_of``); greedy search keeps its
+        own successors, under its successor settings and per phase. Each decode is replayed on a fresh chain
         through ``EveryStep`` to list the pairs it meets. ``run_sweep`` calls ``generate`` once per decode it
         computes, with exactly four positional arguments, as the benchmark's
         per-row timing wraps it; a second sweep asks again, so nothing is kept
@@ -553,10 +572,11 @@ class TestSharedChains:
             inner_generate(stepper, prefix, ProcessorChain(chain.config, chain.ids), generation)
             kept = ("greedy", generation.num_beams) if generation.strategy == "greedy" else ("survivors",)
             settings = (id(chain), generation.top_k, generation.top_p, *kept)
-            met = {(settings, token, step < generation.min_new_tokens) for step, token in stepper.asked}
+            met = {(settings, token, phase_of(providers[0].model, chain, generation, token, step))
+                   for step, token in stepper.asked}
             pairs |= met
             per_decode += len(met)  # what a decode asks through a chain of its own
-        assert providers[0].rows == len(pairs) == 722 < per_decode / 5
+        assert providers[0].rows == len(pairs) == 508 < per_decode / 5
         again = run_sweep(dataclasses.replace(config, out_dir=tmp_path / "again"))
         assert providers[1].rows == providers[0].rows
         assert again.report_path.read_bytes() == result.report_path.read_bytes()
