@@ -200,11 +200,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             raise CorpusFormatError(f"article id {args.article_id!r} not found in corpus")
         sample = matches[0]
     steered_tid = sample.tid1 if args.topic is None else args.topic
-    if steered_tid not in (sample.tid1, sample.tid2):
-        raise CorpusFormatError(
-            f"--topic {steered_tid} is not one of article {sample.article_id!r}'s topics "
-            f"({sample.tid1}, {sample.tid2})"
-        )
     result, row = RowContext(model, topic_model, config.top_n, config.master_seed).run_row(sample, condition, steered_tid)
     record = {
         "tokens": list(result.tokens),

@@ -3,8 +3,8 @@
 All strategies share one loop, ``_decode``, which also owns the memos. Only
 the successors and the pick differ: greedy takes the steered argmax
 (``_greedy``); sampling (``_sample``) and beam search (``_beam``) build theirs
-from each row's survivors record (``_survivors``): its top-k/top-p cut
-(``_truncate``) and normaliser over the full truncated row (``_normalisers``).
+from each row's survivors record, which ``_truncate`` makes: its top-k/top-p
+cut and its normaliser over the full truncated row.
 Reweighting runs before truncation on purpose: a boosted token must be able
 to re-enter the candidate set even if the raw logits placed it outside the
 top-k.
@@ -108,23 +108,23 @@ def truncate_top_k_top_p(scores: LogitVector, top_k: int, top_p: float) -> np.nd
     x = as_logit_vector(scores)
     if not x.size:
         raise ValueError(_MASKED)
-    [(ids, kept, _)] = _truncate(x[None], config.top_k, config.top_p)
+    [(ids, kept, _, _)] = _truncate(x[None], config, np.zeros(x.size))
     out = np.full_like(x, -np.inf)
     out[ids] = kept
     return out
 
 
-def _truncate(x: np.ndarray, top_k: int, top_p: float) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Top-k/top-p truncation of each row of a float64 (n, V) block: the one survivor step of sampling and beam search.
+def _truncate(x: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list[tuple]:
+    """Each row's survivors record ``(ids, kept, weights, norm)``: the top-k/top-p cut of a float64 (n, V) block.
 
-    Returns one ``(ids, kept, weights)`` per row, each of min(top_k, V)
-    entries: the row's top-k ids in survivor order, their scores (-inf where
-    an id does not survive) and their weights ``exp(kept - top)`` (0 where it
-    does not), ``top`` being the row's best. Each row is cut alone, by 1-D
-    operations, into arrays of its own, so the survivors record that
-    ``_decode`` keeps (``_survivors``) holds no V-long row and is the same
-    whatever block its row came in. Sampling and beam search share those
-    records; greedy search keeps its own successors.
+    The one survivor step of sampling and beam search, which share the
+    records (``_decode`` keeps them); greedy search keeps its own successors.
+    A record's arrays hold min(top_k, V) entries: the row's top-k ids in
+    survivor order, their scores (-inf where an id does not survive) and their
+    weights ``exp(kept - top)`` (0 where it does not), ``top`` being the row's
+    best. ``norm`` is the sum of the weights. Each row is cut alone, by 1-D
+    operations, into arrays of its own, so a record holds no V-long row and is
+    the same whatever block its row came in.
 
     Survivor order is descending score, ties in token-id order, with masked
     (-inf) ids dropped. Rows of at most max(1024, 4 * top_k) entries get one
@@ -141,14 +141,20 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> list[tuple[np.ndarray,
     sum, the same operations as a ``softmax`` of the survivors, so sampling and
     beam search normalise the weights the nucleus was cut by.
 
+    ``norm`` is summed over ``zeros``, the decode's zero row of length V, with
+    the weights put at their ids and zeros put back after. Summed over the full
+    length, numpy's pairwise sum groups the weights as a ``softmax`` of the
+    whole truncated row does, so the probabilities are bit for bit that
+    softmax's; a sum over the survivors alone can differ in the last bit.
+
     The cut finds a NaN or +inf itself: a +inf leads its row's survivors, and a
     NaN sorts last in a whole-row sort or, above the size rule, turns the bound
     NaN, unless it lies in the V % k entries past the last block, which are
     looked at. Any NaN or +inf in the block outranks a masked row.
     """
     size = x.shape[1]
-    k = min(top_k, size)
-    cuts = []
+    k = min(config.top_k, size)
+    records = []
     for row in x:
         if size <= max(_BOUND_MIN_SIZE, 4 * k):
             order = (-row).argsort(kind="stable")
@@ -169,43 +175,29 @@ def _truncate(x: np.ndarray, top_k: int, top_p: float) -> list[tuple[np.ndarray,
             ties = top[scores == boundary][: k - better.size]
             ids = np.concatenate([better[(-row[better]).argsort(kind="stable")], ties])
         kept = row.take(ids)
-        count = k if k and kept[-1] > -math.inf else int(np.isfinite(kept).sum())  # the finite survivors lead
+        count = k if kept[-1] > -math.inf else int(np.isfinite(kept).sum())  # the finite survivors lead
         if not count or kept[0] == math.inf:  # a masked row, or a +inf top
             raise ValueError(_MASKED) if (x < np.inf).all() else NonFiniteLogitsError.in_block(x)
         weights = np.zeros(k)
         mass = weights[:count]
         np.subtract(kept[:count], kept[0], out=mass)
         np.exp(mass, out=mass)
-        if top_p < 1.0:
-            count = 1 + int((mass / mass.sum()).cumsum()[:-1].searchsorted(top_p))
+        if config.top_p < 1.0:
+            count = 1 + int((mass / mass.sum()).cumsum()[:-1].searchsorted(config.top_p))
             kept[count:] = -np.inf
             weights[count:] = 0.0
-        cuts.append((ids, kept, weights))
-    return cuts
+        zeros.put(ids, weights)
+        norm = float(zeros.sum())
+        zeros.put(ids, 0.0)
+        records.append((ids, kept, weights, norm))
+    return records
 
 
-def _normalisers(ids: np.ndarray, weights: np.ndarray, zeros: np.ndarray) -> float:
-    """The sum of ``weights`` placed at ``ids`` in ``zeros``, a row of the decode's zero block, all zeros again on return.
-
-    One sum per survivors record (``_survivors``), which sampling and beam
-    search both divide by; greedy search, which keeps its own successors,
-    needs none. Summed over the full length, numpy's pairwise sum groups the
-    weights as a ``softmax`` of the whole truncated row does, so the
-    probabilities are bit for bit that softmax's; a sum over the survivors
-    alone can differ in the last bit.
-    """
-    zeros.put(ids, weights)
-    total = float(zeros.sum())
-    zeros.put(ids, 0.0)
-    return total
-
-
-# A strategy is a cut, a build and a pick: the cut maps a steered, EOS-masked
-# (n, V) block to each row's record (greedy's is its successors), the build one
-# record to the successors ``_decode`` keeps, and the pick the live rows'
-# successors to the kept ones, best first, as sort keys (-cumulative log prob,
-# token, source row).
-def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
+# A strategy is a build and a pick, greedy's build being None: the build maps a
+# survivors record (``_truncate``) to the successors ``_decode`` keeps (greedy's
+# are ``_greedy``'s), and the pick the live rows' successors to the kept ones,
+# best first, as sort keys (-cumulative log prob, token, source row).
+def _greedy(steered: np.ndarray) -> list:
     """The one row's argmax of the untruncated logits with its log prob; truncation never changes the argmax.
 
     Its log probability is ``log_softmax(row)[token]`` bit for bit, since the
@@ -218,15 +210,6 @@ def _greedy(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) ->
     if not -math.inf < top < math.inf:
         raise ValueError(_MASKED) if top == -math.inf else NonFiniteLogitsError(0)
     return [(top - (top + math.log(np.exp(row - top).sum())), token)]
-
-
-def _survivors(steered: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> list:
-    """Each row's survivors record ``(ids, kept, weights, norm)``: its ``_truncate`` cut and ``_normalisers`` sum.
-
-    ``_decode`` keeps one per provider, top_k, top_p, state and EOS phase, or one for both phases.
-    """
-    cuts = _truncate(steered, config.top_k, config.top_p)
-    return [(ids, kept, weights, _normalisers(ids, weights, row)) for (ids, kept, weights), row in zip(cuts, zeros)]
 
 
 def _sample(record: tuple, config: GenerationConfig) -> tuple:
@@ -294,7 +277,7 @@ def _extend(successors: list, live: list, config: GenerationConfig, uniforms: No
     return ((-(live[0][0] + log_prob), token, 0),)
 
 
-_SELECTORS = dict(greedy=(_greedy, None, _extend), sample=(_survivors, _sample, _draw), beam=(_survivors, _beam, _best))
+_SELECTORS = dict(greedy=(None, _extend), sample=(_sample, _draw), beam=(_beam, _best))
 
 
 class _PrefixStates:
@@ -356,31 +339,32 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     plain Python form the pick reads: greedy's (log prob, token), sampling's
     (ids, probs, cumulative probs), beam search's (log prob, token) pairs,
     best first. Sampling and beam search build theirs from the state's
-    survivors record. One record serves both phases when the row's EOS score,
-    read before the mask, is strictly below its k-th survivor's, k being
-    min(top_k, V): EOS then ranks after every survivor, masked or not, so the
-    cut is the same bits. A tie at that score, or fewer than k finite scores,
-    does not count. Such a record and its successors are kept for both phases,
-    so a state that recurs across the switch (an order-1 table; prefix states
-    and key/value caches never do) is asked for once; other records are kept
-    per phase. Greedy keeps no record and its successors per phase, as its log
-    prob is normalised over the untruncated row, which the EOS mask changes
-    wherever EOS ranks. Only the states that lack both, each once and in live
-    order, form one (n, V) block: one ``logits_many`` call, the bound rewrite
-    in place, the EOS mask and the cut. Both memos live on the chain until it
-    is dropped, keyed by the caller's provider object (not the
-    ``_PrefixStates`` adapter, whose block must not outlive the decode) and by
-    what shapes their entries: strategy, top_k, top_p and num_beams, or top_k
-    and top_p alone for survivors, which sampling and beam search thus share.
-    A later decode through the chain and provider steps only the states no
-    earlier one met, so equal states must stand for equal logits for as long
-    as a chain is reused with a provider; each entry holds its provider, so
-    the id is not reused. A decode without a chain starts an empty one. A
-    chain used for one decode (``cli generate``) keeps no more heavy states (a
-    key/value cache) alive than that decode; one kept for a sweep
-    (``experiment.RowContext``) keeps every state its decodes met. A block
-    that raises keeps nothing: the rewrite and the cut raise before any state
-    is kept.
+    survivors record, which ``_truncate`` makes, its norm summed over the
+    decode's one zero row of length V. One record serves both phases when the
+    row's EOS score, read before the mask, is strictly below its k-th
+    survivor's, k being min(top_k, V): EOS then ranks after every survivor,
+    masked or not, so the cut is the same bits. A tie at that score, or fewer
+    than k finite scores, does not count. Such a record and its successors are
+    kept for both phases, so a state that recurs across the switch (an order-1
+    table; prefix states and key/value caches never do) is asked for once;
+    other records are kept per phase. Greedy keeps no record and its
+    successors per phase, as its log prob is normalised over the untruncated
+    row, which the EOS mask changes wherever EOS ranks. Only the states that
+    lack both, each once and in live order, form one (n, V) block: one
+    ``logits_many`` call, the bound rewrite in place, the EOS mask, then
+    ``_greedy`` or ``_truncate``. Both memos live on the chain until it is
+    dropped, keyed by the caller's provider object (not the ``_PrefixStates``
+    adapter, whose block must not outlive the decode) and by what shapes their
+    entries: strategy, top_k, top_p and num_beams, or top_k and top_p alone
+    for survivors, which sampling and beam search thus share. A later decode
+    through the chain and provider steps only the states no earlier one met,
+    so equal states must stand for equal logits for as long as a chain is
+    reused with a provider; each entry holds its provider, so the id is not
+    reused. A decode without a chain starts an empty one. A chain used for one
+    decode (``cli generate``) keeps no more heavy states (a key/value cache)
+    alive than that decode; one kept for a sweep (``experiment.RowContext``)
+    keeps every state its decodes met. A block that raises keeps nothing: the
+    rewrite and the cut raise before any state is kept.
 
     The pick keeps the global top ``width`` (1, or num_beams) of all rows'
     candidates by cumulative log probability, ties to the lower token id, then
@@ -391,14 +375,14 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
-    cut, build, pick = _SELECTORS[strategy]
+    build, pick = _SELECTORS[strategy]
     uniforms = _uniforms(np.random.Generator(np.random.PCG64(config.seed))) if strategy == "sample" else None
     width = config.num_beams if strategy == "beam" else 1
     provider = model if hasattr(model, "start") else _PrefixStates(model, width)
     if not hasattr(provider, "logits_many"):
         raise TypeError(f"{type(model).__name__} has start but no logits_many")
     size = model.vocabulary.size
-    zeros = np.zeros((width, size))  # the call's zero workspace block for the normalisers
+    zeros = np.zeros(size)  # the decode's one zero row, which each record's norm is summed over
     eos = model.vocabulary.eos_id
     # (cumulative log prob, provider state, (token, parent) chain)
     live = [(0.0, provider.start(prefix), ())]
@@ -432,7 +416,7 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
                     if step < config.min_new_tokens:
                         for row in range(len(asked)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
                             steered[row, eos] -= math.inf
-                    made = cut(steered, config, zeros)
+                    made = _greedy(steered) if build is None else _truncate(steered, config, zeros)
                     if cuts is None:
                         memo.update(zip(fresh, made))
                     made = enumerate(made)

@@ -44,6 +44,8 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 STEERED_POLICIES = ("tid1", "tid2", "both")
+# joins the parts of a row's seed (``derive_seed``), so no article id or condition label may hold it
+_SEED_SEPARATOR = "\x1f"
 
 
 class CorpusFormatError(ValueError):
@@ -69,6 +71,8 @@ class CorpusSample:
         for name in ("article_id", "article", "ref1", "ref2"):
             if not isinstance(getattr(self, name), str):
                 raise TypeError(f"{name} {getattr(self, name)!r} is not a string")
+        if _SEED_SEPARATOR in self.article_id:
+            raise ValueError(f"article_id {self.article_id!r} holds {_SEED_SEPARATOR!r}, the seed separator")
         for name in ("tid1", "tid2"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.tid1 == self.tid2:
@@ -126,6 +130,8 @@ class Condition:
     def __post_init__(self) -> None:
         if not self.label:
             raise ValueError("condition label must be non-empty")
+        if _SEED_SEPARATOR in self.label:
+            raise ValueError(f"condition label {self.label!r} holds {_SEED_SEPARATOR!r}, the seed separator")
         if self.generation.strategy != "sample":
             object.__setattr__(self, "generation", replace(self.generation, seed=0))
 
@@ -183,7 +189,7 @@ def derive_seed(master_seed: int, *parts: object) -> int:
     Uses SHA-256 over the "\\x1f"-joined string forms, keeping determinism
     independent of execution order and platform.
     """
-    text = "\x1f".join([str(master_seed), *[str(p) for p in parts]])
+    text = _SEED_SEPARATOR.join([str(master_seed), *[str(p) for p in parts]])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 

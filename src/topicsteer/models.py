@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "as_logit_vector",
     "as_real",
     "error_text",
-    "flat_ids",
     "load_toy_model",
     "log_softmax",
     "read_json",
@@ -240,7 +239,6 @@ class Vocabulary:
         return "".join(parts).lstrip(" ")
 
 
-@runtime_checkable
 class LogitsProvider(Protocol):
     """Anything that maps a token prefix to one logit vector: the provider contract.
 
@@ -313,15 +311,6 @@ class ToyMarkovModel:
     def next_logits(self, prefix: TokenSequence) -> LogitVector:
         """Logits for the token after ``prefix``: a copy of the table row of its last id, the only one that matters."""
         return self.table[self.start(prefix)].copy()
-
-
-def flat_ids(ids: np.ndarray, rows: int, size: int) -> np.ndarray:
-    """Token ids as indices into a flattened (rows, size) block: row i's ids offset by i * size.
-
-    ``ids`` is (rows, k), or (k,) for the same ids in every row. A single
-    row needs no offset, so its ids come back as they are.
-    """
-    return ids if rows == 1 else ids + np.arange(0, rows * size, size)[:, None]
 
 
 def softmax(scores: LogitVector) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 # softmax is imported for tracers to wrap; no code here calls it
-from .models import LogitVector, NonFiniteLogitsError, as_int, as_logit_vector, as_real, flat_ids, softmax  # noqa: F401
+from .models import LogitVector, NonFiniteLogitsError, as_int, as_logit_vector, as_real, softmax  # noqa: F401
 
 __all__ = [
     "METHODS",
@@ -81,6 +81,14 @@ def _sorted_ids(topic: object) -> np.ndarray:
     return np.array(sorted({as_int(i, "topic token id") for i in ids}), dtype=np.intp)
 
 
+def _flat_ids(ids: np.ndarray, rows: int, size: int) -> np.ndarray:
+    """Sorted token ids as indices into a flattened (rows, size) block: row i's ids offset by i * size.
+
+    A single row needs no offset, so its ids come back as they are.
+    """
+    return ids if rows == 1 else ids + np.arange(0, rows * size, size)[:, None]
+
+
 def constant_shift(scores: LogitVector, topic: Iterable[int], c: float) -> np.ndarray:
     """Add c to every topic token's logit; all other entries are unchanged."""
     return apply_reweight(scores, topic, ReweightConfig("constant_shift", c=c))
@@ -105,9 +113,7 @@ def apply_reweight(scores: LogitVector, topic: Iterable[int], config: ReweightCo
 class ProcessorChain:
     """One compiled reweighting step and its sorted, unique topic ids; the default, method "none", has none.
 
-    A chain also keeps the memos of the decodes made through it (``decoding._decode``): successors per provider and
-    strategy settings, and survivors per provider, top_k and top_p, which sampling and beam search share, not greedy,
-    each per EOS phase or, where masking EOS moves no survivor, once for both.
+    A chain also keeps the memos of the decodes made through it, which ``decoding._decode`` owns and states.
     """
 
     config: ReweightConfig = ReweightConfig()
@@ -139,7 +145,7 @@ class ProcessorChain:
         mismatch = ""
         if ids.size and (ids[0] < 0 or ids[-1] >= size):
             mismatch = f"topic token ids span [{ids[0]}, {ids[-1]}] but the logit vector has {size} entries"
-        grid = flat_ids(ids, rows, size).reshape(rows, ids.size)
+        grid = _flat_ids(ids, rows, size).reshape(rows, ids.size)
 
         def rewrite(x: np.ndarray) -> np.ndarray:
             if len(x) > rows:

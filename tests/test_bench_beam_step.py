@@ -7,14 +7,14 @@ as the loop ran it before steps were batched (per hypothesis: its row of ``logit
 ``ProcessorChain.apply``, the reference beam selector over the package's 1-D
 ``truncate_top_k_top_p``, then a sort of all candidates), and as the package
 runs it (``logits_many``, one in-place chain rewrite, each row's survivors
-record, whose normalisers use a zero workspace block made once, as a decode
-makes one per call, each row's successors built from its record, and one
-pick over them, whose sort keys hold the negated totals). Both must keep the
+record, whose norm is summed over a zero row made once, as a decode makes one
+per call, each row's successors built from its record, and one pick over
+them, whose sort keys hold the negated totals). Both must keep the
 same successors with bit-equal cumulative log probabilities. The inputs are the shipped fixture
 (V=226) with a shift of topic 0, and four N(0, 3) rows at V=50,000 with
 threshold selection over 1,000 ids.
 
-A second benchmark times the step's cut and build alone (``_survivors`` then
+A second benchmark times the step's cut and build alone (``_truncate`` then
 ``_beam``) on four N(0, 3) rows at V=226, as one 4-row block and as four 1-row
 blocks. Each row is cut alone, so numpy's per-call cost is paid per row either
 way, and the two should take about the same time.
@@ -72,7 +72,7 @@ def block_step(model, states, chain, zeros):
     block = model.logits_many(states)
     steered = chain.bind(*block.shape)(block)
     live = [(cumulative,) for cumulative in CUMULATIVE]
-    successors = [decoding._beam(record, CONFIG) for record in decoding._survivors(steered, CONFIG, zeros)]
+    successors = [decoding._beam(record, CONFIG) for record in decoding._truncate(steered, CONFIG, zeros)]
     return decoding._best(successors, live, CONFIG, None)
 
 
@@ -89,7 +89,7 @@ def test_beam_step(benchmark, monkeypatch, size, path):
     if path == "per_hypothesis":
         kept = benchmark(per_hypothesis_step, model, states, chain)
     else:
-        zeros = np.zeros((CONFIG.num_beams, size))
+        zeros = np.zeros(size)
         keys = benchmark(block_step, model, states, chain, zeros)
         assert zeros.tobytes() == bytes(zeros.nbytes)
         kept = [(-key, token, source) for key, token, source in keys]
@@ -98,7 +98,7 @@ def test_beam_step(benchmark, monkeypatch, size, path):
 
 
 def cut_and_build(blocks, zeros):
-    return [decoding._beam(record, CONFIG) for block in blocks for record in decoding._survivors(block, CONFIG, zeros)]
+    return [decoding._beam(record, CONFIG) for block in blocks for record in decoding._truncate(block, CONFIG, zeros)]
 
 
 @pytest.mark.bench
@@ -106,7 +106,7 @@ def cut_and_build(blocks, zeros):
 def test_beam_cut_and_build(benchmark, rows_per_block):
     rows = np.random.default_rng(0).normal(0.0, 3.0, (4, 226))
     blocks = [rows[i: i + rows_per_block] for i in range(0, 4, rows_per_block)]
-    zeros = np.zeros((rows_per_block, 226))
+    zeros = np.zeros(226)
     built = benchmark(cut_and_build, blocks, zeros)
     assert zeros.tobytes() == bytes(zeros.nbytes)
-    assert built == cut_and_build([rows], np.zeros((4, 226)))
+    assert built == cut_and_build([rows], np.zeros(226))

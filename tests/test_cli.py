@@ -141,7 +141,7 @@ class TestGenerate:
     def test_topic_not_of_article_is_config_error(self, capsys):
         code, _out, err = run(capsys, "generate", "--topic", "9")
         assert code == 1
-        assert "not one of" in err
+        assert "steered topic 9 is not a topic of article 'a000' (0, 1)" in err
 
 
 class TestUsageErrors:
@@ -609,6 +609,14 @@ class TestConfigRejections:
         code, _out, err = self.sweep_with(tmp_path, capsys, config, "--label", "mine")
         assert code == 1
         assert "label" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_label_with_the_seed_separator_exits_1(self, tmp_path, capsys):
+        # "a\x1fb" with topic "c" and "a" with "b\x1fc" would join to one seed text, so one row's seed is another's
+        config = {"conditions": [{"label": "a\x1fb", "method": "none", "strategy": "sample"}]}
+        code, _out, err = self.sweep_with(tmp_path, capsys, config)
+        assert code == 1
+        assert "condition label 'a\\x1fb' holds '\\x1f', the seed separator" in err
         assert not (tmp_path / "out").exists()
 
     def test_non_finite_beta_exits_1(self, tmp_path, capsys):

@@ -377,7 +377,7 @@ class TestChainBeforeTruncation:
         beam = beam_config(max_new=1, num_beams=2)
         assert generate(model, [vocab.bos_id], chain, beam).tokens == (2,)
         steered = chain.bind(1, vocab.size)(np.array([row]))
-        successors = [decoding._beam(record, beam) for record in decoding._survivors(steered, beam, np.zeros((1, 5)))]
+        successors = [decoding._beam(record, beam) for record in decoding._truncate(steered, beam, np.zeros(5))]
         (first, token, _), (second, other, _) = decoding._best(successors, [(0.0,)], beam, None)
         assert (token, other) == (2, 4) and first == second
 
@@ -495,7 +495,7 @@ def decoding_cases(draw):
 
     Mostly small order-1 tables; for sampling and beam search also V of
     1,100-3,000 (a ``FewRowsModel``), where a small top_k takes the block-max
-    truncation and one decode's workspace blocks are reused while beams end.
+    truncation and one decode's logits block and zero row are reused while beams end.
     Shapes: random rows; a coarse grid (ties within a step); all rows equal
     (equal cumulative scores across beams, too); some rows equal (tied rows
     among the live ones). EOS may be lifted into each row's top-k, so beams
@@ -1303,6 +1303,11 @@ def block_truncation_cases(draw):
     return block, top_k, top_p
 
 
+def records(block, top_k, top_p):
+    """``decoding._truncate`` of ``block`` under ``top_k`` and ``top_p``, its norms summed over a fresh zero row."""
+    return decoding._truncate(block, sample_config(top_k=top_k, top_p=top_p), np.zeros(block.shape[1]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(block_truncation_cases())
 def test_row_wise_truncation_matches_reference_row_by_row(case):
@@ -1315,7 +1320,7 @@ def test_row_wise_truncation_matches_reference_row_by_row(case):
     faulty = ~(block < np.inf).all(axis=1)
     if faulty.any():
         with pytest.raises(NonFiniteLogitsError) as error:
-            decoding._truncate(block.copy(), top_k, top_p)
+            records(block.copy(), top_k, top_p)
         assert error.value.row == int(faulty.argmax())
         return
     expected = [_truncation_outcome(reference_decoding.truncate_top_k_top_p, row, top_k, top_p) for row in block]
@@ -1323,7 +1328,7 @@ def test_row_wise_truncation_matches_reference_row_by_row(case):
 
     def truncate(scores, top_k, top_p):
         out = np.full_like(scores, -np.inf)
-        for row, (ids, kept, _) in zip(out, decoding._truncate(scores, top_k, top_p)):
+        for row, (ids, kept, _, _) in zip(out, records(scores, top_k, top_p)):
             row[ids] = kept
         return out
 
@@ -1332,7 +1337,7 @@ def test_row_wise_truncation_matches_reference_row_by_row(case):
         assert outcome == failed[0]
     else:
         assert outcome == b"".join(expected)
-        ids = [ids for ids, _, _ in decoding._truncate(block, top_k, top_p)]
+        ids = [ids for ids, _, _, _ in records(block, top_k, top_p)]
         assert np.array_equal(ids, (-block).argsort(axis=1, kind="stable")[:, : min(top_k, block.shape[1])])
 
 
@@ -1405,7 +1410,8 @@ class TestBlockMaxBound:
     @pytest.mark.parametrize("top_p", [1.0, 0.9])
     def test_path_runs_and_keeps_the_stable_sort_ids(self, case, top_p):
         row, k = self._row(case), self.TOP_K
-        [(ids, kept, _)], lines = _lines_run(decoding._truncate, row[None], k, top_p)
+        config = sample_config(top_k=k, top_p=top_p)
+        [(ids, kept, _, _)], lines = _lines_run(decoding._truncate, row[None], config, np.zeros(row.size))
         assert {line for line in self.PATHS.values() if line in lines} == {self.PATHS[case]}
         assert ids.tolist() == (-row).argsort(kind="stable")[:k].tolist()
         out = np.full_like(row, -np.inf)
@@ -1416,7 +1422,7 @@ class TestBlockMaxBound:
     def test_nan_fails_the_block_naming_its_row(self, case):
         block = np.vstack([np.zeros(self.SIZE), self._row(case), np.full(self.SIZE, np.nan)])
         with pytest.raises(NonFiniteLogitsError, match="at row 1$"):
-            decoding._truncate(block, self.TOP_K, 1.0)
+            records(block, self.TOP_K, 1.0)
 
 
 def test_nan_outside_a_finite_top_k_below_the_size_rule_fails():
@@ -1426,7 +1432,7 @@ def test_nan_outside_a_finite_top_k_below_the_size_rule_fails():
     assert np.isfinite(row[(-row).argsort(kind="stable")[:50]]).all()
     for block in (row[None], np.vstack([np.zeros(200), row])):
         with pytest.raises(NonFiniteLogitsError, match=f"at row {len(block) - 1}$"):
-            decoding._truncate(block, 50, 0.9)
+            records(block, 50, 0.9)
 
 
 class FixedUniforms:
@@ -1488,16 +1494,19 @@ def _selections(selector, scores, config, uniforms):
 
 
 def selection(strategy, block, live, config, rng, zeros):
-    """The package's selection of a step on ``block``: the strategy's cut, each row's successors, then its pick.
+    """The package's selection of a step on ``block``: each row's successors, then the strategy's pick.
 
     Sampling and beam search build each row's successors from its survivors
-    record; greedy's record is its successors. Returns the kept (cumulative
-    log prob, token, source row), best first, each total negated back from
-    the pick's sort key. A sampling pick draws its uniform from ``rng.random()``.
+    record (``_truncate``, its norms summed over ``zeros``); greedy's are
+    ``_greedy``'s. Returns the kept (cumulative log prob, token, source row),
+    best first, each total negated back from the pick's sort key. A sampling
+    pick draws its uniform from ``rng.random()``.
     """
-    cut, build, pick = decoding._SELECTORS[strategy]
-    records = cut(block, config, zeros)
-    successors = list(records) if build is None else [build(record, config) for record in records]
+    build, pick = decoding._SELECTORS[strategy]
+    if build is None:
+        successors = decoding._greedy(block)
+    else:
+        successors = [build(record, config) for record in decoding._truncate(block, config, zeros)]
     uniforms = None if rng is None else iter(rng.random, None)
     return [(-key, token, source) for key, token, source in pick(successors, live, config, uniforms)]
 
@@ -1506,12 +1515,12 @@ def one_row_selector(strategy):
     """The package's selection on a one-row block, as the reference's [(token, log prob)].
 
     The one hypothesis has cumulative log prob -0.0: added to any log prob,
-    -0.0 included, it gives that log prob bit for bit. The zero workspace
-    block is a fresh one per call.
+    -0.0 included, it gives that log prob bit for bit. The zero row is a
+    fresh one per call.
     """
     def select(scores, config, rng):
         block = np.array(scores, dtype=np.float64)[None]
-        kept = selection(strategy, block, [(-0.0,)], config, rng, np.zeros_like(block))
+        kept = selection(strategy, block, [(-0.0,)], config, rng, np.zeros(block.shape[1]))
         return [(token, total) for total, token, _ in kept]
 
     return select
@@ -1544,7 +1553,7 @@ class CountingExp:
 class TestSelectionOverSurvivors:
     @pytest.mark.parametrize("strategy", ["sample", "beam"])
     def test_no_normalisation_over_the_whole_vocabulary(self, monkeypatch, strategy):
-        # Apart from the full-length zero-row sum of ``_normalisers``, a step
+        # Apart from the full-length zero-row sum of each record's norm, a step
         # exponentiates and normalises at most top_k entries per hypothesis:
         # one exp(kept - top) of each stepped row's survivors gives the nucleus
         # mass and the weights that the selector normalises.
@@ -1557,11 +1566,13 @@ class TestSelectionOverSurvivors:
 
             monkeypatch.setattr(decoding, name, counting)
 
-        def normalisers(ids, weights, zeros, full_length=decoding._normalisers):
-            normalised.append(np.shape(weights)[-1])
-            return full_length(ids, weights, zeros)
+        def truncate(x, config, zeros, cut=decoding._truncate):
+            made = cut(x, config, zeros)
+            assert all(type(norm) is float for *_, norm in made)
+            normalised.extend(len(weights) for _, _, weights, _ in made)
+            return made
 
-        monkeypatch.setattr(decoding, "_normalisers", normalisers)
+        monkeypatch.setattr(decoding, "_truncate", truncate)
         model = make_markov(make_vocab(1_000), seed=3)
         provider = Asked(model)
         config = GenerationConfig(strategy=strategy, top_k=20, top_p=0.9, num_beams=3,
@@ -1605,7 +1616,7 @@ def _beam_step_outcomes(block, live, config):
         except ValueError as exc:
             return type(exc)
 
-    return (outcome(lambda: selection("beam", block, live, config, None, np.zeros_like(block))),
+    return (outcome(lambda: selection("beam", block, live, config, None, np.zeros(block.shape[1]))),
             outcome(lambda: reference_beam_step(block, live, config)))
 
 
@@ -1710,27 +1721,27 @@ def test_beam_step_matches_reference_rows(case):
 
 
 def test_zero_workspace_is_all_zeros_again_after_each_selection():
-    """Selections that share one zero block match selections on fresh zeros, bit for bit.
+    """Selections that share one zero row match selections on fresh zeros, bit for bit.
 
-    The beam steps shrink from 4 live rows to 1 on the same (4, V) block, as
-    when beams end; sampling reuses the block's first row.
+    The beam steps shrink from 4 live rows to 1, as when beams end, and
+    sampling steps one row; all of them sum their norms over the same row.
     """
     rng = np.random.default_rng(5)
     size = 3_000
-    zeros = np.zeros((4, size))
+    zeros = np.zeros(size)
     beam = beam_config(top_k=50, top_p=0.95, num_beams=4)
     for rows in (4, 3, 1):
         steered = rng.normal(0.0, 3.0, (rows, size))
         live = [(cumulative,) for cumulative in rng.normal(-5.0, 1.0, rows).tolist()]
         kept = selection("beam", steered, live, beam, None, zeros)
         assert zeros.tobytes() == bytes(zeros.nbytes)
-        assert _hex_kept(kept) == _hex_kept(selection("beam", steered, live, beam, None, np.zeros((rows, size))))
+        assert _hex_kept(kept) == _hex_kept(selection("beam", steered, live, beam, None, np.zeros(size)))
     sample = sample_config(top_k=50, top_p=0.95)
     for seed in range(3):
         steered = rng.normal(0.0, 3.0, (1, size))
         kept = selection("sample", steered, [(0.0,)], sample, np.random.default_rng(seed), zeros)
         assert zeros.tobytes() == bytes(zeros.nbytes)
-        fresh = selection("sample", steered, [(0.0,)], sample, np.random.default_rng(seed), np.zeros((1, size)))
+        fresh = selection("sample", steered, [(0.0,)], sample, np.random.default_rng(seed), np.zeros(size))
         assert _hex_kept(kept) == _hex_kept(fresh)
 
 

@@ -27,10 +27,12 @@ from topicsteer.experiment import (
     merge_external_scores,
     run_sweep,
 )
-from topicsteer.models import NonFiniteLogitsError, load_toy_model
-from topicsteer.reweight import ProcessorChain, ReweightConfig
+from topicsteer.models import NonFiniteLogitsError, ToyMarkovModel, load_toy_model
+from topicsteer.reweight import ProcessorChain, ReweightConfig, build_chain
 from topicsteer.topics import TopicModel, load_topic_model, topic_token_set
 
+from conftest import make_vocab
+from reference_decoding import REFERENCE
 from test_decoding import phase_of
 
 
@@ -96,6 +98,12 @@ class TestLoadCorpus:
         # str() used to load null as the text "None", an array as its repr and 7 as "7"
         path = write_jsonl(tmp_path / "c.jsonl", [sample_dict(0), sample_dict(1, **{key: bad})])
         with pytest.raises(CorpusFormatError, match=rf"c\.jsonl:2: {key} .* is not a string"):
+            load_corpus(path)
+
+    def test_article_id_with_the_seed_separator_names_line_and_value(self, tmp_path):
+        # derive_seed joins its parts with "\x1f", so this id would share seeds with another id and label
+        path = write_jsonl(tmp_path / "c.jsonl", [sample_dict(0), sample_dict(1, article_id="a\x1fb")])
+        with pytest.raises(CorpusFormatError, match=re.escape("c.jsonl:2: article_id 'a\\x1fb' holds '\\x1f'")):
             load_corpus(path)
 
     @pytest.mark.parametrize("limit", [0, -3])
@@ -504,6 +512,53 @@ class TestRowContext:
         assert context.decodes == 1
 
 
+def test_rows_whose_eos_fires_and_whose_threshold_ties_match_the_reference_decoders():
+    """Rows through one ``RowContext`` equal the reference decoders where EOS fires and topic tokens tie.
+
+    The fixture never ends a decode early and no threshold rewrite of it ties
+    two topic tokens. Here seeded order-1 tables of 6-10 tokens draw their
+    scores from {-1, 0, 0.5, 1, 2}, so scores tie, and their EOS column from
+    U(-0.5, 2), so decodes stop once EOS may fire. Greedy search, sampling and
+    beam search each run with no reweighting, a shift of 1 and a threshold
+    rewrite (theta 0.02, beta 0.5) that raises every qualifying topic token
+    to one value, for both topics of three articles. Each row's tokens and
+    log prob are the reference's bit for bit.
+    """
+    base = GenerationConfig(top_k=4, top_p=0.9, num_beams=3, min_new_tokens=2, max_new_tokens=8)
+    methods = {"none": ReweightConfig(), "shift": ReweightConfig(method="constant_shift", c=1.0),
+               "threshold": ReweightConfig(method="threshold_selection", theta=0.02, beta=0.5)}
+    conditions = [Condition(f"{strategy}-{name}", method, dataclasses.replace(base, strategy=strategy))
+                  for strategy in ("greedy", "sample", "beam") for name, method in methods.items()]
+    rows = early = tied = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        vocab = make_vocab(int(rng.integers(4, 9)))
+        table = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], (vocab.size, vocab.size))
+        table[:, vocab.eos_id] = rng.uniform(-0.5, 2.0, vocab.size)
+        model = ToyMarkovModel(vocabulary=vocab, table=table)
+        words = vocab.tokens[2:]
+        topic_model = TopicModel(topics={tid: tuple((word, 1.0 / rank) for rank, word in enumerate(topic, 1))
+                                         for tid, topic in enumerate((words[::2], words[1::2] + words[:1]))})
+        context = RowContext(model, topic_model, 25, seed)
+        for i in range(3):
+            article = " ".join(rng.choice(words, 4))
+            sample = CorpusSample(f"a{i}", article, i % 2, 1 - i % 2, words[0], words[1])
+            for condition in conditions:
+                for tid in (0, 1):
+                    result, _ = context.run_row(sample, condition, tid)
+                    generation = condition.generation_for(seed, sample.article_id, tid)
+                    chain = build_chain(condition.reweight, topic_token_set(tid, topic_model, vocab, 25))
+                    expected = REFERENCE[generation.strategy](model, sample.prompt(vocab), chain, generation)
+                    assert (result.tokens, result.log_prob.hex()) == (expected.tokens, expected.log_prob.hex())
+                    rows += 1
+                    early += len(result.tokens) < base.max_new_tokens
+        for tid in (0, 1):  # table rows whose rewrite raises two or more topic tokens to max + beta
+            chain = build_chain(methods["threshold"], topic_token_set(tid, topic_model, vocab, 25))
+            raised = np.array([chain.apply(row)[chain.ids] for row in table]) == table.max(axis=1, keepdims=True) + 0.5
+            tied += int((raised.sum(axis=1) > 1).sum())
+    assert rows == 20 * 3 * 9 * 2 and early >= 100 and tied >= 100  # 125 rows stop early; 348 rewrites tie
+
+
 class CountingRows:
     """A toy model that counts the rows its ``logits_many`` is asked for."""
 
@@ -595,6 +650,14 @@ class TestDeriveSeed:
 
     def test_fits_in_uint64(self):
         assert 0 <= derive_seed(999, "z") < 2 ** 64
+
+    def test_no_article_id_or_label_holds_the_separator(self):
+        # the joined text is all a seed sees, so ("a\x1fb", "c") and ("a", "b\x1fc") would share one
+        assert derive_seed(1, "a\x1fb", "c", 0) == derive_seed(1, "a", "b\x1fc", 0)
+        with pytest.raises(ValueError, match=re.escape("article_id 'a\\x1fb' holds")):
+            CorpusSample("a\x1fb", "the court", 0, 1, "court", "orbit")
+        with pytest.raises(ValueError, match=re.escape("condition label 'b\\x1fc' holds")):
+            Condition("b\x1fc", ReweightConfig(), GenerationConfig(strategy="sample"))
 
 
 class TestMerge:
