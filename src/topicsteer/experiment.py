@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 import logging
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -280,35 +281,33 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     except OSError as exc:
         raise ValueError(f"cannot make output directory {out_dir}: {exc.strerror}") from None
     context = RowContext(model, topic_model, config.top_n, config.master_seed)
-    columns = list(SWEEP_COLUMNS)
     rows: list[dict[str, str]] = []
-    ok_rows = []
-    per_condition: dict[str, int] = {c.label: 0 for c in config.conditions}
     for sample in corpus:
         for condition in config.conditions:
             for tid in _steered_tids(sample, config.steered_policy):
-                per_condition[condition.label] += 1
                 try:
                     _result, row = context.run_row(sample, condition, tid)
                 except Exception as exc:  # recorded per row; the sweep continues
                     error = " ".join(error_text(exc).split())
                     logger.warning("row failed: article=%s condition=%s tid=%s: %s",
                                    sample.article_id, condition.label, tid, error)
-                    row = {**dict.fromkeys(columns, ""), "article_id": sample.article_id, "condition": condition.label,
-                           "steered_tid": str(tid), "error": error}
+                    # the report writer leaves the metric cells of a failed row empty
+                    row = {"article_id": sample.article_id, "condition": condition.label, "steered_tid": str(tid),
+                           "error": error}
                 else:
                     row["error"] = ""
-                    ok_rows.append(row)
                 rows.append(row)
 
     report_path = out_dir / "report.csv"
     aggregate_path = out_dir / "aggregates.csv"
     manifest_path = out_dir / "manifest.json"
 
-    write_report_csv(rows, report_path, columns)
+    ok_rows = [r for r in rows if not r["error"]]
+    write_report_csv(rows, report_path, SWEEP_COLUMNS)
     _write_aggregates(ok_rows, config, aggregate_path)
 
-    rows_error = sum(1 for r in rows if r["error"])
+    rows_error = len(rows) - len(ok_rows)
+    per_condition = Counter(r["condition"] for r in rows)
     expected = len(corpus) * len(config.conditions) * (2 if config.steered_policy == "both" else 1)
     # Inputs enter the hash by content, so where a checkout lives does not change it.
     inputs = {key: hashlib.sha256(Path(getattr(config, key)).read_bytes()).hexdigest()
@@ -323,9 +322,9 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         "samples": len(corpus),
         "rows_expected": expected,
         "rows_written": len(rows),
-        "rows_ok": len(rows) - rows_error,
+        "rows_ok": len(ok_rows),
         "rows_error": rows_error,
-        "rows_per_condition": per_condition,
+        "rows_per_condition": {c.label: per_condition[c.label] for c in config.conditions},
         "decodes": context.decodes,
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -334,7 +333,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         aggregate_path=aggregate_path,
         manifest_path=manifest_path,
         rows_total=len(rows),
-        rows_ok=len(rows) - rows_error,
+        rows_ok=len(ok_rows),
         rows_error=rows_error,
     )
 

@@ -12,27 +12,24 @@ Builds three files into the fixtures directory:
 Every state of the Markov table has one strong filler successor (logit 3.0)
 and one designated topic candidate per topic at 3.0 minus a gap drawn from
 one of four buckets: already ahead (gap < 0), flips under a shift of 2,
-flips only under a shift of 5, never flips. The builder re-runs the steering
-trend end to end and refuses to write fixtures that do not exhibit it: one
-greedy decode per article at each shift of topic 0, scored against both
-topics, and one 4-beam decode at shift 5.
+flips only under a shift of 5, never flips. The builder runs no decode: the
+tests hold the fixture contract on the committed files.
+``tests/test_fixtures.py`` checks that this builder reproduces them byte for
+byte, ``test_acceptance.py::test_10`` checks the topic expansion, stems and
+prompts, and ``test_acceptance.py::test_07`` checks the steering trend under
+greedy and 4-beam decoding and pins its means.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from ..decoding import GenerationConfig, generate
 from ..models import ToyMarkovModel, Vocabulary, save_toy_model
-from ..reweight import ReweightConfig, build_chain
-from ..scoring import token_topic_score
-from ..stemmer import stem
-from ..topics import TopicModel, expand_word, topic_token_set
+from ..topics import TopicModel, expand_word
 
 SEED = 20260809
 
@@ -77,7 +74,6 @@ TOPIC_STATE_FILLER_LOGIT = 2.0  # topic states prefer staying topical once steer
 SUPPRESSED_TOPIC_LOGIT = -8.0
 SPECIAL_LOGIT = -30.0
 ARTICLES = 25
-GENERATION = GenerationConfig(strategy="greedy", min_new_tokens=80, max_new_tokens=90)
 
 
 def build_vocabulary() -> tuple[Vocabulary, dict[str, tuple[str, ...]]]:
@@ -163,50 +159,6 @@ def build_corpus(rng: np.random.Generator) -> list[dict]:
     return samples
 
 
-def verify(model: ToyMarkovModel, topic_model: TopicModel, samples: list[dict]) -> dict:
-    """Re-run the fixture's contract checks; raises AssertionError on failure."""
-    vocab = model.vocabulary
-    tsets = [topic_token_set(tid, topic_model, vocab, top_n=25) for tid in (0, 1)]
-    for tset, words in zip(tsets, (TOPIC0_WORDS, TOPIC1_WORDS)):
-        if not 75 <= len(tset) <= 125:
-            raise AssertionError(f"topic {tset.topic_id}: token set size {len(tset)} outside [75, 125]")
-        for word in words:
-            matches = sum(1 for v in expand_word(word) if vocab.lookup(v) is not None)
-            if not 3 <= matches <= 5:
-                raise AssertionError(f"{word!r} matches {matches} tokens, outside [3, 5]")
-            if stem(stem(word)) != stem(word):
-                raise AssertionError(f"stem of {word!r} is not idempotent")
-
-    prefixes = [[vocab.bos_id, *vocab.encode_words(s["article"])] for s in samples]
-    if any(len(p) < 2 for p in prefixes):
-        raise AssertionError("an article encodes to an empty prefix")
-
-    def steered_means(shift: float, config: GenerationConfig = GENERATION) -> list[float]:
-        """Mean token-topic score of each topic over the corpus, with topic 0 shifted by ``shift``."""
-        chain = build_chain(ReweightConfig(method="constant_shift", c=shift), tsets[0])
-        scores: list[list[float]] = [[], []]
-        for prefix in prefixes:
-            result = generate(model, prefix, chain, config)
-            content = [t for t in result.tokens if not vocab.is_special(t)]
-            for tset, topic_scores in zip(tsets, scores):
-                topic_scores.append(token_topic_score(content, tset))
-        return [float(np.mean(topic_scores)) for topic_scores in scores]
-
-    greedy = {c: steered_means(c) for c in (0.0, 2.0, 5.0)}
-    means = {c: on_topic for c, (on_topic, _off_topic) in greedy.items()}
-    beam_mean = steered_means(5.0, replace(GENERATION, strategy="beam", num_beams=4))[0]
-    if not (means[0.0] + 0.02 < means[2.0] and means[2.0] + 0.02 < means[5.0]):
-        raise AssertionError(f"steering trend not strictly increasing: {means}")
-    if beam_mean < means[5.0]:
-        raise AssertionError(f"beam mean {beam_mean} below greedy mean {means[5.0]} at shift 5")
-    # steering one topic must not drag the other one up
-    off_topic = greedy[5.0][1]
-    if not off_topic < means[5.0]:
-        raise AssertionError("steered topic does not dominate the unsteered one")
-
-    return {"greedy_means": means, "beam_mean_at_5": beam_mean, "off_topic_mean_at_5": off_topic}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="regenerate the shipped fixture files")
     parser.add_argument("--out-dir", type=Path, default=Path(__file__).resolve().parent)
@@ -218,8 +170,6 @@ def main(argv: list[str] | None = None) -> int:
     table = build_markov_table(vocab, chosen, rng)
     model = ToyMarkovModel(vocabulary=vocab, table=table)
     samples = build_corpus(rng)
-
-    stats = verify(model, topic_model, samples)
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     save_toy_model(model, args.out_dir / "toy_model.json")
@@ -235,9 +185,6 @@ def main(argv: list[str] | None = None) -> int:
             handle.write(json.dumps(sample) + "\n")
 
     print(f"vocabulary: {vocab.size} tokens; articles: {len(samples)}")
-    print(f"greedy steered means by shift: {stats['greedy_means']}")
-    print(f"beam(4) steered mean at shift 5: {stats['beam_mean_at_5']:.4f}")
-    print(f"unsteered-topic mean at shift 5: {stats['off_topic_mean_at_5']:.4f}")
     return 0
 
 

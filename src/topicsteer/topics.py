@@ -118,7 +118,9 @@ def load_topic_model(path: str | Path) -> TopicModel:
                 if not isinstance(item, (list, tuple)) or len(item) != 2:
                     raise ValueError(f"topic {tid} entries must be [word, weight] pairs")
                 word, weight = item
-                if not isinstance(word, str) or not word.strip():
+                if not isinstance(word, str):
+                    raise ValueError(f"topic {tid} word {word!r} is not a string")
+                if not word.strip():
                     raise ValueError(f"topic {tid} has an empty word")
                 weight = as_real(weight, f"topic {tid} weight for {word!r}")
                 if weight < 0.0:

@@ -15,7 +15,7 @@ import numpy as np
 
 from topicsteer import fixtures
 from topicsteer.decoding import GenerationConfig, generate_beam, generate_greedy, generate_sample
-from topicsteer.experiment import Condition, ExperimentConfig, run_sweep
+from topicsteer.experiment import Condition, ExperimentConfig, load_corpus, run_sweep
 from topicsteer.models import load_toy_model, log_softmax, softmax
 from topicsteer.reweight import (
     ReweightConfig,
@@ -223,9 +223,12 @@ def _steered_condition(label, c, strategy):
 
 
 def test_07_toy_steering_trend(tmp_path):
-    """On the shipped fixture the mean steered-topic token score strictly
-    increases across shifts {0, 2, 5} under greedy decoding, and 4-beam
-    search at shift 5 scores at least as high as greedy."""
+    """On the shipped fixture the mean steered-topic token score rises by
+    more than 0.02 per step across shifts {0, 2, 5} under greedy decoding,
+    4-beam search at shift 5 scores at least as high as greedy, and at
+    shift 5 the unsteered topic scores below the steered one. The four
+    means are pinned to 4 places, so a rebuilt fixture that moves them
+    fails here."""
     start = time.perf_counter()
     config = ExperimentConfig(
         corpus_path=fixtures.corpus_path(),
@@ -251,8 +254,14 @@ def test_07_toy_steering_trend(tmp_path):
         values = [float(r["token_t1"]) for r in rows if r["condition"] == label]
         assert len(values) == 25
         means[label] = sum(values) / len(values)
-    assert means["greedy_c0"] < means["greedy_c2"] < means["greedy_c5"]
+    assert means["greedy_c0"] + 0.02 < means["greedy_c2"]
+    assert means["greedy_c2"] + 0.02 < means["greedy_c5"]
     assert means["beam4_c5"] >= means["greedy_c5"]
+    off_topic = [float(r["token_t2"]) for r in rows if r["condition"] == "greedy_c5"]
+    assert sum(off_topic) / len(off_topic) < means["greedy_c5"]  # steering one topic does not drag the other up
+    assert {label: round(m, 4) for label, m in means.items()} == {
+        "greedy_c0": 0.1111, "greedy_c2": 0.336, "greedy_c5": 0.6716, "beam4_c5": 0.7498,
+    }
     assert time.perf_counter() - start < 30.0
 
 
@@ -339,7 +348,8 @@ def test_09_sweep_reproducibility(tmp_path):
 
 def test_10_topic_expansion_bound():
     """Every top-25 word of the shipped topics expands to 3-5 matching
-    tokens, and each topic's token set lands in [75, 125]."""
+    tokens and has an idempotent stem, each topic's token set lands in
+    [75, 125], and no shipped article encodes to an empty prompt."""
     model = load_toy_model(fixtures.toy_model_path())
     topic_model = load_topic_model(fixtures.topic_model_path())
     vocab = model.vocabulary
@@ -350,7 +360,10 @@ def test_10_topic_expansion_bound():
         for word, _weight in top:
             matches = sum(1 for v in expand_word(word) if vocab.lookup(v) is not None)
             assert 3 <= matches <= 5, f"{word!r} matches {matches} tokens"
+            assert stem(stem(word)) == stem(word), word
             total += matches
         tset = topic_token_set(tid, topic_model, vocab, top_n=25)
         assert 75 <= len(tset) <= 125
         assert len(tset) == total  # variants are disjoint across words
+    for sample in load_corpus(fixtures.corpus_path()):
+        assert len(sample.prompt(vocab)) >= 2, sample.article_id  # BOS and at least one article token

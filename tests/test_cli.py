@@ -248,6 +248,18 @@ class TestSweep:
             errors = [row["error"] for row in csv.DictReader(handle) if row["error"]]
         assert errors == ["unknown topic id 9"] * 2  # both rows of article "b"
 
+    def test_every_row_failing_exits_3(self, tmp_path, capsys):
+        topics = tmp_path / "topics.json"
+        topics.write_text(json.dumps({"topics": [{"id": 5, "words": [["court", 1.0]]},
+                                                 {"id": 6, "words": [["rocket", 1.0]]}]}))
+        code, out, err = run(capsys, "sweep", "--topics", str(topics), "--limit", "1", "--min-tokens", "2",
+                             "--max-tokens", "4", "--out-dir", str(tmp_path / "out"))
+        assert code == 3
+        assert "topicsteer:" not in err  # the documented total failure, not an unexpected one
+        assert out.splitlines()[-1] == "rows: 2 (0 ok, 2 failed)"
+        with open(tmp_path / "out" / "report.csv") as handle:
+            assert [row["error"] for row in csv.DictReader(handle)] == ["unknown topic id 0", "unknown topic id 1"]
+
     @pytest.mark.parametrize("under", [False, True], ids=["a file", "a path under a file"])
     def test_unusable_out_dir_is_config_error_before_any_row(self, tmp_path, capsys, monkeypatch, under):
         taken = tmp_path / "taken"
@@ -494,6 +506,11 @@ class TestSweepConfigIdentity:
             "limit": None, "steered_policy": "both", "master_seed": 0, "top_n": 25,
         }
 
+    def test_null_limit_means_no_limit(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps({"limit": None}))
+        assert identity(captured_config("--config", str(path))) == identity(captured_config())
+
     def test_readme_config(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(README_CONFIG))
@@ -602,6 +619,11 @@ class TestConfigRejections:
         code, _out, err = run(capsys, "sweep", "--config", str(path), "--out-dir", str(tmp_path / "out"))
         assert code == 1
         assert f"{path}: not valid JSON" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_condition_entry_that_is_not_an_object_exits_1_naming_it(self, tmp_path, capsys):
+        code, _out, err = self.sweep_with(tmp_path, capsys, {"conditions": [{"method": "none"}, "shift"]})
+        assert (code, err) == (1, "topicsteer: conditions[1] must be an object\n")
         assert not (tmp_path / "out").exists()
 
     def test_label_flag_with_conditions_list_exits_1(self, tmp_path, capsys):

@@ -402,6 +402,8 @@ class TestDispatcherAndRecords:
             GenerationConfig(num_beams=0)
         with pytest.raises(ValueError):
             GenerationConfig(min_new_tokens=5, max_new_tokens=4)
+        with pytest.raises(ValueError, match="^token window must be non-negative$"):
+            GenerationConfig(min_new_tokens=-1, max_new_tokens=4)
         with pytest.raises(ValueError):
             GenerationConfig(strategy="magic")
 
@@ -429,6 +431,9 @@ class TestDispatcherAndRecords:
         model = random_markov(1)
         with pytest.raises(ValueError, match="non-empty"):
             generate_greedy(model, [], None, greedy_config())
+        for config in (greedy_config(), sample_config(), beam_config()):  # the fallback path's own check
+            with pytest.raises(ValueError, match="^prefix must be non-empty$"):
+                generate(NextLogitsOnly(model), [], None, config)
 
 
 class CountingProvider:

@@ -120,6 +120,12 @@ class TestLoadCorpus:
         with pytest.raises(TypeError, match="limit .* is not an integer"):
             load_corpus(path, limit)
 
+    def test_invalid_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(sample_dict(0)) + "\n{not json\n")
+        with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: not valid JSON: "):
+            load_corpus(path)
+
     def test_shipped_corpus_has_25_samples(self):
         samples = load_corpus(fixtures.corpus_path())
         assert len(samples) == 25
@@ -843,6 +849,18 @@ class TestConfigValidation:
     def test_bad_limit(self, tmp_path):
         with pytest.raises(ValueError, match="limit"):
             make_config(tmp_path, three_conditions(), limit=0)
+
+    def test_no_conditions(self, tmp_path):
+        with pytest.raises(ValueError, match="^at least one condition is required$"):
+            make_config(tmp_path, [])
+
+    def test_top_n_below_one(self, tmp_path):
+        with pytest.raises(ValueError, match="^top_n must be >= 1$"):
+            make_config(tmp_path, three_conditions(), top_n=0)
+
+    def test_empty_label(self):
+        with pytest.raises(ValueError, match="^condition label must be non-empty$"):
+            Condition("", ReweightConfig(), fast_generation())
 
     def test_sample_validation(self):
         with pytest.raises(ValueError, match="differ"):

@@ -41,6 +41,17 @@ class TestVocabulary:
         with pytest.raises(ValueError, match="unique"):
             Vocabulary(tokens=("<s>", "</s>", "a", "a"), bos_id=0, eos_id=1)
 
+    @pytest.mark.parametrize("tokens, bos_id, eos_id, message", [
+        ((), 0, 1, "vocabulary must contain at least one token"),
+        (("x", ""), 0, 1, "token strings must be non-empty strings"),
+        (("x", 7), 0, 1, "token strings must be non-empty strings"),
+        (("x", "y"), -1, 1, "bos id -1 out of range for size 2"),
+        (("x", "y"), 0, 2, "eos id 2 out of range for size 2"),
+    ], ids=["no tokens", "empty token", "number token", "bos below range", "eos above range"])
+    def test_malformed_vocabulary_rejected(self, tokens, bos_id, eos_id, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Vocabulary(tokens=tokens, bos_id=bos_id, eos_id=eos_id)
+
     def test_bos_eos_must_differ(self):
         with pytest.raises(ValueError):
             Vocabulary(tokens=("x", "y"), bos_id=0, eos_id=0)
@@ -168,6 +179,10 @@ class TestToyMarkovModel:
         out[0] = 1e9
         assert model.next_logits([0])[0] != 1e9
 
+    def test_table_shape_must_match_vocabulary(self):
+        with pytest.raises(ValueError, match=re.escape("table shape (4, 3) does not match vocabulary (4, 4)")):
+            ToyMarkovModel(vocabulary=make_vocab(2), table=np.zeros((4, 3)))
+
     def test_non_finite_table_rejected(self):
         vocab = make_vocab(1)
         table = np.zeros((vocab.size, vocab.size))
@@ -237,6 +252,19 @@ class TestToyModelFile:
             "table": {"a": [0, 1], "b": [3, 4], "zz": [5, 6]},
         }))
         with pytest.raises(ToyModelFormatError, match="unknown tokens"):
+            load_toy_model(path)
+
+    @pytest.mark.parametrize("payload, message", [
+        (["a", "b"], "top level must be an object"),
+        ({"tokens": ["a", "b"], "bos": "a", "table": {}}, "missing key 'eos'"),
+        ({"tokens": ["a", "b"], "bos": "a", "eos": "b", "table": [[0, 1], [3, 4]]},
+         "'table' must be an object keyed by token string"),
+        ({"tokens": ["a", "b", ""], "bos": "a", "eos": "b", "table": {}}, "token strings must be non-empty strings"),
+    ], ids=["array", "no eos", "table array", "empty token"])
+    def test_malformed_file_names_the_file(self, tmp_path, payload, message):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ToyModelFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_toy_model(path)
 
     def test_wrong_row_length(self, tmp_path):

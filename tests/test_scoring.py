@@ -367,6 +367,9 @@ class TestScoreSummary:
         with pytest.raises(ValueError, match="non-empty"):
             score_summary(result, "a", "", steered_tid=0, topics=(0, 1), references=("court", "rocket"),
                           model=model, vocab=vocab)
+        with pytest.raises(ValueError, match="^steered_tid must be tid1 or tid2$"):
+            score_summary(result, "a", "c", steered_tid=2, topics=(0, 1), references=("court", "rocket"),
+                          model=model, vocab=vocab)
 
     def test_report_row_columns(self):
         vocab, model = self.make_parts()

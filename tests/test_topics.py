@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from topicsteer.models import Vocabulary
 from topicsteer.topics import (
     TopicModel,
     TopicModelFormatError,
+    TopicTokenSet,
     expand_word,
     load_topic_model,
     topic_token_set,
@@ -66,6 +68,18 @@ class TestLoadTopicModel:
             "topics": [{"id": 0, "words": [["a", 1]]}, {"id": 0, "words": [["b", 1]]}]
         })
         with pytest.raises(TopicModelFormatError, match="duplicate topic id"):
+            load_topic_model(path)
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"topics": [{"id": 0, "words": [["a", 1.0], [" ", 0.5]]}]}, "topic 0 has an empty word"),
+        ({"topics": [{"id": 0, "words": [["a", 1.0], [7, 0.5]]}]}, "topic 0 word 7 is not a string"),
+        ({"topics": [{"id": 0, "words": [[None, 0.5]]}]}, "topic 0 word None is not a string"),
+        ({"topics": [{"id": 0, "words": [["Court", 1.0], ["court ", 0.5]]}]}, "topic 0 lists 'court' twice"),
+        ({"topics": []}, "no topics defined"),
+    ], ids=["blank word", "number word", "null word", "word twice", "no topics"])
+    def test_malformed_topics_name_the_file(self, tmp_path, payload, message):
+        path = write_topics(tmp_path, payload)
+        with pytest.raises(TopicModelFormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_topic_model(path)
 
     def test_words_lowercased(self, tmp_path):
@@ -139,6 +153,10 @@ class TestTopicTokenSet:
     def test_unknown_topic(self):
         with pytest.raises(KeyError, match="unknown topic"):
             topic_token_set(99, self.make_model(), self.make_vocab())
+
+    def test_provenance_must_cover_the_ids(self):
+        with pytest.raises(ValueError, match="^provenance must cover exactly the token ids in the set$"):
+            TopicTokenSet(topic_id=0, token_ids=frozenset({2, 3}), provenance={2: "court"})
 
     def test_top_n_must_be_positive(self):
         with pytest.raises(ValueError, match="top_n"):
