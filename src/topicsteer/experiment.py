@@ -3,9 +3,10 @@
 Each corpus sample carries two topic ids with one reference summary each.
 A sweep generates one summary per (sample, condition, steered topic), scores
 it, and writes a report CSV, a per-condition aggregate CSV, and a manifest;
-rows that would decode the same text share one decode (``RowContext``). Given
-the same config and master seed, outputs are byte-identical; only the
-manifest carries a timestamp.
+rows that would decode the same text share one decode, and rows with the same
+summary share its scores (``RowContext``, one per sweep). Given the same
+config and master seed, outputs are byte-identical; only the manifest
+carries a timestamp.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from statistics import mean, stdev
 
+from . import scoring
 from .decoding import GenerationConfig, GenerationResult, generate
 from .models import LogitsProvider, Vocabulary, as_int, as_real, error_text, load_toy_model, read_text
 from .reweight import ProcessorChain, ReweightConfig, build_chain
@@ -225,6 +227,14 @@ class RowContext:
     whose decode is kept is scored on it without calling ``generate``, and a
     decode that raises is not kept, so the next row that needs it records its
     own error. ``decodes`` counts the decodes it kept.
+
+    It also keeps, for its whole life, the topic-metric strings of each
+    summary per (summary tokens, tid1, tid2) and its ROUGE-L string per
+    (summary tokens, steered reference). Only a new topic key calls
+    ``score_summary`` (through this module's name, which the benchmark
+    times), whose ROUGE-L is kept too; a new reference alone scores ROUGE-L
+    on the decoded text. A row with both kept decodes, stems and scores
+    nothing. A score that raises is not kept.
     """
 
     def __init__(self, model: LogitsProvider, topic_model: TopicModel, top_n: int, master_seed: int) -> None:
@@ -235,6 +245,8 @@ class RowContext:
         self._sample: CorpusSample | None = None
         self._prompt: list[int] = []
         self._results: dict[tuple, GenerationResult] = {}
+        self._topic_scores: dict[tuple, dict[str, str]] = {}
+        self._rouge: dict[tuple, str] = {}
 
     def run_row(self, sample: CorpusSample, condition: Condition, tid: int) -> tuple[GenerationResult, dict[str, str]]:
         """Generate and score one (sample, condition, steered topic) row; return the result and its CSV row."""
@@ -256,10 +268,21 @@ class RowContext:
                 self._chains[steer] = build_chain(condition.reweight, self._token_sets[tid])
             result = self._results[key] = generate(self.model, self._prompt, self._chains[steer], generation)
             self.decodes += 1
-        scores = score_summary(result, article_id=sample.article_id, condition=condition.label, steered_tid=tid,
-                               topics=(sample.tid1, sample.tid2), references=(sample.ref1, sample.ref2),
-                               model=self.topic_model, vocab=vocab, top_n=self.top_n, token_sets=self._token_sets)
-        return result, report_row(scores)
+        reference = sample.ref1 if tid == sample.tid1 else sample.ref2
+        topic_key, rouge_key = (result.tokens, sample.tid1, sample.tid2), (result.tokens, reference)
+        topic_scores = self._topic_scores.get(topic_key)
+        if topic_scores is None:
+            row = report_row(score_summary(
+                result, article_id=sample.article_id, condition=condition.label, steered_tid=tid,
+                topics=(sample.tid1, sample.tid2), references=(sample.ref1, sample.ref2),
+                model=self.topic_model, vocab=vocab, top_n=self.top_n, token_sets=self._token_sets))
+            topic_scores = self._topic_scores[topic_key] = {c: row[c] for c in METRIC_COLUMNS[:-1]}  # all but ROUGE-L
+            self._rouge[rouge_key] = row["rouge_l_f1"]
+        rouge = self._rouge.get(rouge_key)
+        if rouge is None:
+            rouge = self._rouge[rouge_key] = format_score(scoring.rouge_l_f1(vocab.decode(result.tokens), reference))
+        return result, {"article_id": sample.article_id, "condition": condition.label, "steered_tid": str(tid),
+                        **topic_scores, "rouge_l_f1": rouge}
 
 
 def run_sweep(config: ExperimentConfig) -> SweepResult:

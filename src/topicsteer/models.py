@@ -13,7 +13,6 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Protocol, Sequence
 
@@ -167,10 +166,15 @@ class Vocabulary:
     def __post_init__(self) -> None:
         if not self.tokens:
             raise ValueError("vocabulary must contain at least one token")
-        if any(not isinstance(t, str) or not t for t in self.tokens):
+        # one pass builds the id index; a type other than str (a subclass passes) needs the slow scan
+        if set(map(type, self.tokens)) != {str} and not all(isinstance(t, str) for t in self.tokens):
             raise ValueError("token strings must be non-empty strings")
-        if len(set(self.tokens)) != len(self.tokens):
+        index = dict(zip(self.tokens, range(len(self.tokens))))
+        if "" in index:
+            raise ValueError("token strings must be non-empty strings")
+        if len(index) != len(self.tokens):
             raise ValueError("token strings must be unique")
+        object.__setattr__(self, "_index", index)
         for name in ("bos", "eos"):
             tid = as_int(getattr(self, f"{name}_id"), f"{name} id")
             object.__setattr__(self, f"{name}_id", tid)
@@ -192,10 +196,6 @@ class Vocabulary:
     @property
     def size(self) -> int:
         return len(self.tokens)
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {token: i for i, token in enumerate(self.tokens)}
 
     def lookup(self, token: str) -> int | None:
         """Id of an exactly matching token string, or None."""
@@ -223,11 +223,11 @@ class Vocabulary:
         tokenizer: it only recovers ids for strings that are literally
         vocabulary tokens.
         """
-        ids = []
+        index, ids = self._index, []
         for word in text.split():
-            tid = self.lookup(" " + word)
+            tid = index.get(" " + word)
             if tid is None:
-                tid = self.lookup(word)
+                tid = index.get(word)
             if tid is not None:
                 ids.append(tid)
         return ids

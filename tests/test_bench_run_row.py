@@ -6,8 +6,9 @@ beam search rows of method ``none`` read no topic, so a sweep decodes them once
 per article and scores that decode for both topics. Each timed
 ``RowContext.run_row`` call is such a second row: it finds its decode in its
 context and calls ``generate`` not at all, so it times the row path's own cost
-(the topic sets, the row's generation setting, the decode key and its lookup)
-and the scoring.
+(the topic sets, the row's generation setting, the decode key and its lookup).
+The context keeps that row's scores too, so every call but the first also
+finds its scores (``tests/test_bench_row_scoring.py`` times scoring a row).
 """
 
 import pytest

@@ -2,9 +2,11 @@ import csv
 import dataclasses
 import hashlib
 import json
+import logging
 import re
 import shutil
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +29,7 @@ from topicsteer.experiment import (
     merge_external_scores,
     run_sweep,
 )
-from topicsteer.models import NonFiniteLogitsError, ToyMarkovModel, load_toy_model
+from topicsteer.models import NonFiniteLogitsError, ToyMarkovModel, Vocabulary, load_toy_model
 from topicsteer.reweight import ProcessorChain, ReweightConfig, build_chain
 from topicsteer.topics import TopicModel, load_topic_model, topic_token_set
 
@@ -214,12 +216,13 @@ class TestRunSweep:
         assert len(rows) == 12
         assert all(row["error"] == "" for row in rows)
 
-    def test_each_row_scores_once_and_each_distinct_decode_generates_once(self, tmp_path, monkeypatch):
+    def test_each_distinct_decode_generates_once_and_each_distinct_summary_scores_once(self, tmp_path, monkeypatch):
         # The benchmark times rows by swapping out these two module names.
         # Greedy 'none' ("baseline") decodes the same text for both topics, so
-        # its tid2 row scores the tid1 row's result without a generate call.
-        calls = []
-        inner_generate, inner_score = experiment.generate, experiment.score_summary
+        # its tid2 row reads the tid1 row's result without a generate call. A
+        # row calls score_summary only for a (tokens, tid1, tid2) no earlier row had.
+        calls, keys = [], []
+        inner_generate, inner_score, inner_row = experiment.generate, experiment.score_summary, RowContext.run_row
 
         def generate(*args, **kwargs):
             calls.append(("generate", len(args), sorted(kwargs)))
@@ -229,13 +232,24 @@ class TestRunSweep:
             calls.append(("score_summary",))
             return inner_score(*args, **kwargs)
 
+        def run_row(context, sample, condition, tid):
+            result, row = inner_row(context, sample, condition, tid)
+            calls.append(("row",))
+            keys.append((result.tokens, sample.tid1, sample.tid2))
+            return result, row
+
         monkeypatch.setattr(experiment, "generate", generate)
         monkeypatch.setattr(experiment, "score_summary", score_summary)
+        monkeypatch.setattr(RowContext, "run_row", run_row)
         result = run_sweep(make_config(tmp_path, three_conditions()))
         assert (result.rows_total, result.rows_ok) == (12, 12)
-        row = [("generate", 4, []), ("score_summary",)]
-        article = row + [("score_summary",)] + row * 4  # baseline tid1, tid2; shift2 and sample for each tid
-        assert calls == article * 2
+        generated = [True, False, True, True, True, True] * 2  # baseline tid1, tid2; shift2 and sample for each tid
+        expected, seen = [], set()
+        for generates, key in zip(generated, keys, strict=True):
+            expected += [("generate", 4, [])] * generates + [("score_summary",)] * (key not in seen) + [("row",)]
+            seen.add(key)
+        assert calls == expected
+        assert calls.count(("score_summary",)) == len(seen) <= 10
         assert json.loads(result.manifest_path.read_text())["decodes"] == 10
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -293,29 +307,6 @@ class TestRunSweep:
         assert errors == {corpus[0].article_id: "", corpus[1].article_id: "provider logits hold NaN or +inf at step 0, "
                           "row 0", corpus[2].article_id: ""}
 
-
-class NaNAfterPrompt:
-    """A ``next_logits``-only provider: ``model``'s logits, with a NaN at id 5 after a prefix starting ``prompt``."""
-
-    def __init__(self, model, prompt):
-        self.model, self.vocabulary, self.prompt = model, model.vocabulary, list(prompt)
-
-    def next_logits(self, prefix):
-        row = self.model.next_logits(prefix)
-        if list(prefix[: len(self.prompt)]) == self.prompt:
-            row[5] = np.nan
-        return row
-
-
-@pytest.mark.parametrize("condition", three_conditions(), ids=lambda c: c.label)
-def test_run_row_raises_the_one_error_for_nan_logits(condition):
-    model = load_toy_model(fixtures.toy_model_path())
-    sample = load_corpus(fixtures.corpus_path())[0]
-    prefix = sample.prompt(model.vocabulary)
-    context = RowContext(NaNAfterPrompt(model, prefix), load_topic_model(fixtures.topic_model_path()), 25, 0)
-    with pytest.raises(NonFiniteLogitsError, match=r"^provider logits hold NaN or \+inf at step 0, row 0$"):
-        context.run_row(sample, condition, sample.tid1)
-
     def test_aggregates_match_hand_computation(self, tmp_path):
         result = run_sweep(make_config(tmp_path, three_conditions()))
         with open(result.report_path) as handle:
@@ -363,17 +354,48 @@ def test_run_row_raises_the_one_error_for_nan_logits(condition):
         # fixture-sweep benchmark workload at master seed 1. Both digests were taken
         # before sampling and beam search selected from one truncation step, and
         # before the tid2 rows of greedy-none and beam-none shared their tid1 decode.
-        calls = []
-        inner = experiment.generate
-        monkeypatch.setattr(experiment, "generate", lambda *args: calls.append(args[3]) or inner(*args))
+        # Its 450 rows hold 277 distinct summaries and 360 distinct (summary, reference)
+        # pairs, and a sweep scores each of them once.
+        counts = Counter()
+
+        def counted(name, inner):
+            return lambda *args, **kwargs: counts.update([name]) or inner(*args, **kwargs)
+
+        for owner, name in ((experiment, "generate"), (experiment, "score_summary"), (scoring, "_rouge_l"),
+                            (Vocabulary, "decode")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
         result = run_sweep(make_config(tmp_path, benchmark_grid(), limit=None, steered_policy="both", master_seed=1))
         assert (result.rows_total, result.rows_error) == (450, 0)
-        assert len(calls) == json.loads(result.manifest_path.read_text())["decodes"] == 450 - 2 * 25
+        assert counts["generate"] == json.loads(result.manifest_path.read_text())["decodes"] == 450 - 2 * 25
+        assert (counts["score_summary"], counts["_rouge_l"]) == (277, 360)
+        assert counts["decode"] <= 360
         assert hashlib.sha256(result.report_path.read_bytes()).hexdigest() == (
             "d7b933c3ec5c9a43631206b8f80773fc427f2fcaf4277da06da7522be6604e9f")
         assert hashlib.sha256(result.aggregate_path.read_bytes()).hexdigest() == (
             "eb3154a8265ec5ecdad15364099cb3329d6b8bb264311f818dc49bad7b1aaf28")
 
+
+class NaNAfterPrompt:
+    """A ``next_logits``-only provider: ``model``'s logits, with a NaN at id 5 after a prefix starting ``prompt``."""
+
+    def __init__(self, model, prompt):
+        self.model, self.vocabulary, self.prompt = model, model.vocabulary, list(prompt)
+
+    def next_logits(self, prefix):
+        row = self.model.next_logits(prefix)
+        if list(prefix[: len(self.prompt)]) == self.prompt:
+            row[5] = np.nan
+        return row
+
+
+@pytest.mark.parametrize("condition", three_conditions(), ids=lambda c: c.label)
+def test_run_row_raises_the_one_error_for_nan_logits(condition):
+    model = load_toy_model(fixtures.toy_model_path())
+    sample = load_corpus(fixtures.corpus_path())[0]
+    prefix = sample.prompt(model.vocabulary)
+    context = RowContext(NaNAfterPrompt(model, prefix), load_topic_model(fixtures.topic_model_path()), 25, 0)
+    with pytest.raises(NonFiniteLogitsError, match=r"^provider logits hold NaN or \+inf at step 0, row 0$"):
+        context.run_row(sample, condition, sample.tid1)
 
 @st.composite
 def small_grids(draw):
@@ -516,6 +538,59 @@ class TestRowContext:
         assert context.decodes == 0 and not context._token_sets
         context.run_row(sample, greedy, 1)
         assert context.decodes == 1
+
+
+@st.composite
+def shared_text_corpora(draw):
+    """Articles that share one article text and differ in their topic pair, drawn from three topics, and
+    in their references, with conditions that mostly repeat a summary for other topics and references."""
+    fixture = load_corpus(fixtures.corpus_path(), limit=2)
+    references = [text for sample in fixture for text in (sample.ref1, sample.ref2)]
+    article = draw(st.sampled_from([sample.article for sample in fixture]))
+    samples = [CorpusSample(f"a{i}", article, *draw(st.permutations([0, 1, 2]))[:2],
+                            draw(st.sampled_from(references)), draw(st.sampled_from(references)))
+               for i in range(draw(st.integers(1, 4)))]
+    methods = [ReweightConfig(), ReweightConfig(method="constant_shift", c=3.0)]
+    conditions = [Condition(f"c{i}", draw(st.sampled_from(methods)),
+                            fast_generation(draw(st.sampled_from(["greedy", "sample", "beam"]))))
+                  for i in range(draw(st.integers(1, 3)))]
+    return samples, conditions
+
+
+class TestRowScoreCache:
+    @settings(max_examples=30, deadline=None)
+    @given(shared_text_corpora())
+    def test_each_row_of_a_long_lived_context_equals_its_own_scoring(self, drawn):
+        """A context scores each (summary, topic pair) and (summary, reference) once, and every row equals
+        ``score_summary`` of that row alone, whatever other articles the context scored that summary for."""
+        samples, conditions = drawn
+        model = load_toy_model(fixtures.toy_model_path())
+        fixture = load_topic_model(fixtures.topic_model_path())
+        mixed = tuple(sorted(fixture.topics[0][:12] + fixture.topics[1][12:], key=lambda pair: -pair[1]))
+        topic_model = TopicModel(topics={**fixture.topics, 2: mixed})
+        context = RowContext(model, topic_model, 25, 1)
+        for sample in samples:
+            for condition in conditions:
+                for tid in (sample.tid1, sample.tid2):
+                    result, row = context.run_row(sample, condition, tid)
+                    alone = scoring.score_summary(
+                        result, article_id=sample.article_id, condition=condition.label, steered_tid=tid,
+                        topics=(sample.tid1, sample.tid2), references=(sample.ref1, sample.ref2),
+                        model=topic_model, vocab=model.vocabulary, top_n=25)
+                    assert row == scoring.report_row(alone), (sample, condition.label, tid)
+
+    def test_the_no_dictionary_word_warning_is_logged_once_per_distinct_summary(self, tmp_path, caplog):
+        """Topic words that miss the vocabulary leave steering inert, so an article's rows share one summary."""
+        topics_path = tmp_path / "topics.json"
+        topics_path.write_text(json.dumps({"topics": [{"id": 0, "words": [["zzqx", 1.0]]},
+                                                      {"id": 1, "words": [["qqwz", 1.0]]}]}))
+        conditions = [Condition("none", ReweightConfig(), fast_generation()),
+                      Condition("shift2", ReweightConfig(method="constant_shift", c=2.0), fast_generation())]
+        with caplog.at_level(logging.WARNING, logger="topicsteer.scoring"):
+            result = run_sweep(make_config(tmp_path, conditions, topics_path=topics_path))
+        assert (result.rows_total, result.rows_error) == (8, 0)
+        warnings = [r for r in caplog.records if "no summary word found" in r.getMessage()]
+        assert len(warnings) == 2 * 2  # each article's one summary, scored for its two topics
 
 
 def test_rows_whose_eos_fires_and_whose_threshold_ties_match_the_reference_decoders():

@@ -45,12 +45,23 @@ class TestVocabulary:
         ((), 0, 1, "vocabulary must contain at least one token"),
         (("x", ""), 0, 1, "token strings must be non-empty strings"),
         (("x", 7), 0, 1, "token strings must be non-empty strings"),
+        (("x", ["y"]), 0, 1, "token strings must be non-empty strings"),
+        (("x", "x", ""), 0, 1, "token strings must be non-empty strings"),
         (("x", "y"), -1, 1, "bos id -1 out of range for size 2"),
         (("x", "y"), 0, 2, "eos id 2 out of range for size 2"),
-    ], ids=["no tokens", "empty token", "number token", "bos below range", "eos above range"])
+    ], ids=["no tokens", "empty token", "number token", "list token", "empty and duplicate token",
+            "bos below range", "eos above range"])
     def test_malformed_vocabulary_rejected(self, tokens, bos_id, eos_id, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Vocabulary(tokens=tokens, bos_id=bos_id, eos_id=eos_id)
+
+    def test_str_subclass_tokens_are_strings(self):
+        class Token(str):
+            pass
+
+        vocab = Vocabulary(tokens=(Token("<s>"), "</s>", Token(" court")), bos_id=0, eos_id=1)
+        assert vocab.lookup(" court") == 2
+        assert vocab.encode_words("court") == [2]
 
     def test_bos_eos_must_differ(self):
         with pytest.raises(ValueError):
