@@ -6,6 +6,8 @@ logits of topic-relevant tokens at every step. Scoring and a sweep harness
 measure the resulting topical focus and summary quality.
 """
 
+__version__ = "0.1.0"  # set before the submodules import: ``experiment`` writes it to each manifest
+
 from .decoding import (
     GenerationConfig,
     GenerationResult,
@@ -64,5 +66,3 @@ from .topics import (
     load_topic_model,
     topic_token_set,
 )
-
-__version__ = "0.1.0"

@@ -196,7 +196,11 @@ def _truncate(x: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> lis
 # A strategy is a build and a pick, greedy's build being None: the build maps a
 # survivors record (``_truncate``) to the successors ``_decode`` keeps (greedy's
 # are ``_greedy``'s), and the pick the live rows' successors to the kept ones,
-# best first, as sort keys (-cumulative log prob, token, source row).
+# best first, as sort keys (-cumulative log prob, token, source row). Each
+# hypothesis keeps its key, from -0.0, and a successor's is ``key - log_prob``,
+# which is -(total + log_prob) bit for bit except that a -0.0 log prob (a -0.0
+# top logit that holds all the mass) turns key -0.0 into +0.0. Zeros of either
+# sign rank alike, and ``_decode`` returns ``0.0 - key``, +0.0 for both.
 def _greedy(steered: np.ndarray) -> list:
     """The one row's argmax of the untruncated logits with its log prob; truncation never changes the argmax.
 
@@ -232,7 +236,7 @@ def _draw(successors: list, live: list, config: GenerationConfig, uniforms: Iter
     index = bisect_right(cdf, next(uniforms))
     if index == len(probs):  # past the last sum, which rounding can leave below 1
         index = max(i for i, prob in enumerate(probs) if prob > 0.0)
-    return ((-(live[0][0] + math.log(probs[index])), ids[index], 0),)
+    return ((live[0][0] - math.log(probs[index]), ids[index], 0),)
 
 
 def _beam(record: tuple, config: GenerationConfig) -> list:
@@ -264,8 +268,11 @@ def _beam(record: tuple, config: GenerationConfig) -> list:
 
 def _best(successors: list, live: list, config: GenerationConfig, uniforms: None) -> list:
     """The global top num_beams of all rows' successors: by cumulative log prob, then lower token id, then lower row."""
-    candidates = [(-(hypothesis[0] + log_prob), token, source)
-                  for source, (hypothesis, pairs) in enumerate(zip(live, successors)) for log_prob, token in pairs]
+    candidates = []
+    for source, (hypothesis, pairs) in enumerate(zip(live, successors)):
+        key = hypothesis[0]
+        for log_prob, token in pairs:
+            candidates.append((key - log_prob, token, source))
     candidates.sort()
     del candidates[config.num_beams:]
     return candidates
@@ -274,7 +281,7 @@ def _best(successors: list, live: list, config: GenerationConfig, uniforms: None
 def _extend(successors: list, live: list, config: GenerationConfig, uniforms: None) -> tuple:
     """Greedy's pick: the one hypothesis extended by its one successor."""
     (log_prob, token), = successors
-    return ((-(live[0][0] + log_prob), token, 0),)
+    return ((live[0][0] - log_prob, token, 0),)
 
 
 _SELECTORS = dict(greedy=(None, _extend), sample=(_sample, _draw), beam=(_beam, _best))
@@ -384,8 +391,8 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     size = model.vocabulary.size
     zeros = np.zeros(size)  # the decode's one zero row, which each record's norm is summed over
     eos = model.vocabulary.eos_id
-    # (cumulative log prob, provider state, (token, parent) chain)
-    live = [(0.0, provider.start(prefix), ())]
+    # (sort key, provider state, (token, parent) chain)
+    live = [(-0.0, provider.start(prefix), ())]
     chain = chain or ProcessorChain()
     rewrite = chain.bind(width, size)
     # Per EOS phase, state -> its successors, and (sampling and beam search) state -> its survivors record, per EOS
@@ -433,9 +440,9 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
             for key, token, source in pick(successors, live, config, uniforms):
                 _, state, tokens = live[source]
                 if token == eos:
-                    done.append((-key, None, (token, tokens)))
+                    done.append((key, None, (token, tokens)))
                 else:
-                    extended.append((-key, provider.advance(state, token), (token, tokens)))
+                    extended.append((key, provider.advance(state, token), (token, tokens)))
             live = extended
             if not live:
                 break
@@ -443,8 +450,8 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
         if fault.row is None:  # the provider checked a vector of its own (``models.as_logit_vector``)
             raise
         raise NonFiniteLogitsError([state for _, state, _ in live].index(asked[fault.row]), step) from None
-    total, _, tokens = max(done or live, key=lambda hypothesis: hypothesis[0])
-    return GenerationResult(_tokens(tokens), total)
+    key, _, tokens = min(done or live, key=lambda hypothesis: hypothesis[0])
+    return GenerationResult(_tokens(tokens), 0.0 - key)
 
 
 def generate_greedy(

@@ -16,13 +16,16 @@ import hashlib
 import io
 import json
 import logging
+import platform
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from statistics import mean, stdev
 
-from . import scoring
+import numpy as np
+
+from . import __version__, scoring
 from .decoding import GenerationConfig, GenerationResult, generate
 from .models import LogitsProvider, Vocabulary, as_int, as_real, error_text, load_toy_model, read_text
 from .reweight import ProcessorChain, ReweightConfig, build_chain
@@ -349,6 +352,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         "rows_error": rows_error,
         "rows_per_condition": {c.label: per_condition[c.label] for c in config.conditions},
         "decodes": context.decodes,
+        "versions": {"python": platform.python_version(), "numpy": np.__version__, "topicsteer": __version__},
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return SweepResult(

@@ -9,7 +9,7 @@ as the loop ran it before steps were batched (per hypothesis: its row of ``logit
 runs it (``logits_many``, one in-place chain rewrite, each row's survivors
 record, whose norm is summed over a zero row made once, as a decode makes one
 per call, each row's successors built from its record, and one pick over
-them, whose sort keys hold the negated totals). Both must keep the
+them, whose sort keys hold the negated totals, as each live beam keeps its own). Both must keep the
 same successors with bit-equal cumulative log probabilities. The inputs are the shipped fixture
 (V=226) with a shift of topic 0, and four N(0, 3) rows at V=50,000 with
 threshold selection over 1,000 ids.
@@ -71,7 +71,7 @@ def per_hypothesis_step(model, states, chain):
 def block_step(model, states, chain, zeros):
     block = model.logits_many(states)
     steered = chain.bind(*block.shape)(block)
-    live = [(cumulative,) for cumulative in CUMULATIVE]
+    live = [(-cumulative,) for cumulative in CUMULATIVE]
     successors = [decoding._beam(record, CONFIG) for record in decoding._truncate(steered, CONFIG, zeros)]
     return decoding._best(successors, live, CONFIG, None)
 

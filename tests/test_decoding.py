@@ -378,7 +378,7 @@ class TestChainBeforeTruncation:
         assert generate(model, [vocab.bos_id], chain, beam).tokens == (2,)
         steered = chain.bind(1, vocab.size)(np.array([row]))
         successors = [decoding._beam(record, beam) for record in decoding._truncate(steered, beam, np.zeros(5))]
-        (first, token, _), (second, other, _) = decoding._best(successors, [(0.0,)], beam, None)
+        (first, token, _), (second, other, _) = decoding._best(successors, [(-0.0,)], beam, None)
         assert (token, other) == (2, 4) and first == second
 
 
@@ -434,6 +434,33 @@ class TestDispatcherAndRecords:
         for config in (greedy_config(), sample_config(), beam_config()):  # the fallback path's own check
             with pytest.raises(ValueError, match="^prefix must be non-empty$"):
                 generate(NextLogitsOnly(model), [], None, config)
+
+
+class TestZeroLogProb:
+    """A decode whose every step has log prob zero returns +0.0, as a sum of zeros from 0.0 does.
+
+    Each hypothesis keeps its negated total as the pick's sort key, from -0.0,
+    and a decode returns ``0.0 - key``. A key started at +0.0 and negated at
+    the end would return -0.0 for 0.0 steps; a key negated from -0.0 would
+    return -0.0 for -0.0 steps, which a -0.0 top logit that holds all the
+    mass gives greedy and beam search.
+    """
+
+    @pytest.mark.parametrize("strategy", ["sample", "beam"])
+    def test_top_k_of_one_gives_zero_steps(self, strategy):
+        model = random_markov(4)
+        config = GenerationConfig(strategy, top_k=1, min_new_tokens=5, max_new_tokens=5)
+        result = generate(model, [model.vocabulary.bos_id], None, config)
+        assert len(result.tokens) == 5 and result.log_prob.hex() == "0x0.0p+0"
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_negative_zero_top_logit_that_holds_all_the_mass(self, strategy):
+        vocab = make_vocab(3)
+        table = np.full((vocab.size, vocab.size), -1e300)
+        table[:, 3] = -0.0
+        config = GenerationConfig(strategy, min_new_tokens=5, max_new_tokens=5)
+        result = generate(make_markov(vocab, table), [vocab.bos_id], None, config)
+        assert result.tokens == (3,) * 5 and result.log_prob.hex() == "0x0.0p+0"
 
 
 class CountingProvider:
@@ -1503,9 +1530,11 @@ def selection(strategy, block, live, config, rng, zeros):
 
     Sampling and beam search build each row's successors from its survivors
     record (``_truncate``, its norms summed over ``zeros``); greedy's are
-    ``_greedy``'s. Returns the kept (cumulative log prob, token, source row),
-    best first, each total negated back from the pick's sort key. A sampling
-    pick draws its uniform from ``rng.random()``.
+    ``_greedy``'s. ``live`` holds each hypothesis's sort key, its negated
+    cumulative log prob (-0.0 for a total of zero), as ``_decode`` keeps it.
+    Returns the kept (cumulative log prob, token, source row), best first,
+    each total negated back from the pick's sort key. A sampling pick draws
+    its uniform from ``rng.random()``.
     """
     build, pick = decoding._SELECTORS[strategy]
     if build is None:
@@ -1519,9 +1548,9 @@ def selection(strategy, block, live, config, rng, zeros):
 def one_row_selector(strategy):
     """The package's selection on a one-row block, as the reference's [(token, log prob)].
 
-    The one hypothesis has cumulative log prob -0.0: added to any log prob,
-    -0.0 included, it gives that log prob bit for bit. The zero row is a
-    fresh one per call.
+    The one hypothesis has sort key -0.0, as a decode's first: any log prob,
+    -0.0 included, subtracted from it and negated back gives that log prob bit
+    for bit. The zero row is a fresh one per call.
     """
     def select(scores, config, rng):
         block = np.array(scores, dtype=np.float64)[None]
@@ -1605,9 +1634,9 @@ def _hex_kept(kept):
 def reference_beam_step(block, live, config):
     """The reference beam step: each row's selection on its own, then one sort of all candidates."""
     candidates = []
-    for source, (row, (cumulative,)) in enumerate(zip(block, live)):
+    for source, (row, (key,)) in enumerate(zip(block, live)):
         for token, log_prob in reference_decoding.SELECTORS["beam"](row, config, None):
-            candidates.append((cumulative + log_prob, token, source))
+            candidates.append((-key + log_prob, token, source))
     candidates.sort(key=lambda candidate: (-candidate[0], candidate[1], candidate[2]))
     return candidates[: config.num_beams]
 
@@ -1646,7 +1675,7 @@ class TestBeamBoundary:
 
     def test_top_k_at_most_num_beams(self):
         block = np.random.default_rng(3).normal(0.0, 2.0, (3, 40))
-        live = [(-1.0,), (-1.25,), (-4.0,)]
+        live = [(1.0,), (1.25,), (4.0,)]
         for top_k in (1, 2, 4):
             config = beam_config(top_k=top_k, top_p=1.0, num_beams=4)
             kept, expected = _beam_step_outcomes(block, live, config)
@@ -1655,7 +1684,7 @@ class TestBeamBoundary:
     def test_fewer_nucleus_survivors_than_num_beams(self):
         block = np.array([[12.0, 0.0, 1.0, 11.0, 0.5], [0.0, 0.0, 30.0, 0.0, 0.0]])
         config = beam_config(top_k=5, top_p=0.9, num_beams=4)
-        kept, expected = _beam_step_outcomes(block, [(-2.0,), (-0.5,)], config)
+        kept, expected = _beam_step_outcomes(block, [(2.0,), (0.5,)], config)
         assert kept == expected
         assert sorted((source, token) for _, token, source in kept) == [(0, 0), (0, 3), (1, 2)]
 
@@ -1676,7 +1705,7 @@ class TestBeamBoundary:
             [-np.inf, 1.0, -np.inf, 0.5, 0.25, 1.0],  # masks at low ids end the row's survivors
             [-np.inf, -np.inf, 2.0, -np.inf, -np.inf, -np.inf],
         ])
-        live = [(-0.0,), (-0.5,), (-1.0,), (-0.75,)]
+        live = [(-0.0,), (0.5,), (1.0,), (0.75,)]
         for block, top_p in ((cut_at_once, 0.9), (row_by_row, 1.0)):
             config = beam_config(top_k=6, top_p=top_p, num_beams=beams)
             kept, expected = _beam_step_outcomes(block, live[: len(block)], config)
@@ -1708,8 +1737,8 @@ def beam_step_cases(draw):
         top_p=draw(st.one_of(st.sampled_from([1.0, 0.99, 0.9, 0.5]), st.floats(1e-3, 1.0))),
         num_beams=draw(st.integers(1, 8)),
     )
-    live = [(cumulative,) for cumulative in draw(st.lists(
-        st.sampled_from([-0.0, -0.5, -1.0, -2.0**53, float(rng.normal(-3.0, 1.0))]), min_size=rows, max_size=rows))]
+    live = [(key,) for key in draw(st.lists(
+        st.sampled_from([-0.0, 0.5, 1.0, 2.0**53, float(rng.normal(3.0, 1.0))]), min_size=rows, max_size=rows))]
     return block, live, config
 
 
@@ -1737,16 +1766,16 @@ def test_zero_workspace_is_all_zeros_again_after_each_selection():
     beam = beam_config(top_k=50, top_p=0.95, num_beams=4)
     for rows in (4, 3, 1):
         steered = rng.normal(0.0, 3.0, (rows, size))
-        live = [(cumulative,) for cumulative in rng.normal(-5.0, 1.0, rows).tolist()]
+        live = [(key,) for key in rng.normal(5.0, 1.0, rows).tolist()]
         kept = selection("beam", steered, live, beam, None, zeros)
         assert zeros.tobytes() == bytes(zeros.nbytes)
         assert _hex_kept(kept) == _hex_kept(selection("beam", steered, live, beam, None, np.zeros(size)))
     sample = sample_config(top_k=50, top_p=0.95)
     for seed in range(3):
         steered = rng.normal(0.0, 3.0, (1, size))
-        kept = selection("sample", steered, [(0.0,)], sample, np.random.default_rng(seed), zeros)
+        kept = selection("sample", steered, [(-0.0,)], sample, np.random.default_rng(seed), zeros)
         assert zeros.tobytes() == bytes(zeros.nbytes)
-        fresh = selection("sample", steered, [(0.0,)], sample, np.random.default_rng(seed), np.zeros(size))
+        fresh = selection("sample", steered, [(-0.0,)], sample, np.random.default_rng(seed), np.zeros(size))
         assert _hex_kept(kept) == _hex_kept(fresh)
 
 
@@ -1763,8 +1792,9 @@ def test_greedy_log_prob_is_log_softmax_entry(row, cumulative):
     """Greedy's log prob equals ``log_softmax(row)[token]`` bit for bit, -inf masks and overflows included."""
     row = np.array(row)
     with np.errstate(over="ignore"):
-        (total, token, source), = selection("greedy", row[None], [(cumulative,)], _GREEDY, None, None)
-        expected = cumulative + float(log_softmax(row)[token])
+        key = -cumulative or -0.0  # a total of zero, either sign, is key -0.0
+        (total, token, source), = selection("greedy", row[None], [(key,)], _GREEDY, None, None)
+        expected = -(key - float(log_softmax(row)[token]))
     assert (float(total).hex(), token, source) == (expected.hex(), int(row.argmax()), 0)
 
 
@@ -1776,7 +1806,7 @@ def test_greedy_rejects_what_log_softmax_rejects(row):
     with pytest.raises(ValueError):
         log_softmax(row)
     with pytest.raises(ValueError) as got:
-        selection("greedy", row[None], [(0.0,)], _GREEDY, None, None)
+        selection("greedy", row[None], [(-0.0,)], _GREEDY, None, None)
     if (row < np.inf).all():
         assert str(got.value) == "every token of a logit vector is masked"
     else:

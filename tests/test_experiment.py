@@ -3,8 +3,12 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
+import platform
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -15,6 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as umath
+
+import topicsteer
 from topicsteer import experiment, fixtures, scoring
 from topicsteer.decoding import GenerationConfig
 from topicsteer.experiment import (
@@ -275,6 +285,19 @@ class TestRunSweep:
         assert manifest["rows_ok"] + manifest["rows_error"] == manifest["rows_written"]
         assert sum(manifest["rows_per_condition"].values()) == 12
 
+    def test_manifest_records_the_versions_outside_the_config_hash(self, tmp_path, monkeypatch):
+        def manifest(name):
+            result = run_sweep(make_config(tmp_path, three_conditions(), out_dir=tmp_path / name))
+            return json.loads(result.manifest_path.read_text())
+
+        first = manifest("one")
+        assert first["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
+                                     "topicsteer": topicsteer.__version__}
+        monkeypatch.setattr(experiment, "__version__", "0.0.0-other")
+        second = manifest("two")
+        assert second["versions"]["topicsteer"] == "0.0.0-other"
+        assert second["config_hash"] == first["config_hash"]
+
     def test_per_row_errors_recorded_and_run_continues(self, tmp_path):
         # one sample references a topic the model does not have: its rows
         # fail with an error column entry while the others complete
@@ -373,6 +396,26 @@ class TestRunSweep:
             "d7b933c3ec5c9a43631206b8f80773fc427f2fcaf4277da06da7522be6604e9f")
         assert hashlib.sha256(result.aggregate_path.read_bytes()).hexdigest() == (
             "eb3154a8265ec5ecdad15364099cb3329d6b8bb264311f818dc49bad7b1aaf28")
+
+    def test_grid_digests_hold_at_numpy_baseline_dispatch(self, tmp_path):
+        # numpy picks its exp and log kernels by CPU feature at import, and their last bits differ between
+        # dispatch targets. Both digest tests above run again in a child process that switches off every
+        # target above numpy's baseline that this CPU has, and first checks that numpy did switch them off.
+        targets = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+        if not targets:
+            pytest.skip(f"numpy runs no dispatch target above its baseline {umath.__cpu_baseline__} here")
+        tests = [f"{__file__}::TestRunSweep::{name}" for name in (
+            "test_benchmark_grid_report_is_byte_identical", "test_full_benchmark_grid_is_byte_identical")]
+        child = (f"from {umath.__name__} import __cpu_features__ as have\n"
+                 f"assert not any(have[name] for name in {targets!r}), 'numpy kept a target on'\n"
+                 f"import pytest, sys\n"
+                 f"sys.exit(pytest.main({['-q', '-p', 'no:cacheprovider', '--basetemp', str(tmp_path), *tests]!r}))")
+        package_root = str(Path(experiment.__file__).parents[1])
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(targets),
+               "PYTHONPATH": os.pathsep.join([package_root, *filter(None, [os.environ.get("PYTHONPATH")])])}
+        done = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, f"with {targets} off:\n{done.stdout}{done.stderr}"
+        assert "2 passed" in done.stdout
 
 
 class NaNAfterPrompt:
