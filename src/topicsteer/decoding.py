@@ -1,6 +1,6 @@
 """Token generation from any logits provider: greedy, sampling, beam search.
 
-All strategies share one loop, ``_decode``, which also owns the memos. Only
+All strategies share one loop, ``_decode``, and one memo, ``_StepTable``. Only
 the successors and the pick differ: greedy takes the steered argmax
 (``_greedy``); sampling (``_sample``) and beam search (``_beam``) build theirs
 from each row's survivors record, which ``_truncate`` makes: its top-k/top-p
@@ -118,7 +118,7 @@ def _truncate(x: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> lis
     """Each row's survivors record ``(ids, kept, weights, norm)``: the top-k/top-p cut of a float64 (n, V) block.
 
     The one survivor step of sampling and beam search, which share the
-    records (``_decode`` keeps them); greedy search keeps its own successors.
+    records (``_StepTable`` keeps them); greedy search keeps its own successors.
     A record's arrays hold min(top_k, V) entries: the row's top-k ids in
     survivor order, their scores (-inf where an id does not survive) and their
     weights ``exp(kept - top)`` (0 where it does not), ``top`` being the row's
@@ -141,7 +141,7 @@ def _truncate(x: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> lis
     sum, the same operations as a ``softmax`` of the survivors, so sampling and
     beam search normalise the weights the nucleus was cut by.
 
-    ``norm`` is summed over ``zeros``, the decode's zero row of length V, with
+    ``norm`` is summed over ``zeros``, the table's zero row of length V, with
     the weights put at their ids and zeros put back after. Summed over the full
     length, numpy's pairwise sum groups the weights as a ``softmax`` of the
     whole truncated row does, so the probabilities are bit for bit that
@@ -194,7 +194,7 @@ def _truncate(x: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> lis
 
 
 # A strategy is a build and a pick, greedy's build being None: the build maps a
-# survivors record (``_truncate``) to the successors ``_decode`` keeps (greedy's
+# survivors record (``_truncate``) to the successors ``_StepTable`` keeps (greedy's
 # are ``_greedy``'s), and the pick the live rows' successors to the kept ones,
 # best first, as sort keys (-cumulative log prob, token, source row). Each
 # hypothesis keeps its key, from -0.0, and a successor's is ``key - log_prob``,
@@ -322,6 +322,99 @@ class _PrefixStates:
         return block
 
 
+class _StepTable:
+    """A chain's memo for one provider and successor settings: the stepping table.
+
+    A row's successors are a function of that row alone, so a step looks up
+    the live hypotheses' states in ``phases``, one dict per EOS phase (EOS
+    masked while below the minimum length, then not), indexed by whether EOS
+    is masked. They hold the successors in the plain Python form the pick
+    reads: greedy's (log prob, token), sampling's (ids, probs, cumulative
+    probs), beam search's (log prob, token) pairs, best first. ``successors``
+    makes those a step lacks. Sampling and beam search build theirs from the
+    state's survivors record in ``records``, also one dict per phase, which
+    ``_truncate`` makes, its norm summed over the table's one zero row of
+    length V. A record serves both phases, and is kept under each, when the
+    row's EOS score, read before the mask, is strictly below its k-th
+    survivor's, k being min(top_k, V): EOS then ranks after every survivor,
+    masked or not, so the cut is the same bits. A tie at that score, or fewer
+    than k finite scores, does not count. The successors of such a record are
+    kept under both phases too, so a state that recurs across the switch (an
+    order-1 table; prefix states and key/value caches never do) is asked for
+    once. Greedy keeps no record, only its successors per phase, as its log
+    prob is normalised over the untruncated row, which the EOS mask changes
+    wherever EOS ranks; its record dicts are its own and stay empty. Only the
+    states that lack both, each once and in live order, form one (n, V) block:
+    one ``logits_many`` call, the rewrite in place (``ProcessorChain.bind``,
+    bound once per table), the EOS mask, then ``_greedy`` or ``_truncate``.
+
+    A chain keeps its tables until it is dropped, one per caller's provider
+    object (not the ``_PrefixStates`` adapter, whose block must not outlive
+    the decode) and successor settings: strategy, top_k, top_p and num_beams.
+    The sampling and beam search tables of one provider, top_k and top_p share
+    their ``records``, which the chain keeps too. A later decode through the
+    chain and provider steps only the states no earlier one met, so equal
+    states must stand for equal logits for as long as a chain is reused with
+    a provider; each table holds its provider, so the id is not reused. A
+    decode without a chain starts an empty one. A chain used for one decode
+    (``cli generate``) keeps no more heavy states (a key/value cache) alive
+    than that decode; one kept for a sweep (``experiment.RowContext``) keeps
+    every state its decodes met. A block that raises keeps nothing: the
+    rewrite and the cut raise before any state is kept.
+    """
+
+    def __init__(self, model: LogitsProvider, chain: ProcessorChain, config: GenerationConfig, width: int) -> None:
+        self.model, self.config, self.eos = model, config, model.vocabulary.eos_id  # config for its successor settings
+        self.build = _SELECTORS[config.strategy][0]
+        self.phases = ({}, {})  # state -> successors, EOS unmasked then masked
+        self.records = ({}, {}) if self.build is None else chain._memo.setdefault(
+            (id(model), config.top_k, config.top_p), ({}, {}))
+        self.rewrite = chain.bind(width, model.vocabulary.size)
+        self.zeros = np.zeros(model.vocabulary.size)
+
+    @classmethod
+    def of(cls, model: LogitsProvider, chain: ProcessorChain, config: GenerationConfig, width: int) -> _StepTable:
+        """The chain's table for ``model`` and the successor settings of ``config``, made on first use."""
+        key = (id(model), config.strategy, config.top_k, config.top_p, config.num_beams)
+        return chain._memo.get(key) or chain._memo.setdefault(key, cls(model, chain, config, width))
+
+    def successors(self, provider, states: list, step: int, masked: bool) -> list:
+        """The successors of the live ``states`` at ``step``, each state the table lacks stepped once, in one block."""
+        memo, records = self.phases[masked], self.records[masked]
+        fresh = [state for state in dict.fromkeys(states) if state not in memo]
+        asked = [state for state in fresh if state not in records] if records else fresh  # greedy's stay empty
+        if asked:
+            try:
+                raw = provider.logits_many(asked)
+                if not isinstance(raw, np.ndarray) or raw.dtype != np.float64:
+                    kind = getattr(raw, "dtype", type(raw).__name__)
+                    raise TypeError(f"logits_many gave {kind}, not a float64 array")
+                if len(raw) != len(asked):  # the table pairs each state with its row
+                    raise ValueError(f"logits_many gave {len(raw)} rows for {len(asked)} states")
+                steered = self.rewrite(raw)
+                eos_scores = steered[:, self.eos].tolist() if self.build else None  # read before the mask, for records
+                if masked:
+                    for row in range(len(asked)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
+                        steered[row, self.eos] -= math.inf
+                made = _greedy(steered) if self.build is None else _truncate(steered, self.config, self.zeros)
+            except NonFiniteLogitsError as fault:  # its row is one of ``asked``; name the first live row of that state
+                if fault.row is None:  # the provider checked a vector of its own (``models.as_logit_vector``)
+                    raise
+                raise NonFiniteLogitsError(states.index(asked[fault.row]), step) from None
+            if self.build is None:
+                memo.update(zip(asked, made))
+                return [memo[state] for state in states]
+            for row, (state, record) in enumerate(zip(asked, made)):
+                # EOS below the k-th survivor: masking it moves no survivor, so both phases share the record
+                for phase in self.records if eos_scores[row] < steered[row, record[0][-1]] else (records,):
+                    phase[state] = record
+        for state in fresh:
+            memo[state] = self.build(records[state], self.config)
+            if self.records[not masked].get(state) is records[state]:  # and so do its successors
+                self.phases[not masked][state] = memo[state]
+        return [memo[state] for state in states]
+
+
 def _tokens(chain: tuple) -> tuple[int, ...]:
     """Tokens of a ``(token, parent chain)`` chain, oldest first."""
     tokens = []
@@ -337,41 +430,10 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
 
     The provider (``models.LogitsProvider``) checks the prompt once; each kept
     hypothesis then advances its own state and keeps its new tokens as a
-    ``(token, parent)`` chain, so extending one costs O(1). The reweighting
-    chain (method "none" when None) is bound once (``ProcessorChain.bind``).
-
-    The memos. A row's successors are a function of that row alone, so a step
-    looks up the live hypotheses' states in a memo, one per EOS phase (EOS
-    masked while below the minimum length, then not), which keeps them in the
-    plain Python form the pick reads: greedy's (log prob, token), sampling's
-    (ids, probs, cumulative probs), beam search's (log prob, token) pairs,
-    best first. Sampling and beam search build theirs from the state's
-    survivors record, which ``_truncate`` makes, its norm summed over the
-    decode's one zero row of length V. One record serves both phases when the
-    row's EOS score, read before the mask, is strictly below its k-th
-    survivor's, k being min(top_k, V): EOS then ranks after every survivor,
-    masked or not, so the cut is the same bits. A tie at that score, or fewer
-    than k finite scores, does not count. Such a record and its successors are
-    kept for both phases, so a state that recurs across the switch (an order-1
-    table; prefix states and key/value caches never do) is asked for once;
-    other records are kept per phase. Greedy keeps no record and its
-    successors per phase, as its log prob is normalised over the untruncated
-    row, which the EOS mask changes wherever EOS ranks. Only the states that
-    lack both, each once and in live order, form one (n, V) block: one
-    ``logits_many`` call, the bound rewrite in place, the EOS mask, then
-    ``_greedy`` or ``_truncate``. Both memos live on the chain until it is
-    dropped, keyed by the caller's provider object (not the ``_PrefixStates``
-    adapter, whose block must not outlive the decode) and by what shapes their
-    entries: strategy, top_k, top_p and num_beams, or top_k and top_p alone
-    for survivors, which sampling and beam search thus share. A later decode
-    through the chain and provider steps only the states no earlier one met,
-    so equal states must stand for equal logits for as long as a chain is
-    reused with a provider; each entry holds its provider, so the id is not
-    reused. A decode without a chain starts an empty one. A chain used for one
-    decode (``cli generate``) keeps no more heavy states (a key/value cache)
-    alive than that decode; one kept for a sweep (``experiment.RowContext``)
-    keeps every state its decodes met. A block that raises keeps nothing: the
-    rewrite and the cut raise before any state is kept.
+    ``(token, parent)`` chain, so extending one costs O(1). Each step looks the
+    live states up in the stepping table (``_StepTable``) that the reweighting
+    chain (method "none" when None) keeps for the caller's provider and the
+    successor settings, and has the table step those it lacks.
 
     The pick keeps the global top ``width`` (1, or num_beams) of all rows'
     candidates by cumulative log probability, ties to the lower token id, then
@@ -382,74 +444,33 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
-    build, pick = _SELECTORS[strategy]
+    pick = _SELECTORS[strategy][1]
     uniforms = _uniforms(np.random.Generator(np.random.PCG64(config.seed))) if strategy == "sample" else None
     width = config.num_beams if strategy == "beam" else 1
     provider = model if hasattr(model, "start") else _PrefixStates(model, width)
     if not hasattr(provider, "logits_many"):
         raise TypeError(f"{type(model).__name__} has start but no logits_many")
-    size = model.vocabulary.size
-    zeros = np.zeros(size)  # the decode's one zero row, which each record's norm is summed over
     eos = model.vocabulary.eos_id
     # (sort key, provider state, (token, parent) chain)
     live = [(-0.0, provider.start(prefix), ())]
-    chain = chain or ProcessorChain()
-    rewrite = chain.bind(width, size)
-    # Per EOS phase, state -> its successors, and (sampling and beam search) state -> its survivors record, per EOS
-    # phase and for both
-    _, masked, unmasked = chain._memo.setdefault(
-        (id(model), strategy, config.top_k, config.top_p, config.num_beams), (model, {}, {}))
-    _, cut_masked, cut_unmasked, free = (None,) * 4 if build is None else chain._memo.setdefault(
-        (id(model), config.top_k, config.top_p), (model, {}, {}, {}))
-    memo, cuts, done = masked, cut_masked, []
-    try:
-        for step in range(config.max_new_tokens):
-            if step == config.min_new_tokens:
-                memo, cuts = unmasked, cut_unmasked  # EOS is no longer masked, which changes every state's row
-            successors = [memo.get(state) for _, state, _ in live]
-            if None in successors:  # build the states the memo lacks, stepping those that have no record
-                fresh = list(dict.fromkeys([state for (_, state, _), found in zip(live, successors) if found is None]))
-                records = () if cuts is None else [free.get(state) or cuts.get(state) for state in fresh]
-                asked = fresh if cuts is None else [state for state, record in zip(fresh, records) if record is None]
-                if asked:
-                    raw = provider.logits_many(asked)
-                    if not isinstance(raw, np.ndarray) or raw.dtype != np.float64:
-                        kind = getattr(raw, "dtype", type(raw).__name__)
-                        raise TypeError(f"logits_many gave {kind}, not a float64 array")
-                    if len(raw) != len(asked):  # the memo pairs each state with its row
-                        raise ValueError(f"logits_many gave {len(raw)} rows for {len(asked)} states")
-                    steered = rewrite(raw)
-                    eos_scores = () if cuts is None else steered[:, eos].tolist()  # read before the mask
-                    if step < config.min_new_tokens:
-                        for row in range(len(asked)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
-                            steered[row, eos] -= math.inf
-                    made = _greedy(steered) if build is None else _truncate(steered, config, zeros)
-                    if cuts is None:
-                        memo.update(zip(fresh, made))
-                    made = enumerate(made)
-                for state, record in zip(fresh, records):  # each state's record and successors in one pass
-                    if record is None:
-                        row, record = next(made)
-                        # EOS below the k-th survivor: masking it moves no survivor, so both phases share the record
-                        (free if eos_scores[row] < steered[row, record[0][-1]] else cuts)[state] = record
-                    memo[state] = build(record, config)
-                    if state in free:  # and so do its successors
-                        masked[state] = unmasked[state] = memo[state]
-                successors = [memo[state] for _, state, _ in live]
-            extended = []
-            for key, token, source in pick(successors, live, config, uniforms):
-                _, state, tokens = live[source]
-                if token == eos:
-                    done.append((key, None, (token, tokens)))
-                else:
-                    extended.append((key, provider.advance(state, token), (token, tokens)))
-            live = extended
-            if not live:
-                break
-    except NonFiniteLogitsError as fault:  # a block's row is one of ``asked``; name the first live row of that state
-        if fault.row is None:  # the provider checked a vector of its own (``models.as_logit_vector``)
-            raise
-        raise NonFiniteLogitsError([state for _, state, _ in live].index(asked[fault.row]), step) from None
+    table = _StepTable.of(model, chain or ProcessorChain(), config, width)
+    phase, done = table.phases[True], []
+    for step in range(config.max_new_tokens):
+        if step == config.min_new_tokens:
+            phase = table.phases[False]  # EOS is no longer masked, which changes every state's row
+        successors = [phase.get(state) for _, state, _ in live]
+        if None in successors:
+            successors = table.successors(provider, [state for _, state, _ in live], step, step < config.min_new_tokens)
+        extended = []
+        for key, token, source in pick(successors, live, config, uniforms):
+            _, state, tokens = live[source]
+            if token == eos:
+                done.append((key, None, (token, tokens)))
+            else:
+                extended.append((key, provider.advance(state, token), (token, tokens)))
+        live = extended
+        if not live:
+            break
     key, _, tokens = min(done or live, key=lambda hypothesis: hypothesis[0])
     return GenerationResult(_tokens(tokens), 0.0 - key)
 

@@ -225,7 +225,7 @@ class RowContext:
     fails only the rows that need it. It keeps one reweighting chain per method
     and steered topic (none for method ``none``, which reads no topic) for its
     whole life, so later rows step only the states no earlier row met
-    (``decoding._decode``). It keeps the successful decodes of the latest
+    (``decoding._StepTable``). It keeps the successful decodes of the latest
     article by method, that topic and the row's generation setting: a row
     whose decode is kept is scored on it without calling ``generate``, and a
     decode that raises is not kept, so the next row that needs it records its
@@ -339,6 +339,7 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     inputs = {key: hashlib.sha256(Path(getattr(config, key)).read_bytes()).hexdigest()
               for key in ("corpus_path", "topics_path", "model_path")}
     identity = json.dumps({**config.to_dict(), **inputs}, sort_keys=True, separators=(",", ":"))
+    introspect = getattr(np.lib, "introspect", None)  # numpy >= 2.0 says which SIMD target each loop runs on
     manifest = {
         "created_at": datetime.now(timezone.utc).isoformat(),
         "config_hash": hashlib.sha256(identity.encode("utf-8")).hexdigest(),
@@ -352,7 +353,8 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
         "rows_error": rows_error,
         "rows_per_condition": {c.label: per_condition[c.label] for c in config.conditions},
         "decodes": context.decodes,
-        "versions": {"python": platform.python_version(), "numpy": np.__version__, "topicsteer": __version__},
+        "versions": {"python": platform.python_version(), "numpy": np.__version__, "topicsteer": __version__,
+                     "numpy_dispatch": introspect and introspect.opt_func_info("^(exp|log)$", "float64")},
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return SweepResult(

@@ -256,9 +256,9 @@ class LogitsProvider(Protocol):
 
     A state is whatever the provider needs to continue: the last id for an
     order-1 table, a key/value cache for a neural model. States must be
-    hashable; ``decoding._decode`` says how long equal states must stand for
-    equal logits. Without ``start``, the state is the prefix, and the engine
-    calls ``next_logits`` on the whole prefix at every step.
+    hashable; ``decoding._StepTable`` says how long equal states must stand
+    for equal logits. Without ``start``, the state is the prefix, and the
+    engine calls ``next_logits`` on the whole prefix at every step.
 
     A decode rejects a provider with ``start`` but no ``logits_many``
     (TypeError, before the prompt is read), a block that is not a float64 numpy

@@ -113,7 +113,7 @@ def apply_reweight(scores: LogitVector, topic: Iterable[int], config: ReweightCo
 class ProcessorChain:
     """One compiled reweighting step and its sorted, unique topic ids; the default, method "none", has none.
 
-    A chain also keeps the memos of the decodes made through it, which ``decoding._decode`` owns and states.
+    A chain also keeps the stepping tables of the decodes made through it (``decoding._StepTable``).
     """
 
     config: ReweightConfig = ReweightConfig()

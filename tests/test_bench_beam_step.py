@@ -7,7 +7,7 @@ as the loop ran it before steps were batched (per hypothesis: its row of ``logit
 ``ProcessorChain.apply``, the reference beam selector over the package's 1-D
 ``truncate_top_k_top_p``, then a sort of all candidates), and as the package
 runs it (``logits_many``, one in-place chain rewrite, each row's survivors
-record, whose norm is summed over a zero row made once, as a decode makes one
+record, whose norm is summed over a zero row made once, as a stepping table makes one
 per call, each row's successors built from its record, and one pick over
 them, whose sort keys hold the negated totals, as each live beam keeps its own). Both must keep the
 same successors with bit-equal cumulative log probabilities. The inputs are the shipped fixture

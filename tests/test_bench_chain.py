@@ -1,11 +1,11 @@
-"""Micro-benchmark of one chain rewrite: bound per call vs bound once per decode.
+"""Micro-benchmark of one chain rewrite: bound per call vs bound once per stepping table.
 
 Deselected by default; run with ``PYTHONPATH=src python -m pytest -m bench
 tests/test_bench_chain.py``. The "per_call" path binds the chain
 (``ProcessorChain.bind``) for the block it is given on every call: it
 range-checks the topic ids and lays out their flat indices before it
-rewrites. A decode binds once and each step only rewrites (the "bound"
-path). Both are timed on
+rewrites. A stepping table (``decoding._StepTable``) binds once and each
+step only rewrites (the "bound" path). Both are timed on
 fresh copies of the same (rows, V) block of N(0, 3) logits, for a shift of
 5 and for threshold selection over V // 10 topic ids, and must write the
 same bytes.

@@ -11,7 +11,7 @@ the chain is new and the decode asks for every state it meets. Both must give
 the same tokens and log prob, and the warmed decode must ask for fewer rows.
 Neither asks for a state whose survivors record serves both EOS phases
 twice, and the warmed one asks for none that the sampling decode kept such a
-record for (``decoding._decode``). ``extra_info["rows"]`` holds the rows the
+record for (``decoding._StepTable``). ``extra_info["rows"]`` holds the rows the
 timed decode asked for.
 """
 
@@ -48,13 +48,18 @@ def test_cold_beam_decode(benchmark, chain):
         providers.append(provider)
         return (provider, prefix, steer, BEAM), {}
 
+    def both_phases(args, config):
+        """The states whose survivors record both EOS phases keep, one record object under each, in ``config``'s table."""
+        table = args[2]._memo[(id(args[0]), config.strategy, config.top_k, config.top_p, config.num_beams)]
+        masked, unmasked = table.records[True], table.records[False]
+        return {state for state, record in masked.items() if unmasked.get(state) is record}
+
     def rows(warmed):
         args, _ = setup(warmed)
-        key = (id(args[0]), BEAM.top_k, BEAM.top_p)
-        kept = set(args[2]._memo[key][3]) if warmed else set()  # the records sampling kept for both phases
+        kept = both_phases(args, SAMPLE) if warmed else set()  # the records sampling kept for both phases
         result = generate(*args)
         asked = [state for call in providers[-1].calls for state in call]
-        both = args[2]._memo[key][3]
+        both = both_phases(args, BEAM)
         assert both and not kept & set(asked)
         assert all(asked.count(state) == 1 for state in asked if state in both)
         return result, len(asked)

@@ -527,7 +527,7 @@ def decoding_cases(draw):
 
     Mostly small order-1 tables; for sampling and beam search also V of
     1,100-3,000 (a ``FewRowsModel``), where a small top_k takes the block-max
-    truncation and one decode's logits block and zero row are reused while beams end.
+    truncation and one decode's logits block and one table's zero row are reused while beams end.
     Shapes: random rows; a coarse grid (ties within a step); all rows equal
     (equal cumulative scores across beams, too); some rows equal (tied rows
     among the live ones). EOS may be lifted into each row's top-k, so beams
@@ -859,17 +859,18 @@ class Asked:
 
 
 def _kept(chain):
-    """Every (state, successors) entry the chain keeps, over its providers, settings and EOS phases."""
-    return [entry for _, *phases in chain._memo.values() for phase in phases for entry in phase.items()]
+    """Every (state, successors or survivors record) entry the chain keeps, over its stepping tables and EOS phases."""
+    tables = [table for table in chain._memo.values() if isinstance(table, decoding._StepTable)]
+    return [entry for table in tables for phase in (*table.phases, *table.records) for entry in phase.items()]
 
 
 def phase_of(model, chain, config, state, step):
     """The EOS phase under which a decode keeps ``state``'s record at ``step``: masked (True) or not, or None for both.
 
-    Sampling and beam search keep one survivors record for both phases where
-    EOS, read before its mask, ranks strictly below the k-th best score of the
-    state's steered row with EOS masked (``_decode``); greedy search keeps its
-    successors per phase.
+    Sampling and beam search keep one survivors record for both phases, the
+    same object under each, where EOS, read before its mask, ranks strictly
+    below the k-th best score of the state's steered row with EOS masked
+    (``_StepTable``); greedy search keeps its successors per phase.
     """
     masked = step < config.min_new_tokens
     if config.strategy == "greedy":
@@ -945,10 +946,10 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
     assert (result.tokens, result.log_prob.hex()) == (expected.tokens, expected.log_prob.hex())
     assert result.tokens == first.tokens
     successor_settings = (config.strategy, config.top_k, config.top_p, config.num_beams)
-    memo = chain._memo[(id(model), *successor_settings)]
-    assert memo[0] is model and memo[1] and memo[2]
+    table = chain._memo[(id(model), *successor_settings)]
+    assert table.model is model and all(table.phases)
     most = 1 if config.strategy == "greedy" else config.top_k
-    for phase in memo[1:]:
+    for phase in table.phases:
         for successors in phase.values():
             if config.strategy == "greedy":  # one (log prob, token) pair
                 parts, pairs = [[successors]], [successors]
@@ -959,16 +960,17 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
             assert all(len(part) <= most < model.vocabulary.size for part in parts)
             assert all(type(value) is float for pair in pairs for value in pair[:-1])  # plain Python, made once
             assert all(type(pair[-1]) is int for pair in pairs)
-    assert chain._memo[(id(provider), *successor_settings)][0] is provider
-    survivors = chain._memo.get((id(model), config.top_k, config.top_p))
-    if config.strategy == "greedy":
-        assert survivors is None
+    assert chain._memo[(id(provider), *successor_settings)].model is provider
+    survivors = table.records  # indexed by whether EOS is masked
+    if config.strategy == "greedy":  # its record dicts are its own and stay empty; the chain keeps only tables
+        assert survivors == ({}, {}) and all(isinstance(kept, decoding._StepTable) for kept in chain._memo.values())
         return
-    assert survivors[0] is model and survivors[3]  # the records both phases share
-    records = chain._memo[(id(provider), config.top_k, config.top_p)]  # masked, unmasked and shared (``phase_of``)
-    assert [set(phase) for phase in records[1:]] == [{state for state, p in met if p is phase}
-                                                      for phase in (True, False, None)]
-    for phase in survivors[1:]:
+    assert any(record is survivors[False].get(state) for state, record in survivors[True].items())  # both phases'
+    records = chain._memo[(id(provider), *successor_settings)].records
+    shared = {state for state, record in records[True].items() if records[False].get(state) is record}
+    assert [set(records[True]) - shared, set(records[False]) - shared, shared] == [
+        {state for state, p in met if p is phase} for phase in (True, False, None)]  # ``phase_of``
+    for phase in survivors:
         for ids, kept, weights, norm in phase.values():
             assert len(ids) == len(kept) == len(weights) == config.top_k and type(norm) is float
             assert all(part.base is None or part.base.shape[-1] == config.top_k for part in (ids, kept, weights))
@@ -1095,7 +1097,7 @@ def test_a_record_both_eos_phases_share_gives_the_decode_of_a_fresh_chain(case):
     """Sampling and beam decodes through one chain, with any min_new_tokens, equal fresh-chain and reference decodes.
 
     The chain shares a state's survivors record between the EOS phases only
-    where EOS ranks strictly below the k-th survivor (``_decode``), so a
+    where EOS ranks strictly below the k-th survivor (``_StepTable``), so a
     record kept in one phase serves the other only where masking EOS moves no
     survivor: not on a tie at the k-th score, and not in a row with fewer than
     k finite entries.
@@ -1157,11 +1159,10 @@ def test_a_state_that_fails_is_not_kept():
         with pytest.raises(NonFiniteLogitsError) as error:
             generate(faulty, prefix, build_chain(chain.config, chain.ids), config)
         assert messages == [str(error.value)] * 2
-        _, *phases = chain._memo[id(faulty), config.strategy, config.top_k, config.top_p, config.num_beams]
-        assert any(phases) and all(state not in phase for phase in phases)  # what came before the fault is kept
+        table = chain._memo[id(faulty), config.strategy, config.top_k, config.top_p, config.num_beams]
+        assert any(table.phases) and all(state not in phase for phase in table.phases)  # what came before is kept
         if config.strategy != "greedy":  # nor is the state's survivors record
-            _, *records = chain._memo[id(faulty), config.top_k, config.top_p]
-            assert any(records) and all(state not in phase for phase in records)
+            assert any(table.records) and all(state not in phase for phase in table.records)
 
 
 def test_prefix_states_share_one_prompt_tuple():

@@ -25,7 +25,7 @@ except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath as umath
 
 import topicsteer
-from topicsteer import experiment, fixtures, scoring
+from topicsteer import decoding, experiment, fixtures, scoring
 from topicsteer.decoding import GenerationConfig
 from topicsteer.experiment import (
     Condition,
@@ -291,8 +291,14 @@ class TestRunSweep:
             return json.loads(result.manifest_path.read_text())
 
         first = manifest("one")
+        dispatch = None  # numpy < 2.0 does not report it
+        if int(np.__version__.split(".")[0]) >= 2:
+            from numpy.lib.introspect import opt_func_info
+            dispatch = opt_func_info(func_name="^(exp|log)$", signature="float64")
+            assert [(name, list(loops)) for name, loops in sorted(dispatch.items())] == [("exp", ["dd"]), ("log", ["dd"])]
+            assert all(loop["current"] for loops in dispatch.values() for loop in loops.values())
         assert first["versions"] == {"python": platform.python_version(), "numpy": np.__version__,
-                                     "topicsteer": topicsteer.__version__}
+                                     "topicsteer": topicsteer.__version__, "numpy_dispatch": dispatch}
         monkeypatch.setattr(experiment, "__version__", "0.0.0-other")
         second = manifest("two")
         assert second["versions"]["topicsteer"] == "0.0.0-other"
@@ -643,13 +649,14 @@ def test_rows_whose_eos_fires_and_whose_threshold_ties_match_the_reference_decod
     two topic tokens. Here seeded order-1 tables of 6-10 tokens draw their
     scores from {-1, 0, 0.5, 1, 2}, so scores tie, and their EOS column from
     U(-0.5, 2), so decodes stop once EOS may fire. Greedy search, sampling and
-    beam search each run with no reweighting, a shift of 1 and a threshold
-    rewrite (theta 0.02, beta 0.5) that raises every qualifying topic token
-    to one value, for both topics of three articles. Each row's tokens and
-    log prob are the reference's bit for bit.
+    beam search each run with no reweighting, a shift of 1, a factor of 1.5
+    and a threshold rewrite (theta 0.02, beta 0.5) that raises every
+    qualifying topic token to one value, for both topics of three articles.
+    Each row's tokens and log prob are the reference's bit for bit.
     """
     base = GenerationConfig(top_k=4, top_p=0.9, num_beams=3, min_new_tokens=2, max_new_tokens=8)
     methods = {"none": ReweightConfig(), "shift": ReweightConfig(method="constant_shift", c=1.0),
+               "scale": ReweightConfig(method="factor_scaling", alpha=1.5),
                "threshold": ReweightConfig(method="threshold_selection", theta=0.02, beta=0.5)}
     conditions = [Condition(f"{strategy}-{name}", method, dataclasses.replace(base, strategy=strategy))
                   for strategy in ("greedy", "sample", "beam") for name, method in methods.items()]
@@ -680,7 +687,7 @@ def test_rows_whose_eos_fires_and_whose_threshold_ties_match_the_reference_decod
             chain = build_chain(methods["threshold"], topic_token_set(tid, topic_model, vocab, 25))
             raised = np.array([chain.apply(row)[chain.ids] for row in table]) == table.max(axis=1, keepdims=True) + 0.5
             tied += int((raised.sum(axis=1) > 1).sum())
-    assert rows == 20 * 3 * 9 * 2 and early >= 100 and tied >= 100  # 125 rows stop early; 348 rewrites tie
+    assert rows == 20 * 3 * 12 * 2 and early >= 100 and tied >= 100  # 184 rows stop early; 348 rewrites tie
 
 
 class CountingRows:
@@ -725,10 +732,22 @@ class TestSharedChains:
         through ``EveryStep`` to list the pairs it meets. ``run_sweep`` calls ``generate`` once per decode it
         computes, with exactly four positional arguments, as the benchmark's
         per-row timing wraps it; a second sweep asks again, so nothing is kept
-        outside the sweep.
+        outside the sweep. The sweep builds 532 successor lists from survivors
+        records: a record both EOS phases share has its successors built once,
+        for both phases, by each strategy that meets it.
         """
-        providers, calls = [], []
+        providers, calls, builds = [], [], Counter()
         inner_load, inner_generate = experiment.load_toy_model, experiment.generate
+
+        def counted(strategy, build):
+            def counting(record, generation):
+                builds[strategy] += 1
+                return build(record, generation)
+            return counting
+
+        for strategy, (build, pick) in decoding._SELECTORS.items():
+            if build is not None:  # greedy's successors come from its block, with no build
+                monkeypatch.setitem(decoding._SELECTORS, strategy, (counted(strategy, build), pick))
 
         def load(path):
             providers.append(CountingRows(inner_load(path)))
@@ -742,8 +761,10 @@ class TestSharedChains:
         monkeypatch.setattr(experiment, "generate", four_arguments)
         config = make_config(tmp_path, benchmark_grid(), limit=None, steered_policy="both", master_seed=1)
         result = run_sweep(config)
+        built = sum(builds.values())
         assert (result.rows_total, result.rows_error) == (450, 0)
         assert len(calls) == json.loads(result.manifest_path.read_text())["decodes"] == 400
+        assert built == 532 and set(builds) == {"sample", "beam"}
         assert len({id(chain) for _, chain, _ in calls}) == 5  # none, and shift and threshold per topic
         pairs, per_decode = set(), 0
         for prefix, chain, generation in calls:

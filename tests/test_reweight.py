@@ -545,7 +545,7 @@ def _methods(configs):
 
 @pytest.mark.parametrize("size", [226, 5_000])
 class TestBoundChain:
-    """One ``bind`` per decode, then blocks of 1 to num_beams rows, as ``decoding._decode`` steps them.
+    """One ``bind`` per stepping table, then blocks of 1 to num_beams rows, as ``decoding._StepTable`` steps them.
 
     Method "none" reads no ids, like the reference's empty chain; its rewrite
     checks only the block's shape.
