@@ -1,10 +1,12 @@
 """Token generation from any logits provider: greedy, sampling, beam search.
 
-All strategies share one loop, ``_decode``, and one memo, ``_StepTable``. Only
-the successors and the pick differ: greedy takes the steered argmax
-(``_greedy``); sampling (``_sample``) and beam search (``_beam``) build theirs
-from each row's survivors record, which ``_truncate`` makes: its top-k/top-p
-cut and its normaliser over the full truncated row.
+All strategies step through one memo, ``_StepTable``, and its step pipeline.
+``_decode`` walks one hypothesis for greedy search and sampling, and runs a
+width loop for beam search alone. Beyond that, only the successors and the
+pick differ: greedy takes the steered argmax (``_greedy``); sampling
+(``_sample``) and beam search (``_beam``) build theirs from each row's
+survivors record, which ``_truncate`` makes: its top-k/top-p cut and its
+normaliser over the full truncated row.
 Reweighting runs before truncation on purpose: a boosted token must be able
 to re-enter the candidate set even if the raw logits placed it outside the
 top-k.
@@ -195,12 +197,14 @@ def _truncate(x: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> lis
 
 # A strategy is a build and a pick, greedy's build being None: the build maps a
 # survivors record (``_truncate``) to the successors ``_StepTable`` keeps (greedy's
-# are ``_greedy``'s), and the pick the live rows' successors to the kept ones,
-# best first, as sort keys (-cumulative log prob, token, source row). Each
-# hypothesis keeps its key, from -0.0, and a successor's is ``key - log_prob``,
-# which is -(total + log_prob) bit for bit except that a -0.0 log prob (a -0.0
-# top logit that holds all the mass) turns key -0.0 into +0.0. Zeros of either
-# sign rank alike, and ``_decode`` returns ``0.0 - key``, +0.0 for both.
+# are ``_greedy``'s). Greedy's and sampling's pick map the one hypothesis's
+# successors and sort key (-cumulative log prob) to its next (key, token); beam
+# search's maps the live rows' successors to the kept ones, best first, as
+# (key, token, source row). Each hypothesis keeps its key, from -0.0, and a
+# successor's is ``key - log_prob``, which is -(total + log_prob) bit for bit
+# except that a -0.0 log prob (a -0.0 top logit that holds all the mass) turns
+# key -0.0 into +0.0. Zeros of either sign rank alike, and ``_decode`` returns
+# ``0.0 - key``, +0.0 for both.
 def _greedy(steered: np.ndarray) -> list:
     """The one row's argmax of the untruncated logits with its log prob; truncation never changes the argmax.
 
@@ -230,13 +234,13 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
         yield from rng.random(64).tolist()
 
 
-def _draw(successors: list, live: list, config: GenerationConfig, uniforms: Iterator[float]) -> tuple:
+def _draw(successors: tuple, key: float, uniforms: Iterator[float]) -> tuple[float, int]:
     """Inverse-CDF draw of the next uniform over the ids in token-id order; zero-probability entries can't win."""
-    (ids, probs, cdf), = successors
+    ids, probs, cdf = successors
     index = bisect_right(cdf, next(uniforms))
     if index == len(probs):  # past the last sum, which rounding can leave below 1
         index = max(i for i, prob in enumerate(probs) if prob > 0.0)
-    return ((live[0][0] - math.log(probs[index]), ids[index], 0),)
+    return key - math.log(probs[index]), ids[index]
 
 
 def _beam(record: tuple, config: GenerationConfig) -> list:
@@ -278,10 +282,10 @@ def _best(successors: list, live: list, config: GenerationConfig, uniforms: None
     return candidates
 
 
-def _extend(successors: list, live: list, config: GenerationConfig, uniforms: None) -> tuple:
+def _extend(successors: tuple, key: float, uniforms: None) -> tuple[float, int]:
     """Greedy's pick: the one hypothesis extended by its one successor."""
-    (log_prob, token), = successors
-    return ((live[0][0] - log_prob, token, 0),)
+    log_prob, token = successors
+    return key - log_prob, token
 
 
 _SELECTORS = dict(greedy=(None, _extend), sample=(_sample, _draw), beam=(_beam, _best))
@@ -426,7 +430,7 @@ def _tokens(chain: tuple) -> tuple[int, ...]:
 
 def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: GenerationConfig,
             strategy: str) -> GenerationResult:
-    """The one decoding loop; ``strategy`` picks the successors, the pick and the width.
+    """Decode with ``strategy``: a one-hypothesis walk for greedy search and sampling, a width loop for beam search.
 
     The provider (``models.LogitsProvider``) checks the prompt once; each kept
     hypothesis then advances its own state and keeps its new tokens as a
@@ -435,34 +439,49 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     chain (method "none" when None) keeps for the caller's provider and the
     successor settings, and has the table step those it lacks.
 
-    The pick keeps the global top ``width`` (1, or num_beams) of all rows'
+    Greedy search and sampling walk one hypothesis, kept as its sort key,
+    state and chain: a step looks its state up, picks the successor, stops
+    after EOS and otherwise advances, and the walk returns that hypothesis.
+    Beam search's width loop keeps the global top num_beams of all live rows'
     candidates by cumulative log probability, ties to the lower token id, then
-    the lower source row. A hypothesis that emits EOS is finished and never
-    advanced, but takes one of the ``width`` slots of its step, and no extra
-    candidate refills it. Returns the best finished hypothesis (the earliest on
-    ties), or the best live one if max_new_tokens cuts it off.
+    the lower source row. A beam that emits EOS is finished and never
+    advanced, but takes one of the num_beams slots of its step, and no extra
+    candidate refills it. It returns the best finished beam (the earliest on
+    ties), or the best live one if max_new_tokens cuts the search off.
     """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
     pick = _SELECTORS[strategy][1]
-    uniforms = _uniforms(np.random.Generator(np.random.PCG64(config.seed))) if strategy == "sample" else None
     width = config.num_beams if strategy == "beam" else 1
     provider = model if hasattr(model, "start") else _PrefixStates(model, width)
     if not hasattr(provider, "logits_many"):
         raise TypeError(f"{type(model).__name__} has start but no logits_many")
-    eos = model.vocabulary.eos_id
-    # (sort key, provider state, (token, parent) chain)
-    live = [(-0.0, provider.start(prefix), ())]
+    eos, key, state, tokens = model.vocabulary.eos_id, -0.0, provider.start(prefix), ()
     table = _StepTable.of(model, chain or ProcessorChain(), config, width)
-    phase, done = table.phases[True], []
+    phase = table.phases[True]
+    if strategy != "beam":
+        uniforms = _uniforms(np.random.Generator(np.random.PCG64(config.seed))) if strategy == "sample" else None
+        for step in range(config.max_new_tokens):
+            if step == config.min_new_tokens:
+                phase = table.phases[False]  # EOS is no longer masked, which changes every state's row
+            successors = phase.get(state)
+            if successors is None:
+                successors, = table.successors(provider, [state], step, step < config.min_new_tokens)
+            key, token = pick(successors, key, uniforms)
+            tokens = (token, tokens)
+            if token == eos:
+                break
+            state = provider.advance(state, token)
+        return GenerationResult(_tokens(tokens), 0.0 - key)
+    live, done = [(key, state, tokens)], []  # (sort key, provider state, (token, parent) chain)
     for step in range(config.max_new_tokens):
         if step == config.min_new_tokens:
-            phase = table.phases[False]  # EOS is no longer masked, which changes every state's row
+            phase = table.phases[False]
         successors = [phase.get(state) for _, state, _ in live]
         if None in successors:
             successors = table.successors(provider, [state for _, state, _ in live], step, step < config.min_new_tokens)
         extended = []
-        for key, token, source in pick(successors, live, config, uniforms):
+        for key, token, source in pick(successors, live, config, None):
             _, state, tokens = live[source]
             if token == eos:
                 done.append((key, None, (token, tokens)))

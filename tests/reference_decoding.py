@@ -4,7 +4,7 @@ These are the three loops topicsteer.decoding had before all strategies
 shared one loop, copied unchanged, and the top-k/top-p truncation that ran a
 full stable sort of the vocabulary on every call, also unchanged. The loops
 call this copy, not the package's truncation. tests/test_decoding.py checks
-the shared loop against the loops (equal tokens and bit-equal log
+the package's decoding against the loops (equal tokens and bit-equal log
 probabilities) and the package's truncation against this copy (bit-equal
 output or the same exception).
 

@@ -3,9 +3,10 @@
 Deselected by default; run with ``PYTHONPATH=src python -m pytest -m bench
 tests/test_bench_memo_step.py``. A decode through the shipped fixture (V=226),
 steered by a shift of topic 0, first fills its chain's memo; each timed
-decode repeats it through the same chain, so every step is one memo lookup per
-live state (one for greedy and sampling, four for beam search) and one pick,
-and the provider is asked nothing. Decodes of 1 and of 90 steps are timed:
+decode repeats it through the same chain, so the provider is asked nothing.
+A greedy or sampling step walks one hypothesis: one memo lookup, one pick
+and one ``advance``. A beam-search step looks up each of its four live
+states and picks the best four of their successors. Decodes of 1 and of 90 steps are timed:
 the 1-step decode is the per-call cost, and the difference, over 89, is the
 cost of one memo-hit step (``extra_info["steps"]`` holds the step count).
 """

@@ -1142,6 +1142,45 @@ def test_a_long_decode_equals_the_reference_and_repeats_on_memo_hits_alone(strat
         assert (second.tokens, second.log_prob.hex()) == (first.tokens, first.log_prob.hex())
 
 
+class Walked:
+    """A toy model that records the states of each ``logits_many`` call and counts its ``advance`` calls."""
+
+    def __init__(self, model):
+        self.model, self.vocabulary, self.start = model, model.vocabulary, model.start
+        self.calls, self.advanced = [], 0
+
+    def advance(self, state, token):
+        self.advanced += 1
+        return self.model.advance(state, token)
+
+    def logits_many(self, states):
+        self.calls.append(list(states))
+        return self.model.logits_many(states)
+
+
+@pytest.mark.parametrize("strategy", ["greedy", "sample"])
+def test_a_warm_walk_asks_nothing_and_advances_once_per_token(strategy):
+    """A second 90-step decode through a chain the first one warmed takes every step from the memo.
+
+    The fixture (V=226), steered by a shift of topic 0, with the default
+    window, so the decode meets both EOS phases. Greedy search and sampling
+    walk one hypothesis: the second decode asks ``logits_many`` for nothing,
+    advances once per token that is not EOS, and equals the first bit for bit.
+    """
+    model = load_toy_model(toy_model_path())
+    token_set = topic_token_set(0, load_topic_model(topic_model_path()), model.vocabulary, 25)
+    chain = build_chain(ReweightConfig(method="constant_shift", c=5.0), token_set)
+    config = GenerationConfig(strategy=strategy, seed=3)
+    provider, prefix, eos = Walked(model), [model.vocabulary.bos_id], model.vocabulary.eos_id
+    first = generate(provider, prefix, chain, config)
+    assert provider.calls and len(first.tokens) == config.max_new_tokens == 90
+    provider.calls, provider.advanced = [], 0
+    second = generate(provider, prefix, chain, config)
+    assert provider.calls == []
+    assert provider.advanced == sum(token != eos for token in second.tokens)
+    assert (second.tokens, second.log_prob.hex()) == (first.tokens, first.log_prob.hex())
+
+
 def test_a_state_that_fails_is_not_kept():
     """A block that raises leaves no successors or survivors on the chain, so every decode meeting its state fails alike."""
     model = random_markov(5, n_words=4, eos_logit=-20.0)
@@ -1534,8 +1573,9 @@ def selection(strategy, block, live, config, rng, zeros):
     ``_greedy``'s. ``live`` holds each hypothesis's sort key, its negated
     cumulative log prob (-0.0 for a total of zero), as ``_decode`` keeps it.
     Returns the kept (cumulative log prob, token, source row), best first,
-    each total negated back from the pick's sort key. A sampling pick draws
-    its uniform from ``rng.random()``.
+    each total negated back from the pick's sort key. Greedy's and sampling's
+    pick walk the one hypothesis (``live`` and the block hold one row), and
+    a sampling pick draws its uniform from ``rng.random()``.
     """
     build, pick = decoding._SELECTORS[strategy]
     if build is None:
@@ -1543,7 +1583,11 @@ def selection(strategy, block, live, config, rng, zeros):
     else:
         successors = [build(record, config) for record in decoding._truncate(block, config, zeros)]
     uniforms = None if rng is None else iter(rng.random, None)
-    return [(-key, token, source) for key, token, source in pick(successors, live, config, uniforms)]
+    if strategy == "beam":
+        return [(-key, token, source) for key, token, source in pick(successors, live, config, uniforms)]
+    [row], [(key, *_)] = successors, live
+    key, token = pick(row, key, uniforms)
+    return [(-key, token, 0)]
 
 
 def one_row_selector(strategy):

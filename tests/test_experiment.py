@@ -642,6 +642,35 @@ class TestRowScoreCache:
         assert len(warnings) == 2 * 2  # each article's one summary, scored for its two topics
 
 
+TIE_SCORES = (-1.0, 0.0, 0.5, 1.0, 2.0)
+TIE_METHODS = {"none": ReweightConfig(), "shift": ReweightConfig(method="constant_shift", c=1.0),
+               "scale": ReweightConfig(method="factor_scaling", alpha=1.5),
+               "threshold": ReweightConfig(method="threshold_selection", theta=0.02, beta=0.5)}
+
+
+def two_topics(words):
+    """Topic 0 holds every other word, topic 1 the rest and the first word, by falling weight."""
+    return TopicModel(topics={tid: tuple((word, 1.0 / rank) for rank, word in enumerate(topic, 1))
+                              for tid, topic in enumerate((words[::2], words[1::2] + words[:1]))})
+
+
+def tie_conditions(base):
+    """Greedy search, sampling and beam search with ``base``'s settings, each under every method of ``TIE_METHODS``."""
+    return [Condition(f"{strategy}-{name}", method, dataclasses.replace(base, strategy=strategy))
+            for strategy in ("greedy", "sample", "beam") for name, method in TIE_METHODS.items()]
+
+
+def run_row_as_reference(context, sample, condition, tid):
+    """Run one row through ``context``, check its tokens and log prob against the reference decoder bit for bit."""
+    result, _ = context.run_row(sample, condition, tid)
+    vocab = context.model.vocabulary
+    generation = condition.generation_for(context.master_seed, sample.article_id, tid)
+    chain = build_chain(condition.reweight, topic_token_set(tid, context.topic_model, vocab, context.top_n))
+    expected = REFERENCE[generation.strategy](context.model, sample.prompt(vocab), chain, generation)
+    assert (result.tokens, result.log_prob.hex()) == (expected.tokens, expected.log_prob.hex())
+    return result
+
+
 def test_rows_whose_eos_fires_and_whose_threshold_ties_match_the_reference_decoders():
     """Rows through one ``RowContext`` equal the reference decoders where EOS fires and topic tokens tie.
 
@@ -655,39 +684,72 @@ def test_rows_whose_eos_fires_and_whose_threshold_ties_match_the_reference_decod
     Each row's tokens and log prob are the reference's bit for bit.
     """
     base = GenerationConfig(top_k=4, top_p=0.9, num_beams=3, min_new_tokens=2, max_new_tokens=8)
-    methods = {"none": ReweightConfig(), "shift": ReweightConfig(method="constant_shift", c=1.0),
-               "scale": ReweightConfig(method="factor_scaling", alpha=1.5),
-               "threshold": ReweightConfig(method="threshold_selection", theta=0.02, beta=0.5)}
-    conditions = [Condition(f"{strategy}-{name}", method, dataclasses.replace(base, strategy=strategy))
-                  for strategy in ("greedy", "sample", "beam") for name, method in methods.items()]
+    conditions = tie_conditions(base)
     rows = early = tied = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         vocab = make_vocab(int(rng.integers(4, 9)))
-        table = rng.choice([-1.0, 0.0, 0.5, 1.0, 2.0], (vocab.size, vocab.size))
+        table = rng.choice(TIE_SCORES, (vocab.size, vocab.size))
         table[:, vocab.eos_id] = rng.uniform(-0.5, 2.0, vocab.size)
         model = ToyMarkovModel(vocabulary=vocab, table=table)
         words = vocab.tokens[2:]
-        topic_model = TopicModel(topics={tid: tuple((word, 1.0 / rank) for rank, word in enumerate(topic, 1))
-                                         for tid, topic in enumerate((words[::2], words[1::2] + words[:1]))})
+        topic_model = two_topics(words)
         context = RowContext(model, topic_model, 25, seed)
         for i in range(3):
             article = " ".join(rng.choice(words, 4))
             sample = CorpusSample(f"a{i}", article, i % 2, 1 - i % 2, words[0], words[1])
             for condition in conditions:
                 for tid in (0, 1):
-                    result, _ = context.run_row(sample, condition, tid)
-                    generation = condition.generation_for(seed, sample.article_id, tid)
-                    chain = build_chain(condition.reweight, topic_token_set(tid, topic_model, vocab, 25))
-                    expected = REFERENCE[generation.strategy](model, sample.prompt(vocab), chain, generation)
-                    assert (result.tokens, result.log_prob.hex()) == (expected.tokens, expected.log_prob.hex())
+                    result = run_row_as_reference(context, sample, condition, tid)
                     rows += 1
                     early += len(result.tokens) < base.max_new_tokens
         for tid in (0, 1):  # table rows whose rewrite raises two or more topic tokens to max + beta
-            chain = build_chain(methods["threshold"], topic_token_set(tid, topic_model, vocab, 25))
+            chain = build_chain(TIE_METHODS["threshold"], topic_token_set(tid, topic_model, vocab, 25))
             raised = np.array([chain.apply(row)[chain.ids] for row in table]) == table.max(axis=1, keepdims=True) + 0.5
             tied += int((raised.sum(axis=1) > 1).sum())
     assert rows == 20 * 3 * 12 * 2 and early >= 100 and tied >= 100  # 184 rows stop early; 348 rewrites tie
+
+
+@st.composite
+def eos_tie_cases(draw):
+    """An order-1 table whose scores tie and whose EOS may fire, a length window, successor settings and an article.
+
+    V is 6-10 tokens. Scores come from {-1, 0, 0.5, 1, 2}; each EOS score
+    from that set too, where it ties with the words, or from U(-0.5, 2). The
+    window may be empty (max_new_tokens 0), or leave EOS unmasked from the
+    first step (min_new_tokens 0) or never (min_new_tokens = max_new_tokens).
+    """
+    vocab = make_vocab(draw(st.integers(4, 8)))
+    size = vocab.size
+    table = np.array(draw(st.lists(st.sampled_from(TIE_SCORES), min_size=size * size, max_size=size * size)))
+    table = table.reshape(size, size)
+    table[:, vocab.eos_id] = draw(st.lists(st.one_of(st.sampled_from(TIE_SCORES), st.floats(-0.5, 2.0)),
+                                           min_size=size, max_size=size))
+    max_new = draw(st.integers(0, 8))
+    base = GenerationConfig(top_k=draw(st.integers(1, size)), top_p=draw(st.sampled_from([1.0, 0.9, 0.5])),
+                            num_beams=draw(st.integers(1, 4)), min_new_tokens=draw(st.integers(0, max_new)),
+                            max_new_tokens=max_new)
+    article = draw(st.lists(st.sampled_from(vocab.tokens[2:]), min_size=1, max_size=4))
+    return ToyMarkovModel(vocabulary=vocab, table=table), base, " ".join(article), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(eos_tie_cases())
+def test_drawn_rows_whose_eos_fires_and_whose_threshold_ties_match_the_reference_decoders(case):
+    """Drawn tables and length windows: every strategy under every method equals the reference decoders.
+
+    The drawn form of the seeded test above, with its topics and methods:
+    each of the 12 conditions decodes both topics of one article through one
+    ``RowContext``, and each row's tokens and log prob are the reference's
+    bit for bit.
+    """
+    model, base, article, seed = case
+    words = model.vocabulary.tokens[2:]
+    context = RowContext(model, two_topics(words), 25, seed)
+    sample = CorpusSample("a0", article, 0, 1, words[0], words[1])
+    for condition in tie_conditions(base):
+        for tid in (0, 1):
+            run_row_as_reference(context, sample, condition, tid)
 
 
 class CountingRows:
