@@ -452,6 +452,7 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
     pick = _SELECTORS[strategy][1]
+    uniforms = _uniforms(np.random.Generator(np.random.PCG64(config.seed))) if strategy == "sample" else None
     width = config.num_beams if strategy == "beam" else 1
     provider = model if hasattr(model, "start") else _PrefixStates(model, width)
     if not hasattr(provider, "logits_many"):
@@ -460,7 +461,6 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     table = _StepTable.of(model, chain or ProcessorChain(), config, width)
     phase = table.phases[True]
     if strategy != "beam":
-        uniforms = _uniforms(np.random.Generator(np.random.PCG64(config.seed))) if strategy == "sample" else None
         for step in range(config.max_new_tokens):
             if step == config.min_new_tokens:
                 phase = table.phases[False]  # EOS is no longer masked, which changes every state's row
@@ -481,7 +481,7 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
         if None in successors:
             successors = table.successors(provider, [state for _, state, _ in live], step, step < config.min_new_tokens)
         extended = []
-        for key, token, source in pick(successors, live, config, None):
+        for key, token, source in pick(successors, live, config, uniforms):
             _, state, tokens = live[source]
             if token == eos:
                 done.append((key, None, (token, tokens)))
