@@ -6,7 +6,8 @@ width loop for beam search alone. Beyond that, only the successors and the
 pick differ: greedy takes the steered argmax (``_greedy``); sampling
 (``_sample``) and beam search (``_beam``) build theirs from each row's
 survivors record, which ``_truncate`` makes: its top-k/top-p cut and its
-normaliser over the full truncated row.
+normaliser over the full truncated row. Greedy's and sampling's picks are
+functions (``_extend``, ``_draw``); beam search picks inside its loop.
 Reweighting runs before truncation on purpose: a boosted token must be able
 to re-enter the candidate set even if the raw logits placed it outside the
 top-k.
@@ -195,12 +196,13 @@ def _truncate(x: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> lis
     return records
 
 
-# A strategy is a build and a pick, greedy's build being None: the build maps a
-# survivors record (``_truncate``) to the successors ``_StepTable`` keeps (greedy's
-# are ``_greedy``'s). Greedy's and sampling's pick map the one hypothesis's
-# successors and sort key (-cumulative log prob) to its next (key, token); beam
-# search's maps the live rows' successors to the kept ones, best first, as
-# (key, token, source row). Each hypothesis keeps its key, from -0.0, and a
+# A strategy is a build and a pick, greedy's build and beam search's pick being
+# None: the build maps a survivors record (``_truncate``) to the successors
+# ``_StepTable`` keeps (greedy's are ``_greedy``'s). Greedy's and sampling's pick
+# map the one hypothesis's successors and sort key (-cumulative log prob) to its
+# next (key, token); beam search picks in ``_decode``'s loop, which sorts all live
+# rows' successors as (key, token, source row) and keeps the first num_beams.
+# Each hypothesis keeps its key, from -0.0, and a
 # successor's is ``key - log_prob``, which is -(total + log_prob) bit for bit
 # except that a -0.0 log prob (a -0.0 top logit that holds all the mass) turns
 # key -0.0 into +0.0. Zeros of either sign rank alike, and ``_decode`` returns
@@ -270,25 +272,13 @@ def _beam(record: tuple, config: GenerationConfig) -> list:
     return list(zip(log_probs[:count], head_ids[:count]))
 
 
-def _best(successors: list, live: list, config: GenerationConfig, uniforms: None) -> list:
-    """The global top num_beams of all rows' successors: by cumulative log prob, then lower token id, then lower row."""
-    candidates = []
-    for source, (hypothesis, pairs) in enumerate(zip(live, successors)):
-        key = hypothesis[0]
-        for log_prob, token in pairs:
-            candidates.append((key - log_prob, token, source))
-    candidates.sort()
-    del candidates[config.num_beams:]
-    return candidates
-
-
 def _extend(successors: tuple, key: float, uniforms: None) -> tuple[float, int]:
     """Greedy's pick: the one hypothesis extended by its one successor."""
     log_prob, token = successors
     return key - log_prob, token
 
 
-_SELECTORS = dict(greedy=(None, _extend), sample=(_sample, _draw), beam=(_beam, _best))
+_SELECTORS = dict(greedy=(None, _extend), sample=(_sample, _draw), beam=(_beam, None))
 
 
 class _PrefixStates:
@@ -444,10 +434,14 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     after EOS and otherwise advances, and the walk returns that hypothesis.
     Beam search's width loop keeps the global top num_beams of all live rows'
     candidates by cumulative log probability, ties to the lower token id, then
-    the lower source row. A beam that emits EOS is finished and never
-    advanced, but takes one of the num_beams slots of its step, and no extra
-    candidate refills it. It returns the best finished beam (the earliest on
-    ties), or the best live one if max_new_tokens cuts the search off.
+    the lower source row. A step makes every candidate as (sort key, token,
+    source row) in one pass over the phase's dict; a live state it lacks (a
+    ``KeyError``) has the table step the live states, then the pass reads the
+    successors it returns. One sort keeps the first num_beams. A beam that
+    emits EOS is finished and never advanced, but takes one of the num_beams
+    slots of its step, and no extra candidate refills it. It returns the best
+    finished beam (the earliest on ties), or the best live one if
+    max_new_tokens cuts the search off.
     """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
@@ -477,11 +471,18 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     for step in range(config.max_new_tokens):
         if step == config.min_new_tokens:
             phase = table.phases[False]
-        successors = [phase.get(state) for _, state, _ in live]
-        if None in successors:
+        try:
+            candidates = [(key - log_prob, token, source) for source, (key, state, _) in enumerate(live)
+                          for log_prob, token in phase[state]]
+        except KeyError:  # a live state the table lacks, stepped outside the handler: a provider's KeyError
+            candidates = None  # then comes out as raised, with no lookup's error attached as its context
+        if candidates is None:
             successors = table.successors(provider, [state for _, state, _ in live], step, step < config.min_new_tokens)
+            candidates = [(key - log_prob, token, source)
+                          for source, ((key, _, _), pairs) in enumerate(zip(live, successors)) for log_prob, token in pairs]
+        candidates.sort()  # by sort key, then lower token id, then lower source row
         extended = []
-        for key, token, source in pick(successors, live, config, uniforms):
+        for key, token, source in candidates[: config.num_beams]:
             _, state, tokens = live[source]
             if token == eos:
                 done.append((key, None, (token, tokens)))

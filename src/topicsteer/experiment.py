@@ -16,12 +16,12 @@ import hashlib
 import io
 import json
 import logging
+import math
 import platform
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from statistics import mean, stdev
 
 import numpy as np
 
@@ -367,8 +367,39 @@ def run_sweep(config: ExperimentConfig) -> SweepResult:
     )
 
 
+def _mean_and_stdev(values: list[float]) -> tuple[float, float]:
+    """The mean and sample standard deviation of ``values``, each the correctly rounded float of the exact value.
+
+    Each value is scaled to an integer i over the largest (power-of-two)
+    denominator, so both are ratios of exact integer sums: the mean one
+    ``int / int`` division, the variance (n*sum(i*i) - sum(i)**2) /
+    (n*(n-1)*scale**2). Its square root is rounded to odd at 55 or more bits
+    (``math.isqrt``, with a sticky last bit where inexact), then once to
+    float, which is correctly rounded (Boldo & Melquiond 2008;
+    https://bugs.python.org/msg407078), as the standard library's
+    statistics.stdev is from Python 3.11 on. One value has stdev 0.0.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(denominator for _, denominator in ratios)
+    ints = [numerator * (scale // denominator) for numerator, denominator in ratios]
+    n, total = len(ints), sum(ints)
+    mean = total / (n * scale)
+    if n < 2:
+        return mean, 0.0
+    top, bottom = n * sum(i * i for i in ints) - total * total, n * (n - 1) * scale * scale
+    shift = (top.bit_length() - bottom.bit_length() - 109) // 2  # the root keeps 55 or more bits
+    top, bottom = (top, bottom << 2 * shift) if shift >= 0 else (top << -2 * shift, bottom)
+    root = math.isqrt(top // bottom)
+    root |= root * root * bottom != top
+    return mean, float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
 def _write_aggregates(ok_rows: list[dict[str, str]], config: ExperimentConfig, path: Path) -> None:
-    """Mean and sample standard deviation per (condition, steered topic)."""
+    """Mean and sample standard deviation per (condition, steered topic), topics in numeric order.
+
+    Both come from exact integer sums (``_mean_and_stdev``), so the file holds
+    the same floats on every supported Python.
+    """
     groups: dict[tuple[str, str], list[dict[str, str]]] = {}
     for row in ok_rows:
         groups.setdefault((row["condition"], row["steered_tid"]), []).append(row)
@@ -377,14 +408,13 @@ def _write_aggregates(ok_rows: list[dict[str, str]], config: ExperimentConfig, p
         columns += [f"{metric}_mean", f"{metric}_std"]
     out_rows = []
     for condition in config.conditions:
-        keys = sorted(k for k in groups if k[0] == condition.label)
+        keys = sorted((k for k in groups if k[0] == condition.label), key=lambda k: int(k[1]))
         for key in keys:
             rows = groups[key]
             record = {"condition": key[0], "steered_tid": key[1], "n": str(len(rows))}
             for metric in METRIC_COLUMNS:
-                values = [float(r[metric]) for r in rows]
-                record[f"{metric}_mean"] = format_score(mean(values))
-                record[f"{metric}_std"] = format_score(stdev(values) if len(values) > 1 else 0.0)
+                mean, std = _mean_and_stdev([float(r[metric]) for r in rows])
+                record[f"{metric}_mean"], record[f"{metric}_std"] = format_score(mean), format_score(std)
             out_rows.append(record)
     write_report_csv(out_rows, path, columns)
 

@@ -35,6 +35,19 @@ def readme_block(language: str, after: str) -> str:
     return text[start:text.index("```", start)]
 
 
+def beam_pick(successors: list, keys: list[float], num_beams: int) -> list[tuple[float, int, int]]:
+    """Beam search's pick as ``decoding._decode``'s beam loop makes it, for tests that take one step by hand.
+
+    Each live row's successors (``decoding._beam``), extended from that row's
+    sort key (its negated cumulative log prob), as (key - log prob, token,
+    source row); all of them sorted, the first num_beams kept.
+    """
+    candidates = [(key - log_prob, token, source)
+                  for source, (key, pairs) in enumerate(zip(keys, successors)) for log_prob, token in pairs]
+    candidates.sort()
+    return candidates[:num_beams]
+
+
 def make_vocab(n_words: int = 4) -> Vocabulary:
     """Vocabulary of <s>, </s> and n generic word tokens w0..w(n-1)."""
     tokens = ["<s>", "</s>"] + [f"w{i}" for i in range(n_words)]

@@ -8,8 +8,9 @@ as the loop ran it before steps were batched (per hypothesis: its row of ``logit
 ``truncate_top_k_top_p``, then a sort of all candidates), and as the package
 runs it (``logits_many``, one in-place chain rewrite, each row's survivors
 record, whose norm is summed over a zero row made once, as a stepping table makes one
-per call, each row's successors built from its record, and one pick over
-them, whose sort keys hold the negated totals, as each live beam keeps its own). Both must keep the
+per call, each row's successors built from its record, and one sort of
+all rows' candidates, whose sort keys hold the negated totals, as each live
+beam keeps its own: ``conftest.beam_pick``, the pick of ``_decode``'s beam loop). Both must keep the
 same successors with bit-equal cumulative log probabilities. The inputs are the shipped fixture
 (V=226) with a shift of topic 0, and four N(0, 3) rows at V=50,000 with
 threshold selection over 1,000 ids.
@@ -25,6 +26,7 @@ import pytest
 
 import reference_decoding
 import topicsteer.decoding as decoding
+from conftest import beam_pick
 from topicsteer.fixtures import topic_model_path, toy_model_path
 from topicsteer.models import load_toy_model
 from topicsteer.reweight import ReweightConfig, build_chain
@@ -71,9 +73,9 @@ def per_hypothesis_step(model, states, chain):
 def block_step(model, states, chain, zeros):
     block = model.logits_many(states)
     steered = chain.bind(*block.shape)(block)
-    live = [(-cumulative,) for cumulative in CUMULATIVE]
+    keys = [-cumulative for cumulative in CUMULATIVE]
     successors = [decoding._beam(record, CONFIG) for record in decoding._truncate(steered, CONFIG, zeros)]
-    return decoding._best(successors, live, CONFIG, None)
+    return beam_pick(successors, keys, CONFIG.num_beams)
 
 
 def _hex(kept):

@@ -25,7 +25,7 @@ from topicsteer.models import NonFiniteLogitsError, Vocabulary, as_logit_vector,
 from topicsteer.reweight import ProcessorChain, ReweightConfig, VocabularyMismatchError, build_chain, threshold_selection
 from topicsteer.topics import load_topic_model, topic_token_set
 
-from conftest import make_markov, make_vocab, random_markov
+from conftest import beam_pick, make_markov, make_vocab, random_markov
 import reference_decoding
 from reference_decoding import REFERENCE
 
@@ -378,7 +378,7 @@ class TestChainBeforeTruncation:
         assert generate(model, [vocab.bos_id], chain, beam).tokens == (2,)
         steered = chain.bind(1, vocab.size)(np.array([row]))
         successors = [decoding._beam(record, beam) for record in decoding._truncate(steered, beam, np.zeros(5))]
-        (first, token, _), (second, other, _) = decoding._best(successors, [(-0.0,)], beam, None)
+        (first, token, _), (second, other, _) = beam_pick(successors, [-0.0], beam.num_beams)
         assert (token, other) == (2, 4) and first == second
 
 
@@ -1181,6 +1181,73 @@ def test_a_warm_walk_asks_nothing_and_advances_once_per_token(strategy):
     assert (second.tokens, second.log_prob.hex()) == (first.tokens, first.log_prob.hex())
 
 
+class WholePrefixes:
+    """A toy model whose state is the whole prefix, so no state recurs within a decode."""
+
+    def __init__(self, model):
+        self.model, self.vocabulary = model, model.vocabulary
+
+    def start(self, prefix):
+        return tuple(self.vocabulary.validate_ids(prefix))
+
+    def advance(self, state, token):
+        return state + (token,)
+
+    def logits_many(self, states):
+        return self.model.logits_many([state[-1] for state in states])
+
+
+@pytest.mark.parametrize("wrap", [WholePrefixes, NextLogitsOnly], ids=["start", "next_logits"])
+def test_a_cold_beam_decode_misses_every_step_and_equals_a_warm_one(monkeypatch, wrap):
+    """Beam search's loop asks the table for successors only when a live state misses.
+
+    Through a fresh chain no state of these providers recurs, so each of the
+    90 steps of the cold decode misses and steps its live states; a second
+    decode through the same chain and provider hits at every step. Both are
+    the same bits, and the reference decoder's. The fixture (V=226), steered
+    by a shift of topic 0, with the default window, so both EOS phases run.
+    """
+    missed = []
+    successors = decoding._StepTable.successors
+
+    def counted(table, provider, states, step, masked):
+        missed.append(step)
+        return successors(table, provider, states, step, masked)
+
+    monkeypatch.setattr(decoding._StepTable, "successors", counted)
+    model = load_toy_model(toy_model_path())
+    token_set = topic_token_set(0, load_topic_model(topic_model_path()), model.vocabulary, 25)
+    chain = build_chain(ReweightConfig(method="constant_shift", c=5.0), token_set)
+    config, provider, prefix = GenerationConfig(strategy="beam"), wrap(model), [model.vocabulary.bos_id]
+    cold = generate(provider, prefix, chain, config)
+    assert missed == list(range(config.max_new_tokens)) and len(cold.tokens) == 90
+    missed.clear()
+    warm = generate(provider, prefix, chain, config)
+    assert missed == []
+    expected = REFERENCE["beam"](model, prefix, chain, config)
+    assert (cold.tokens, cold.log_prob.hex()) == (warm.tokens, warm.log_prob.hex()) == \
+        (expected.tokens, expected.log_prob.hex())
+
+
+def test_a_key_error_from_the_provider_leaves_a_beam_decode_unchanged():
+    """A miss is found by a ``KeyError`` from the table's dict, but one that ``logits_many`` raises is the provider's.
+
+    It is raised once, not retried as a miss, and comes out as it was
+    raised, with no lookup's ``KeyError`` attached as its context.
+    """
+    error, calls = KeyError("no such cache entry"), []
+
+    class Failing(WholePrefixes):
+        def logits_many(self, states):
+            calls.append(states)
+            raise error
+
+    model = random_markov(3)
+    with pytest.raises(KeyError) as caught:
+        generate_beam(Failing(model), [model.vocabulary.bos_id], None, beam_config(max_new=3))
+    assert caught.value is error and caught.value.__context__ is None and len(calls) == 1
+
+
 def test_a_state_that_fails_is_not_kept():
     """A block that raises leaves no successors or survivors on the chain, so every decode meeting its state fails alike."""
     model = random_markov(5, n_words=4, eos_logit=-20.0)
@@ -1575,7 +1642,8 @@ def selection(strategy, block, live, config, rng, zeros):
     Returns the kept (cumulative log prob, token, source row), best first,
     each total negated back from the pick's sort key. Greedy's and sampling's
     pick walk the one hypothesis (``live`` and the block hold one row), and
-    a sampling pick draws its uniform from ``rng.random()``.
+    a sampling pick draws its uniform from ``rng.random()``. Beam search's
+    pick lives in ``_decode``'s loop; ``conftest.beam_pick`` makes it here.
     """
     build, pick = decoding._SELECTORS[strategy]
     if build is None:
@@ -1583,8 +1651,9 @@ def selection(strategy, block, live, config, rng, zeros):
     else:
         successors = [build(record, config) for record in decoding._truncate(block, config, zeros)]
     uniforms = None if rng is None else iter(rng.random, None)
-    if strategy == "beam":
-        return [(-key, token, source) for key, token, source in pick(successors, live, config, uniforms)]
+    if strategy == "beam":  # its pick lives in ``_decode``'s beam loop
+        keys = [key for key, *_ in live]
+        return [(-key, token, source) for key, token, source in beam_pick(successors, keys, config.num_beams)]
     [row], [(key, *_)] = successors, live
     key, token = pick(row, key, uniforms)
     return [(-key, token, 0)]

@@ -642,6 +642,63 @@ class TestRowScoreCache:
         assert len(warnings) == 2 * 2  # each article's one summary, scored for its two topics
 
 
+def decimals(digits=12, low=-300, high=300):
+    """Decimals of at most ``digits`` significant digits, of either sign, at magnitudes 10**low to 10**high."""
+    return st.builds(lambda mantissa, exponent: float(f"{mantissa}e{exponent}"),
+                     st.integers(-(10**digits) + 1, 10**digits - 1), st.integers(low - digits, high - digits))
+
+
+aggregate_values = st.one_of(
+    decimals(), decimals(high=0),  # the metrics are scores in [0, 1]
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308, allow_subnormal=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]),
+)
+
+
+class TestAggregates:
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="statistics.stdev is correctly rounded from Python 3.11 on")
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(aggregate_values, min_size=1, max_size=30).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=60)))
+    def test_integer_mean_and_stdev_match_statistics(self, values):
+        """The exact integer sums give ``statistics``' floats bit for bit; drawing from a pool repeats values."""
+        import statistics
+
+        mean, std = experiment._mean_and_stdev(values)
+        assert mean.hex() == statistics.mean(values).hex()
+        assert std.hex() == (statistics.stdev(values) if len(values) > 1 else 0.0).hex()
+
+    def test_a_fixture_list_whose_python_3_10_stdev_is_one_bit_high(self):
+        """greedy-threshold, steered topic 0, lemma_t2 over the fixture grid at master seed 1: one nonzero score.
+
+        Its exact stdev is x / 5, which one float division rounds correctly.
+        Python 3.10's ``statistics.stdev`` gives 0x1.c163c450bf1f7p-7, one
+        bit above; 16 more of the grid's 126 aggregate lists differ like it.
+        """
+        x = 0.0685714285714
+        values = [0.0] * 17 + [x] + [0.0] * 7
+        mean, std = experiment._mean_and_stdev(values)
+        assert (mean.hex(), std.hex()) == ((x / 25).hex(), (x / 5).hex()) == ("0x1.67830373cc192p-9",
+                                                                               "0x1.c163c450bf1f6p-7")
+
+    def test_rows_order_steered_topics_as_numbers(self, tmp_path):
+        """Topics 2 and 10: each condition lists topic 2 first, where comparing the ids as text put 10 first."""
+        topics = json.loads(Path(fixtures.topic_model_path()).read_text())
+        for topic, tid in zip(topics["topics"], (10, 2)):
+            topic["id"] = tid
+        topics_path = tmp_path / "topics.json"
+        topics_path.write_text(json.dumps(topics))
+        corpus = [{**json.loads(line), "tid1": 10, "tid2": 2}
+                  for line in Path(fixtures.corpus_path()).read_text().splitlines()[:2]]
+        config = make_config(tmp_path, three_conditions()[:2], topics_path=topics_path,
+                             corpus_path=write_jsonl(tmp_path / "corpus.jsonl", corpus))
+        result = run_sweep(config)
+        assert result.rows_error == 0
+        with open(result.aggregate_path) as handle:
+            keys = [(row["condition"], row["steered_tid"], row["n"]) for row in csv.DictReader(handle)]
+        assert keys == [("baseline", "2", "2"), ("baseline", "10", "2"), ("shift2", "2", "2"), ("shift2", "10", "2")]
+
+
 TIE_SCORES = (-1.0, 0.0, 0.5, 1.0, 2.0)
 TIE_METHODS = {"none": ReweightConfig(), "shift": ReweightConfig(method="constant_shift", c=1.0),
                "scale": ReweightConfig(method="factor_scaling", alpha=1.5),
