@@ -2,12 +2,12 @@
 
 All strategies step through one memo, ``_StepTable``, and its step pipeline.
 ``_decode`` walks one hypothesis for greedy search and sampling, and runs a
-width loop for beam search alone. Beyond that, only the successors and the
-pick differ: greedy takes the steered argmax (``_greedy``); sampling
-(``_sample``) and beam search (``_beam``) build theirs from each row's
-survivors record, which ``_truncate`` makes: its top-k/top-p cut and its
-normaliser over the full truncated row. Greedy's and sampling's picks are
-functions (``_extend``, ``_draw``); beam search picks inside its loop.
+width loop for beam search alone; each picks inline. Beyond that, only the
+successors differ: greedy takes the steered argmax (``_greedy``), for both
+EOS phases at once where it can; sampling (``_sample``) and beam search
+(``_beam``) build theirs from each row's survivors record, which
+``_truncate`` makes: its top-k/top-p cut and its normaliser over the full
+truncated row.
 Reweighting runs before truncation on purpose: a boosted token must be able
 to re-enter the candidate set even if the raw logits placed it outside the
 top-k.
@@ -196,30 +196,46 @@ def _truncate(x: np.ndarray, config: GenerationConfig, zeros: np.ndarray) -> lis
     return records
 
 
-# A strategy is a build and a pick, greedy's build and beam search's pick being
-# None: the build maps a survivors record (``_truncate``) to the successors
-# ``_StepTable`` keeps (greedy's are ``_greedy``'s). Greedy's and sampling's pick
-# map the one hypothesis's successors and sort key (-cumulative log prob) to its
-# next (key, token); beam search picks in ``_decode``'s loop, which sorts all live
-# rows' successors as (key, token, source row) and keeps the first num_beams.
+# A strategy's build maps a survivors record (``_truncate``) to the successors
+# ``_StepTable`` keeps; greedy has none, as ``_greedy`` makes its successors from
+# the steered row. The picks live in ``_decode``: greedy's and sampling's walk
+# the one hypothesis, and beam search's loop sorts all live rows' successors as
+# (key, token, source row) and keeps the first num_beams.
 # Each hypothesis keeps its key, from -0.0, and a
 # successor's is ``key - log_prob``, which is -(total + log_prob) bit for bit
 # except that a -0.0 log prob (a -0.0 top logit that holds all the mass) turns
 # key -0.0 into +0.0. Zeros of either sign rank alike, and ``_decode`` returns
 # ``0.0 - key``, +0.0 for both.
-def _greedy(steered: np.ndarray) -> list:
-    """The one row's argmax of the untruncated logits with its log prob; truncation never changes the argmax.
+def _greedy(row: np.ndarray, eos: int, masked: bool, twin: bool) -> dict:
+    """The steered row's greedy successor per EOS phase: {masked: (log prob, token)}, both phases' with ``twin``.
 
-    Its log probability is ``log_softmax(row)[token]`` bit for bit, since the
-    argmax entry is the row's max. The argmax is also the step's check: it
-    lands on the row's first NaN, else on a +inf.
+    The successor is the argmax of the untruncated logits with its log prob;
+    truncation never changes the argmax. Its log probability is
+    ``log_softmax(row)[token]`` bit for bit, since the argmax entry is the
+    row's max. The argmax is also the step's check: it lands on the row's
+    first NaN, else on a +inf.
+
+    With ``twin``, an unmasked row whose argmax is finite and not EOS gives
+    both phases from one ``exp(row - top)``: masking EOS moves neither the
+    argmax nor the top, and turns EOS's weight into 0.0, so the weights with
+    that entry zeroed are the masked row's, bit for bit. Otherwise the row is
+    masked in place if ``masked`` and gives its phase alone.
     """
-    row = steered[0]
+    if twin:
+        token = int(row.argmax())
+        top = float(row[token])
+        if token != eos and -math.inf < top < math.inf:
+            weights = np.exp(row - top)
+            unmasked = top - (top + math.log(weights.sum()))
+            weights[eos] = 0.0
+            return {False: (unmasked, token), True: (top - (top + math.log(weights.sum())), token)}
+    if masked:
+        row[eos] -= math.inf  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
     token = int(row.argmax())
     top = float(row[token])
     if not -math.inf < top < math.inf:
         raise ValueError(_MASKED) if top == -math.inf else NonFiniteLogitsError(0)
-    return [(top - (top + math.log(np.exp(row - top).sum())), token)]
+    return {masked: (top - (top + math.log(np.exp(row - top).sum())), token)}
 
 
 def _sample(record: tuple, config: GenerationConfig) -> tuple:
@@ -234,15 +250,6 @@ def _uniforms(rng: np.random.Generator) -> Iterator[float]:
     """The generator's uniform doubles in stream order, 64 to a call: ``random(n)`` gives those of n ``random()`` calls."""
     while True:
         yield from rng.random(64).tolist()
-
-
-def _draw(successors: tuple, key: float, uniforms: Iterator[float]) -> tuple[float, int]:
-    """Inverse-CDF draw of the next uniform over the ids in token-id order; zero-probability entries can't win."""
-    ids, probs, cdf = successors
-    index = bisect_right(cdf, next(uniforms))
-    if index == len(probs):  # past the last sum, which rounding can leave below 1
-        index = max(i for i, prob in enumerate(probs) if prob > 0.0)
-    return key - math.log(probs[index]), ids[index]
 
 
 def _beam(record: tuple, config: GenerationConfig) -> list:
@@ -272,13 +279,7 @@ def _beam(record: tuple, config: GenerationConfig) -> list:
     return list(zip(log_probs[:count], head_ids[:count]))
 
 
-def _extend(successors: tuple, key: float, uniforms: None) -> tuple[float, int]:
-    """Greedy's pick: the one hypothesis extended by its one successor."""
-    log_prob, token = successors
-    return key - log_prob, token
-
-
-_SELECTORS = dict(greedy=(None, _extend), sample=(_sample, _draw), beam=(_beam, None))
+_BUILDS = dict(greedy=None, sample=_sample, beam=_beam)
 
 
 class _PrefixStates:
@@ -335,12 +336,18 @@ class _StepTable:
     than k finite scores, does not count. The successors of such a record are
     kept under both phases too, so a state that recurs across the switch (an
     order-1 table; prefix states and key/value caches never do) is asked for
-    once. Greedy keeps no record, only its successors per phase, as its log
-    prob is normalised over the untruncated row, which the EOS mask changes
-    wherever EOS ranks; its record dicts are its own and stay empty. Only the
-    states that lack both, each once and in live order, form one (n, V) block:
-    one ``logits_many`` call, the rewrite in place (``ProcessorChain.bind``,
-    bound once per table), the EOS mask, then ``_greedy`` or ``_truncate``.
+    once. Greedy keeps no record, as its log prob is normalised over the
+    untruncated row, which the EOS mask changes wherever EOS ranks; its record
+    dicts are its own and stay empty. It keeps its successors per phase, and
+    makes both phases' from the one row of a miss, whichever phase asked for
+    it, unless EOS leads the row or its max is not finite (``_greedy``): a
+    state that recurs across the switch is asked for once. The
+    ``_PrefixStates`` adapter's states hold one token per step, so each meets
+    one phase only, and its rows give their own phase alone, which spares a
+    V-wide sum per row at large V. Only the states that lack both, each once
+    and in live order, form one (n, V) block: one ``logits_many`` call, the
+    rewrite in place (``ProcessorChain.bind``, bound once per table), then
+    ``_greedy`` on greedy's one row, or the EOS mask and ``_truncate``.
 
     A chain keeps its tables until it is dropped, one per caller's provider
     object (not the ``_PrefixStates`` adapter, whose block must not outlive
@@ -359,7 +366,7 @@ class _StepTable:
 
     def __init__(self, model: LogitsProvider, chain: ProcessorChain, config: GenerationConfig, width: int) -> None:
         self.model, self.config, self.eos = model, config, model.vocabulary.eos_id  # config for its successor settings
-        self.build = _SELECTORS[config.strategy][0]
+        self.build = _BUILDS[config.strategy]
         self.phases = ({}, {})  # state -> successors, EOS unmasked then masked
         self.records = ({}, {}) if self.build is None else chain._memo.setdefault(
             (id(model), config.top_k, config.top_p), ({}, {}))
@@ -386,17 +393,21 @@ class _StepTable:
                 if len(raw) != len(asked):  # the table pairs each state with its row
                     raise ValueError(f"logits_many gave {len(raw)} rows for {len(asked)} states")
                 steered = self.rewrite(raw)
-                eos_scores = steered[:, self.eos].tolist() if self.build else None  # read before the mask, for records
-                if masked:
-                    for row in range(len(asked)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
-                        steered[row, self.eos] -= math.inf
-                made = _greedy(steered) if self.build is None else _truncate(steered, self.config, self.zeros)
+                if self.build is None:  # greedy's block holds one row; the adapter's states meet one phase each
+                    made = _greedy(steered[0], self.eos, masked, provider is self.model)
+                else:
+                    eos_scores = steered[:, self.eos].tolist()  # read before the mask, for records
+                    if masked:
+                        for row in range(len(asked)):  # a finite logit or -inf becomes -inf; NaN and +inf turn NaN
+                            steered[row, self.eos] -= math.inf
+                    made = _truncate(steered, self.config, self.zeros)
             except NonFiniteLogitsError as fault:  # its row is one of ``asked``; name the first live row of that state
                 if fault.row is None:  # the provider checked a vector of its own (``models.as_logit_vector``)
                     raise
                 raise NonFiniteLogitsError(states.index(asked[fault.row]), step) from None
             if self.build is None:
-                memo.update(zip(asked, made))
+                for phase, successor in made.items():
+                    self.phases[phase][asked[0]] = successor
                 return [memo[state] for state in states]
             for row, (state, record) in enumerate(zip(asked, made)):
                 # EOS below the k-th survivor: masking it moves no survivor, so both phases share the record
@@ -423,16 +434,17 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     """Decode with ``strategy``: a one-hypothesis walk for greedy search and sampling, a width loop for beam search.
 
     The provider (``models.LogitsProvider``) checks the prompt once; each kept
-    hypothesis then advances its own state and keeps its new tokens as a
-    ``(token, parent)`` chain, so extending one costs O(1). Each step looks the
-    live states up in the stepping table (``_StepTable``) that the reweighting
-    chain (method "none" when None) keeps for the caller's provider and the
-    successor settings, and has the table step those it lacks.
+    hypothesis then advances its own state. Each step looks the live states up
+    in the stepping table (``_StepTable``) that the reweighting chain (method
+    "none" when None) keeps for the caller's provider and the successor
+    settings, and has the table step those it lacks.
 
     Greedy search and sampling walk one hypothesis, kept as its sort key,
-    state and chain: a step looks its state up, picks the successor, stops
-    after EOS and otherwise advances, and the walk returns that hypothesis.
-    Beam search's width loop keeps the global top num_beams of all live rows'
+    state and list of new tokens: a step looks its state up and picks inline,
+    greedy its one successor, sampling by an inverse-CDF draw of the next
+    uniform (``_uniforms``), then stops after EOS or advances. Beam search
+    keeps each hypothesis's new tokens as a ``(token, parent)`` chain, so
+    extending one costs O(1). Its width loop keeps the global top num_beams of all live rows'
     candidates by cumulative log probability, ties to the lower token id, then
     the lower source row. A step makes every candidate as (sort key, token,
     source row) in one pass over the phase's dict; a live state it lacks (a
@@ -445,29 +457,37 @@ def _decode(model: LogitsProvider, prefix: TokenSequence, chain, config: Generat
     """
     if config.strategy != strategy:
         raise ValueError(f"config.strategy is {config.strategy!r}, expected {strategy!r}")
-    pick = _SELECTORS[strategy][1]
     uniforms = _uniforms(np.random.Generator(np.random.PCG64(config.seed))) if strategy == "sample" else None
     width = config.num_beams if strategy == "beam" else 1
     provider = model if hasattr(model, "start") else _PrefixStates(model, width)
     if not hasattr(provider, "logits_many"):
         raise TypeError(f"{type(model).__name__} has start but no logits_many")
-    eos, key, state, tokens = model.vocabulary.eos_id, -0.0, provider.start(prefix), ()
+    eos, key, state = model.vocabulary.eos_id, -0.0, provider.start(prefix)
     table = _StepTable.of(model, chain or ProcessorChain(), config, width)
     phase = table.phases[True]
     if strategy != "beam":
+        tokens = []
         for step in range(config.max_new_tokens):
             if step == config.min_new_tokens:
                 phase = table.phases[False]  # EOS is no longer masked, which changes every state's row
             successors = phase.get(state)
             if successors is None:
                 successors, = table.successors(provider, [state], step, step < config.min_new_tokens)
-            key, token = pick(successors, key, uniforms)
-            tokens = (token, tokens)
+            if uniforms is None:  # greedy's one successor
+                log_prob, token = successors
+            else:  # inverse-CDF draw over the ids in token-id order; zero-probability entries can't win
+                ids, probs, cdf = successors
+                index = bisect_right(cdf, next(uniforms))
+                if index == len(probs):  # past the last sum, which rounding can leave below 1
+                    index = max(i for i, prob in enumerate(probs) if prob > 0.0)
+                log_prob, token = math.log(probs[index]), ids[index]
+            key -= log_prob
+            tokens.append(token)
             if token == eos:
                 break
             state = provider.advance(state, token)
-        return GenerationResult(_tokens(tokens), 0.0 - key)
-    live, done = [(key, state, tokens)], []  # (sort key, provider state, (token, parent) chain)
+        return GenerationResult(tuple(tokens), 0.0 - key)
+    live, done = [(key, state, ())], []  # (sort key, provider state, (token, parent) chain)
     for step in range(config.max_new_tokens):
         if step == config.min_new_tokens:
             phase = table.phases[False]

@@ -205,8 +205,21 @@ class Vocabulary:
         return token_id in (self.bos_id, self.eos_id)
 
     def validate_ids(self, ids: TokenSequence) -> list[int]:
-        """The ids as Python ints: TypeError for a bool, float or string, ValueError out of [0, size)."""
+        """The ids as Python ints: TypeError for a bool, float or string, ValueError out of [0, size).
+
+        The ids are copied once. From 512 ids on, ids that are all plain ints
+        pass on a count of their types and the range of their distinct values,
+        passes in C that a long prompt's repeated ids make cheaper than the
+        per-id conversion; below that the conversion is the faster. Any other
+        id, or one out of range, sends the copy through the conversion, which
+        raises at the first id that fails.
+        """
         size = self.size
+        ids = list(ids)
+        if len(ids) >= 512 and list(map(type, ids)).count(int) == len(ids):
+            distinct = set(ids)
+            if min(distinct) >= 0 and max(distinct) < size:
+                return ids
         out = []
         for tid in ids:
             i = tid if type(tid) is int else as_int(tid, "token id")
@@ -253,6 +266,14 @@ class LogitsProvider(Protocol):
     * ``logits_many(states) -> ndarray`` returns a fresh C-contiguous float64
       (n, V) block whose row i is ``next_logits`` of the prefix ``states[i]``
       stands for. The engine owns the block and rewrites it in place.
+
+    Rows must be batch invariant: a row's bits may not depend on the block's
+    size (n = 1 included), on its other states or on their order. The
+    stepping table (``decoding._StepTable``) keeps a row's successors for
+    later decodes, sampling and beam search share the survivors record cut
+    from it, and greedy search makes both EOS phases' successors from it, so
+    a row that changed with its block would make a decode's output depend on
+    the decodes that ran before it through the same chain.
 
     A state is whatever the provider needs to continue: the last id for an
     order-1 table, a key/value cache for a neural model. States must be

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,54 @@ def beam_pick(successors: list, keys: list[float], num_beams: int) -> list[tuple
                   for source, (key, pairs) in enumerate(zip(keys, successors)) for log_prob, token in pairs]
     candidates.sort()
     return candidates[:num_beams]
+
+
+def walk_pick(successors, key: float, uniform: float | None) -> tuple[float, int]:
+    """Greedy's or sampling's pick as ``decoding._decode``'s walk makes it inline, for tests that take one step by hand.
+
+    The one hypothesis's sort key (its negated cumulative log prob) extended
+    by its pick, as (key - log prob, token). Greedy's successors are one
+    (log prob, token), taken as they are (``uniform`` None); sampling's
+    (ids, probs, cumulative probs) are drawn from by ``uniform`` through the
+    inverse CDF, a draw past the last sum taking the last id of positive
+    probability.
+    """
+    if uniform is None:
+        log_prob, token = successors
+    else:
+        ids, probs, cdf = successors
+        index = bisect_right(cdf, uniform)
+        if index == len(probs):
+            index = max(i for i, prob in enumerate(probs) if prob > 0.0)
+        log_prob, token = math.log(probs[index]), ids[index]
+    return key - log_prob, token
+
+
+def assert_batch_invariant(provider, next_logits, prefixes: list, width: int, blocks: int = 20, seed: int = 0) -> None:
+    """Each row ``provider.logits_many`` gives equals ``next_logits`` of its state's prefix, byte for byte, in any block.
+
+    A prefix's state is ``provider.start`` of a leading part of it, advanced
+    through the rest. For every block size from 1 to ``width``, ``blocks``
+    blocks of distinct states are asked for in seeded shuffled orders, so a
+    row must not depend on the block's size (n = 1 included), on its other
+    states or on their order: the provider contract's batch invariance.
+    """
+    rng = np.random.default_rng(seed)
+    states = []
+    for prefix in prefixes:
+        cut = int(rng.integers(1, len(prefix) + 1))
+        state = provider.start(prefix[:cut])
+        for token in prefix[cut:]:
+            state = provider.advance(state, token)
+        states.append(state)
+    expected = [np.asarray(next_logits(prefix), dtype=np.float64).tobytes() for prefix in prefixes]
+    for size in range(1, width + 1):
+        for _ in range(blocks):
+            picked = rng.permutation(len(prefixes))[:size].tolist()
+            block = provider.logits_many([states[i] for i in picked])
+            assert block.dtype == np.float64 and len(block) == size
+            for row, i in zip(block, picked):
+                assert row.tobytes() == expected[i], f"row of prefix {prefixes[i]} in a block of {size}"
 
 
 def make_vocab(n_words: int = 4) -> Vocabulary:

@@ -25,7 +25,7 @@ from topicsteer.models import NonFiniteLogitsError, Vocabulary, as_logit_vector,
 from topicsteer.reweight import ProcessorChain, ReweightConfig, VocabularyMismatchError, build_chain, threshold_selection
 from topicsteer.topics import load_topic_model, topic_token_set
 
-from conftest import beam_pick, make_markov, make_vocab, random_markov
+from conftest import beam_pick, make_markov, make_vocab, random_markov, walk_pick
 import reference_decoding
 from reference_decoding import REFERENCE
 
@@ -870,13 +870,14 @@ def phase_of(model, chain, config, state, step):
     Sampling and beam search keep one survivors record for both phases, the
     same object under each, where EOS, read before its mask, ranks strictly
     below the k-th best score of the state's steered row with EOS masked
-    (``_StepTable``); greedy search keeps its successors per phase.
+    (``_StepTable``). Greedy search makes both phases' successors from one
+    row of a provider with ``start`` unless EOS leads the steered row.
     """
     masked = step < config.min_new_tokens
-    if config.strategy == "greedy":
-        return masked
     row = chain.apply(model.logits_many([state])[0])
     eos = model.vocabulary.eos_id
+    if config.strategy == "greedy":
+        return masked if row.argmax() == eos else None
     score, row[eos] = row[eos], -math.inf
     return None if score < np.sort(row)[-min(config.top_k, row.size)] else masked
 
@@ -891,8 +892,8 @@ def test_each_distinct_state_and_phase_is_asked_once_per_decode(config):
     The pairs come from the ``next_logits`` path, which asks for every live
     hypothesis, and the phase from ``phase_of``: at top_k 3 and 4 every
     state's EOS (-20) ranks below its k-th survivor, so sampling and beam
-    search ask for each state once across the phase switch, and greedy search
-    once per phase. The chain keeps what a decode computed: another decode
+    search ask for each state once across the phase switch, and so does
+    greedy search, as EOS never leads a row. The chain keeps what a decode computed: another decode
     through the same chain, provider object and successor settings asks
     nothing, another sampling seed asks only for the pairs that no decode
     through them met yet, and a new chain, another provider object or
@@ -1637,25 +1638,25 @@ def selection(strategy, block, live, config, rng, zeros):
 
     Sampling and beam search build each row's successors from its survivors
     record (``_truncate``, its norms summed over ``zeros``); greedy's are
-    ``_greedy``'s. ``live`` holds each hypothesis's sort key, its negated
-    cumulative log prob (-0.0 for a total of zero), as ``_decode`` keeps it.
-    Returns the kept (cumulative log prob, token, source row), best first,
-    each total negated back from the pick's sort key. Greedy's and sampling's
-    pick walk the one hypothesis (``live`` and the block hold one row), and
-    a sampling pick draws its uniform from ``rng.random()``. Beam search's
-    pick lives in ``_decode``'s loop; ``conftest.beam_pick`` makes it here.
+    ``_greedy``'s for the unmasked phase. ``live`` holds each hypothesis's
+    sort key, its negated cumulative log prob (-0.0 for a total of zero), as
+    ``_decode`` keeps it. Returns the kept (cumulative log prob, token, source
+    row), best first, each total negated back from the pick's sort key. The
+    picks live in ``_decode``; ``conftest.walk_pick`` and ``conftest.beam_pick``
+    make them here. Greedy's and sampling's pick walk the one hypothesis
+    (``live`` and the block hold one row), and a sampling pick draws its
+    uniform from ``rng.random()``.
     """
-    build, pick = decoding._SELECTORS[strategy]
+    build = decoding._BUILDS[strategy]
     if build is None:
-        successors = decoding._greedy(block)
+        successors = [decoding._greedy(block[0], None, False, False)[False]]
     else:
         successors = [build(record, config) for record in decoding._truncate(block, config, zeros)]
-    uniforms = None if rng is None else iter(rng.random, None)
     if strategy == "beam":  # its pick lives in ``_decode``'s beam loop
         keys = [key for key, *_ in live]
         return [(-key, token, source) for key, token, source in beam_pick(successors, keys, config.num_beams)]
     [row], [(key, *_)] = successors, live
-    key, token = pick(row, key, uniforms)
+    key, token = walk_pick(row, key, rng.random() if strategy == "sample" else None)
     return [(-key, token, 0)]
 
 
@@ -1925,3 +1926,125 @@ def test_greedy_rejects_what_log_softmax_rejects(row):
         assert str(got.value) == "every token of a logit vector is masked"
     else:
         assert type(got.value) is NonFiniteLogitsError and str(got.value) == "provider logits hold NaN or +inf at row 0"
+
+
+class OneRow:
+    """A provider with ``start`` whose every state's row is ``row``; ``rows`` counts the rows it was asked for."""
+
+    def __init__(self, row, eos):
+        tokens = [f"t{i}" for i in range(len(row))]
+        self.vocabulary = Vocabulary.from_tokens(tokens, bos=tokens[eos - 1], eos=tokens[eos])
+        self.row, self.rows = np.array(row), 0
+
+    def start(self, prefix):
+        return 0
+
+    def advance(self, state, token):
+        return state + 1
+
+    def logits_many(self, states):
+        self.rows += len(states)
+        return np.tile(self.row, (len(states), 1))
+
+
+@st.composite
+def greedy_rows(draw):
+    """A one-row block of 2-12 scores from a small set (ties), -inf included, with EOS below, tied with or above the max.
+
+    Now and then every score but EOS's is -inf, or a NaN or +inf lands
+    anywhere, EOS included.
+    """
+    size = draw(st.integers(2, 12))
+    eos = draw(st.integers(0, size - 1))
+    row = draw(st.lists(st.sampled_from([-np.inf, -np.inf, -2.0, -0.5, -0.0, 0.0, 1.0, 3.0]),
+                        min_size=size, max_size=size))
+    if draw(st.integers(0, 7)) == 0:
+        row = [-np.inf] * size
+    top = max(score for i, score in enumerate(row) if i != eos)
+    place = draw(st.sampled_from(["below", "tied", "above", "masked"]))
+    row[eos] = {"below": top - 1.5, "tied": top, "above": (top if top > -np.inf else 0.0) + 0.5,
+                "masked": -np.inf}[place]
+    if draw(st.integers(0, 5)) == 0:
+        row[draw(st.integers(0, size - 1))] = draw(st.sampled_from([np.nan, np.inf]))
+    return np.array(row), eos
+
+
+def _one_phase_step(row, eos, masked, step):
+    """Greedy's step on one phase as a table without the twin takes it: mask EOS, then ``_greedy``; or what it raises."""
+    row = row.copy()
+    if masked:
+        with np.errstate(invalid="ignore"):
+            row[eos] -= np.inf
+    try:
+        [(log_prob, token)] = decoding._greedy(row, eos, False, False).values()
+    except NonFiniteLogitsError:
+        return NonFiniteLogitsError, f"provider logits hold NaN or +inf at step {step}, row 0"
+    except ValueError as error:
+        return ValueError, str(error)
+    assert float(log_softmax(row)[token]).hex() == log_prob.hex() and token == row.argmax()
+    return log_prob.hex(), token
+
+
+@settings(max_examples=400, deadline=None)
+@given(greedy_rows(), st.booleans())
+def test_greedy_makes_both_phases_from_one_row_as_each_phase_alone(case, masked_first):
+    """A greedy miss through a provider with ``start`` gives each EOS phase what a step of that phase alone gives.
+
+    Unless EOS leads the steered row or its max is not finite, the one row
+    asked for serves both phases, whichever phase asks first; otherwise each
+    phase asks for its own row and keeps or raises what it did before.
+    """
+    row, eos = case
+    provider = OneRow(row, eos)
+    config = greedy_config(min_new=1, max_new=2)
+    table = decoding._StepTable(provider, ProcessorChain(), config, 1)
+    for masked in (masked_first, not masked_first):
+        expected = _one_phase_step(row, eos, masked, 3)
+        try:
+            with np.errstate(invalid="ignore"):  # masking a +inf EOS warns before the step raises
+                [(log_prob, token)] = table.successors(provider, [0], 3, masked)
+            got = log_prob.hex(), token
+        except ValueError as error:
+            got = type(error), str(error)
+        assert got == expected
+        assert len(table.phases[masked]) == (type(expected[0]) is str)  # a step that raises keeps nothing
+    twin = row.argmax() != eos and np.isfinite(row.max())
+    assert provider.rows == (1 if twin else 2)
+
+
+def test_prefix_adapter_greedy_decodes_ask_each_prefix_once_per_phase():
+    """Through the ``_PrefixStates`` adapter, greedy search makes no twin: each (prefix, EOS phase) pair is asked once.
+
+    The decodes share one chain, so a later one asks only for the pairs no
+    earlier one met; EOS never leads (-20), so a twin would have spared the
+    rows of the prefixes an earlier decode met in the other phase. A
+    provider with ``start`` asks for each of its states once across both
+    phases.
+    """
+    model = random_markov(3, n_words=4, eos_logit=-20.0)
+    prefix = [model.vocabulary.bos_id]
+    chain = build_chain(ReweightConfig(method="constant_shift", c=1.5), {2, 4})
+    asked = []
+
+    class NextOnly:
+        vocabulary = model.vocabulary
+
+        def next_logits(self, ids):
+            asked.append(tuple(ids))
+            return model.next_logits(ids)
+
+    provider, with_start, met, expected = NextOnly(), Asked(model), set(), []
+    for min_new in (3, 0, 6, 3, 8):
+        config = greedy_config(min_new=min_new, max_new=8)
+        result = generate(provider, prefix, chain, config)
+        reference = REFERENCE["greedy"](model, prefix, build_chain(chain.config, chain.ids), config)
+        assert (result.tokens, result.log_prob.hex()) == (reference.tokens, reference.log_prob.hex())
+        assert generate(with_start, prefix, chain, config) == result
+        for step in range(len(result.tokens)):
+            pair = (tuple(prefix) + result.tokens[:step], step < min_new)
+            if pair not in met:
+                met.add(pair)
+                expected.append(pair[0])
+    assert asked == expected and len(expected) > 8
+    states = [state for call in with_start.calls for state in call]
+    assert len(states) == len(set(states))

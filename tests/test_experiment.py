@@ -847,7 +847,8 @@ class TestSharedChains:
         Sampling and beam search share a state's survivors, so their kept
         settings are top_k and top_p, and a record that both EOS phases share
         has phase None (``test_decoding.phase_of``); greedy search keeps its
-        own successors, under its successor settings and per phase. Each decode is replayed on a fresh chain
+        own successors, under its successor settings, for both phases unless
+        EOS leads the state's row. Each decode is replayed on a fresh chain
         through ``EveryStep`` to list the pairs it meets. ``run_sweep`` calls ``generate`` once per decode it
         computes, with exactly four positional arguments, as the benchmark's
         per-row timing wraps it; a second sweep asks again, so nothing is kept
@@ -864,9 +865,9 @@ class TestSharedChains:
                 return build(record, generation)
             return counting
 
-        for strategy, (build, pick) in decoding._SELECTORS.items():
+        for strategy, build in decoding._BUILDS.items():
             if build is not None:  # greedy's successors come from its block, with no build
-                monkeypatch.setitem(decoding._SELECTORS, strategy, (counted(strategy, build), pick))
+                monkeypatch.setitem(decoding._BUILDS, strategy, counted(strategy, build))
 
         def load(path):
             providers.append(CountingRows(inner_load(path)))
@@ -895,7 +896,7 @@ class TestSharedChains:
                    for step, token in stepper.asked}
             pairs |= met
             per_decode += len(met)  # what a decode asks through a chain of its own
-        assert providers[0].rows == len(pairs) == 508 < per_decode / 5
+        assert providers[0].rows == len(pairs) == 475 < per_decode / 5
         again = run_sweep(dataclasses.replace(config, out_dir=tmp_path / "again"))
         assert providers[1].rows == providers[0].rows
         assert again.report_path.read_bytes() == result.report_path.read_bytes()

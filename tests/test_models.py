@@ -126,6 +126,34 @@ class TestVocabulary:
 
         assert outcome(vocab.validate_ids) == outcome(lambda given: reference_models.validate_ids(vocab, given))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 6), st.integers(500, 700), st.integers(0, 2**32 - 1), st.lists(st.tuples(
+        st.integers(0, 700),
+        st.one_of(st.just("size"), st.integers(-2, 9), st.integers(-2, 9).map(np.int64), st.booleans(),
+                  st.just(2**70), st.floats(-2.0, 9.0), st.sampled_from([1.0, "1", None])),
+    ), max_size=3))
+    def test_long_prompts_match_the_one_by_one_reference(self, n_words, length, seed, placed):
+        """From 512 ids on, the bulk check passes what the one-by-one reference passes, and raises what it raises.
+
+        A seeded prompt of 500-700 valid ids, so ids repeat, with up to three
+        drawn values put at drawn places: plain ints in or out of range (the
+        vocabulary size among them), numpy ints, bools, a huge int, floats, a
+        string or None.
+        """
+        vocab = make_vocab(n_words)
+        ids = np.random.default_rng(seed).integers(0, vocab.size, length).tolist()
+        for place, value in placed:
+            ids.insert(place, vocab.size if value == "size" else value)
+
+        def outcome(check):
+            try:
+                checked = check(tuple(ids))
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+            return checked, [type(i) for i in checked]
+
+        assert outcome(vocab.validate_ids) == outcome(lambda given: reference_models.validate_ids(vocab, given))
+
 
 class TestToyMarkovModel:
     def test_next_logits_is_table_lookup(self):
